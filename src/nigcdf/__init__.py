@@ -34,7 +34,6 @@ from .oracle import (
     cdf_quad_direct,
     cdf_quad_split,
     reflect,
-    remainder_g,
 )
 from .params import Geometry, Parameters, geometry, transition_point, validate
 from .special import ERFCX_NEG_LIMIT, erfc, erfcx
@@ -74,7 +73,6 @@ __all__ = [
     "g_plus_asym",
     "geometry",
     "reflect",
-    "remainder_g",
     "sf_asym",
     "transition_point",
     "u_coefficients",

@@ -31,6 +31,10 @@ _TWO_PI = 2.0 * math.pi
 # e^{x^2} must stay at or below DBL_MAX/2 so that 2*e^{x^2} is representable
 ERFCX_NEG_LIMIT = -math.sqrt(math.log(sys.float_info.max / 2.0))
 
+# past this |x| erfc(x) is below half the smallest subnormal and rounds to 0
+# (erfc(27.3) is about 9e-326); the split exponential would overflow far out
+_ERFC_UNDERFLOW = 27.3
+
 # trapezoid representation: step and term count; e^{-(16*0.45)^2} ~ 3e-23
 _H = 0.45
 _K2H2 = tuple((k * _H) ** 2 for k in range(1, 16))
@@ -104,13 +108,16 @@ def _erfcx_ge_half(x: float) -> float:
 def erfc(x: float) -> float:
     """Complementary error function for finite real x.
 
-    Values lie in (0, 2) until the positive tail underflows near x = 27.3.
+    Values lie in (0, 2) until the positive tail underflows near x = 27.3;
+    beyond that the result is exactly 0.0 (x > 0) or 2.0 (x < 0).
     Relative accuracy is about 1e-15 wherever the result is normal.
     """
     x = _check_finite(x)
     ax = abs(x)
     if ax < 0.5:
         return 1.0 - _erf_small(x)
+    if ax > _ERFC_UNDERFLOW:
+        return 0.0 if x > 0.0 else 2.0
     v = _erfcx_ge_half(ax) * _split_exp(ax, negate=True)
     return v if x > 0.0 else 2.0 - v
 

@@ -67,6 +67,17 @@ def test_eval_method_selection(capsys):
     assert out["method"] == "quad_split"
 
 
+@pytest.mark.parametrize("method", ["auto", "quad-split"])
+def test_eval_far_right_tail_exits_0(capsys, method):
+    # z = 1.2e16 puts erfc's argument near 1e6, far past its underflow point
+    assert main(["eval", "--alpha", "161640.48281451786", "--beta", "161615.32320196152",
+                 "--mu", "3.249248017960257", "--delta", "714.4992216694952",
+                 "--x", "36444063373.38008", "--method", method, "--format", "json"]) == 0
+    record = json.loads(_lines(capsys)[0])
+    assert 0.0 <= record["F"] <= 1.0
+    assert record["F"] + record["G"] == 1.0
+
+
 def test_eval_domain_error_exits_2(capsys):
     assert main(["eval", "--alpha", "8", "--beta", "8", "--mu", "3",
                  "--delta", "2", "--x", "5"]) == 2

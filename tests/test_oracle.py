@@ -3,17 +3,21 @@
 The pinned CDF values below were generated outside this package with
 30-digit mpmath quadrature: the spot values from the same exact erfc
 split, the transition-point values from the NIG density itself.  The two
-quadrature rules here reproduce them to full double precision.
+quadrature rules here reproduce them to full double precision.  The
+remainder kernel is checked on its own against mpmath, and the oracle
+against the earlier sigma-grid trapezoid, kept here as a reference loop.
 """
 
 import dataclasses
 import math
 import random
 
+import mpmath
 import pytest
 
 from nigcdf import (
     ConvergenceError,
+    DEFAULT_TOL,
     DomainError,
     NearTransitionError,
     QuadRule,
@@ -22,12 +26,12 @@ from nigcdf import (
     cdf_quad_split,
     geometry,
     reflect,
-    remainder_g,
     transition_point,
     validate,
 )
-from nigcdf.oracle import _kernel, _make_spec
+from nigcdf.oracle import _composite_kernel, _kernel, _make_spec
 from nigcdf.selftest import draw_point
+from nigcdf.special import erfc, erfcx
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
 
@@ -49,25 +53,6 @@ F_SPOT = (
     (2.0, 5.0, 0.99512722743310920),
     (7.5, 15.0, 0.98235374905062289),
 )
-
-
-def test_remainder_g_frozen_values():
-    assert remainder_g(0.0, 1.0) == -0.5
-    ref = -1.0 / (math.sqrt(101.0) * 0.8 * (math.sqrt(101.0) + 0.8))
-    assert remainder_g(10.0, 0.8) == pytest.approx(ref, rel=1e-15)
-
-
-def test_remainder_g_at_origin_matches_closed_form():
-    for w in (0.1, 0.4, 1.0):
-        assert remainder_g(0.0, w) == pytest.approx(-1.0 / (w * (1.0 + w)), rel=1e-15)
-
-
-def test_remainder_g_domain():
-    for w in (0.0, -0.5, 1.5):
-        with pytest.raises(DomainError):
-            remainder_g(1.0, w)
-    with pytest.raises(DomainError):
-        remainder_g(math.inf, 0.5)
 
 
 @pytest.mark.parametrize("beta", sorted(F_AT_X0))
@@ -186,12 +171,102 @@ def test_reflection_identity_via_split_oracle():
 
 
 def test_kernel_raises_when_budget_exhausted():
-    spec = _make_spec(30.0, 1e-12, QuadRule.TRAPEZOID_DECAY)
-    with pytest.raises(ConvergenceError):
-        _kernel(30.0, 0.5, spec, max_levels=0)
+    # a negative tolerance never passes, so only the node budget ends the halving
+    never = _make_spec(30.0, -1.0, QuadRule.TRAPEZOID_DECAY)
+    for coef_plus, coef_minus in ((0.1, 0.1), (0.0, 0.1), (0.1, 0.0)):
+        with pytest.raises(ConvergenceError):
+            _kernel(30.0, 0.5, 0.5, coef_plus, coef_minus, never)
     gauss = _make_spec(30.0, 1e-12, QuadRule.GAUSS_COMPOSITE)
     with pytest.raises(ConvergenceError):
-        _kernel(30.0, 0.5, gauss, max_levels=0)
+        _composite_kernel(30.0, 0.5, gauss, 1e-12, max_levels=0)
+
+
+@pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-12, 1e20, 1e300])
+def test_node_budget_covers_every_positive_z(z):
+    spec = _make_spec(z, 1e-13, QuadRule.TRAPEZOID_DECAY)
+    k_plus, k_minus = _kernel(z, 0.0, 1.0, 1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi), spec)
+    # K(z, w) falls with z from K(0, 0) = pi and K(0, 1) = 2
+    assert 0.0 < k_plus <= math.pi + 1e-13 and 0.0 < k_minus <= 2.0 + 1e-13
+    if z < 1e-200:
+        assert k_plus == pytest.approx(math.pi, abs=1e-13)
+        assert k_minus == pytest.approx(2.0, abs=1e-13)
+
+
+def _kernel_reference(z: float, w: float) -> float:
+    """K(z, w) by mpmath tanh-sinh quadrature at 30 digits, in t with sigma = sinh(t)."""
+    z, w = mpmath.mpf(z), mpmath.mpf(w)
+    end = mpmath.asinh(mpmath.sqrt(100 / z))  # the integrand is below e^{-100} beyond
+    return 2 * mpmath.quad(
+        lambda t: mpmath.exp(-z * mpmath.sinh(t) ** 2) / (mpmath.cosh(t) + w),
+        [end * k / 16 for k in range(17)],
+    )
+
+
+@pytest.mark.parametrize("z", [1e-12, 1e-9, 1e-4, 0.5, 30.0, 5000.0])
+def test_kernel_matches_mpmath(z):
+    mpmath.mp.dps = 30
+    spec = _make_spec(z, DEFAULT_TOL, QuadRule.TRAPEZOID_DECAY)
+    coef = 1.0 / (2.0 * math.pi)  # the largest weight a kernel has in F
+    ws = (1e-12, 0.05, 0.7, 1.0)
+    for w_plus, w_minus in zip(ws, reversed(ws)):
+        k_plus, k_minus = _kernel(z, w_plus, w_minus, coef, coef, spec)
+        assert abs(k_plus - float(_kernel_reference(z, w_plus))) <= 1e-14
+        assert abs(k_minus - float(_kernel_reference(z, w_minus))) <= 1e-14
+
+
+def _sigma_grid_kernel(z: float, w: float, tol: float) -> float:
+    """The split oracle's earlier kernel, kept as a reference.
+
+    Trapezoid in sigma over [0, 8/sqrt(z)], starting step min(0.5, S/8),
+    every node recomputed at each halving.
+    """
+    S = 8.0 / math.sqrt(z)
+
+    def level(h: float) -> float:
+        total = 0.5 / (1.0 + w)
+        k = 1
+        while k * h <= S:
+            sig = k * h
+            q = math.sqrt(1.0 + sig * sig)
+            total += math.exp(-z * sig * sig) / (q * (q + w))
+            k += 1
+        return 2.0 * h * total
+
+    h = min(0.5, S / 8.0)
+    prev = level(h)
+    for _ in range(12):
+        h *= 0.5
+        cur = level(h)
+        if abs(cur - prev) <= tol:
+            return cur
+        prev = cur
+    raise AssertionError("sigma-grid reference did not converge")
+
+
+def _sigma_grid_cdf(p, x, tol: float = DEFAULT_TOL) -> float:
+    """The split identity of ``cdf_quad_split`` with one sigma-grid kernel per part."""
+    g = geometry(p, x)
+    damp = math.exp(g.z * g.sigma_plus_sq)
+    value = 0.5 * erfc(g.zeta_plus)
+    coef_plus = -2.0 * g.s_plus * damp / (4.0 * math.pi)
+    if coef_plus != 0.0:
+        tol_plus = min(0.1, tol / (4.0 * abs(coef_plus)))
+        value += coef_plus * _sigma_grid_kernel(g.z, g.w_plus, tol_plus)
+    if abs(g.w_minus) >= 1e-13:
+        sgn = 1.0 if g.w_minus > 0.0 else -1.0
+        value += sgn * 0.5 * damp * erfcx(g.zeta_minus)
+        coef_minus = -2.0 * g.s_minus * sgn * damp / (4.0 * math.pi)
+        if coef_minus != 0.0:
+            tol_minus = min(0.1, tol / (4.0 * abs(coef_minus)))
+            value += coef_minus * _sigma_grid_kernel(g.z, abs(g.w_minus), tol_minus)
+    return min(1.0, max(0.0, value))
+
+
+def test_split_oracle_matches_sigma_grid_reference():
+    rng = random.Random(17)
+    for _ in range(40):
+        p, x = draw_point(rng)
+        assert abs(cdf_quad_split(p, x) - _sigma_grid_cdf(p, x)) <= 1e-12
 
 
 def test_quadrature_spec_is_frozen():

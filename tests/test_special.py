@@ -88,6 +88,23 @@ def test_erfc_saturates_at_two_on_the_far_left():
     assert erfc(-26.0) == 2.0
 
 
+@pytest.mark.parametrize("x", [27.31, 30.0, 1e3, 1e6 + 0.75 / 512, 1.5e6, 1e300])
+def test_erfc_far_tails_are_exact(x):
+    # past the underflow point erfc(x) rounds to 0, and erfc(-x) to 2; far
+    # out the split exponential's correction factor would overflow
+    assert erfc(x) == 0.0
+    assert erfc(-x) == 2.0
+
+
+def test_erfc_underflow_cut_is_seamless():
+    # erfc(27.3) is about 9e-326, below half the smallest subnormal
+    assert _ref_erfc(27.3) == 0.0
+    for x in (27.0, 27.2):
+        # subnormal results, spaced 4.9e-324 apart
+        assert 0.0 < erfc(x) and abs(erfc(x) - _ref_erfc(x)) <= 1e-323
+    assert erfc(27.299) == 0.0 and erfc(27.301) == 0.0
+
+
 @given(st.floats(min_value=-26.0, max_value=26.0))
 def test_erfc_range(x):
     v = erfc(x)

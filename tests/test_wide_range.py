@@ -1,0 +1,85 @@
+"""Robustness over extreme but valid inputs.
+
+A seeded sweep with alpha and delta log-uniform over 1e-6..1e6, 1 - |beta|/alpha
+log-uniform over 1e-6..1 and |x - mu|/delta log-uniform over 1e-2..1e8, so z
+runs from about 1e-12 to 1e20.  The contract: every point gets a value in
+[0, 1] or a NigError refusal, and the split oracle's node budget keeps every
+call bounded without refusing any of these points.
+"""
+
+import math
+import random
+
+import pytest
+
+from nigcdf import (
+    ConvergenceError,
+    Method,
+    NigError,
+    cdf,
+    cdf_quad_split,
+    geometry,
+    reflect,
+    validate,
+)
+
+N_POINTS = 400
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _draw(rng: random.Random) -> tuple[float, float, float, float, float]:
+    alpha = _log_uniform(rng, 1e-6, 1e6)
+    delta = _log_uniform(rng, 1e-6, 1e6)
+    beta = rng.choice((-1.0, 1.0)) * alpha * (1.0 - _log_uniform(rng, 1e-6, 1.0))
+    mu = rng.uniform(-5.0, 5.0)
+    x = mu + rng.choice((-1.0, 1.0)) * delta * _log_uniform(rng, 1e-2, 1e8)
+    return alpha, beta, mu, delta, x
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(parameters, x, result or refusal) for every point of the seeded sweep."""
+    rng = random.Random(2025)
+    out = []
+    for _ in range(N_POINTS):
+        alpha, beta, mu, delta, x = _draw(rng)
+        p = validate(alpha, beta, mu, delta)
+        try:
+            out.append((p, x, cdf(p, x)))
+        except NigError as exc:  # any other exception fails the module
+            out.append((p, x, exc))
+    return out
+
+
+def test_sweep_reaches_the_small_z_corners(sweep):
+    # the band [1e-9, 1e-2) and the corner below it are where a quadrature
+    # truncated in sigma costs of order z^-1/2 nodes; keep covering both
+    zs = [geometry(p, x).z for p, x, _ in sweep]
+    assert sum(z < 1e-9 for z in zs) >= 3
+    assert sum(1e-9 <= z < 1e-2 for z in zs) >= 30
+    assert max(zs) > 1e15
+
+
+def test_values_lie_in_the_unit_interval(sweep):
+    values = [r.value for _, _, r in sweep if not isinstance(r, NigError)]
+    assert len(values) >= N_POINTS // 2
+    assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_no_point_exhausts_the_node_budget(sweep):
+    assert [r for _, _, r in sweep if isinstance(r, ConvergenceError)] == []
+
+
+def test_reflection_identity_on_the_split_route(sweep):
+    split = [
+        (p, x)
+        for p, x, r in sweep
+        if not isinstance(r, NigError) and r.method is Method.QUAD_SPLIT
+    ]
+    assert len(split) >= 100
+    for p, x in split:
+        rp, rx = reflect(p, x)
+        assert abs(cdf_quad_split(p, x) + cdf_quad_split(rp, rx) - 1.0) <= 1e-10
