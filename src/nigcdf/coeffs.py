@@ -58,33 +58,41 @@ def _check_w(w: float) -> float:
     return w
 
 
-def d_coefficients(w: float, kmax: int) -> CoeffTable:
-    """d_0..d_kmax by the series-inversion recursion.
+def _d_values(w: float, kmax: int) -> list[float]:
+    """d_0..d_kmax for a w in (0, 1] and kmax >= 0 that the caller has checked.
 
     The generating sequence is b_0 = w + w^2, b_1 = w + w^2/2, b_2 = -w^2/8,
     then b_{k+1} = -(k - 1/2) b_k / (k + 1); inverting the series gives
     c_0 = 1, c_k = -(1/b_0) sum_{j=1..k} b_j c_{k-j}, and finally
     d_k = (1/2)_k c_k with the Pochhammer factor kept as a running product.
     """
-    w = _check_w(w)
-    kmax = _check_kmax(kmax)
     b = [w + w * w, w + 0.5 * w * w, -w * w / 8.0]
     for k in range(2, kmax):
         b.append(-(k - 0.5) * b[k] / (k + 1))
+    # b_0 = w(1 + w) vanishes only at w = 0, which the domain excludes
+    b0 = b[0]
     c = [1.0]
+    values = [1.0]
+    poch = 1.0
     for k in range(1, kmax + 1):
         acc = 0.0
         for j in range(1, k + 1):
             acc += b[j] * c[k - j]
-        # b_0 = w(1 + w) vanishes only at w = 0, which the domain excludes
-        c.append(-acc / b[0])
-    values = []
-    poch = 1.0
-    for k, ck in enumerate(c):
-        if k > 0:
-            poch *= k - 0.5
+        ck = -acc / b0
+        c.append(ck)
+        poch *= k - 0.5
         values.append(poch * ck)
-    return CoeffTable(CoeffKind.D, w, tuple(values))
+    return values
+
+
+def d_coefficients(w: float, kmax: int) -> CoeffTable:
+    """d_0..d_kmax by the series-inversion recursion of ``_d_values``.
+
+    Checks ``0 < w <= 1`` and ``kmax >= 0`` and raises DomainError otherwise.
+    """
+    w = _check_w(w)
+    kmax = _check_kmax(kmax)
+    return CoeffTable(CoeffKind.D, w, tuple(_d_values(w, kmax)))
 
 
 def d_closed_form(w: float, k: int) -> float:

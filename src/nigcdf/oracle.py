@@ -132,8 +132,11 @@ def _kernel_tol(coef: float, tol: float) -> float:
 
 def _kernel(
     z: float, w_plus: float, w_minus: float, coef_plus: float, coef_minus: float, spec: QuadratureSpec
-) -> tuple[float, float]:
+) -> tuple[float, float, float, float]:
     """K(z, w_plus) and K(z, w_minus), the kernels of weights coef_plus and coef_minus in F.
+
+    Returns both kernels and, after them, how much each changed in the
+    last level: |K_h - K_2h| at the final step h.
 
     K(z, w) is the integral of e^{-z sigma^2} / (q (q + w)) over the real
     line, q = sqrt(1+sigma^2), for w in [0, 1].  Each kernel is refined
@@ -157,9 +160,9 @@ def _kernel(
     tol_plus = _kernel_tol(coef_plus, spec.tol)
     tol_minus = _kernel_tol(coef_minus, spec.tol)
     if spec.rule is QuadRule.GAUSS_COMPOSITE:
-        return _composite_kernel(z, w_plus, spec, tol_plus), _composite_kernel(
-            z, w_minus, spec, tol_minus
-        )
+        k_plus, dk_plus = _composite_kernel(z, w_plus, spec, tol_plus)
+        k_minus, dk_minus = _composite_kernel(z, w_minus, spec, tol_minus)
+        return k_plus, k_minus, dk_plus, dk_minus
 
     sinh, exp, sqrt = math.sinh, math.exp, math.sqrt
     neg_z = -z
@@ -189,10 +192,12 @@ def _kernel(
             sum_minus += e / (c + w_minus)
         cur_plus = 2.0 * h * sum_plus
         cur_minus = 2.0 * h * sum_minus
-        done_plus = done_plus or abs(cur_plus - prev_plus) <= tol_plus
-        done_minus = done_minus or abs(cur_minus - prev_minus) <= tol_minus
+        dk_plus = abs(cur_plus - prev_plus)
+        dk_minus = abs(cur_minus - prev_minus)
+        done_plus = done_plus or dk_plus <= tol_plus
+        done_minus = done_minus or dk_minus <= tol_minus
         if done_plus and done_minus:
-            return cur_plus, cur_minus
+            return cur_plus, cur_minus, dk_plus, dk_minus
         prev_plus, prev_minus = cur_plus, cur_minus
         h *= 0.5
         stride = 2
@@ -200,11 +205,12 @@ def _kernel(
 
 def _composite_kernel(
     z: float, w: float, spec: QuadratureSpec, tol: float, max_levels: int = 12
-) -> float:
+) -> tuple[float, float]:
     """K(z, w) by composite 16-point Gauss-Legendre in sigma over [0, S].
 
     Each level doubles the panel count and is compared with the previous
-    until the change drops below ``tol`` (absolute).
+    until the change drops below ``tol`` (absolute); returns K and that
+    last change.
     """
 
     def f(sig: float) -> float:
@@ -227,8 +233,9 @@ def _composite_kernel(
     for _ in range(max_levels):
         panels *= 2
         cur = composite(panels)
-        if abs(cur - prev) <= tol:
-            return cur
+        change = abs(cur - prev)
+        if change <= tol:
+            return cur, change
         prev = cur
     raise ConvergenceError(
         f"composite kernel did not stabilize to {tol:g} within {max_levels} doublings"
@@ -253,7 +260,17 @@ def cdf_quad_split(
     overflows.  Valid for every x and every z > 0.
     """
     tol = _check_tol(tol)
-    g = geometry(p, x)
+    return _quad_split(geometry(p, x), tol, rule)[0]
+
+
+def _quad_split(g: Geometry, tol: float, rule: QuadRule) -> tuple[float, float]:
+    """F by the split of ``cdf_quad_split`` at one geometry, and its error estimate.
+
+    ``tol`` must already be checked.  The estimate is
+    |coef_plus| |dK_plus| + |coef_minus| |dK_minus|, the change of each
+    weighted kernel in the last level of ``_kernel``, plus the distance by
+    which F was clamped into [0, 1].
+    """
     damp = math.exp(g.z * g.sigma_plus_sq)
     value = 0.5 * erfc(g.zeta_plus)
     coef_plus = -2.0 * g.s_plus * damp / (4.0 * math.pi)
@@ -262,11 +279,16 @@ def cdf_quad_split(
         sgn = 1.0 if g.w_minus > 0.0 else -1.0
         value += sgn * 0.5 * damp * erfcx(g.zeta_minus)
         coef_minus = -2.0 * g.s_minus * sgn * damp / (4.0 * math.pi)
+    estimate = 0.0
     if coef_plus != 0.0 or coef_minus != 0.0:
         spec = _make_spec(g.z, tol, rule)
-        k_plus, k_minus = _kernel(g.z, g.w_plus, abs(g.w_minus), coef_plus, coef_minus, spec)
+        k_plus, k_minus, dk_plus, dk_minus = _kernel(
+            g.z, g.w_plus, abs(g.w_minus), coef_plus, coef_minus, spec
+        )
         value += coef_plus * k_plus + coef_minus * k_minus
-    return min(1.0, max(0.0, value))
+        estimate = abs(coef_plus) * dk_plus + abs(coef_minus) * dk_minus
+    clamped = min(1.0, max(0.0, value))
+    return clamped, estimate + abs(value - clamped)
 
 
 def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:

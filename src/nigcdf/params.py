@@ -111,13 +111,21 @@ def geometry(p: Parameters, x: float) -> Geometry:
     """Compute all per-evaluation quantities at the point x.
 
     ``nu`` is taken in (0, pi) via a two-argument arctangent so that one code
-    path serves both signs of ``xi = x - mu``.
+    path serves both signs of ``xi = x - mu``.  Raises DomainError when
+    x is not finite, or when ``z = 2*alpha*omega`` underflows to 0 or
+    overflows to inf for valid parameters.
     """
     x = _require_finite("x", x)
     xi = x - p.mu
     omega = math.hypot(xi, p.delta)
     nu = math.atan2(p.delta, xi)
     z = 2.0 * p.alpha * omega
+    # every route divides by z or takes it into an erfc argument
+    if not 0.0 < z < math.inf:
+        raise DomainError(
+            f"z = 2*alpha*omega = {z!r} leaves the positive double range "
+            f"(alpha = {p.alpha!r}, omega = {omega!r})"
+        )
     half_diff = 0.5 * (nu - p.tau)
     half_sum = 0.5 * (nu + p.tau)
     s_plus = math.sin(half_diff)

@@ -22,7 +22,7 @@ from nigcdf import (
     transition_point,
     validate,
 )
-from nigcdf.expansion import _f_minus_laplace, _f_minus_uniform
+from nigcdf.expansion import _parts
 from nigcdf.selftest import draw_point
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
@@ -89,8 +89,8 @@ def test_f_minus_modes_agree_in_overlap():
         p = validate(alpha, beta, 0.0, delta)
         g = geometry(p, x)
         assert 0.3 <= g.s_minus <= 0.7
-        uni, last_u = _f_minus_uniform(g, 5)
-        lap, last_l = _f_minus_laplace(g, 5)
+        _, uni, _, last_u = _parts(g, 5, FMinusMode.UNIFORM, False)
+        _, lap, _, last_l = _parts(g, 5, FMinusMode.LAPLACE, False)
         assert abs(uni - lap) <= 10.0 * (last_u + last_l) + 1e-15
 
 
@@ -226,3 +226,69 @@ def test_cdf_monotone_on_benchmark_grids():
             assert 0.0 <= v <= 1.0
             assert v >= prev
             prev = v
+
+
+@pytest.mark.parametrize("method", ["auto", "asym", "quad-split"])
+@pytest.mark.parametrize("params", [(1e-300, 0.0, 0.0, 1e-300), (1e300, 0.0, 0.0, 1e10)])
+def test_cdf_refuses_z_outside_the_double_range(method, params):
+    # valid parameters whose z = 2 alpha omega underflows to 0 or overflows to inf
+    p = validate(*params)
+    with pytest.raises(DomainError, match="z = 2"):
+        cdf(p, 0.0, method=method)
+
+
+# (method, x) with p = _bench(2.0): the auto asym route, complemented and
+# not, the auto quadrature route, and each forced route
+ROUTES = [("auto", 20.0), ("auto", 3.0), ("auto", 1.0), ("asym", 5.0),
+          ("quad-split", 5.0), ("quad-direct", 5.0)]
+
+
+@pytest.mark.parametrize("method,x", ROUTES)
+@pytest.mark.parametrize(
+    "bad", [{"tol": -1.0}, {"tol": "tight"}, {"kmax": -1}, {"kmax": 2.0},
+            {"f_minus_mode": "bogus"}],
+)
+def test_cdf_checks_every_argument_on_every_route(method, x, bad):
+    p = _bench(2.0)
+    cdf(p, x, method=method)  # the point itself evaluates
+    with pytest.raises(DomainError):
+        cdf(p, x, method=method, **bad)
+
+
+def test_auto_routes_take_the_routes_they_name():
+    p = _bench(2.0)
+    taken = [(r.method, r.complemented) for r in (cdf(p, x) for _, x in ROUTES[:3])]
+    assert taken == [(Method.UNIFORM_ASYM, True), (Method.UNIFORM_ASYM, False),
+                     (Method.QUAD_SPLIT, False)]
+
+
+@pytest.mark.parametrize("x", [20.0, 3.0, 1.0])
+def test_cdf_computes_the_geometry_once(monkeypatch, x):
+    # a complemented asym point, an asym point and a quad-split point
+    calls = []
+
+    def counted(p, x):
+        calls.append(x)
+        return geometry(p, x)
+
+    monkeypatch.setattr("nigcdf.expansion.geometry", counted)
+    monkeypatch.setattr("nigcdf.oracle.geometry", counted)
+    cdf(_bench(2.0), x)
+    assert calls == [x]
+
+
+def test_auto_route_equals_the_forced_expansions_bit_for_bit():
+    rng = random.Random(41)
+    asym = 0
+    for _ in range(2000):
+        p, x = draw_point(rng)
+        r = cdf(p, x)
+        if r.method is not Method.UNIFORM_ASYM:
+            continue
+        asym += 1
+        if r.complemented:
+            assert r.value == 1.0 - sf_asym(p, x).value
+            assert r.error_estimate == sf_asym(p, x).error_estimate
+        else:
+            assert r == cdf_asym(p, x)
+    assert asym >= 400

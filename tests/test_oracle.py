@@ -22,6 +22,7 @@ from nigcdf import (
     NearTransitionError,
     QuadRule,
     QuadratureSpec,
+    cdf,
     cdf_quad_direct,
     cdf_quad_split,
     geometry,
@@ -184,7 +185,9 @@ def test_kernel_raises_when_budget_exhausted():
 @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-12, 1e20, 1e300])
 def test_node_budget_covers_every_positive_z(z):
     spec = _make_spec(z, 1e-13, QuadRule.TRAPEZOID_DECAY)
-    k_plus, k_minus = _kernel(z, 0.0, 1.0, 1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi), spec)
+    k_plus, k_minus, _, _ = _kernel(
+        z, 0.0, 1.0, 1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi), spec
+    )
     # K(z, w) falls with z from K(0, 0) = pi and K(0, 1) = 2
     assert 0.0 < k_plus <= math.pi + 1e-13 and 0.0 < k_minus <= 2.0 + 1e-13
     if z < 1e-200:
@@ -209,7 +212,7 @@ def test_kernel_matches_mpmath(z):
     coef = 1.0 / (2.0 * math.pi)  # the largest weight a kernel has in F
     ws = (1e-12, 0.05, 0.7, 1.0)
     for w_plus, w_minus in zip(ws, reversed(ws)):
-        k_plus, k_minus = _kernel(z, w_plus, w_minus, coef, coef, spec)
+        k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus, coef, coef, spec)
         assert abs(k_plus - float(_kernel_reference(z, w_plus))) <= 1e-14
         assert abs(k_minus - float(_kernel_reference(z, w_minus))) <= 1e-14
 
@@ -273,3 +276,17 @@ def test_quadrature_spec_is_frozen():
     spec = QuadratureSpec(QuadRule.TRAPEZOID_DECAY, 0.25, 2.0, 1e-12)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.tol = 1e-6
+
+
+def test_split_route_reports_a_measured_error_estimate():
+    # the estimate is the weighted change of the kernels in their last level,
+    # not the requested tol: each weighted kernel settles to tol/4, so it stays
+    # within tol/2 plus a clamping of rounding size; the Gauss-Legendre rule
+    # judges it
+    rng = random.Random(17)
+    for _ in range(40):
+        p, x = draw_point(rng)
+        r = cdf(p, x, method="quad-split", tol=DEFAULT_TOL)
+        assert 0.0 <= r.error_estimate <= 0.5 * DEFAULT_TOL + 1e-15
+        gauss = cdf_quad_split(p, x, rule=QuadRule.GAUSS_COMPOSITE)
+        assert abs(r.value - gauss) <= 100.0 * (r.error_estimate + 1e-15)

@@ -4,7 +4,9 @@ A seeded sweep with alpha and delta log-uniform over 1e-6..1e6, 1 - |beta|/alpha
 log-uniform over 1e-6..1 and |x - mu|/delta log-uniform over 1e-2..1e8, so z
 runs from about 1e-12 to 1e20.  The contract: every point gets a value in
 [0, 1] or a NigError refusal, and the split oracle's node budget keeps every
-call bounded without refusing any of these points.
+call bounded without refusing any of these points.  For each distribution,
+F is also evaluated on a 7-point grid through mu and the drawn x, where it
+must not decrease and must satisfy the reflection identity.
 """
 
 import math
@@ -83,3 +85,31 @@ def test_reflection_identity_on_the_split_route(sweep):
     for p, x in split:
         rp, rx = reflect(p, x)
         assert abs(cdf_quad_split(p, x) + cdf_quad_split(rp, rx) - 1.0) <= 1e-10
+
+
+GRID_T = (-1.0, -0.3, -0.01, 0.0, 0.01, 0.3, 1.0)
+
+
+@pytest.fixture(scope="module")
+def grids(sweep):
+    """(parameters, grid, F on the grid) for each sweep distribution.
+
+    The grid is x = mu + t |x - mu| over ``GRID_T``, for the sweep's x.
+    """
+    out = []
+    for p, x, _ in sweep:
+        xs = [p.mu + t * abs(x - p.mu) for t in GRID_T]
+        out.append((p, xs, [cdf(p, xi).value for xi in xs]))
+    return out
+
+
+def test_cdf_is_monotone_along_each_grid(grids):
+    for p, xs, fs in grids:
+        assert all(a <= b for a, b in zip(fs, fs[1:])), (p, xs, fs)
+
+
+def test_reflection_identity_on_the_auto_route(grids):
+    for p, xs, fs in grids:
+        for xi, f in zip(xs, fs):
+            rp, rx = reflect(p, xi)
+            assert abs(f + cdf(rp, rx).value - 1.0) <= 1e-10, (p, xi)
