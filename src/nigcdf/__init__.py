@@ -1,22 +1,16 @@
 """Normal inverse Gaussian CDF by uniform asymptotic expansions.
 
 Evaluates F(x; alpha, beta, mu, delta) and its complement G = 1 - F with an
-erfc-based uniform asymptotic expansion (plus a Laplace variant for the
-minus part), backed by two independent quadrature oracles for validation.
+erfc-based uniform asymptotic expansion, whose minus part takes one signed
+form on both sides of w_minus = 0, backed by two independent quadrature
+oracles for validation.
 """
 
-from .coeffs import CoeffKind, CoeffTable, d_closed_form, d_coefficients, u_coefficients
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NearTransitionError,
-    NigError,
-    UnreliableRegionError,
-)
+from .coeffs import CoeffTable, d_closed_form, d_coefficients
+from .errors import ConvergenceError, DomainError, NearTransitionError, NigError
 from .expansion import (
     DEFAULT_KMAX,
     EvalResult,
-    FMinusMode,
     Method,
     W_MINUS_MIN,
     Z_MIN,
@@ -41,7 +35,6 @@ from .special import ERFCX_NEG_LIMIT, erfc, erfcx
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffKind",
     "CoeffTable",
     "ConvergenceError",
     "DEFAULT_KMAX",
@@ -49,7 +42,6 @@ __all__ = [
     "DomainError",
     "ERFCX_NEG_LIMIT",
     "EvalResult",
-    "FMinusMode",
     "Geometry",
     "Method",
     "NearTransitionError",
@@ -57,7 +49,6 @@ __all__ = [
     "Parameters",
     "QuadRule",
     "QuadratureSpec",
-    "UnreliableRegionError",
     "W_MINUS_MIN",
     "Z_MIN",
     "cdf",
@@ -75,6 +66,5 @@ __all__ = [
     "reflect",
     "sf_asym",
     "transition_point",
-    "u_coefficients",
     "validate",
 ]

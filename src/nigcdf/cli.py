@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import selftest as selftest_mod
-from .errors import ConvergenceError, DomainError, NearTransitionError, UnreliableRegionError
+from .errors import ConvergenceError, DomainError, NearTransitionError
 from .expansion import DEFAULT_KMAX, cdf, cdf_asym, f_minus_asym
 from .oracle import DEFAULT_TOL, cdf_quad_split
 from .params import geometry, transition_point, validate
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NearTransitionError, UnreliableRegionError) as exc:
+    except (ConvergenceError, NearTransitionError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,43 +1,34 @@
 """Numeric evaluation of the expansion coefficients.
 
-Two families: ``d_k(w)`` weight the power series that accompanies the erfc
-leading term of the uniform expansion, and ``u_k(p)`` weight the plain
-Laplace expansion.  Both are generated by short recursions; the closed forms
-for small k serve as independent cross-checks in the tests.
+The ``d_k(w)`` weight the power series that accompanies the erfc leading
+term of the uniform expansion, for both the plus part (w = w_plus) and the
+signed minus part (w = |w_minus|).  They are generated by a short
+recursion that matches the closed forms to about 1e-15 relative from
+w = 1 down to w = 1e-13, below which the minus part is treated as zero;
+the closed forms for k <= 4 serve as independent cross-checks in the
+tests and the selftest.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError
 
 __all__ = [
-    "CoeffKind",
     "CoeffTable",
     "d_coefficients",
     "d_closed_form",
-    "u_coefficients",
 ]
-
-
-class CoeffKind(Enum):
-    D = "d"
-    U = "u"
 
 
 @dataclass(frozen=True, slots=True)
 class CoeffTable:
     """Finite coefficient sequence for one pole parameter.
 
-    For kind D the parameter is ``w = cos((nu -+ tau)/2)`` and values[0] is
-    exactly 1; for kind U the parameter is ``p = -sin((nu+tau)/2)^2`` and
-    values[0] equals ``-1/p``.
+    The parameter is ``w = |cos((nu -+ tau)/2)|`` and values[0] is exactly 1.
     """
 
-    kind: CoeffKind
     pole_param: float
     values: tuple[float, ...]
 
@@ -92,7 +83,7 @@ def d_coefficients(w: float, kmax: int) -> CoeffTable:
     """
     w = _check_w(w)
     kmax = _check_kmax(kmax)
-    return CoeffTable(CoeffKind.D, w, tuple(_d_values(w, kmax)))
+    return CoeffTable(w, tuple(_d_values(w, kmax)))
 
 
 def d_closed_form(w: float, k: int) -> float:
@@ -110,33 +101,3 @@ def d_closed_form(w: float, k: int) -> float:
     if k == 3:
         return -15.0 * (((5.0 * w + 20.0) * w + 29.0) * w + 16.0) / (128.0 * u**3)
     return 105.0 * ((((35.0 * w + 175.0) * w + 345.0) * w + 325.0) * w + 128.0) / (2048.0 * u**4)
-
-
-def u_coefficients(p: float, kmax: int) -> CoeffTable:
-    """u_0..u_kmax by convolving two elementary Maclaurin series.
-
-    ``1/(sigma^2 - p)`` contributes the geometric coefficients
-    g_j = -1/p^{j+1} and ``(1 + sigma^2)^{-1/2}`` contributes
-    h_j = binomial(-1/2, j); then u_k = sum_j g_j h_{k-j}.  The domain is
-    p in [-1, 0): p = -1 is reached in floating point when nu + tau rounds
-    to pi exactly, and every u_k stays finite there.
-    """
-    try:
-        p = float(p)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"p must be a real number, got {p!r}") from exc
-    if not (-1.0 <= p < 0.0) or math.isnan(p):
-        raise DomainError(f"p must lie in [-1, 0), got {p!r}")
-    kmax = _check_kmax(kmax)
-    g = [-1.0 / p]
-    h = [1.0]
-    for j in range(1, kmax + 1):
-        g.append(g[-1] / p)
-        h.append(-h[-1] * (2 * j - 1) / (2 * j))
-    values = []
-    for k in range(kmax + 1):
-        acc = 0.0
-        for j in range(k + 1):
-            acc += g[j] * h[k - j]
-        values.append(acc)
-    return CoeffTable(CoeffKind.U, p, tuple(values))

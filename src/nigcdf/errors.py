@@ -19,7 +19,3 @@ class NearTransitionError(NigError):
     The integrand's poles approach the contour there; the split oracle
     remains valid and should be used instead.
     """
-
-
-class UnreliableRegionError(NigError):
-    """An expansion was forced in a region where its coefficients blow up."""

@@ -299,7 +299,16 @@ def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
     there.  Points with nu < tau are evaluated through the reflection
     identity, which swaps them to nu > tau.
     """
-    tol = _check_tol(tol)
+    return _quad_direct(p, x, _check_tol(tol))[0]
+
+
+def _quad_direct(p: Parameters, x: float, tol: float) -> tuple[float, float]:
+    """F by the direct integral of ``cdf_quad_direct``, and its error estimate.
+
+    ``tol`` must already be checked.  The estimate is the change of the
+    integral in the last step halving plus the distance by which F was
+    clamped into [0, 1].
+    """
     g = geometry(p, x)
     gap = g.nu - p.tau
     if abs(gap) <= _NEAR_TRANSITION_GAP:
@@ -308,12 +317,19 @@ def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
             "the split oracle handles the transition region"
         )
     if gap < 0.0:
-        rp, rx = reflect(p, x)
-        return 1.0 - cdf_quad_direct(rp, rx, tol)
-    return _direct_integral(p, g, tol)
+        value, estimate = _quad_direct(*reflect(p, x), tol)
+        return 1.0 - value, estimate
+    value, change = _direct_integral(p, g, tol)
+    clamped = min(1.0, max(0.0, value))
+    return clamped, change + abs(value - clamped)
 
 
-def _direct_integral(p: Parameters, g: Geometry, tol: float) -> float:
+def _direct_integral(p: Parameters, g: Geometry, tol: float) -> tuple[float, float]:
+    """The steepest-descent integral for nu > tau, unclamped, and its last change.
+
+    Halves the trapezoid step until one more halving changes the value by
+    at most ``tol``; returns the value and that change.
+    """
     aw = p.alpha * g.omega
     big_a = p.delta * p.gamma + p.beta * g.xi  # equals aw + z sigma_plus_sq <= aw
     sp2 = g.s_plus * g.s_plus
@@ -332,9 +348,6 @@ def _direct_integral(p: Parameters, g: Geometry, tol: float) -> float:
 
     reach = math.log(10.0 / tol) + 10.0
     S = math.acosh(1.0 + reach / aw)
-    spec = QuadratureSpec(
-        QuadRule.TRAPEZOID_DECAY, min(0.25, 0.5 / math.sqrt(aw)), S, tol
-    )
 
     def level(h: float) -> float:
         total = 0.5 * f(0.0)
@@ -347,13 +360,14 @@ def _direct_integral(p: Parameters, g: Geometry, tol: float) -> float:
             k += 1
         return h * total / math.pi  # 2 for evenness, over 2 pi
 
-    h = float(spec.step_or_nodes)
+    h = min(0.25, 0.5 / math.sqrt(aw))
     prev = level(h)
     for _ in range(14):
         h *= 0.5
         cur = level(h)
-        if abs(cur - prev) <= tol:
-            return min(1.0, max(0.0, cur))
+        change = abs(cur - prev)
+        if change <= tol:
+            return cur, change
         prev = cur
     raise ConvergenceError(
         f"direct-integral trapezoid did not stabilize to {tol:g} within 14 halvings"

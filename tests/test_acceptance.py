@@ -28,7 +28,6 @@ from contextlib import redirect_stdout
 import pytest
 
 from nigcdf import (
-    FMinusMode,
     Method,
     NearTransitionError,
     cdf,
@@ -150,7 +149,6 @@ def test_criterion_09_symmetric_median():
     assert abs(cdf(p, MU).value - 0.5) <= 1e-10
     assert abs(cdf(p, MU, method="asym").value - 0.5) <= 1e-10
     assert abs(cdf(p, MU, method="quad-split").value - 0.5) <= 1e-10
-    assert abs(cdf_asym(p, MU, f_minus_mode=FMinusMode.LAPLACE).value - 0.5) <= 1e-10
     # the direct oracle excludes nu = tau by design; the route must refuse,
     # not return a wrong number
     with pytest.raises(NearTransitionError):

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nigcdf import (
-    CoeffKind,
-    CoeffTable,
-    DomainError,
-    d_closed_form,
-    d_coefficients,
-    u_coefficients,
-)
+from nigcdf import CoeffTable, DomainError, d_closed_form, d_coefficients
 
 W_RANGE = st.floats(min_value=0.05, max_value=1.0)
 
@@ -61,7 +54,6 @@ def test_d_factorial_growth():
 def test_d_table_metadata():
     table = d_coefficients(0.4, 3)
     assert isinstance(table, CoeffTable)
-    assert table.kind is CoeffKind.D
     assert table.pole_param == 0.4
     assert len(table.values) == 4
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -86,51 +78,3 @@ def test_d_closed_form_rejects_bad_k(k):
 def test_kmax_must_be_a_nonnegative_integer(kmax):
     with pytest.raises(DomainError):
         d_coefficients(0.5, kmax)
-    with pytest.raises(DomainError):
-        u_coefficients(-0.5, kmax)
-
-
-def test_u_zeroth_is_reciprocal_pole():
-    for p in (-0.04, -0.25, -0.81, -1.0):
-        assert u_coefficients(p, 0).values[0] == pytest.approx(-1.0 / p, rel=1e-15)
-
-
-def test_u_frozen_values():
-    vals = u_coefficients(-0.25, 2).values
-    assert vals[1] == pytest.approx(-18.0, rel=1e-14)
-    assert vals[2] == pytest.approx(73.5, rel=1e-14)
-
-
-@given(st.floats(min_value=-1.0, max_value=-0.02))
-def test_u_matches_closed_forms(p):
-    u0, u1, u2 = u_coefficients(p, 2).values
-    assert u0 == pytest.approx(-1.0 / p, rel=1e-13)
-    assert u1 == pytest.approx((p - 2.0) / (2.0 * p * p), rel=1e-13)
-    assert u2 == pytest.approx(-(3.0 * p * p - 4.0 * p + 8.0) / (8.0 * p**3), rel=1e-13)
-
-
-@given(st.floats(min_value=-0.9, max_value=-0.2), st.floats(min_value=-0.12, max_value=0.12))
-def test_u_series_resums_generating_function(p, sigma):
-    # sum_k u_k sigma^{2k} converges to 1/((sigma^2 - p) sqrt(1 + sigma^2))
-    vals = u_coefficients(p, 20).values
-    s2 = sigma * sigma
-    total = 0.0
-    power = 1.0
-    for uk in vals:
-        total += uk * power
-        power *= s2
-    target = 1.0 / ((s2 - p) * math.sqrt(1.0 + s2))
-    assert total == pytest.approx(target, rel=1e-12)
-
-
-@pytest.mark.parametrize("p", [0.0, 0.3, -1.0 - 1e-9, math.nan, "p", None])
-def test_u_rejects_bad_pole(p):
-    with pytest.raises(DomainError):
-        u_coefficients(p, 2)
-
-
-def test_u_accepts_the_closed_left_endpoint():
-    # p = -1.0 is reachable in floating point and must evaluate
-    vals = u_coefficients(-1.0, 3).values
-    assert all(math.isfinite(v) for v in vals)
-    assert vals[0] == 1.0

@@ -8,9 +8,7 @@ import pytest
 from nigcdf import (
     DomainError,
     EvalResult,
-    FMinusMode,
     Method,
-    UnreliableRegionError,
     cdf,
     cdf_asym,
     cdf_quad_split,
@@ -22,7 +20,6 @@ from nigcdf import (
     transition_point,
     validate,
 )
-from nigcdf.expansion import _parts
 from nigcdf.selftest import draw_point
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
@@ -68,30 +65,39 @@ def test_plus_parts_are_complementary():
         assert abs(f_plus_asym(g) + g_plus_asym(g) - 1.0) <= 1e-14
 
 
-def test_f_minus_uniform_refuses_small_w_minus():
-    # left of the sign change of w_minus the uniform coefficients blow up
-    p = _bench(-4.0)
-    g = geometry(p, 1.0)
-    assert g.w_minus < 0.05
-    with pytest.raises(UnreliableRegionError):
-        f_minus_asym(g, mode=FMinusMode.UNIFORM)
-    # AUTO switches to the Laplace branch instead of raising
-    assert math.isfinite(f_minus_asym(g))
-
-
-def test_f_minus_modes_agree_in_overlap():
-    # engineered points with s_minus near 0.5, where both expansions apply
-    for alpha, beta, delta, x in (
-        (30.0, 27.0, 1.5, 4.0),
-        (45.0, 42.0, 2.0, 6.5),
-        (60.0, 55.0, 1.0, 3.4),
-    ):
-        p = validate(alpha, beta, 0.0, delta)
+def test_forced_asym_is_accurate_where_w_minus_is_small():
+    # the signed minus part on both sides of w_minus = 0: every forced
+    # expansion route stays within criterion 08's 1e-7 of the oracle where
+    # the auto route would fall back to quadrature
+    named = validate(4.930440369386361, -4.613514519933387, -3.609729115647383,
+                     0.2793600458756222)
+    points = [(named, -6.868752472828687)]
+    rng = random.Random(99)
+    for _ in range(4000):
+        p, x = draw_point(rng)
         g = geometry(p, x)
-        assert 0.3 <= g.s_minus <= 0.7
-        _, uni, _, last_u = _parts(g, 5, FMinusMode.UNIFORM, False)
-        _, lap, _, last_l = _parts(g, 5, FMinusMode.LAPLACE, False)
-        assert abs(uni - lap) <= 10.0 * (last_u + last_l) + 1e-15
+        if g.z >= 30.0 and g.w_minus < 0.05:
+            points.append((p, x))
+    assert len(points) >= 1000
+    for p, x in points:
+        ref = cdf_quad_split(p, x)
+        assert abs(cdf(p, x, method="asym").value - ref) <= 1e-7
+        assert abs(cdf_asym(p, x).value - ref) <= 1e-7
+        assert abs(1.0 - sf_asym(p, x).value - ref) <= 1e-7
+
+
+def test_f_minus_vanishes_where_w_minus_changes_sign():
+    # w_minus = 0 at x = mu - beta delta / gamma, the mirror image of the
+    # transition point; the signed minus part shrinks to zero from both sides
+    # with the sign of w_minus, and F stays on the oracle through the change
+    p = _bench(-4.0)
+    x_w0 = p.mu - p.beta * p.delta / p.gamma
+    for dx in (-1e-6, -1e-9, 1e-9, 1e-6):
+        g = geometry(p, x_w0 + dx)
+        f_minus = f_minus_asym(g)
+        assert f_minus * g.w_minus > 0.0
+        assert abs(f_minus) <= 1e-11
+        assert abs(cdf_asym(p, x_w0 + dx).value - cdf_quad_split(p, x_w0 + dx)) <= 1e-11
 
 
 def test_cdf_asym_at_transition_matches_oracle():
@@ -155,8 +161,6 @@ def test_eval_result_fields():
     assert r.kmax_used == 3
     assert r.error_estimate >= 0.0
     assert not r.complemented
-    forced = cdf_asym(p, 4.0, f_minus_mode=FMinusMode.LAPLACE)
-    assert forced.method is Method.LAPLACE_ASYM
 
 
 def test_error_estimate_tracks_actual_error():
@@ -246,7 +250,7 @@ ROUTES = [("auto", 20.0), ("auto", 3.0), ("auto", 1.0), ("asym", 5.0),
 @pytest.mark.parametrize("method,x", ROUTES)
 @pytest.mark.parametrize(
     "bad", [{"tol": -1.0}, {"tol": "tight"}, {"kmax": -1}, {"kmax": 2.0},
-            {"f_minus_mode": "bogus"}],
+            {"tol": math.nan}],
 )
 def test_cdf_checks_every_argument_on_every_route(method, x, bad):
     p = _bench(2.0)
