@@ -2,16 +2,20 @@
 
 The ``d_k(w)`` weight the power series that accompanies the erfc leading
 term of the uniform expansion, for both the plus part (w = w_plus) and the
-signed minus part (w = |w_minus|).  They are generated by a short
-recursion that matches the closed forms to about 1e-15 relative from
-w = 1 down to w = 1e-13, below which the minus part is treated as zero;
-the closed forms for k <= 4 serve as independent cross-checks in the
-tests and the selftest.
+signed minus part (w = |w_minus|).  Each is rational in w:
+``d_k(w) = P_k(w) / (1 + w)^k`` with ``P_k`` a degree-k polynomial whose
+coefficients all share the sign (-1)^k.  ``_rows`` builds the ``P_k`` once
+per ``kmax`` by a series inversion on polynomials; evaluating a row by
+Horner on w in (0, 1] cannot cancel, so the d_k match the closed forms to
+about 5e-16 relative from w = 1 down to w = 1e-13, below which the minus
+part is treated as zero.  The closed forms for k <= 4 serve as independent
+cross-checks in the tests and the selftest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import DomainError
 
@@ -49,35 +53,56 @@ def _check_w(w: float) -> float:
     return w
 
 
-def _d_values(w: float, kmax: int) -> list[float]:
-    """d_0..d_kmax for a w in (0, 1] and kmax >= 0 that the caller has checked.
+@cache
+def _rows(kmax: int) -> tuple[tuple[float, ...], ...]:
+    """Coefficients of P_0..P_kmax, highest power of w first, for Horner.
 
-    The generating sequence is b_0 = w + w^2, b_1 = w + w^2/2, b_2 = -w^2/8,
-    then b_{k+1} = -(k - 1/2) b_k / (k + 1); inverting the series gives
-    c_0 = 1, c_k = -(1/b_0) sum_{j=1..k} b_j c_{k-j}, and finally
-    d_k = (1/2)_k c_k with the Pochhammer factor kept as a running product.
+    With b_0 = w(1 + w) divided out of the series inversion, Q_0 = 1 and
+    Q_k = -[(1 + w/2) Q_{k-1} + w (1 + w) S_k], where
+    S_k = sum_{j=2..k} binom(1/2, j) Q_{k-j} (1 + w)^{j-2} is summed by
+    Horner in (1 + w); then P_k = (1/2)_k Q_k.  Every term of the recursion
+    has the sign of Q_{k-1}, so no coefficient cancels.  Lists are
+    lowest power first while building; the cost is O(kmax^3) once.
     """
-    b = [w + w * w, w + 0.5 * w * w, -w * w / 8.0]
-    for k in range(2, kmax):
-        b.append(-(k - 0.5) * b[k] / (k + 1))
-    # b_0 = w(1 + w) vanishes only at w = 0, which the domain excludes
-    b0 = b[0]
-    c = [1.0]
-    values = [1.0]
+    binom = [1.0]
+    for j in range(1, kmax + 1):
+        binom.append(binom[-1] * (1.5 - j) / j)
+    q = [[1.0]]
+    rows = [(1.0,)]
     poch = 1.0
     for k in range(1, kmax + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += b[j] * c[k - j]
-        ck = -acc / b0
-        c.append(ck)
+        s = []
+        for j in range(k, 1, -1):
+            # s <- s (1 + w) + binom(1/2, j) Q_{k-j}
+            s = [a + b for a, b in zip(s + [0.0], [0.0] + s)]
+            for i, c in enumerate(q[k - j]):
+                s[i] += binom[j] * c
+        # s <- w (1 + w) s, of degree k
+        s = [0.0] + [a + b for a, b in zip(s + [0.0], [0.0] + s)]
+        for i, c in enumerate(q[k - 1]):
+            s[i] += c
+            s[i + 1] += 0.5 * c
+        qk = [-c for c in s]
+        q.append(qk)
         poch *= k - 0.5
-        values.append(poch * ck)
+        rows.append(tuple(poch * c for c in reversed(qk)))
+    return tuple(rows)
+
+
+def _d_values(w: float, kmax: int) -> list[float]:
+    """d_0..d_kmax from the rows of ``_rows``, for a checked w and kmax."""
+    u = 1.0 + w
+    values = []
+    for k, row in enumerate(_rows(kmax)):
+        p = 0.0
+        for c in row:
+            p = p * w + c
+        values.append(p / u**k)
     return values
 
 
 def d_coefficients(w: float, kmax: int) -> CoeffTable:
-    """d_0..d_kmax by the series-inversion recursion of ``_d_values``.
+    """d_0..d_kmax, evaluated from the polynomial rows of ``_rows``.
 
     Checks ``0 < w <= 1`` and ``kmax >= 0`` and raises DomainError otherwise.
     """

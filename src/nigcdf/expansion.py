@@ -10,6 +10,11 @@ from erfcx so nothing overflows) minus its series at |w_minus|, and zero
 once |w_minus| is negligible.  The d_k are well conditioned down to the
 smallest w this form uses.
 
+Each series is summed by ``_series`` from the cached polynomial rows of
+``coeffs._rows``, so no coefficient recursion runs per call; a forced
+expansion at a z so small that the sum leaves the double range raises
+DomainError naming z and kmax.
+
 Every evaluation goes through one kernel, ``_parts``, which takes a
 ``Geometry`` and computes the damping factor e^{z sigma_plus^2} and
 2 sqrt(pi z) once for both parts; ``_expand`` turns its parts into F, G,
@@ -31,7 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .coeffs import _check_kmax, _d_values
+from .coeffs import _check_kmax, _rows
 from .errors import DomainError
 from .params import Geometry, Parameters, geometry
 from .special import erfc, erfcx
@@ -86,15 +91,35 @@ _METHODS = ("auto", "asym", "quad-split", "quad-direct")
 
 
 def _series(pref: float, z: float, w: float, kmax: int) -> tuple[float, float]:
-    """pref * sum_k d_k(w) / z^k and the magnitude of its last term."""
-    total = 0.0
+    """pref * sum_k d_k(w) / z^k and the magnitude of its last term.
+
+    With d_k(w) = P_k(w) / (1 + w)^k the series is pref * sum_k P_k(w) y^k,
+    y = 1 / ((1 + w) z): Horner in y over the cached rows of
+    ``coeffs._rows``, each row by Horner in w.  The last term is
+    pref * P_kmax(w) * y^kmax.  Raises DomainError when either leaves the
+    double range, which needs z far below Z_MIN: z below about 1e-55 at
+    kmax = 5, or 1e-12 at kmax = 25.
+    """
+    y = 1.0 / ((1.0 + w) * z)
+    rows = reversed(_rows(kmax))
     last = 0.0
-    zk = 1.0
-    for dk in _d_values(w, kmax):
-        last = dk / zk
-        total += last
-        zk *= z
-    return pref * total, abs(pref * last)
+    for c in next(rows):
+        last = last * w + c
+    total = last
+    yk = 1.0
+    for row in rows:
+        p = 0.0
+        for c in row:
+            p = p * w + c
+        total = total * y + p
+        yk *= y
+    series = pref * total
+    tail = abs(pref * last) * yk
+    if not math.isfinite(series + tail):
+        raise DomainError(
+            f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
+        )
+    return series, tail
 
 
 def _parts(g: Geometry, kmax: int, upper: bool) -> tuple[float, float, float, float]:

@@ -88,7 +88,7 @@ def identity_suite(n: int = 10000, seed: int = DEFAULT_SEED, perturb: float = 0.
 
 
 def coefficient_suite(seed: int = DEFAULT_SEED):
-    """Recursion-generated d_k against the closed forms, k <= 4.
+    """d_k from the cached polynomial rows against the closed forms, k <= 4.
 
     50 draws of w uniform on [0.05, 1], the plus part's usual range, and
     50 log-uniform on [1e-13, 0.05), where the signed minus part takes
@@ -108,7 +108,7 @@ def coefficient_suite(seed: int = DEFAULT_SEED):
             passed += 1
         else:
             failed += 1
-    return "coefficient recursions", passed, failed
+    return "coefficient rows", passed, failed
 
 
 def special_suite():

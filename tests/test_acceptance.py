@@ -28,13 +28,11 @@ from contextlib import redirect_stdout
 import pytest
 
 from nigcdf import (
-    Method,
     NearTransitionError,
     cdf,
     cdf_asym,
     cdf_quad_direct,
     cdf_quad_split,
-    f_minus_asym,
     geometry,
     reflect,
     sf_asym,

@@ -241,6 +241,36 @@ def test_cdf_refuses_z_outside_the_double_range(method, params):
         cdf(p, 0.0, method=method)
 
 
+FORCED_EXPANSIONS = [
+    lambda p, x, kmax: cdf(p, x, method="asym", kmax=kmax),
+    lambda p, x, kmax: cdf_asym(p, x, kmax=kmax),
+    lambda p, x, kmax: sf_asym(p, x, kmax=kmax),
+]
+
+
+@pytest.mark.parametrize("entry", FORCED_EXPANSIONS, ids=["cdf-asym", "cdf_asym", "sf_asym"])
+@pytest.mark.parametrize(
+    "params,x,kmax",
+    [((1e-60, 0.0, 0.0, 1e-60), 0.0, 5),  # z = 2e-120
+     ((1e-60, 0.0, 0.0, 1e-60), 1e-60, 5),
+     ((1e-8, -5e-9, 0.0, 1e-8), 1e-9, 25),  # z = 2e-16
+     ((1.0, 0.5, 0.0, 1e-20), 1e-21, 25),
+     ((8.0, 7.5, 3.0, 2.0), 40.0, 152)],  # z = 593, past the last finite row
+)
+def test_forced_expansions_keep_the_contract_where_the_series_overflows(
+    entry, params, x, kmax
+):
+    # z^k or y^k = 1/((1 + w) z)^k, or the row P_kmax, leaves the double
+    # range here; the result must still be a probability or a DomainError
+    # that says why
+    try:
+        value = entry(validate(*params), x, kmax).value
+    except DomainError as exc:
+        assert f"kmax={kmax}" in str(exc) and "z=" in str(exc)
+    else:
+        assert 0.0 <= value <= 1.0
+
+
 # (method, x) with p = _bench(2.0): the auto asym route, complemented and
 # not, the auto quadrature route, and each forced route
 ROUTES = [("auto", 20.0), ("auto", 3.0), ("auto", 1.0), ("asym", 5.0),

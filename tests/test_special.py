@@ -1,6 +1,8 @@
 """erfc and erfcx against a high-precision arbitrary-precision oracle."""
 
 import math
+import random
+import sys
 
 import mpmath
 import pytest
@@ -66,6 +68,30 @@ def test_erfcx_against_oracle_table():
         ref = _ref_erfcx(x)
         worst = max(worst, abs(erfcx(x) - ref) / abs(ref))
     assert worst <= 1e-14
+
+
+def _worst_rel_error(f, ref, xs):
+    with mpmath.workdps(40):
+        return max(abs(f(x) - ref(x)) / abs(ref(x)) for x in xs)
+
+
+def test_erfc_within_1e15_of_mpmath_wherever_normal():
+    rng = random.Random(3)
+    xs = [-6.0 + 33.3 * i / 1500 for i in range(1501)]
+    xs += [rng.uniform(-6.0, 27.3) for _ in range(1500)]
+    # past x ~ 26.55 erfc(x) is subnormal and carries fewer digits
+    xs = [x for x in xs if _ref_erfc(x) >= sys.float_info.min]
+    assert _worst_rel_error(erfc, _ref_erfc, xs) <= 1e-15
+
+
+def test_erfcx_within_1e15_of_mpmath():
+    rng = random.Random(4)
+    lo = ERFCX_NEG_LIMIT
+    xs = [lo + (40.0 - lo) * i / 1500 for i in range(1501)]
+    xs += [rng.uniform(lo, 40.0) for _ in range(1500)]
+    # small |x|, where e^{x^2} and erfc(x) both sit near one
+    xs += [s * math.exp(rng.uniform(math.log(1e-12), 0.0)) for s in (1.0, -1.0) for _ in range(500)]
+    assert _worst_rel_error(erfcx, _ref_erfcx, xs) <= 1e-15
 
 
 def test_regime_boundaries_are_seamless():
