@@ -6,7 +6,7 @@ form on both sides of w_minus = 0, backed by two independent quadrature
 oracles for validation.
 """
 
-from .coeffs import CoeffTable, d_closed_form, d_coefficients
+from .coeffs import d_closed_form, d_coefficients
 from .errors import ConvergenceError, DomainError, NearTransitionError, NigError
 from .expansion import (
     DEFAULT_KMAX,
@@ -21,21 +21,13 @@ from .expansion import (
     g_plus_asym,
     sf_asym,
 )
-from .oracle import (
-    DEFAULT_TOL,
-    QuadratureSpec,
-    QuadRule,
-    cdf_quad_direct,
-    cdf_quad_split,
-    reflect,
-)
+from .oracle import DEFAULT_TOL, cdf_quad_direct, cdf_quad_split, reflect
 from .params import Geometry, Parameters, geometry, transition_point, validate
 from .special import ERFCX_NEG_LIMIT, erfc, erfcx
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffTable",
     "ConvergenceError",
     "DEFAULT_KMAX",
     "DEFAULT_TOL",
@@ -47,8 +39,6 @@ __all__ = [
     "NearTransitionError",
     "NigError",
     "Parameters",
-    "QuadRule",
-    "QuadratureSpec",
     "W_MINUS_MIN",
     "Z_MIN",
     "cdf",

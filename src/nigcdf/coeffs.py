@@ -14,27 +14,14 @@ cross-checks in the tests and the selftest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import DomainError
 
 __all__ = [
-    "CoeffTable",
     "d_coefficients",
     "d_closed_form",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class CoeffTable:
-    """Finite coefficient sequence for one pole parameter.
-
-    The parameter is ``w = |cos((nu -+ tau)/2)|`` and values[0] is exactly 1.
-    """
-
-    pole_param: float
-    values: tuple[float, ...]
 
 
 def _check_kmax(kmax: int) -> int:
@@ -101,14 +88,15 @@ def _d_values(w: float, kmax: int) -> list[float]:
     return values
 
 
-def d_coefficients(w: float, kmax: int) -> CoeffTable:
+def d_coefficients(w: float, kmax: int) -> tuple[float, ...]:
     """d_0..d_kmax, evaluated from the polynomial rows of ``_rows``.
 
+    ``w = |cos((nu -+ tau)/2)|`` is the pole parameter and d_0 is exactly 1.
     Checks ``0 < w <= 1`` and ``kmax >= 0`` and raises DomainError otherwise.
     """
     w = _check_w(w)
     kmax = _check_kmax(kmax)
-    return CoeffTable(w, tuple(_d_values(w, kmax)))
+    return tuple(_d_values(w, kmax))
 
 
 def d_closed_form(w: float, k: int) -> float:

@@ -236,7 +236,7 @@ def cdf(
     if method == "asym":
         return _expand(g, kmax, False, False)
     if method == "quad-split" or g.z < Z_MIN or g.w_minus < W_MINUS_MIN:
-        value, error = oracle._quad_split(g, tol, oracle.QuadRule.TRAPEZOID_DECAY)
+        value, error = oracle._quad_split(g, tol)
         return EvalResult(value, Method.QUAD_SPLIT, 0, error)
     right = x > g.x0
     return _expand(g, kmax, right, right)

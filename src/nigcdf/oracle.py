@@ -10,25 +10,22 @@ tail into a double-exponential one, so the truncation grows only like
 each step halving evaluates only the new odd nodes.  A fixed node budget
 bounds the work of every call: at most 33 node evaluations for z >= 1, 82
 for z >= 1e-2, 178 for z >= 1e-12 and 3,000 at the smallest positive
-double.  The secondary oracle integrates the steepest-descent
-representation directly with a trapezoid rule; it degenerates when the
-poles approach the saddle, so it refuses a band around the transition and
-reaches ``nu < tau`` through the reflection identity.
+double.  This grid is the split oracle's only rule.  The secondary oracle
+integrates the steepest-descent representation directly with a trapezoid
+rule; it degenerates when the poles approach the saddle, so it refuses a
+band around the transition and reaches ``nu < tau`` through the
+reflection identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ConvergenceError, DomainError, NearTransitionError
 from .params import Geometry, Parameters, geometry, validate
 from .special import erfc, erfcx
 
 __all__ = [
-    "QuadRule",
-    "QuadratureSpec",
     "cdf_quad_split",
     "cdf_quad_direct",
     "reflect",
@@ -46,34 +43,6 @@ _W_MINUS_NEGLIGIBLE = 1e-13
 _NODE_BUDGET = 4096
 
 
-class QuadRule(Enum):
-    TRAPEZOID_DECAY = "trapezoid_decay"
-    GAUSS_COMPOSITE = "gauss_composite"
-
-
-@dataclass(frozen=True, slots=True)
-class QuadratureSpec:
-    """Concrete quadrature configuration for the remainder kernels at one z.
-
-    TRAPEZOID_DECAY integrates in ``t`` with ``sigma = sinh(t)``:
-    ``truncation`` is T = asinh(8/sqrt(z)), where the integrand has fallen
-    to e^{-64}, and ``step_or_nodes`` is the initial step min(0.5, T/8).
-    Each halving adds only the odd nodes, and the total number of node
-    evaluations is capped by ``_NODE_BUDGET``, so the cost is bounded at
-    every z: T/h0 = 8 for z above about 0.09, and T grows like log(1/z)
-    below, to about 17 at z = 1e-12.  GAUSS_COMPOSITE integrates in
-    ``sigma`` over [0, S] with S = 8/sqrt(z); ``step_or_nodes`` is its
-    initial panel count, doubled at each level.  ``tol`` is the absolute
-    tolerance on F: a kernel of weight c in F is refined until one more
-    level changes it by at most min(0.1, tol/(4|c|)).
-    """
-
-    rule: QuadRule
-    step_or_nodes: float | int
-    truncation: float
-    tol: float
-
-
 def _check_tol(tol: float) -> float:
     try:
         tol = float(tol)
@@ -82,43 +51,6 @@ def _check_tol(tol: float) -> float:
     if not tol >= _MIN_TOL:
         raise DomainError(f"tol must be at least {_MIN_TOL:g}, got {tol!r}")
     return tol
-
-
-def _legendre_16() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of 16-point Gauss-Legendre on [-1, 1]."""
-    n = 16
-    half_nodes = []
-    half_weights = []
-    for i in range(n // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        dp = 0.0
-        for _ in range(100):
-            p0, p1 = 1.0, x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        half_nodes.append(x)
-        half_weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    nodes = tuple(half_nodes + [-v for v in half_nodes])
-    weights = tuple(half_weights + half_weights)
-    return nodes, weights
-
-
-_GL_NODES, _GL_WEIGHTS = _legendre_16()
-
-
-def _make_spec(z: float, tol: float, rule: QuadRule) -> QuadratureSpec:
-    # both truncations put the integrand at e^{-64}, far below any permitted tolerance
-    if rule is QuadRule.TRAPEZOID_DECAY:
-        trunc = math.asinh(8.0 / math.sqrt(z))
-        return QuadratureSpec(rule, min(0.5, trunc / 8.0), trunc, tol)
-    if rule is QuadRule.GAUSS_COMPOSITE:
-        return QuadratureSpec(rule, 2, 8.0 / math.sqrt(z), tol)
-    raise DomainError(f"unknown quadrature rule {rule!r}")
 
 
 def _kernel_tol(coef: float, tol: float) -> float:
@@ -131,7 +63,7 @@ def _kernel_tol(coef: float, tol: float) -> float:
 
 
 def _kernel(
-    z: float, w_plus: float, w_minus: float, coef_plus: float, coef_minus: float, spec: QuadratureSpec
+    z: float, w_plus: float, w_minus: float, coef_plus: float, coef_minus: float, tol: float
 ) -> tuple[float, float, float, float]:
     """K(z, w_plus) and K(z, w_minus), the kernels of weights coef_plus and coef_minus in F.
 
@@ -139,10 +71,10 @@ def _kernel(
     last level: |K_h - K_2h| at the final step h.
 
     K(z, w) is the integral of e^{-z sigma^2} / (q (q + w)) over the real
-    line, q = sqrt(1+sigma^2), for w in [0, 1].  Each kernel is refined
-    until one more level changes it by at most ``_kernel_tol(coef,
-    spec.tol)``.  TRAPEZOID_DECAY evaluates both on one grid in t,
-    sigma = sinh(t):
+    line, q = sqrt(1+sigma^2), for w in [0, 1].  ``tol`` is the absolute
+    tolerance on F: each kernel is refined until one more level changes it
+    by at most ``_kernel_tol(coef, tol)``.
+    The one rule evaluates both on one trapezoid grid in t, sigma = sinh(t):
 
         K(z, w) = integral of e^{-z sinh^2 t} / (cosh t + w) dt,
 
@@ -151,23 +83,19 @@ def _kernel(
     Each node costs one sinh, one exp, one sqrt and a division per kernel;
     each halving adds only the odd nodes to the running sums, until both
     checks have passed.  Past ``_NODE_BUDGET`` node evaluations the call
-    raises ConvergenceError.  Cost per z: T/h0 = 8
-    for z above 0.09, so 17 or 33 nodes for z >= 1 and at most 82 for
-    z >= 1e-2; below, T = asinh(8/sqrt(z)) grows like log(1/z), to 178
-    nodes at most for z >= 1e-12.  GAUSS_COMPOSITE, the independent rule,
-    integrates each kernel separately in sigma.
+    raises ConvergenceError.  The grid is truncated at T = asinh(8/sqrt(z)),
+    where the integrand has fallen to e^{-64}, far below any permitted
+    tolerance, and starts at the step h0 = min(0.5, T/8).  Cost per z:
+    T/h0 = 8 for z above 0.09, so 17 or 33 nodes for z >= 1 and at most 82
+    for z >= 1e-2; below, T grows like log(1/z), to 178 nodes at most for
+    z >= 1e-12.
     """
-    tol_plus = _kernel_tol(coef_plus, spec.tol)
-    tol_minus = _kernel_tol(coef_minus, spec.tol)
-    if spec.rule is QuadRule.GAUSS_COMPOSITE:
-        k_plus, dk_plus = _composite_kernel(z, w_plus, spec, tol_plus)
-        k_minus, dk_minus = _composite_kernel(z, w_minus, spec, tol_minus)
-        return k_plus, k_minus, dk_plus, dk_minus
-
+    tol_plus = _kernel_tol(coef_plus, tol)
+    tol_minus = _kernel_tol(coef_minus, tol)
     sinh, exp, sqrt = math.sinh, math.exp, math.sqrt
     neg_z = -z
-    trunc = spec.truncation
-    h = float(spec.step_or_nodes)
+    trunc = math.asinh(8.0 / math.sqrt(z))
+    h = min(0.5, trunc / 8.0)
     # sums over the nodes t = k h >= 0, the t = 0 node weighted 1/2
     sum_plus = 0.5 / (1.0 + w_plus)
     sum_minus = 0.5 / (1.0 + w_minus)
@@ -203,51 +131,7 @@ def _kernel(
         stride = 2
 
 
-def _composite_kernel(
-    z: float, w: float, spec: QuadratureSpec, tol: float, max_levels: int = 12
-) -> tuple[float, float]:
-    """K(z, w) by composite 16-point Gauss-Legendre in sigma over [0, S].
-
-    Each level doubles the panel count and is compared with the previous
-    until the change drops below ``tol`` (absolute); returns K and that
-    last change.
-    """
-
-    def f(sig: float) -> float:
-        q = math.sqrt(1.0 + sig * sig)
-        return math.exp(-z * sig * sig) / (q * (q + w))
-
-    S = spec.truncation
-
-    def composite(panels: int) -> float:
-        width = S / panels
-        total = 0.0
-        for i in range(panels):
-            center = (i + 0.5) * width
-            for t, wt in zip(_GL_NODES, _GL_WEIGHTS):
-                total += wt * f(center + 0.5 * width * t)
-        return width * total  # one factor 1/2 from the jacobian, times 2 for evenness
-
-    panels = int(spec.step_or_nodes)
-    prev = composite(panels)
-    for _ in range(max_levels):
-        panels *= 2
-        cur = composite(panels)
-        change = abs(cur - prev)
-        if change <= tol:
-            return cur, change
-        prev = cur
-    raise ConvergenceError(
-        f"composite kernel did not stabilize to {tol:g} within {max_levels} doublings"
-    )
-
-
-def cdf_quad_split(
-    p: Parameters,
-    x: float,
-    tol: float = DEFAULT_TOL,
-    rule: QuadRule = QuadRule.TRAPEZOID_DECAY,
-) -> float:
+def cdf_quad_split(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
     """High-accuracy CDF by the exact erfc split plus smooth quadrature.
 
     F = 1/2 erfc(zeta_plus) + E (-2 s_plus)/(4 pi) K(z, w_plus)
@@ -260,10 +144,10 @@ def cdf_quad_split(
     overflows.  Valid for every x and every z > 0.
     """
     tol = _check_tol(tol)
-    return _quad_split(geometry(p, x), tol, rule)[0]
+    return _quad_split(geometry(p, x), tol)[0]
 
 
-def _quad_split(g: Geometry, tol: float, rule: QuadRule) -> tuple[float, float]:
+def _quad_split(g: Geometry, tol: float) -> tuple[float, float]:
     """F by the split of ``cdf_quad_split`` at one geometry, and its error estimate.
 
     ``tol`` must already be checked.  The estimate is
@@ -281,9 +165,8 @@ def _quad_split(g: Geometry, tol: float, rule: QuadRule) -> tuple[float, float]:
         coef_minus = -2.0 * g.s_minus * sgn * damp / (4.0 * math.pi)
     estimate = 0.0
     if coef_plus != 0.0 or coef_minus != 0.0:
-        spec = _make_spec(g.z, tol, rule)
         k_plus, k_minus, dk_plus, dk_minus = _kernel(
-            g.z, g.w_plus, abs(g.w_minus), coef_plus, coef_minus, spec
+            g.z, g.w_plus, abs(g.w_minus), coef_plus, coef_minus, tol
         )
         value += coef_plus * k_plus + coef_minus * k_minus
         estimate = abs(coef_plus) * dk_plus + abs(coef_minus) * dk_minus

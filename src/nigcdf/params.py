@@ -79,7 +79,8 @@ def validate(alpha: float, beta: float, mu: float, delta: float) -> Parameters:
     """Check the parameter domain and derive gamma and tau.
 
     Requires ``alpha > 0``, ``delta > 0``, and ``-alpha < beta < alpha``
-    (strict).  Raises DomainError otherwise.
+    (strict), and raises DomainError otherwise.  Then ``gamma`` is
+    positive and finite and ``0 < tau < pi`` for every valid input.
     """
     alpha = _require_finite("alpha", alpha)
     beta = _require_finite("beta", beta)
@@ -91,8 +92,12 @@ def validate(alpha: float, beta: float, mu: float, delta: float) -> Parameters:
         raise DomainError(f"delta must be positive, got {delta}")
     if abs(beta) >= alpha:
         raise DomainError(f"need -alpha < beta < alpha, got beta={beta}, alpha={alpha}")
-    # factored form avoids cancellation when |beta| approaches alpha
-    gamma = math.sqrt((alpha - beta) * (alpha + beta))
+    # factored form avoids cancellation when |beta| approaches alpha; alpha
+    # and beta are first scaled by one power of two, which is exact, so the
+    # product can neither underflow to 0 nor overflow to inf
+    e = math.frexp(alpha)[1]
+    a, b = math.ldexp(alpha, -e), math.ldexp(beta, -e)
+    gamma = math.ldexp(math.sqrt((a - b) * (a + b)), e)
     # atan2 stays accurate where acos(beta/alpha) loses digits, same angle
     tau = math.atan2(gamma, beta)
     return Parameters(alpha, beta, mu, delta, gamma, tau)

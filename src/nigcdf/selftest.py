@@ -99,7 +99,7 @@ def coefficient_suite(seed: int = DEFAULT_SEED):
     ws += [math.exp(rng.uniform(math.log(1e-13), math.log(0.05))) for _ in range(50)]
     passed = failed = 0
     for w in ws:
-        table = d_coefficients(w, 4).values
+        table = d_coefficients(w, 4)
         ok = all(
             abs(table[k] - d_closed_form(w, k)) <= 1e-13 * abs(d_closed_form(w, k))
             for k in range(5)

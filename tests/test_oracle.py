@@ -2,13 +2,13 @@
 
 The pinned CDF values below were generated outside this package with
 30-digit mpmath quadrature: the spot values from the same exact erfc
-split, the transition-point values from the NIG density itself.  The two
-quadrature rules here reproduce them to full double precision.  The
-remainder kernel is checked on its own against mpmath, and the oracle
-against the earlier sigma-grid trapezoid, kept here as a reference loop.
+split, the transition-point values from the NIG density itself.  The split
+oracle's trapezoid reproduces them to full double precision.  Its remainder
+kernel is checked on its own against mpmath, and the oracle against two
+reference kernels kept here, composite Gauss-Legendre and the earlier
+sigma-grid trapezoid, each plugged into one reference split.
 """
 
-import dataclasses
 import math
 import random
 
@@ -20,8 +20,6 @@ from nigcdf import (
     DEFAULT_TOL,
     DomainError,
     NearTransitionError,
-    QuadRule,
-    QuadratureSpec,
     cdf,
     cdf_quad_direct,
     cdf_quad_split,
@@ -30,7 +28,7 @@ from nigcdf import (
     transition_point,
     validate,
 )
-from nigcdf.oracle import _composite_kernel, _kernel, _make_spec
+from nigcdf.oracle import _kernel
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfc, erfcx
 
@@ -78,8 +76,8 @@ def test_split_oracle_rules_agree():
     rng = random.Random(3)
     for _ in range(10):
         p, x = draw_point(rng)
-        a = cdf_quad_split(p, x, rule=QuadRule.TRAPEZOID_DECAY)
-        b = cdf_quad_split(p, x, rule=QuadRule.GAUSS_COMPOSITE)
+        a = cdf_quad_split(p, x)
+        b = _reference_split_cdf(p, x, _gauss_kernel)
         assert abs(a - b) <= 1e-12
 
 
@@ -173,20 +171,15 @@ def test_reflection_identity_via_split_oracle():
 
 def test_kernel_raises_when_budget_exhausted():
     # a negative tolerance never passes, so only the node budget ends the halving
-    never = _make_spec(30.0, -1.0, QuadRule.TRAPEZOID_DECAY)
     for coef_plus, coef_minus in ((0.1, 0.1), (0.0, 0.1), (0.1, 0.0)):
         with pytest.raises(ConvergenceError):
-            _kernel(30.0, 0.5, 0.5, coef_plus, coef_minus, never)
-    gauss = _make_spec(30.0, 1e-12, QuadRule.GAUSS_COMPOSITE)
-    with pytest.raises(ConvergenceError):
-        _composite_kernel(30.0, 0.5, gauss, 1e-12, max_levels=0)
+            _kernel(30.0, 0.5, 0.5, coef_plus, coef_minus, -1.0)
 
 
 @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-12, 1e20, 1e300])
 def test_node_budget_covers_every_positive_z(z):
-    spec = _make_spec(z, 1e-13, QuadRule.TRAPEZOID_DECAY)
     k_plus, k_minus, _, _ = _kernel(
-        z, 0.0, 1.0, 1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi), spec
+        z, 0.0, 1.0, 1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi), 1e-13
     )
     # K(z, w) falls with z from K(0, 0) = pi and K(0, 1) = 2
     assert 0.0 < k_plus <= math.pi + 1e-13 and 0.0 < k_minus <= 2.0 + 1e-13
@@ -208,11 +201,10 @@ def _kernel_reference(z: float, w: float) -> float:
 @pytest.mark.parametrize("z", [1e-12, 1e-9, 1e-4, 0.5, 30.0, 5000.0])
 def test_kernel_matches_mpmath(z):
     mpmath.mp.dps = 30
-    spec = _make_spec(z, DEFAULT_TOL, QuadRule.TRAPEZOID_DECAY)
     coef = 1.0 / (2.0 * math.pi)  # the largest weight a kernel has in F
     ws = (1e-12, 0.05, 0.7, 1.0)
     for w_plus, w_minus in zip(ws, reversed(ws)):
-        k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus, coef, coef, spec)
+        k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus, coef, coef, DEFAULT_TOL)
         assert abs(k_plus - float(_kernel_reference(z, w_plus))) <= 1e-14
         assert abs(k_minus - float(_kernel_reference(z, w_minus))) <= 1e-14
 
@@ -246,22 +238,87 @@ def _sigma_grid_kernel(z: float, w: float, tol: float) -> float:
     raise AssertionError("sigma-grid reference did not converge")
 
 
-def _sigma_grid_cdf(p, x, tol: float = DEFAULT_TOL) -> float:
-    """The split identity of ``cdf_quad_split`` with one sigma-grid kernel per part."""
+def _legendre_16() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of 16-point Gauss-Legendre on [-1, 1]."""
+    n = 16
+    half_nodes = []
+    half_weights = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        dp = 0.0
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) < 1e-15:
+                break
+        half_nodes.append(x)
+        half_weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    nodes = tuple(half_nodes + [-v for v in half_nodes])
+    weights = tuple(half_weights + half_weights)
+    return nodes, weights
+
+
+_GL_NODES, _GL_WEIGHTS = _legendre_16()
+
+
+def _gauss_kernel(z: float, w: float, tol: float) -> float:
+    """K(z, w) by composite 16-point Gauss-Legendre in sigma, kept as a reference.
+
+    Integrates over [0, S], S = 8/sqrt(z), from 2 panels; each level
+    doubles the panel count and is compared with the previous until the
+    change drops below ``tol`` (absolute).
+    """
+
+    def f(sig: float) -> float:
+        q = math.sqrt(1.0 + sig * sig)
+        return math.exp(-z * sig * sig) / (q * (q + w))
+
+    S = 8.0 / math.sqrt(z)
+
+    def composite(panels: int) -> float:
+        width = S / panels
+        total = 0.0
+        for i in range(panels):
+            center = (i + 0.5) * width
+            for t, wt in zip(_GL_NODES, _GL_WEIGHTS):
+                total += wt * f(center + 0.5 * width * t)
+        return width * total  # one factor 1/2 from the jacobian, times 2 for evenness
+
+    panels = 2
+    prev = composite(panels)
+    for _ in range(12):
+        panels *= 2
+        cur = composite(panels)
+        if abs(cur - prev) <= tol:
+            return cur
+        prev = cur
+    raise AssertionError("Gauss-Legendre reference did not converge")
+
+
+def _reference_split_cdf(p, x, kernel, tol: float = DEFAULT_TOL) -> float:
+    """The split identity of ``cdf_quad_split`` with one reference ``kernel`` call per part.
+
+    ``kernel(z, w, tol)`` returns K(z, w); each part's kernel gets the
+    oracle's per-kernel tolerance min(0.1, tol/(4|coef|)).
+    """
     g = geometry(p, x)
     damp = math.exp(g.z * g.sigma_plus_sq)
     value = 0.5 * erfc(g.zeta_plus)
     coef_plus = -2.0 * g.s_plus * damp / (4.0 * math.pi)
     if coef_plus != 0.0:
         tol_plus = min(0.1, tol / (4.0 * abs(coef_plus)))
-        value += coef_plus * _sigma_grid_kernel(g.z, g.w_plus, tol_plus)
+        value += coef_plus * kernel(g.z, g.w_plus, tol_plus)
     if abs(g.w_minus) >= 1e-13:
         sgn = 1.0 if g.w_minus > 0.0 else -1.0
         value += sgn * 0.5 * damp * erfcx(g.zeta_minus)
         coef_minus = -2.0 * g.s_minus * sgn * damp / (4.0 * math.pi)
         if coef_minus != 0.0:
             tol_minus = min(0.1, tol / (4.0 * abs(coef_minus)))
-            value += coef_minus * _sigma_grid_kernel(g.z, abs(g.w_minus), tol_minus)
+            value += coef_minus * kernel(g.z, abs(g.w_minus), tol_minus)
     return min(1.0, max(0.0, value))
 
 
@@ -269,26 +326,21 @@ def test_split_oracle_matches_sigma_grid_reference():
     rng = random.Random(17)
     for _ in range(40):
         p, x = draw_point(rng)
-        assert abs(cdf_quad_split(p, x) - _sigma_grid_cdf(p, x)) <= 1e-12
-
-
-def test_quadrature_spec_is_frozen():
-    spec = QuadratureSpec(QuadRule.TRAPEZOID_DECAY, 0.25, 2.0, 1e-12)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        spec.tol = 1e-6
+        ref = _reference_split_cdf(p, x, _sigma_grid_kernel)
+        assert abs(cdf_quad_split(p, x) - ref) <= 1e-12
 
 
 def test_split_route_reports_a_measured_error_estimate():
     # the estimate is the weighted change of the kernels in their last level,
     # not the requested tol: each weighted kernel settles to tol/4, so it stays
-    # within tol/2 plus a clamping of rounding size; the Gauss-Legendre rule
-    # judges it
+    # within tol/2 plus a clamping of rounding size; the Gauss-Legendre
+    # reference judges it
     rng = random.Random(17)
     for _ in range(40):
         p, x = draw_point(rng)
         r = cdf(p, x, method="quad-split", tol=DEFAULT_TOL)
         assert 0.0 <= r.error_estimate <= 0.5 * DEFAULT_TOL + 1e-15
-        gauss = cdf_quad_split(p, x, rule=QuadRule.GAUSS_COMPOSITE)
+        gauss = _reference_split_cdf(p, x, _gauss_kernel)
         assert abs(r.value - gauss) <= 100.0 * (r.error_estimate + 1e-15)
 
 

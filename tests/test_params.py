@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +62,25 @@ def test_validate_symmetric_case():
 def test_validate_rejects_bad_domains(args):
     with pytest.raises(DomainError):
         validate(*args)
+
+
+# (alpha - beta)(alpha + beta) underflows to 0 or overflows to inf in
+# doubles for these pairs, though gamma itself is a normal double
+GAMMA_EXTREMES = [
+    (1.3952116312638158e-186, -1.3562192504497023e-186),
+    (1e-300, 0.0),
+    (1e200, 5e199),
+    (1.7e308, -1.6e308),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", GAMMA_EXTREMES)
+def test_gamma_and_tau_where_the_product_leaves_the_double_range(alpha, beta):
+    mpmath.mp.dps = 30
+    p = validate(alpha, beta, 0.0, 1.0)
+    gamma = mpmath.sqrt(mpmath.mpf(alpha) ** 2 - mpmath.mpf(beta) ** 2)
+    assert p.gamma == pytest.approx(float(gamma), rel=1e-15)
+    assert p.tau == pytest.approx(float(mpmath.atan2(gamma, beta)), rel=1e-15)
 
 
 def test_parameters_are_frozen():

@@ -16,6 +16,7 @@ import pytest
 
 from nigcdf import (
     ConvergenceError,
+    DomainError,
     Method,
     NigError,
     cdf,
@@ -113,3 +114,18 @@ def test_reflection_identity_on_the_auto_route(grids):
         for xi, f in zip(xs, fs):
             rp, rx = reflect(p, xi)
             assert abs(f + cdf(rp, rx).value - 1.0) <= 1e-10, (p, xi)
+
+
+def test_cdf_at_the_cauchy_limit():
+    # alpha, beta -> 0 at fixed delta tends to the Cauchy law of location mu
+    # and scale delta; here (alpha - beta)(alpha + beta) underflows to 0, and
+    # gamma must not, since every route divides by it through the transition
+    # point
+    mu, delta = -3.7714340517381006, 7.593739372510547
+    p = validate(1.3952116312638158e-186, -1.3562192504497023e-186, mu, delta)
+    x = -3.7712843354452077
+    cauchy = 0.5 + math.atan((x - mu) / delta) / math.pi
+    for method in ("auto", "quad-split", "quad-direct"):
+        assert cdf(p, x, method=method).value == pytest.approx(cauchy, abs=1e-14)
+    with pytest.raises(DomainError, match="double range"):
+        cdf(p, x, method="asym")
