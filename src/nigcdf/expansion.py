@@ -1,33 +1,25 @@
 """Asymptotic evaluation of the CDF and its complement.
 
-The CDF splits as F = F_plus + F_minus and the complement as
-G = G_plus - F_minus.  Both parts use the uniform expansion: a leading erfc
-term plus a power series in 1/z with coefficients d_k(w).  F_plus and
-G_plus take erfc(-+zeta_plus), which stays smooth through the transition
-point.  F_minus takes one signed form on both sides of w_minus = 0, the
-same one the split oracle uses: sgn(w_minus) times its erfc term (built
-from erfcx so nothing overflows) minus its series at |w_minus|, and zero
-once |w_minus| is negligible.  The d_k are well conditioned down to the
-smallest w this form uses.
+The CDF splits exactly as F = F_plus + F_minus and the complement as
+G = G_plus - F_minus: erfc terms plus remainder integrals K(z, w), the one
+split of ``oracle._split``.  The uniform expansion is that split with each
+K replaced by its asymptotic series (the pole-saddle form of Temme),
+K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k, summed by ``_series``
+from the cached polynomial rows of ``coeffs._rows``; ``_series_kernel``
+hands both series to the split.  The leading erfc(-+zeta_plus) keeps
+F_plus and G_plus smooth through the transition point, and F_minus takes
+one signed form on both sides of w_minus = 0.  A forced expansion at a z
+so small that a series leaves the double range raises DomainError naming
+z and kmax.
 
-Each series is summed by ``_series`` from the cached polynomial rows of
-``coeffs._rows``, so no coefficient recursion runs per call; a forced
-expansion at a z so small that the sum leaves the double range raises
-DomainError naming z and kmax.
-
-Every evaluation goes through one kernel, ``_parts``, which takes a
-``Geometry`` and computes the damping factor e^{z sigma_plus^2} and
-2 sqrt(pi z) once for both parts; ``_expand`` turns its parts into F, G,
-or G flipped to F.  The public functions are thin callers of it: they
-check their arguments, build the geometry when given (p, x), and call it.
-
-``cdf`` adds the evaluation policy: quadrature fallback for small z or
-small ``w_minus``, and complement-first evaluation right of the transition
-so the smaller of F and G is always the one computed directly.  The
-``W_MINUS_MIN`` gate is an accuracy gate of the fixed-order series, whose
-error grows as w_minus nears zero, not a limit of the coefficients.  It
-checks every argument before routing, computes the geometry once, and
-hands it to the expansion kernel or to the split oracle's ``_quad_split``.
+The public functions are thin callers: they check their arguments, build
+the geometry when given (p, x), and call the split.  ``cdf`` adds the
+evaluation policy: quadrature (the same split with the trapezoid kernel)
+for small z or small ``w_minus``, and complement-first evaluation right of
+the transition so the smaller of F and G is the one computed directly.
+``W_MINUS_MIN`` is an accuracy gate of the fixed-order series, whose error
+grows as w_minus nears zero, not a limit of the coefficients.  Every
+argument is checked before routing, and the geometry is computed once.
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from enum import Enum
 from .coeffs import _check_kmax, _rows
 from .errors import DomainError
 from .params import Geometry, Parameters, geometry
-from .special import erfc, erfcx
 from . import oracle
 
 __all__ = [
@@ -71,13 +62,15 @@ class Method(Enum):
 class EvalResult:
     """One evaluation: probability, route taken, and an error estimate.
 
-    ``error_estimate`` is, on the expansion routes, the summed magnitudes of
-    the last retained series terms, a heuristic rather than a bound; on
-    QUAD_SPLIT, the change of the weighted remainder kernels in the last
-    quadrature level; on QUAD_DIRECT, the change of the integral in the
-    last step halving.  Each includes the distance by which the value was
-    clamped into [0, 1].  ``complemented`` records that the value was
-    produced as 1 minus the directly computed complement.
+    ``error_estimate`` is, on both split routes (UNIFORM_ASYM and
+    QUAD_SPLIT), |c_plus| dK_plus + |c_minus| dK_minus: each remainder
+    kernel's error measure, weighted as the kernel enters the value.  The
+    series kernel's dK is the magnitude of its last retained term, a
+    heuristic rather than a bound; the trapezoid's is its change in the last
+    level.  On QUAD_DIRECT it is the change of the integral in the last step
+    halving.  Each includes the distance by which the value was clamped
+    into [0, 1].  ``complemented`` records that the value was produced as 1
+    minus the directly computed complement.
     """
 
     value: float
@@ -90,15 +83,16 @@ class EvalResult:
 _METHODS = ("auto", "asym", "quad-split", "quad-direct")
 
 
-def _series(pref: float, z: float, w: float, kmax: int) -> tuple[float, float]:
-    """pref * sum_k d_k(w) / z^k and the magnitude of its last term.
+def _series(z: float, w: float, kmax: int) -> tuple[float, float]:
+    """K(z, w) by its asymptotic series to order kmax, and the magnitude of its last term.
 
-    With d_k(w) = P_k(w) / (1 + w)^k the series is pref * sum_k P_k(w) y^k,
+    K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.  With
+    d_k(w) = P_k(w) / (1 + w)^k the sum is sum_k P_k(w) y^k,
     y = 1 / ((1 + w) z): Horner in y over the cached rows of
     ``coeffs._rows``, each row by Horner in w.  The last term is
-    pref * P_kmax(w) * y^kmax.  Raises DomainError when either leaves the
-    double range, which needs z far below Z_MIN: z below about 1e-55 at
-    kmax = 5, or 1e-12 at kmax = 25.
+    sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  Raises DomainError when
+    either leaves the double range, which needs z far below Z_MIN: z below
+    about 2e-56 at kmax = 5, or 7e-12 at kmax = 25, whatever w.
     """
     y = 1.0 / ((1.0 + w) * z)
     rows = reversed(_rows(kmax))
@@ -113,8 +107,9 @@ def _series(pref: float, z: float, w: float, kmax: int) -> tuple[float, float]:
             p = p * w + c
         total = total * y + p
         yk *= y
-    series = pref * total
-    tail = abs(pref * last) * yk
+    scale = math.sqrt(math.pi / z) / (1.0 + w)
+    series = scale * total
+    tail = abs(scale * last) * yk
     if not math.isfinite(series + tail):
         raise DomainError(
             f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
@@ -122,49 +117,27 @@ def _series(pref: float, z: float, w: float, kmax: int) -> tuple[float, float]:
     return series, tail
 
 
-def _parts(g: Geometry, kmax: int, upper: bool) -> tuple[float, float, float, float]:
-    """The two parts of the expansions at one geometry, and their last terms.
+def _series_kernel(
+    z: float, w_plus: float, w_minus: float, c_plus: float, c_minus: float, kmax: int
+) -> tuple[float, float, float, float]:
+    """Both remainder kernels of ``oracle._split`` by ``_series``, and their last terms.
 
-    Returns (plus, F_minus, |last plus term|, |last minus term|), where plus
-    is F_plus, or G_plus when ``upper``; F = F_plus + F_minus and
-    G = G_plus - F_minus.  The series of both parts share one damping
-    factor e^{z sigma_plus^2} and one 2 sqrt(pi z); each prefactor is
-    damp tan((nu -+ tau)/4) / (2 sqrt(pi z)), with the tangent evaluated
-    as s/(1+w) (half-angle identity), which keeps the sign of s and stays
-    smooth where s crosses zero.  The minus part is sgn(w_minus) times its
-    erfc term minus its series at |w_minus|, and 0 when |w_minus| is below
-    the oracle's negligible level, so both series get a w in (0, 1].
-    ``kmax`` must already be checked.
+    The minus series is skipped when its weight c_minus is 0.  ``kmax``
+    must already be checked.
     """
-    z = g.z
-    damp = math.exp(z * g.sigma_plus_sq)
-    scale = 2.0 * math.sqrt(math.pi * z)
-    series, last_plus = _series(damp * (g.s_plus / (1.0 + g.w_plus)) / scale, z, g.w_plus, kmax)
-    if upper:
-        plus = 0.5 * erfc(-g.zeta_plus) + series
-    else:
-        plus = 0.5 * erfc(g.zeta_plus) - series
-    w = abs(g.w_minus)
-    if w < oracle._W_MINUS_NEGLIGIBLE:
-        return plus, 0.0, last_plus, 0.0
-    series, last_minus = _series(damp * (g.s_minus / (1.0 + w)) / scale, z, w, kmax)
-    # equal to (1/2) e^{2 gamma delta} erfc(zeta_minus), written so both
-    # factors stay at or below one
-    minus = 0.5 * damp * erfcx(g.zeta_minus) - series
-    if g.w_minus < 0.0:
-        minus = -minus
-    return plus, minus, last_plus, last_minus
+    k_plus, last_plus = _series(z, w_plus, kmax)
+    if c_minus == 0.0:
+        return k_plus, 0.0, last_plus, 0.0
+    k_minus, last_minus = _series(z, w_minus, kmax)
+    return k_plus, k_minus, last_plus, last_minus
 
 
 def _expand(g: Geometry, kmax: int, upper: bool, complemented: bool) -> EvalResult:
-    """F (or G when ``upper``) by the expansions, clamped to [0, 1].
+    """F (or G when ``upper``) by the split with the series kernel, clamped to [0, 1].
 
     With ``complemented`` the G so computed is returned flipped to F.
     """
-    plus, minus, last_plus, last_minus = _parts(g, kmax, upper)
-    raw = plus - minus if upper else plus + minus
-    value = min(1.0, max(0.0, raw))
-    error = last_plus + last_minus + abs(raw - value)
+    value, error = oracle._evaluate(g, upper, _series_kernel, kmax)
     if complemented:
         value = 1.0 - value
     return EvalResult(value, Method.UNIFORM_ASYM, kmax, error, complemented)
@@ -172,7 +145,7 @@ def _expand(g: Geometry, kmax: int, upper: bool, complemented: bool) -> EvalResu
 
 def f_plus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
     """Uniform expansion of the plus part; leading term erfc(zeta_plus)/2."""
-    return _parts(g, _check_kmax(kmax), False)[0]
+    return oracle._split(g, False, _series_kernel, _check_kmax(kmax))[0]
 
 
 def g_plus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
@@ -181,7 +154,7 @@ def g_plus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
     Satisfies f_plus_asym + g_plus_asym = 1 up to rounding: the erfc halves
     are complementary and the series corrections cancel exactly.
     """
-    return _parts(g, _check_kmax(kmax), True)[0]
+    return oracle._split(g, True, _series_kernel, _check_kmax(kmax))[0]
 
 
 def f_minus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
@@ -192,7 +165,7 @@ def f_minus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
     is negligible.  Its accuracy at a fixed ``kmax`` falls as w_minus nears
     zero, which is why ``cdf`` routes w_minus < W_MINUS_MIN to quadrature.
     """
-    return _parts(g, _check_kmax(kmax), False)[1]
+    return oracle._split(g, False, _series_kernel, _check_kmax(kmax))[1]
 
 
 def cdf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
@@ -236,7 +209,7 @@ def cdf(
     if method == "asym":
         return _expand(g, kmax, False, False)
     if method == "quad-split" or g.z < Z_MIN or g.w_minus < W_MINUS_MIN:
-        value, error = oracle._quad_split(g, tol)
+        value, error = oracle._evaluate(g, False, oracle._kernel, tol)
         return EvalResult(value, Method.QUAD_SPLIT, 0, error)
     right = x > g.x0
     return _expand(g, kmax, right, right)

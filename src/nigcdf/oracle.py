@@ -1,13 +1,14 @@
-"""Reference values by numerical quadrature, two independent routes.
+"""The exact split of the CDF, and reference values by two quadrature routes.
 
-The primary oracle splits the CDF exactly into two erfc terms plus smooth
-Gaussian-weighted remainder integrals; its integrand has no poles on the
-real line, so it is valid for every point, including the transition point
-and negative ``xi``.  Both remainder integrals share one trapezoid grid in
-``t``, where ``sigma = sinh(t)``: the map turns the algebraic ``1/sigma^2``
-tail into a double-exponential one, so the truncation grows only like
-``log(1/z)`` as z -> 0 (about 17 at z = 1e-12, against 8e6 in sigma), and
-each step halving evaluates only the new odd nodes.  A fixed node budget
+``_split`` splits the CDF exactly into erfc terms plus two pole-free
+remainder integrals K(z, w), valid for every point, the transition point
+included; it takes K from a kernel, the expansion's asymptotic series or,
+for the primary oracle ``cdf_quad_split``, the trapezoid ``_kernel``.
+That puts both integrals on one grid in ``t``, ``sigma = sinh(t)``: the
+map turns the algebraic ``1/sigma^2`` tail into a double-exponential one,
+so the truncation grows only like ``log(1/z)`` as z -> 0 (about 17 at
+z = 1e-12, against 8e6 in sigma), and each step halving evaluates only the
+new odd nodes.  A fixed node budget
 bounds the work of every call: at most 33 node evaluations for z >= 1, 82
 for z >= 1e-2, 178 for z >= 1e-12 and 3,000 at the smallest positive
 double.  This grid is the split oracle's only rule.  The secondary oracle
@@ -20,6 +21,7 @@ reflection identity.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError, NearTransitionError
 from .params import Geometry, Parameters, geometry, validate
@@ -41,6 +43,7 @@ _W_MINUS_NEGLIGIBLE = 1e-13
 # node evaluations allowed per trapezoid kernel call; the kernels converge
 # within 178 nodes for z >= 1e-12 and within 3,000 at the smallest double z
 _NODE_BUDGET = 4096
+_Kernel = Callable[..., tuple[float, float, float, float]]
 
 
 def _check_tol(tol: float) -> float:
@@ -132,46 +135,59 @@ def _kernel(
 
 
 def cdf_quad_split(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
-    """High-accuracy CDF by the exact erfc split plus smooth quadrature.
-
-    F = 1/2 erfc(zeta_plus) + E (-2 s_plus)/(4 pi) K(z, w_plus)
-      + sgn [ 1/2 E erfcx(zeta_minus) + E (-2 s_minus)/(4 pi) K(z, |w_minus|) ]
-
-    with E = e^{z sigma_plus^2} <= 1, sgn = sign(w_minus), and K the kernel
-    integral of ``_kernel``, both kernels taken from one call.  The erfcx
-    form of the minus-part erfc term equals (1/2) e^{2 gamma delta}
-    erfc(zeta_minus) with both factors kept at or below one, so nothing
-    overflows.  Valid for every x and every z > 0.
-    """
-    tol = _check_tol(tol)
-    return _quad_split(geometry(p, x), tol)[0]
+    """High-accuracy CDF by ``_split`` with the trapezoid ``_kernel``; valid for every z > 0."""
+    return _evaluate(geometry(p, x), False, _kernel, _check_tol(tol))[0]
 
 
-def _quad_split(g: Geometry, tol: float) -> tuple[float, float]:
-    """F by the split of ``cdf_quad_split`` at one geometry, and its error estimate.
+def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float, float, float]:
+    """The exact erfc split at one geometry, each remainder K(z, w) taken from ``kernel``.
 
-    ``tol`` must already be checked.  The estimate is
-    |coef_plus| |dK_plus| + |coef_minus| |dK_minus|, the change of each
-    weighted kernel in the last level of ``_kernel``, plus the distance by
-    which F was clamped into [0, 1].
+    With E = e^{z sigma_plus^2} <= 1, weights c = s E / (2 pi) for each part
+    and sgn = sign(w_minus):
+
+        F_plus  = 1/2 erfc(zeta_plus)  - c_plus K(z, w_plus)
+        G_plus  = 1/2 erfc(-zeta_plus) + c_plus K(z, w_plus)
+        F_minus = sgn [ 1/2 E erfcx(zeta_minus) - c_minus K(z, |w_minus|) ]
+
+    so F = F_plus + F_minus and G = G_plus - F_minus; the erfcx form keeps
+    both factors of (1/2) e^{2 gamma delta} erfc(zeta_minus) at or below
+    one.  Below ``_W_MINUS_NEGLIGIBLE`` F_minus is 0 and c_minus is 0.
+    ``kernel(z, w_plus, |w_minus|, c_plus, c_minus, arg)`` returns
+    (K_plus, K_minus, dK_plus, dK_minus), dK its error measure; it is not
+    called when both weights are 0.  ``arg``, already checked, is ``tol``
+    for ``_kernel`` and ``kmax`` for the series kernel.  Returns (F_plus,
+    or G_plus when ``upper``; F_minus; |c_plus| dK_plus + |c_minus| dK_minus).
     """
     damp = math.exp(g.z * g.sigma_plus_sq)
-    value = 0.5 * erfc(g.zeta_plus)
-    coef_plus = -2.0 * g.s_plus * damp / (4.0 * math.pi)
-    coef_minus = 0.0
-    if abs(g.w_minus) >= _W_MINUS_NEGLIGIBLE:
-        sgn = 1.0 if g.w_minus > 0.0 else -1.0
-        value += sgn * 0.5 * damp * erfcx(g.zeta_minus)
-        coef_minus = -2.0 * g.s_minus * sgn * damp / (4.0 * math.pi)
-    estimate = 0.0
-    if coef_plus != 0.0 or coef_minus != 0.0:
-        k_plus, k_minus, dk_plus, dk_minus = _kernel(
-            g.z, g.w_plus, abs(g.w_minus), coef_plus, coef_minus, tol
-        )
-        value += coef_plus * k_plus + coef_minus * k_minus
-        estimate = abs(coef_plus) * dk_plus + abs(coef_minus) * dk_minus
-    clamped = min(1.0, max(0.0, value))
-    return clamped, estimate + abs(value - clamped)
+    w_minus = abs(g.w_minus)
+    negligible = w_minus < _W_MINUS_NEGLIGIBLE
+    c_plus = g.s_plus * damp / (2.0 * math.pi)
+    c_minus = 0.0 if negligible else g.s_minus * damp / (2.0 * math.pi)
+    k_plus = k_minus = dk_plus = dk_minus = 0.0
+    if c_plus != 0.0 or c_minus != 0.0:
+        k_plus, k_minus, dk_plus, dk_minus = kernel(g.z, g.w_plus, w_minus, c_plus, c_minus, arg)
+    if upper:
+        plus = 0.5 * erfc(-g.zeta_plus) + c_plus * k_plus
+    else:
+        plus = 0.5 * erfc(g.zeta_plus) - c_plus * k_plus
+    minus = 0.0
+    if not negligible:
+        minus = 0.5 * damp * erfcx(g.zeta_minus) - c_minus * k_minus
+        if g.w_minus < 0.0:
+            minus = -minus
+    return plus, minus, abs(c_plus) * dk_plus + abs(c_minus) * dk_minus
+
+
+def _evaluate(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float, float]:
+    """F, or G when ``upper``, by ``_split`` clamped to [0, 1], and its error estimate.
+
+    The estimate is the weighted kernel error of ``_split`` plus the
+    distance by which the value was clamped.
+    """
+    plus, minus, error = _split(g, upper, kernel, arg)
+    raw = plus - minus if upper else plus + minus
+    value = min(1.0, max(0.0, raw))
+    return value, error + abs(raw - value)
 
 
 def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
@@ -230,7 +246,9 @@ def _direct_integral(p: Parameters, g: Geometry, tol: float) -> tuple[float, flo
         return math.exp(big_a - aw * ch) * sin_nu * (cos_tau * ch - cos_nu) / den
 
     reach = math.log(10.0 / tol) + 10.0
-    S = math.acosh(1.0 + reach / aw)
+    # |f(s)| <= (cosh s + 1)/(cosh s - 1)^2 ~ 2 e^{-s} whatever alpha omega, so past
+    # s = reach the tail is below tol e^{-10}, even where reach / aw overflows
+    S = min(reach, math.acosh(1.0 + reach / aw))
 
     def level(h: float) -> float:
         total = 0.5 * f(0.0)

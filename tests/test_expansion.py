@@ -20,6 +20,8 @@ from nigcdf import (
     transition_point,
     validate,
 )
+from nigcdf.expansion import _series, _series_kernel
+from nigcdf.oracle import DEFAULT_TOL, _kernel
 from nigcdf.selftest import draw_point
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
@@ -326,3 +328,20 @@ def test_auto_route_equals_the_forced_expansions_bit_for_bit():
         else:
             assert r == cdf_asym(p, x)
     assert asym >= 400
+
+
+def test_series_kernel_is_the_asymptotic_series_of_the_trapezoid_kernel():
+    # both kernels of the one split compute K(z, w); the series is off by
+    # about its first omitted term, the last retained term is no bound (it
+    # falls short of the error by up to three orders), and rounding adds a
+    # few ulps of K
+    rng = random.Random(23)
+    coef = 1.0 / (2.0 * math.pi)  # the largest weight a kernel has in F
+    for _ in range(3000):
+        z = math.exp(rng.uniform(math.log(30.0), math.log(1e4)))
+        w = math.exp(rng.uniform(math.log(1e-13), 0.0))
+        kmax = rng.choice((5, 10))
+        k_series, _, _, _ = _series_kernel(z, w, w, coef, coef, kmax)
+        k_trap, _, _, _ = _kernel(z, w, w, coef, coef, DEFAULT_TOL)
+        omitted = _series(z, w, kmax + 1)[1]
+        assert abs(k_series - k_trap) <= 10.0 * omitted + 1e-15 * k_trap

@@ -73,9 +73,20 @@ def test_split_oracle_symmetric_median():
 
 
 def test_split_oracle_rules_agree():
+    # the first 10 draws, and on until 10 draws with z <= 5 and |zeta_plus| in
+    # [0.3, 1.5] (within 108): there the plus kernel's weight |c_plus| is
+    # 0.019 to 0.066 rather than damped away, so a 1e-10 relative bias in
+    # that kernel moves F past the bound
     rng = random.Random(3)
-    for _ in range(10):
+    drawn = near = 0
+    while drawn < 10 or near < 10:
         p, x = draw_point(rng)
+        g = geometry(p, x)
+        drawn += 1
+        if g.z <= 5.0 and 0.3 <= abs(g.zeta_plus) <= 1.5:
+            near += 1
+        elif drawn > 10:
+            continue
         a = cdf_quad_split(p, x)
         b = _reference_split_cdf(p, x, _gauss_kernel)
         assert abs(a - b) <= 1e-12
@@ -116,6 +127,20 @@ def test_direct_oracle_agrees_left_of_transition():
 def test_direct_oracle_reflects_right_of_transition():
     p = validate(ALPHA, 2.0, MU, DELTA)
     assert abs(cdf_quad_direct(p, 10.0) - cdf_quad_split(p, 10.0)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "params,x",
+    [((1e-308, 0.0, 0.0, 1.0), 5.0), ((1e-320, 0.0, 0.0, 1.0), 5.0),
+     ((1.0, 0.5, 0.0, 1e-308), 1e-309)],
+)
+def test_direct_oracle_where_alpha_omega_nears_the_smallest_double(params, x):
+    # reach / (alpha omega) overflows to inf here; the truncation point must
+    # stay finite, so the result is a value and not a raw OverflowError
+    p = validate(*params)
+    r = cdf(p, x, method="quad-direct")
+    assert r.value == cdf_quad_direct(p, x)
+    assert abs(r.value - cdf_quad_split(p, x)) <= 1e-12
 
 
 def test_direct_oracle_refuses_transition_band():
