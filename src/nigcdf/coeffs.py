@@ -17,24 +17,26 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DomainError
+from .params import _require_finite
 
 __all__ = [
     "d_coefficients",
     "d_closed_form",
 ]
 
+# the last row of ``_rows`` whose coefficients are all finite (row 152
+# overflows); the O(kmax^3) build never starts for a kmax it cannot serve
+_KMAX_LIMIT = 151
+
 
 def _check_kmax(kmax: int) -> int:
-    if not isinstance(kmax, int) or isinstance(kmax, bool) or kmax < 0:
-        raise DomainError(f"kmax must be a nonnegative integer, got {kmax!r}")
+    if not isinstance(kmax, int) or isinstance(kmax, bool) or not 0 <= kmax <= _KMAX_LIMIT:
+        raise DomainError(f"kmax must be an integer in 0..{_KMAX_LIMIT}, got {kmax!r}")
     return kmax
 
 
 def _check_w(w: float) -> float:
-    try:
-        w = float(w)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"w must be a real number, got {w!r}") from exc
+    w = _require_finite("w", w)
     if not (0.0 < w <= 1.0):
         raise DomainError(f"w must lie in (0, 1], got {w!r}")
     return w
@@ -92,7 +94,7 @@ def d_coefficients(w: float, kmax: int) -> tuple[float, ...]:
     """d_0..d_kmax, evaluated from the polynomial rows of ``_rows``.
 
     ``w = |cos((nu -+ tau)/2)|`` is the pole parameter and d_0 is exactly 1.
-    Checks ``0 < w <= 1`` and ``kmax >= 0`` and raises DomainError otherwise.
+    Checks ``0 < w <= 1`` and ``0 <= kmax <= 151``; raises DomainError otherwise.
     """
     w = _check_w(w)
     kmax = _check_kmax(kmax)

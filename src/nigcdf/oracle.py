@@ -24,8 +24,8 @@ import math
 from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError, NearTransitionError
-from .params import Geometry, Parameters, geometry, validate
-from .special import erfc, erfcx
+from .params import Geometry, Parameters, _require_finite, geometry, validate
+from .special import _erfcx
 
 __all__ = [
     "cdf_quad_split",
@@ -47,12 +47,10 @@ _Kernel = Callable[..., tuple[float, float, float, float]]
 
 
 def _check_tol(tol: float) -> float:
-    try:
-        tol = float(tol)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"tol must be a real number, got {tol!r}") from exc
-    if not tol >= _MIN_TOL:
-        raise DomainError(f"tol must be at least {_MIN_TOL:g}, got {tol!r}")
+    tol = _require_finite("tol", tol)
+    # F is a probability, so a tolerance above 1 asks for nothing
+    if not _MIN_TOL <= tol <= 1.0:
+        raise DomainError(f"tol must lie in [{_MIN_TOL:g}, 1], got {tol!r}")
     return tol
 
 
@@ -158,7 +156,7 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
     for ``_kernel`` and ``kmax`` for the series kernel.  Returns (F_plus,
     or G_plus when ``upper``; F_minus; |c_plus| dK_plus + |c_minus| dK_minus).
     """
-    damp = math.exp(g.z * g.sigma_plus_sq)
+    damp = math.exp(-g.z * (g.s_plus * g.s_plus))
     w_minus = abs(g.w_minus)
     negligible = w_minus < _W_MINUS_NEGLIGIBLE
     c_plus = g.s_plus * damp / (2.0 * math.pi)
@@ -167,12 +165,12 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
     if c_plus != 0.0 or c_minus != 0.0:
         k_plus, k_minus, dk_plus, dk_minus = kernel(g.z, g.w_plus, w_minus, c_plus, c_minus, arg)
     if upper:
-        plus = 0.5 * erfc(-g.zeta_plus) + c_plus * k_plus
+        plus = 0.5 * math.erfc(-g.zeta_plus) + c_plus * k_plus
     else:
-        plus = 0.5 * erfc(g.zeta_plus) - c_plus * k_plus
+        plus = 0.5 * math.erfc(g.zeta_plus) - c_plus * k_plus
     minus = 0.0
     if not negligible:
-        minus = 0.5 * damp * erfcx(g.zeta_minus) - c_minus * k_minus
+        minus = 0.5 * damp * _erfcx(g.zeta_minus) - c_minus * k_minus
         if g.w_minus < 0.0:
             minus = -minus
     return plus, minus, abs(c_plus) * dk_plus + abs(c_minus) * dk_minus

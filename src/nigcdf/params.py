@@ -44,10 +44,10 @@ class Geometry:
     ``s_plus = sin((nu-tau)/2)`` carries the sign of ``x0 - x`` and vanishes
     exactly at the transition point; ``s_minus = sin((nu+tau)/2)`` is always
     positive.  ``w_plus``/``w_minus`` are the matching cosines; ``w_minus``
-    goes negative once ``nu + tau`` exceeds pi.  ``sigma_plus_sq = -s_plus^2``
-    and ``sigma_minus_sq = -s_minus^2`` are the squared pole locations, and
+    goes negative once ``nu + tau`` exceeds pi.  The squared pole locations
+    are sigma_plus^2 = -s_plus^2 and sigma_minus^2 = -s_minus^2, and
     ``zeta_plus = s_plus*sqrt(z)``, ``zeta_minus = s_minus*sqrt(z)`` are the
-    error-function arguments.
+    error-function arguments; both are finite, as z is and |s| <= 1.
     """
 
     xi: float
@@ -58,16 +58,17 @@ class Geometry:
     s_minus: float
     w_plus: float
     w_minus: float
-    sigma_plus_sq: float
-    sigma_minus_sq: float
     zeta_plus: float
     zeta_minus: float
     x0: float
 
 
 def _require_finite(name: str, value: float) -> float:
+    """``value`` as a finite float, or DomainError; the package's one real-number check."""
     try:
         value = float(value)
+    except OverflowError as exc:  # a huge int or Fraction; repr fails past 4300 digits
+        raise DomainError(f"{name} must be finite, got a number beyond the double range") from exc
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be a real number, got {value!r}") from exc
     if not math.isfinite(value):
@@ -147,8 +148,6 @@ def geometry(p: Parameters, x: float) -> Geometry:
         s_minus=s_minus,
         w_plus=w_plus,
         w_minus=w_minus,
-        sigma_plus_sq=-s_plus * s_plus,
-        sigma_minus_sq=-s_minus * s_minus,
         zeta_plus=s_plus * sqrt_z,
         zeta_minus=s_minus * sqrt_z,
         x0=transition_point(p),

@@ -58,10 +58,11 @@ def identity_suite(n: int = 10000, seed: int = DEFAULT_SEED, perturb: float = 0.
         scale = max(aw, abs(bxi), gd)
         ok = True
 
+        # sigma_plus^2 = -s_plus^2 and sigma_minus^2 = -s_minus^2
         lhs = gd + bxi - aw + perturb * scale
-        ok = ok and abs(lhs - g.z * g.sigma_plus_sq) <= 1e-12 * scale
+        ok = ok and abs(lhs + g.z * (g.s_plus * g.s_plus)) <= 1e-12 * scale
 
-        gap = g.z * (g.sigma_plus_sq - g.sigma_minus_sq)
+        gap = g.z * (g.s_minus * g.s_minus - g.s_plus * g.s_plus)
         ok = ok and abs(gap - 2.0 * gd) <= 1e-12 * max(2.0 * gd, 1e-300)
 
         ok = ok and abs(g.zeta_plus * g.zeta_plus - (aw - bxi - gd)) <= 1e-12 * scale

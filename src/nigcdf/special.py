@@ -3,13 +3,15 @@
 Double-precision erfc and erfcx, the only special functions the
 expansions need, built on the C library's ``math.erfc``:
 
-* ``erfc`` is ``math.erfc`` itself, after a finiteness check.
+* ``erfc`` is ``math.erfc`` itself, after the real-number check of
+  ``params``; ``oracle._split``, whose arguments are finite by
+  construction, calls ``math.erfc`` and ``_erfcx`` unchecked.
 * ``erfcx`` on ``0 <= x <= 9`` is ``e^{x^2} * math.erfc(x)``, with a
   split-argument exponential so the rounding of ``x*x`` does not amplify.
 * ``erfcx`` for ``x > 9`` is the divergent large-x series, truncated once
   terms fall under 1e-18, long before the smallest term; the product
   form would fail there, as erfc(x) goes subnormal and e^{x^2} overflows
-  near x = 26.6.
+  near x = 26.6.  ``_erfcx`` is these two, for x >= 0.
 * ``erfcx`` for ``x < 0`` goes through the reflection formula.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError
+from .params import _require_finite
 
 __all__ = ["erfc", "erfcx", "ERFCX_NEG_LIMIT"]
 
@@ -26,16 +28,6 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # e^{x^2} must stay at or below DBL_MAX/2 so that 2*e^{x^2} is representable
 ERFCX_NEG_LIMIT = -math.sqrt(math.log(sys.float_info.max / 2.0))
-
-
-def _check_finite(x: float) -> float:
-    try:
-        x = float(x)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"argument must be a real number, got {x!r}") from exc
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x!r}")
-    return x
 
 
 def _split_exp(x: float) -> float:
@@ -51,23 +43,34 @@ def _split_exp(x: float) -> float:
 
 
 def erfc(x: float) -> float:
-    """Complementary error function for finite real x.
+    """Complementary error function for finite real x; DomainError otherwise.
 
     Values lie in (0, 2) until the positive tail underflows near x = 27.3;
     beyond that the result is exactly 0.0 (x > 0) or 2.0 (x < 0).
     Relative accuracy is about 1e-15 wherever the result is normal.
     """
-    return math.erfc(_check_finite(x))
+    return math.erfc(_require_finite("x", x))
 
 
 def erfcx(x: float) -> float:
-    """Scaled complementary error function e^{x^2} erfc(x).
+    """Scaled complementary error function e^{x^2} erfc(x) for finite real x.
 
     Never overflows for x >= 0.  For x < 0 it is computed by reflection and
     raises OverflowError once e^{x^2} leaves the double range, at
-    x < ERFCX_NEG_LIMIT (about -26.6287).
+    x < ERFCX_NEG_LIMIT (about -26.6287); a non-finite x raises DomainError.
     """
-    x = _check_finite(x)
+    x = _require_finite("x", x)
+    if x >= 0.0:
+        return _erfcx(x)
+    if x < ERFCX_NEG_LIMIT:
+        raise OverflowError(
+            f"erfcx({x}) exceeds the double range; defined only for x >= {ERFCX_NEG_LIMIT:.4f}"
+        )
+    return 2.0 * _split_exp(x) - _erfcx(-x)
+
+
+def _erfcx(x: float) -> float:
+    """e^{x^2} erfc(x) for a float x >= 0, unchecked; never overflows."""
     if x > 9.0:
         t = 0.5 / (x * x)
         term = 1.0
@@ -80,10 +83,4 @@ def erfcx(x: float) -> float:
                 break
             k += 1
         return total / (x * _SQRT_PI)
-    if x >= 0.0:
-        return _split_exp(x) * math.erfc(x)
-    if x < ERFCX_NEG_LIMIT:
-        raise OverflowError(
-            f"erfcx({x}) exceeds the double range; defined only for x >= {ERFCX_NEG_LIMIT:.4f}"
-        )
-    return 2.0 * _split_exp(x) - erfcx(-x)
+    return _split_exp(x) * math.erfc(x)

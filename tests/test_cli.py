@@ -85,6 +85,15 @@ def test_eval_domain_error_exits_2(capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--method", "quad-direct", "--tol", "1e6"], ["--method", "quad-split", "--kmax", "152"]]
+)
+def test_eval_out_of_range_tol_and_kmax_exit_2(capsys, extra):
+    assert main(["eval", "--alpha", "1", "--beta", "0.2", "--mu", "0", "--delta", "1",
+                 "--x", "3"] + extra) == 2
+    assert "domain error" in capsys.readouterr().err
+
+
 def test_eval_near_transition_exits_3(capsys):
     assert main(["eval", "--alpha", "8", "--beta", "0", "--mu", "3",
                  "--delta", "2", "--x", "3", "--method", "quad-direct"]) == 3

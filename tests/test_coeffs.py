@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nigcdf import DomainError, d_closed_form, d_coefficients
-from nigcdf.coeffs import _d_values, _rows
+from nigcdf.coeffs import _KMAX_LIMIT, _d_values, _rows
 from nigcdf.expansion import _series
 
 W_RANGE = st.floats(min_value=0.05, max_value=1.0)
@@ -75,6 +75,20 @@ def test_d_closed_form_rejects_bad_k(k):
 def test_kmax_must_be_a_nonnegative_integer(kmax):
     with pytest.raises(DomainError):
         d_coefficients(0.5, kmax)
+
+
+def test_kmax_past_the_limit_is_refused_before_any_row_is_built():
+    built = _rows.cache_info().currsize
+    with pytest.raises(DomainError, match="kmax must be"):
+        d_coefficients(0.5, _KMAX_LIMIT + 1)
+    assert _rows.cache_info().currsize == built
+    assert all(math.isfinite(d) for d in d_coefficients(0.5, _KMAX_LIMIT))
+
+
+def test_kmax_limit_is_the_last_finite_row():
+    rows = _rows(_KMAX_LIMIT + 1)
+    assert all(math.isfinite(c) for c in rows[_KMAX_LIMIT])
+    assert not all(math.isfinite(c) for c in rows[_KMAX_LIMIT + 1])
 
 
 def _reference_d_values(w, kmax):

@@ -256,8 +256,7 @@ FORCED_EXPANSIONS = [
     [((1e-60, 0.0, 0.0, 1e-60), 0.0, 5),  # z = 2e-120
      ((1e-60, 0.0, 0.0, 1e-60), 1e-60, 5),
      ((1e-8, -5e-9, 0.0, 1e-8), 1e-9, 25),  # z = 2e-16
-     ((1.0, 0.5, 0.0, 1e-20), 1e-21, 25),
-     ((8.0, 7.5, 3.0, 2.0), 40.0, 152)],  # z = 593, past the last finite row
+     ((1.0, 0.5, 0.0, 1e-20), 1e-21, 25)],
 )
 def test_forced_expansions_keep_the_contract_where_the_series_overflows(
     entry, params, x, kmax
@@ -273,6 +272,14 @@ def test_forced_expansions_keep_the_contract_where_the_series_overflows(
         assert 0.0 <= value <= 1.0
 
 
+@pytest.mark.parametrize("entry", FORCED_EXPANSIONS, ids=["cdf-asym", "cdf_asym", "sf_asym"])
+def test_forced_expansions_refuse_kmax_past_the_last_finite_row(entry):
+    # z = 593: row 152 of the coefficients is the first that overflows, so
+    # kmax = 152 is refused as an argument before any row is built
+    with pytest.raises(DomainError, match="kmax must be"):
+        entry(validate(8.0, 7.5, 3.0, 2.0), 40.0, 152)
+
+
 # (method, x) with p = _bench(2.0): the auto asym route, complemented and
 # not, the auto quadrature route, and each forced route
 ROUTES = [("auto", 20.0), ("auto", 3.0), ("auto", 1.0), ("asym", 5.0),
@@ -282,7 +289,7 @@ ROUTES = [("auto", 20.0), ("auto", 3.0), ("auto", 1.0), ("asym", 5.0),
 @pytest.mark.parametrize("method,x", ROUTES)
 @pytest.mark.parametrize(
     "bad", [{"tol": -1.0}, {"tol": "tight"}, {"kmax": -1}, {"kmax": 2.0},
-            {"tol": math.nan}],
+            {"tol": math.nan}, {"kmax": 152}, {"tol": 2.0}, {"tol": math.inf}],
 )
 def test_cdf_checks_every_argument_on_every_route(method, x, bad):
     p = _bench(2.0)

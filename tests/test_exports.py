@@ -1,6 +1,12 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, and every imported name is used.
 
+A deletion can leave a stale export behind, and a rewired import a stale
+name; both are caught here.
+"""
+
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -23,3 +29,29 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"nigcdf.{name}")
     missing = [item for item in getattr(module, "__all__", ()) if not hasattr(module, item)]
     assert missing == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "nigcdf").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imported names never read and not listed in ``__all__``."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_module_level_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []

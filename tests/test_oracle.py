@@ -331,7 +331,7 @@ def _reference_split_cdf(p, x, kernel, tol: float = DEFAULT_TOL) -> float:
     oracle's per-kernel tolerance min(0.1, tol/(4|coef|)).
     """
     g = geometry(p, x)
-    damp = math.exp(g.z * g.sigma_plus_sq)
+    damp = math.exp(-g.z * g.s_plus**2)
     value = 0.5 * erfc(g.zeta_plus)
     coef_plus = -2.0 * g.s_plus * damp / (4.0 * math.pi)
     if coef_plus != 0.0:
