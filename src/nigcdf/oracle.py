@@ -8,14 +8,17 @@ That puts both integrals on one grid in ``t``, ``sigma = sinh(t)``: the
 map turns the algebraic ``1/sigma^2`` tail into a double-exponential one,
 so the truncation grows only like ``log(1/z)`` as z -> 0 (about 17 at
 z = 1e-12, against 8e6 in sigma), and each step halving evaluates only the
-new odd nodes.  A fixed node budget
-bounds the work of every call: at most 33 node evaluations for z >= 1, 82
-for z >= 1e-2, 178 for z >= 1e-12 and 3,000 at the smallest positive
-double.  This grid is the split oracle's only rule.  The secondary oracle
-integrates the steepest-descent representation directly with a trapezoid
-rule; it degenerates when the poles approach the saddle, so it refuses a
-band around the transition and reaches ``nu < tau`` through the
-reflection identity.
+new odd nodes.  Both kernels refine until their weighted change in F, the
+error estimate the split reports, is at most tol/2.  A fixed node budget
+bounds the work of every call: at the smallest tol, at most 33 node
+evaluations for z >= 1, 82 for z >= 1e-2, 185 for z >= 1e-12 and 3,000 at
+the smallest positive double.  This grid is the split oracle's only rule.
+The secondary oracle integrates the steepest-descent representation
+directly with a nested trapezoid rule; it degenerates when the poles
+approach the saddle, so it refuses a band around the transition.  One
+integral I serves both sides of that band: F = I for nu > tau, and
+F = 1 + I for nu < tau, where the contour has crossed the plus pole,
+whose residue is 1.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ _NEAR_TRANSITION_GAP = 0.02
 # below this |w_minus| the whole minus-part contribution is O(1e-13) and the
 # two halves of the split cancel; treat it as zero instead of integrating
 _W_MINUS_NEGLIGIBLE = 1e-13
-# node evaluations allowed per trapezoid kernel call; the kernels converge
-# within 178 nodes for z >= 1e-12 and within 3,000 at the smallest double z
+# node evaluations allowed per trapezoid kernel call; at the smallest tol the
+# kernels converge within 185 nodes for z >= 1e-12 and 3,000 at the smallest double z
 _NODE_BUDGET = 4096
 _Kernel = Callable[..., tuple[float, float, float, float]]
 
@@ -54,15 +57,6 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _kernel_tol(coef: float, tol: float) -> float:
-    """Refinement tolerance for a kernel that enters F with weight ``coef``.
-
-    Keeps the kernel's share of the error in F within tol/4; a kernel of
-    weight 0 only has to settle to 0.1.
-    """
-    return min(0.1, tol / (4.0 * abs(coef))) if coef != 0.0 else 0.1
-
-
 def _kernel(
     z: float, w_plus: float, w_minus: float, coef_plus: float, coef_minus: float, tol: float
 ) -> tuple[float, float, float, float]:
@@ -73,8 +67,9 @@ def _kernel(
 
     K(z, w) is the integral of e^{-z sigma^2} / (q (q + w)) over the real
     line, q = sqrt(1+sigma^2), for w in [0, 1].  ``tol`` is the absolute
-    tolerance on F: each kernel is refined until one more level changes it
-    by at most ``_kernel_tol(coef, tol)``.
+    tolerance on F: both kernels are refined until one more level changes
+    F by at most tol/2, |coef_plus| dK_plus + |coef_minus| dK_minus <= tol/2,
+    the estimate that ``_split`` reports.
     The one rule evaluates both on one trapezoid grid in t, sigma = sinh(t):
 
         K(z, w) = integral of e^{-z sinh^2 t} / (cosh t + w) dt,
@@ -82,17 +77,16 @@ def _kernel(
     whose integrand is even, and analytic and bounded in the strip
     |Im t| < pi/4, so the trapezoid rule converges geometrically in 1/h.
     Each node costs one sinh, one exp, one sqrt and a division per kernel;
-    each halving adds only the odd nodes to the running sums, until both
-    checks have passed.  Past ``_NODE_BUDGET`` node evaluations the call
+    each halving adds only the odd nodes to the running sums, until the
+    check has passed.  Past ``_NODE_BUDGET`` node evaluations the call
     raises ConvergenceError.  The grid is truncated at T = asinh(8/sqrt(z)),
     where the integrand has fallen to e^{-64}, far below any permitted
     tolerance, and starts at the step h0 = min(0.5, T/8).  Cost per z:
     T/h0 = 8 for z above 0.09, so 17 or 33 nodes for z >= 1 and at most 82
-    for z >= 1e-2; below, T grows like log(1/z), to 178 nodes at most for
-    z >= 1e-12.
+    for z >= 1e-2; below, T grows like log(1/z), to 185 nodes at most for
+    z >= 1e-12, all at the smallest tol.
     """
-    tol_plus = _kernel_tol(coef_plus, tol)
-    tol_minus = _kernel_tol(coef_minus, tol)
+    weight_plus, weight_minus, target = abs(coef_plus), abs(coef_minus), 0.5 * tol
     sinh, exp, sqrt = math.sinh, math.exp, math.sqrt
     neg_z = -z
     trunc = math.asinh(8.0 / math.sqrt(z))
@@ -103,14 +97,12 @@ def _kernel(
     nodes = 1
     stride = 1  # the first level takes every node, each halving only the odd ones
     prev_plus = prev_minus = math.nan
-    done_plus = done_minus = False
     while True:
         last = int(trunc / h)
         nodes += len(range(1, last + 1, stride))
         if nodes > _NODE_BUDGET:
             raise ConvergenceError(
-                f"trapezoid kernels did not stabilize to {tol_plus:g} and {tol_minus:g} "
-                f"within {_NODE_BUDGET} nodes"
+                f"trapezoid kernels did not stabilize to {target:g} within {_NODE_BUDGET} nodes"
             )
         for k in range(1, last + 1, stride):
             s = sinh(k * h)
@@ -123,9 +115,7 @@ def _kernel(
         cur_minus = 2.0 * h * sum_minus
         dk_plus = abs(cur_plus - prev_plus)
         dk_minus = abs(cur_minus - prev_minus)
-        done_plus = done_plus or dk_plus <= tol_plus
-        done_minus = done_minus or dk_minus <= tol_minus
-        if done_plus and done_minus:
+        if weight_plus * dk_plus + weight_minus * dk_minus <= target:
             return cur_plus, cur_minus, dk_plus, dk_minus
         prev_plus, prev_minus = cur_plus, cur_minus
         h *= 0.5
@@ -193,8 +183,9 @@ def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
 
     Only defined away from the transition: |nu - tau| <= 0.02 raises
     NearTransitionError because the integrand's poles pinch the contour
-    there.  Points with nu < tau are evaluated through the reflection
-    identity, which swaps them to nu > tau.
+    there.  The same integral I serves both sides: F = I for nu > tau, and
+    for nu < tau, where the contour has crossed the plus pole, F = 1 + I,
+    the 1 being that pole's residue.
     """
     return _quad_direct(p, x, _check_tol(tol))[0]
 
@@ -202,9 +193,10 @@ def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
 def _quad_direct(p: Parameters, x: float, tol: float) -> tuple[float, float]:
     """F by the direct integral of ``cdf_quad_direct``, and its error estimate.
 
-    ``tol`` must already be checked.  The estimate is the change of the
-    integral in the last step halving plus the distance by which F was
-    clamped into [0, 1].
+    ``tol`` must already be checked.  Halves the trapezoid step until one
+    more halving changes the integral by at most ``tol``; the first level
+    takes every node, each halving adds only the odd ones.  The estimate is
+    that last change plus the distance by which F was clamped into [0, 1].
     """
     g = geometry(p, x)
     gap = g.nu - p.tau
@@ -213,22 +205,8 @@ def _quad_direct(p: Parameters, x: float, tol: float) -> tuple[float, float]:
             f"|nu - tau| = {abs(gap):.4g} is within {_NEAR_TRANSITION_GAP}; "
             "the split oracle handles the transition region"
         )
-    if gap < 0.0:
-        value, estimate = _quad_direct(*reflect(p, x), tol)
-        return 1.0 - value, estimate
-    value, change = _direct_integral(p, g, tol)
-    clamped = min(1.0, max(0.0, value))
-    return clamped, change + abs(value - clamped)
-
-
-def _direct_integral(p: Parameters, g: Geometry, tol: float) -> tuple[float, float]:
-    """The steepest-descent integral for nu > tau, unclamped, and its last change.
-
-    Halves the trapezoid step until one more halving changes the value by
-    at most ``tol``; returns the value and that change.
-    """
     aw = p.alpha * g.omega
-    big_a = p.delta * p.gamma + p.beta * g.xi  # equals aw + z sigma_plus_sq <= aw
+    big_a = p.delta * p.gamma + p.beta * g.xi  # equals aw - z s_plus^2 <= aw
     sp2 = g.s_plus * g.s_plus
     sm2 = g.s_minus * g.s_minus
     sin_nu = p.delta / g.omega
@@ -247,27 +225,22 @@ def _direct_integral(p: Parameters, g: Geometry, tol: float) -> tuple[float, flo
     # |f(s)| <= (cosh s + 1)/(cosh s - 1)^2 ~ 2 e^{-s} whatever alpha omega, so past
     # s = reach the tail is below tol e^{-10}, even where reach / aw overflows
     S = min(reach, math.acosh(1.0 + reach / aw))
-
-    def level(h: float) -> float:
-        total = 0.5 * f(0.0)
-        k = 1
-        while True:
-            s = k * h
-            if s > S:
-                break
-            total += f(s)
-            k += 1
-        return h * total / math.pi  # 2 for evenness, over 2 pi
-
     h = min(0.25, 0.5 / math.sqrt(aw))
-    prev = level(h)
-    for _ in range(14):
-        h *= 0.5
-        cur = level(h)
+    total = 0.5 * f(0.0)
+    stride = 1
+    prev = math.nan
+    for _ in range(15):  # the first level, then at most 14 halvings
+        for k in range(1, int(S / h) + 1, stride):
+            total += f(k * h)
+        cur = h * total / math.pi  # 2 for evenness, over 2 pi
         change = abs(cur - prev)
         if change <= tol:
-            return cur, change
+            raw = cur if gap > 0.0 else 1.0 + cur
+            value = min(1.0, max(0.0, raw))
+            return value, change + abs(raw - value)
         prev = cur
+        h *= 0.5
+        stride = 2
     raise ConvergenceError(
         f"direct-integral trapezoid did not stabilize to {tol:g} within 14 halvings"
     )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -127,6 +128,18 @@ def test_table1_rows(capsys):
         assert abs(z - z_ref[beta]) <= 1e-7
         assert abs_err == pytest.approx(abs(f_asym - f_oracle), rel=1e-12)
         assert abs_err <= allowance[beta]
+
+
+def test_readme_table1_block_matches_the_cli(capsys):
+    # the README prints the table1 output verbatim; regenerate it with
+    # `nigcdf table1` when the values move
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    # the fenced blocks, each without its opening line
+    bodies = [b.split("\n", 1)[1] for b in readme.split("```")[1::2]]
+    body = [b for b in bodies if b.startswith("beta,x0")]
+    assert len(body) == 1
+    assert main(["table1"]) == 0
+    assert capsys.readouterr().out == body[0]
 
 
 def test_figure1_shape_and_bounds(capsys):

@@ -305,18 +305,28 @@ def test_auto_routes_take_the_routes_they_name():
                      (Method.QUAD_SPLIT, False)]
 
 
-@pytest.mark.parametrize("x", [20.0, 3.0, 1.0])
-def test_cdf_computes_the_geometry_once(monkeypatch, x):
-    # a complemented asym point, an asym point and a quad-split point
+@pytest.mark.parametrize(
+    "method,x",
+    [pytest.param("auto", x, id=str(x)) for x in (20.0, 3.0, 1.0)]
+    + [pytest.param("quad-direct", x, id=f"quad-direct-{x}") for x in (20.0, 1.0)],
+)
+def test_cdf_computes_the_geometry_once(monkeypatch, method, x):
+    # auto: a complemented asym point, an asym point and a quad-split point;
+    # quad-direct on both sides of the transition, nu < tau at x = 20, and
+    # without validating the parameters again
     calls = []
 
     def counted(p, x):
         calls.append(x)
         return geometry(p, x)
 
+    def refused(*args):
+        raise AssertionError("validate called inside cdf")
+
     monkeypatch.setattr("nigcdf.expansion.geometry", counted)
     monkeypatch.setattr("nigcdf.oracle.geometry", counted)
-    cdf(_bench(2.0), x)
+    monkeypatch.setattr("nigcdf.oracle.validate", refused)
+    cdf(_bench(2.0), x, method=method)
     assert calls == [x]
 
 

@@ -28,7 +28,7 @@ from nigcdf import (
     transition_point,
     validate,
 )
-from nigcdf.oracle import _kernel
+from nigcdf.oracle import _MIN_TOL, _kernel
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfc, erfcx
 
@@ -119,7 +119,7 @@ def test_split_oracle_tol_domain():
 
 
 def test_direct_oracle_agrees_left_of_transition():
-    # nu > tau side evaluates without reflection
+    # nu > tau: F is the direct integral itself, no pole residue added
     p = validate(ALPHA, -4.0, MU, DELTA)
     assert abs(cdf_quad_direct(p, 0.5) - cdf_quad_split(p, 0.5)) <= 1e-11
 
@@ -211,6 +211,44 @@ def test_node_budget_covers_every_positive_z(z):
     if z < 1e-200:
         assert k_plus == pytest.approx(math.pi, abs=1e-13)
         assert k_minus == pytest.approx(2.0, abs=1e-13)
+
+
+class _CountingMath:
+    """Stands in for ``math`` in the oracle: counts sinh calls, one per node past t = 0."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def sinh(self, x):
+        self.calls += 1
+        return math.sinh(x)
+
+
+def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
+    # the worst call per band of z at the smallest tol, both weights at their
+    # largest, 1/(2 pi), over a seeded grid with one z per cell of width
+    # 0.017 in ln z, fine enough to land in the narrow windows where a band
+    # takes its most nodes; the oracle's docs and the README quote these numbers
+    counting = _CountingMath()
+    monkeypatch.setattr("nigcdf.oracle.math", counting)
+    rng = random.Random(2026)
+    coef = 1.0 / (2.0 * math.pi)
+    lo, hi = math.log(1e-12), math.log(1e3)
+    zs = [math.exp(lo + (hi - lo) * (i + rng.random()) / 2000) for i in range(2000)]
+    zs += [1e-12, 1e-2, 1.0, 5e-324]
+    ws = [0.0, 1.0, math.exp(rng.uniform(math.log(1e-13), 0.0))]
+    worst = {1.0: 0, 1e-2: 0, 1e-12: 0, 5e-324: 0}
+    for z in zs:
+        for w in ws:
+            counting.calls = 0
+            _kernel(z, 0.0, w, coef, coef, _MIN_TOL)
+            for band in worst:
+                if z >= band:
+                    worst[band] = max(worst[band], counting.calls + 1)
+    assert worst == {1.0: 33, 1e-2: 82, 1e-12: 185, 5e-324: 3000}
 
 
 def _kernel_reference(z: float, w: float) -> float:
@@ -357,9 +395,9 @@ def test_split_oracle_matches_sigma_grid_reference():
 
 def test_split_route_reports_a_measured_error_estimate():
     # the estimate is the weighted change of the kernels in their last level,
-    # not the requested tol: each weighted kernel settles to tol/4, so it stays
-    # within tol/2 plus a clamping of rounding size; the Gauss-Legendre
-    # reference judges it
+    # not the requested tol: the kernels refine until that weighted change is
+    # at most tol/2, so it stays within tol/2 plus a clamping of rounding size;
+    # the Gauss-Legendre reference judges it
     rng = random.Random(17)
     for _ in range(40):
         p, x = draw_point(rng)
