@@ -21,7 +21,8 @@ import sys
 
 from . import selftest as selftest_mod
 from .errors import ConvergenceError, DomainError, NearTransitionError
-from .expansion import DEFAULT_KMAX, cdf, cdf_asym, f_minus_asym
+from .coeffs import _check_kmax
+from .expansion import DEFAULT_KMAX, _check_route_args, _route, cdf_asym, f_minus_asym
 from .oracle import DEFAULT_TOL, cdf_quad_split
 from .params import geometry, transition_point, validate
 
@@ -60,8 +61,10 @@ def _fmt(value, digits: int) -> str:
 
 def _cmd_eval(args) -> int:
     p = validate(args.alpha, args.beta, args.mu, args.delta)
-    result = cdf(p, args.x, method=args.method, kmax=args.kmax, tol=args.tol)
+    # cdf split in two, so that the geometry it routes on also gives x0 and z
+    kmax, tol = _check_route_args(args.method, args.kmax, args.tol)
     g = geometry(p, args.x)
+    result = _route(p, args.x, g, args.method, kmax, tol)
     record = {
         "x": args.x,
         "F": result.value,
@@ -103,13 +106,15 @@ def _cmd_figure1(args) -> int:
     header += [f"F_beta_{lab}" for lab in labels]
     header += [f"Fminus_beta_{lab}" for lab in labels]
     print(",".join(header))
+    kmax = _check_kmax(args.kmax)
     n = args.points
     for i in range(n):
         x = 20.0 * i / (n - 1)
+        gs = [geometry(p, x) for p in params]
         # the policy evaluator computes the smaller of F and G first, which
         # keeps the emitted curve monotone through the saturated tails
-        fs = [cdf(p, x, kmax=args.kmax).value for p in params]
-        fminus = [f_minus_asym(geometry(p, x), kmax=args.kmax) for p in params]
+        fs = [_route(p, x, g, "auto", kmax, DEFAULT_TOL).value for p, g in zip(params, gs)]
+        fminus = [f_minus_asym(g, kmax=kmax) for g in gs]
         print(",".join(f"{v:.17g}" for v in [x, *fs, *fminus]))
     return 0
 

@@ -25,8 +25,8 @@ argument is checked before routing, and the geometry is computed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .coeffs import _check_kmax, _rows
 from .errors import DomainError
@@ -58,8 +58,8 @@ class Method(Enum):
     QUAD_DIRECT = "quad_direct"
 
 
-@dataclass(frozen=True, slots=True)
-class EvalResult:
+# a NamedTuple, not a frozen dataclass, for the reason given at params.Geometry
+class EvalResult(NamedTuple):
     """One evaluation: probability, route taken, and an error estimate.
 
     ``error_estimate`` is, on both split routes (UNIFORM_ASYM and
@@ -178,6 +178,31 @@ def sf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     return _expand(geometry(p, x), _check_kmax(kmax), True, False)
 
 
+def _check_route_args(method: str, kmax: int, tol: float) -> tuple[int, float]:
+    """``cdf``'s checks of method, kmax and tol; returns kmax and tol as checked."""
+    if method not in _METHODS:
+        raise DomainError(
+            f"unknown method {method!r}; expected auto, asym, quad-split, or quad-direct"
+        )
+    return _check_kmax(kmax), oracle._check_tol(tol)
+
+
+def _route(
+    p: Parameters, x: float, g: Geometry, method: str, kmax: int, tol: float
+) -> EvalResult:
+    """``cdf`` at ``g = geometry(p, x)``, its arguments checked by ``_check_route_args``."""
+    if method == "quad-direct":
+        value, error = oracle._quad_direct(p, g, tol)
+        return EvalResult(value, Method.QUAD_DIRECT, 0, error)
+    if method == "asym":
+        return _expand(g, kmax, False, False)
+    if method == "quad-split" or g.z < Z_MIN or g.w_minus < W_MINUS_MIN:
+        value, error = oracle._evaluate(g, False, oracle._kernel, tol)
+        return EvalResult(value, Method.QUAD_SPLIT, 0, error)
+    right = x > g.x0
+    return _expand(g, kmax, right, right)
+
+
 def cdf(
     p: Parameters,
     x: float,
@@ -196,20 +221,5 @@ def cdf(
     Every argument is checked before routing, whichever route the point
     takes; the geometry is computed once.
     """
-    if method not in _METHODS:
-        raise DomainError(
-            f"unknown method {method!r}; expected auto, asym, quad-split, or quad-direct"
-        )
-    kmax = _check_kmax(kmax)
-    tol = oracle._check_tol(tol)
-    if method == "quad-direct":
-        value, error = oracle._quad_direct(p, x, tol)
-        return EvalResult(value, Method.QUAD_DIRECT, 0, error)
-    g = geometry(p, x)
-    if method == "asym":
-        return _expand(g, kmax, False, False)
-    if method == "quad-split" or g.z < Z_MIN or g.w_minus < W_MINUS_MIN:
-        value, error = oracle._evaluate(g, False, oracle._kernel, tol)
-        return EvalResult(value, Method.QUAD_SPLIT, 0, error)
-    right = x > g.x0
-    return _expand(g, kmax, right, right)
+    kmax, tol = _check_route_args(method, kmax, tol)
+    return _route(p, x, geometry(p, x), method, kmax, tol)

@@ -187,18 +187,18 @@ def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
     for nu < tau, where the contour has crossed the plus pole, F = 1 + I,
     the 1 being that pole's residue.
     """
-    return _quad_direct(p, x, _check_tol(tol))[0]
+    tol = _check_tol(tol)
+    return _quad_direct(p, geometry(p, x), tol)[0]
 
 
-def _quad_direct(p: Parameters, x: float, tol: float) -> tuple[float, float]:
-    """F by the direct integral of ``cdf_quad_direct``, and its error estimate.
+def _quad_direct(p: Parameters, g: Geometry, tol: float) -> tuple[float, float]:
+    """F at ``g`` by the direct integral of ``cdf_quad_direct``, and its error estimate.
 
     ``tol`` must already be checked.  Halves the trapezoid step until one
     more halving changes the integral by at most ``tol``; the first level
     takes every node, each halving adds only the odd ones.  The estimate is
     that last change plus the distance by which F was clamped into [0, 1].
     """
-    g = geometry(p, x)
     gap = g.nu - p.tau
     if abs(gap) <= _NEAR_TRANSITION_GAP:
         raise NearTransitionError(

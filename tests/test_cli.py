@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from nigcdf.cli import main, run
+from nigcdf.params import geometry
 from nigcdf.selftest import run_all
 
 EVAL_BASE = ["eval", "--alpha", "8", "--beta", "2", "--mu", "3", "--delta", "2"]
@@ -174,6 +175,34 @@ def test_figure1_shape_and_bounds(capsys):
 def test_figure1_respects_points_flag(capsys):
     assert main(["figure1", "--points", "2"]) == 0
     assert len(_lines(capsys)) == 3
+
+
+def _count_geometry_calls(monkeypatch):
+    calls = []
+
+    def counted(p, x):
+        calls.append(x)
+        return geometry(p, x)
+
+    for module in ("cli", "expansion", "oracle"):
+        monkeypatch.setattr(f"nigcdf.{module}.geometry", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["auto", "asym", "quad-split", "quad-direct"])
+@pytest.mark.parametrize("x", ["5", "1"])
+def test_eval_computes_the_geometry_once(monkeypatch, capsys, method, x):
+    # x = 5 takes the asym route under auto, x = 1 the quad-split route
+    calls = _count_geometry_calls(monkeypatch)
+    assert main(EVAL_BASE + ["--x", x, "--method", method]) == 0
+    assert calls == [float(x)]
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_figure1_computes_one_geometry_per_curve_point(monkeypatch, capsys, n):
+    calls = _count_geometry_calls(monkeypatch)
+    assert main(["figure1", "--points", str(n)]) == 0
+    assert len(calls) == 3 * n
 
 
 def test_selftest_passes_with_default_seed(capsys):

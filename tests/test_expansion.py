@@ -155,6 +155,9 @@ def test_cdf_asym_clamps_to_unit_interval():
     assert sf_asym(p, 23.0).value >= 0.0
 
 
+EVAL_RESULT_FIELDS = ("value", "method", "kmax_used", "error_estimate", "complemented")
+
+
 def test_eval_result_fields():
     p = _bench(2.0)
     r = cdf_asym(p, 4.0, kmax=3)
@@ -163,6 +166,16 @@ def test_eval_result_fields():
     assert r.kmax_used == 3
     assert r.error_estimate >= 0.0
     assert not r.complemented
+    assert EvalResult._fields == EVAL_RESULT_FIELDS
+    assert EvalResult(0.5, Method.QUAD_SPLIT, 0, 1e-13).complemented is False
+    assert hash(r) == hash(cdf_asym(p, 4.0, kmax=3))
+
+
+@pytest.mark.parametrize("field", EVAL_RESULT_FIELDS)
+def test_eval_result_is_immutable(field):
+    r = cdf(_bench(2.0), 5.0)
+    with pytest.raises(AttributeError):
+        setattr(r, field, 0.0)
 
 
 def test_error_estimate_tracks_actual_error():

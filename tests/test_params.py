@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nigcdf import (
     DomainError,
+    Geometry,
     Parameters,
     cdf,
     d_coefficients,
@@ -100,6 +101,19 @@ def test_parameters_are_frozen():
         p.alpha = 9.0
 
 
+GEOMETRY_FIELDS = (
+    "xi", "omega", "nu", "z", "s_plus", "s_minus", "w_plus", "w_minus",
+    "zeta_plus", "zeta_minus", "x0",
+)
+
+
+@pytest.mark.parametrize("field", GEOMETRY_FIELDS)
+def test_geometry_is_immutable(field):
+    g = geometry(validate(8.0, 2.0, 3.0, 2.0), 5.0)
+    with pytest.raises(AttributeError):
+        setattr(g, field, 1.0)
+
+
 @pytest.mark.parametrize("beta", BETAS)
 def test_transition_point_matches_published_values(beta):
     p = validate(ALPHA, beta, MU, DELTA)
@@ -135,6 +149,8 @@ def test_geometry_frozen_point_values():
     assert g.zeta_plus == pytest.approx(-1.770729683813951, rel=1e-13)
     assert g.zeta_minus == pytest.approx(5.841177140166114, rel=1e-13)
     assert g.x0 == pytest.approx(3.516397779494322, rel=1e-14)
+    assert Geometry._fields == GEOMETRY_FIELDS
+    assert hash(g) == hash(geometry(p, 5.0))
 
 
 def test_geometry_at_transition_point():
