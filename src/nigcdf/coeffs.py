@@ -14,6 +14,7 @@ cross-checks in the tests and the selftest.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cache
 
 from .errors import DomainError
@@ -76,6 +77,37 @@ def _rows(kmax: int) -> tuple[tuple[float, ...], ...]:
         poch *= k - 0.5
         rows.append(tuple(poch * c for c in reversed(qk)))
     return tuple(rows)
+
+
+@cache
+def _horner(kmax: int) -> Callable[[float, float], tuple[float, float, float]]:
+    """The rows of ``_rows(kmax)`` compiled into one straight-line function.
+
+    ``_horner(kmax)(w, y)`` returns (sum_k P_k(w) y^k, P_kmax(w), y^kmax):
+    Horner in y over the rows from P_kmax down, each row by Horner in w.
+    Each multiply-add is one assignment, in the order of the loop over the
+    rows that it unrolls, with the coefficients written as float literals,
+    which ``repr`` round-trips exactly; statements rather than one nested
+    expression, which row 151 would nest 151 deep.  A row starts at its
+    leading coefficient, the double that 0.0 * w + c gives for every finite
+    w.  Compiled on first use of a kmax, never at import; ``kmax`` must
+    already be checked, as the rows past ``_KMAX_LIMIT`` are not finite.
+    """
+    rows = _rows(kmax)
+    body = [f"last = {rows[kmax][0]!r}"]
+    body += [f"last = last * w + {c!r}" for c in rows[kmax][1:]]
+    body.append("total = last")
+    for row in reversed(rows[:kmax]):
+        body.append(f"p = {row[0]!r}")
+        body += [f"p = p * w + {c!r}" for c in row[1:]]
+        body.append("total = total * y + p")
+    body.append("yk = y" if kmax else "yk = 1.0")
+    body += ["yk = yk * y"] * (kmax - 1)
+    body.append("return total, last, yk")
+    source = "def horner(w, y):\n    " + "\n    ".join(body) + "\n"
+    namespace: dict = {}
+    exec(compile(source, f"<nigcdf.coeffs._horner({kmax})>", "exec"), namespace)
+    return namespace["horner"]
 
 
 def _d_values(w: float, kmax: int) -> list[float]:

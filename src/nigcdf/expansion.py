@@ -4,13 +4,14 @@ The CDF splits exactly as F = F_plus + F_minus and the complement as
 G = G_plus - F_minus: erfc terms plus remainder integrals K(z, w), the one
 split of ``oracle._split``.  The uniform expansion is that split with each
 K replaced by its asymptotic series (the pole-saddle form of Temme),
-K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k, summed by ``_series``
-from the cached polynomial rows of ``coeffs._rows``; ``_series_kernel``
-hands both series to the split.  The leading erfc(-+zeta_plus) keeps
-F_plus and G_plus smooth through the transition point, and F_minus takes
-one signed form on both sides of w_minus = 0.  A forced expansion at a z
-so small that a series leaves the double range raises DomainError naming
-z and kmax.
+K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.  ``_series_kernel``
+hands both series to the split, each summed by the straight-line function
+that ``coeffs._horner`` compiles, once per kmax, from the polynomial rows
+of ``coeffs._rows``.  The leading erfc(-+zeta_plus) keeps F_plus and
+G_plus smooth through the transition point, and F_minus takes one signed
+form on both sides of w_minus = 0.  A forced expansion at a z so small
+that a series leaves the double range raises DomainError naming z and
+kmax.
 
 The public functions are thin callers: they check their arguments, build
 the geometry when given (p, x), and call the split.  ``cdf`` adds the
@@ -28,9 +29,9 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .coeffs import _check_kmax, _rows
+from .coeffs import _check_kmax, _horner
 from .errors import DomainError
-from .params import Geometry, Parameters, geometry
+from .params import Geometry, Parameters, _require_finite, geometry
 from . import oracle
 
 __all__ = [
@@ -83,52 +84,37 @@ class EvalResult(NamedTuple):
 _METHODS = ("auto", "asym", "quad-split", "quad-direct")
 
 
-def _series(z: float, w: float, kmax: int) -> tuple[float, float]:
-    """K(z, w) by its asymptotic series to order kmax, and the magnitude of its last term.
-
-    K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.  With
-    d_k(w) = P_k(w) / (1 + w)^k the sum is sum_k P_k(w) y^k,
-    y = 1 / ((1 + w) z): Horner in y over the cached rows of
-    ``coeffs._rows``, each row by Horner in w.  The last term is
-    sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  Raises DomainError when
-    either leaves the double range, which needs z far below Z_MIN: z below
-    about 2e-56 at kmax = 5, or 7e-12 at kmax = 25, whatever w.
-    """
-    y = 1.0 / ((1.0 + w) * z)
-    rows = reversed(_rows(kmax))
-    last = 0.0
-    for c in next(rows):
-        last = last * w + c
-    total = last
-    yk = 1.0
-    for row in rows:
-        p = 0.0
-        for c in row:
-            p = p * w + c
-        total = total * y + p
-        yk *= y
-    scale = math.sqrt(math.pi / z) / (1.0 + w)
-    series = scale * total
-    tail = abs(scale * last) * yk
-    if not math.isfinite(series + tail):
-        raise DomainError(
-            f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
-        )
-    return series, tail
-
-
 def _series_kernel(
     z: float, w_plus: float, w_minus: float, c_plus: float, c_minus: float, kmax: int
 ) -> tuple[float, float, float, float]:
-    """Both remainder kernels of ``oracle._split`` by ``_series``, and their last terms.
+    """Both remainder kernels of ``oracle._split`` by their series, and their last terms.
 
-    The minus series is skipped when its weight c_minus is 0.  ``kmax``
-    must already be checked.
+    K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.  With
+    d_k(w) = P_k(w) / (1 + w)^k the sum is sum_k P_k(w) y^k,
+    y = 1 / ((1 + w) z), which the function compiled by ``coeffs._horner``
+    sums together with P_kmax(w) and y^kmax; the last term is
+    sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  One sqrt(pi/z) serves both
+    series, and the minus series is skipped when its weight c_minus is 0.
+    Raises DomainError when a series or its last term leaves the double
+    range, which needs z far below Z_MIN: z below about 2e-56 at kmax = 5,
+    or 7e-12 at kmax = 25, whatever w.  ``kmax`` must already be checked.
     """
-    k_plus, last_plus = _series(z, w_plus, kmax)
-    if c_minus == 0.0:
-        return k_plus, 0.0, last_plus, 0.0
-    k_minus, last_minus = _series(z, w_minus, kmax)
+    horner = _horner(kmax)
+    root = math.sqrt(math.pi / z)
+    u = 1.0 + w_plus
+    total, last, yk = horner(w_plus, 1.0 / (u * z))
+    scale = root / u
+    k_plus, last_plus = scale * total, abs(scale * last) * yk
+    k_minus = last_minus = 0.0
+    if c_minus != 0.0:
+        u = 1.0 + w_minus
+        total, last, yk = horner(w_minus, 1.0 / (u * z))
+        scale = root / u
+        k_minus, last_minus = scale * total, abs(scale * last) * yk
+    if not (math.isfinite(k_plus + last_plus) and math.isfinite(k_minus + last_minus)):
+        raise DomainError(
+            f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
+        )
     return k_plus, k_minus, last_plus, last_minus
 
 
@@ -190,7 +176,7 @@ def _check_route_args(method: str, kmax: int, tol: float) -> tuple[int, float]:
 def _route(
     p: Parameters, x: float, g: Geometry, method: str, kmax: int, tol: float
 ) -> EvalResult:
-    """``cdf`` at ``g = geometry(p, x)``, its arguments checked by ``_check_route_args``."""
+    """``cdf`` at ``g = geometry(p, x)``: x a float, the rest checked by ``_check_route_args``."""
     if method == "quad-direct":
         value, error = oracle._quad_direct(p, g, tol)
         return EvalResult(value, Method.QUAD_DIRECT, 0, error)
@@ -222,4 +208,5 @@ def cdf(
     takes; the geometry is computed once.
     """
     kmax, tol = _check_route_args(method, kmax, tol)
+    x = _require_finite("x", x)
     return _route(p, x, geometry(p, x), method, kmax, tol)

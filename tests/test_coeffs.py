@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nigcdf import DomainError, d_closed_form, d_coefficients
-from nigcdf.coeffs import _KMAX_LIMIT, _d_values, _rows
-from nigcdf.expansion import _series
+from nigcdf import DomainError, cdf, d_closed_form, d_coefficients, validate
+from nigcdf.coeffs import _KMAX_LIMIT, _d_values, _horner, _rows
+from nigcdf.expansion import _series_kernel
 
 W_RANGE = st.floats(min_value=0.05, max_value=1.0)
 
@@ -79,10 +79,19 @@ def test_kmax_must_be_a_nonnegative_integer(kmax):
 
 def test_kmax_past_the_limit_is_refused_before_any_row_is_built():
     built = _rows.cache_info().currsize
+    compiled = _horner.cache_info().currsize
     with pytest.raises(DomainError, match="kmax must be"):
         d_coefficients(0.5, _KMAX_LIMIT + 1)
+    with pytest.raises(DomainError, match="kmax must be"):
+        cdf(validate(8.0, 2.0, 3.0, 2.0), 5.0, method="asym", kmax=_KMAX_LIMIT + 1)
     assert _rows.cache_info().currsize == built
+    assert _horner.cache_info().currsize == compiled
     assert all(math.isfinite(d) for d in d_coefficients(0.5, _KMAX_LIMIT))
+
+
+def test_the_largest_series_kernel_compiles():
+    # the longest source: one statement per coefficient of 152 rows
+    assert all(math.isfinite(v) for v in _horner(_KMAX_LIMIT)(1.0, 1e-3))
 
 
 def test_kmax_limit_is_the_last_finite_row():
@@ -154,7 +163,71 @@ def test_series_matches_the_reference_sum(kmax):
         # K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k
         pref = math.sqrt(math.pi / z) / (1.0 + w)
         terms = [pref * d / z**k for k, d in enumerate(_reference_d_values(w, kmax))]
-        series, tail = _series(z, w, kmax)
+        series, _, tail, _ = _series_kernel(z, w, 0.0, 1.0, 0.0, kmax)
         scale = sum(abs(t) for t in terms)
         assert abs(series - sum(terms)) <= 1e-13 * scale
         assert tail == pytest.approx(abs(terms[-1]), rel=1e-13, abs=0.0)
+
+
+def _loop_series(z, w, kmax):
+    """K(z, w) to order kmax and its last term by a Horner loop over ``_rows``.
+
+    The loop that the compiled ``_horner`` functions unroll: Horner in
+    y = 1 / ((1 + w) z) over the rows from P_kmax down, each row by Horner
+    in w from 0.0, then the factor sqrt(pi/z) / (1 + w).
+    """
+    y = 1.0 / ((1.0 + w) * z)
+    rows = reversed(_rows(kmax))
+    last = 0.0
+    for c in next(rows):
+        last = last * w + c
+    total = last
+    yk = 1.0
+    for row in rows:
+        p = 0.0
+        for c in row:
+            p = p * w + c
+        total = total * y + p
+        yk *= y
+    scale = math.sqrt(math.pi / z) / (1.0 + w)
+    series = scale * total
+    tail = abs(scale * last) * yk
+    if not math.isfinite(series + tail):
+        raise DomainError(
+            f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
+        )
+    return series, tail
+
+
+def _outcome(f, *args):
+    """The float.hex of each value ``f`` returns, or the DomainError message it raises."""
+    try:
+        return [v.hex() for v in f(*args)]
+    except DomainError as exc:
+        return str(exc)
+
+
+def _loop_kernel(z, w_plus, w_minus, c_plus, c_minus, kmax):
+    k_plus, last_plus = _loop_series(z, w_plus, kmax)
+    if c_minus == 0.0:
+        return k_plus, 0.0, last_plus, 0.0
+    k_minus, last_minus = _loop_series(z, w_minus, kmax)
+    return k_plus, k_minus, last_plus, last_minus
+
+
+@pytest.mark.parametrize("kmax", [*range(31), 50, 100, _KMAX_LIMIT])
+def test_series_kernel_matches_the_loop_bit_for_bit(kmax):
+    rng = random.Random(1000 + kmax)
+    log_w = (math.log(1e-13), 0.0)
+    refused = 0
+    for _ in range(200):
+        z = math.exp(rng.uniform(math.log(1e-2), math.log(1e8)))
+        w_plus, w_minus = math.exp(rng.uniform(*log_w)), math.exp(rng.uniform(*log_w))
+        c_minus = rng.choice((0.0, -0.05, 0.1))
+        args = (z, w_plus, w_minus, 0.1, c_minus, kmax)
+        expected = _outcome(_loop_kernel, *args)
+        assert _outcome(_series_kernel, *args) == expected, args
+        refused += isinstance(expected, str)
+    if kmax >= 100:
+        # z below about 0.03 overflows from kmax = 100 on, and so exercises the error
+        assert refused > 0

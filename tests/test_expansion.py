@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from nigcdf import (
     DomainError,
     EvalResult,
     Method,
+    NigError,
     cdf,
     cdf_asym,
     cdf_quad_split,
@@ -20,7 +22,7 @@ from nigcdf import (
     transition_point,
     validate,
 )
-from nigcdf.expansion import _series, _series_kernel
+from nigcdf.expansion import _series_kernel
 from nigcdf.oracle import DEFAULT_TOL, _kernel
 from nigcdf.selftest import draw_point
 
@@ -373,5 +375,27 @@ def test_series_kernel_is_the_asymptotic_series_of_the_trapezoid_kernel():
         kmax = rng.choice((5, 10))
         k_series, _, _, _ = _series_kernel(z, w, w, coef, coef, kmax)
         k_trap, _, _, _ = _kernel(z, w, w, coef, coef, DEFAULT_TOL)
-        omitted = _series(z, w, kmax + 1)[1]
+        omitted = _series_kernel(z, w, w, coef, 0.0, kmax + 1)[2]
         assert abs(k_series - k_trap) <= 10.0 * omitted + 1e-15 * k_trap
+
+
+def _cdf_outcome(p, x, method):
+    try:
+        return cdf(p, x, method=method)
+    except NigError as exc:
+        return type(exc), str(exc)
+
+
+def test_cdf_routes_on_x_as_a_float():
+    # x0 = 3.5164 for these parameters; every x is routed as float(x) is,
+    # including the Fraction just right of x0 that rounds to x0 itself
+    p = validate("8", "2", "3", "2")
+    x0 = transition_point(p)
+    left = ("3.5", 3, Fraction(7, 2))
+    right = ("5", 5, Fraction(11, 2), Fraction(x0) + Fraction(1, 10**30))
+    for x in left + right:
+        for method in ("auto", "asym", "quad-split", "quad-direct"):
+            assert _cdf_outcome(p, x, method) == _cdf_outcome(p, float(x), method), (x, method)
+        r = cdf(p, x)
+        assert r.method is Method.UNIFORM_ASYM
+        assert r.complemented == (float(x) > x0)
