@@ -59,7 +59,7 @@ class Method(Enum):
     QUAD_DIRECT = "quad_direct"
 
 
-# a NamedTuple, not a frozen dataclass, for the reason given at params.Geometry
+# a NamedTuple, not a frozen dataclass, for the reason given at params.Parameters
 class EvalResult(NamedTuple):
     """One evaluation: probability, route taken, and an error estimate.
 

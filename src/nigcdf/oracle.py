@@ -6,12 +6,12 @@ included; it takes K from a kernel, the expansion's asymptotic series or,
 for the primary oracle ``cdf_quad_split``, the trapezoid ``_kernel``.
 That puts both integrals on one grid in ``t``, ``sigma = sinh(t)``: the
 map turns the algebraic ``1/sigma^2`` tail into a double-exponential one,
-so the truncation grows only like ``log(1/z)`` as z -> 0 (about 17 at
-z = 1e-12, against 8e6 in sigma), and each step halving evaluates only the
+so the truncation grows only like ``log(1/z)`` as z -> 0 (about 16 at
+z = 1e-12, against 6e6 in sigma), and each step halving evaluates only the
 new odd nodes.  Both kernels refine until their weighted change in F, the
 error estimate the split reports, is at most tol/2.  A fixed node budget
-bounds the work of every call: at the smallest tol, at most 33 node
-evaluations for z >= 1, 82 for z >= 1e-2, 185 for z >= 1e-12 and 3,000 at
+bounds the work of every call: at the smallest tol, at most 29 node
+evaluations for z >= 1, 77 for z >= 1e-2, 180 for z >= 1e-12 and 2,998 at
 the smallest positive double.  This grid is the split oracle's only rule.
 The secondary oracle integrates the steepest-descent representation
 directly with a nested trapezoid rule; it degenerates when the poles
@@ -44,7 +44,7 @@ _NEAR_TRANSITION_GAP = 0.02
 # two halves of the split cancel; treat it as zero instead of integrating
 _W_MINUS_NEGLIGIBLE = 1e-13
 # node evaluations allowed per trapezoid kernel call; at the smallest tol the
-# kernels converge within 185 nodes for z >= 1e-12 and 3,000 at the smallest double z
+# kernels converge within 180 nodes for z >= 1e-12 and 2,998 at the smallest double z
 _NODE_BUDGET = 4096
 _Kernel = Callable[..., tuple[float, float, float, float]]
 
@@ -79,18 +79,23 @@ def _kernel(
     Each node costs one sinh, one exp, one sqrt and a division per kernel;
     each halving adds only the odd nodes to the running sums, until the
     check has passed.  Past ``_NODE_BUDGET`` node evaluations the call
-    raises ConvergenceError.  The grid is truncated at T = asinh(8/sqrt(z)),
-    where the integrand has fallen to e^{-64}, far below any permitted
-    tolerance, and starts at the step h0 = min(0.5, T/8).  Cost per z:
-    T/h0 = 8 for z above 0.09, so 17 or 33 nodes for z >= 1 and at most 82
-    for z >= 1e-2; below, T grows like log(1/z), to 185 nodes at most for
-    z >= 1e-12, all at the smallest tol.
+    raises ConvergenceError.  The grid is truncated at T = asinh(6/sqrt(z)),
+    where the integrand has fallen to e^{-36}.  Past T,
+    sinh^2 t >= sinh^2 T + 2 sinh T cosh T (t - T), so the dropped tail of K
+    is at most e^{-36}/72, about 3e-18, and about 2e-17 of K at large z,
+    far below any permitted tolerance.  The step starts at
+    h0 = min(0.5, asinh(8/sqrt(z))/8), independent of T: the strip, not
+    the span, sets the step at which the rule converges.  Cost per z:
+    T/h0 is about 6 to 8 for z above 0.09, so a call takes at most 29
+    nodes for z >= 1 and 77 for z >= 1e-2; below, T grows like log(1/z),
+    to 180 nodes at most for z >= 1e-12, all at the smallest tol.
     """
     weight_plus, weight_minus, target = abs(coef_plus), abs(coef_minus), 0.5 * tol
     sinh, exp, sqrt = math.sinh, math.exp, math.sqrt
     neg_z = -z
-    trunc = math.asinh(8.0 / math.sqrt(z))
-    h = min(0.5, trunc / 8.0)
+    root_z = math.sqrt(z)
+    trunc = math.asinh(6.0 / root_z)
+    h = min(0.5, math.asinh(8.0 / root_z) / 8.0)
     # sums over the nodes t = k h >= 0, the t = 0 node weighted 1/2
     sum_plus = 0.5 / (1.0 + w_plus)
     sum_minus = 0.5 / (1.0 + w_minus)

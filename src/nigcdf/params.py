@@ -12,7 +12,6 @@ stay purely algebraic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -20,8 +19,10 @@ from .errors import DomainError
 __all__ = ["Parameters", "Geometry", "validate", "transition_point", "geometry"]
 
 
-@dataclass(frozen=True, slots=True)
-class Parameters:
+# the records are NamedTuples: one builds in a fraction of a frozen dataclass's
+# time, and without dataclasses the package's import loads neither
+# ``dataclasses`` nor ``inspect``
+class Parameters(NamedTuple):
     """Validated distribution parameters plus derived constants.
 
     ``gamma = sqrt(alpha^2 - beta^2)`` and ``tau = arccos(beta/alpha)`` are
@@ -38,8 +39,6 @@ class Parameters:
     tau: float
 
 
-# one Geometry is built per evaluated point, a Parameters once per distribution;
-# a NamedTuple builds in a fraction of a frozen dataclass's time
 class Geometry(NamedTuple):
     """Everything the expansions need at a single point x.
 

@@ -6,8 +6,11 @@ name; both are caught here.
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -55,3 +58,15 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every process pays for what ``import nigcdf`` loads; the records are
+    # NamedTuples, so neither module is needed.  -S keeps site hooks out.
+    code = "import sys, nigcdf; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nigcdf.__file__).parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert run.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from nigcdf import (
     ConvergenceError,
     DEFAULT_TOL,
     DomainError,
+    Method,
     NearTransitionError,
     cdf,
     cdf_quad_direct,
@@ -248,7 +249,7 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
             for band in worst:
                 if z >= band:
                     worst[band] = max(worst[band], counting.calls + 1)
-    assert worst == {1.0: 33, 1e-2: 82, 1e-12: 185, 5e-324: 3000}
+    assert worst == {1.0: 29, 1e-2: 77, 1e-12: 180, 5e-324: 2998}
 
 
 def _kernel_reference(z: float, w: float) -> float:
@@ -270,6 +271,40 @@ def test_kernel_matches_mpmath(z):
         k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus, coef, coef, DEFAULT_TOL)
         assert abs(k_plus - float(_kernel_reference(z, w_plus))) <= 1e-14
         assert abs(k_minus - float(_kernel_reference(z, w_minus))) <= 1e-14
+
+
+@pytest.mark.parametrize("z", [1e4, 1e8, 1e16])
+def test_kernel_is_relatively_accurate_at_large_z(z):
+    # K falls like sqrt(pi/z), to about 1.8e-8 at z = 1e16, where an absolute
+    # 1e-14 says nothing; the truncated tail and the step are judged relative to K
+    mpmath.mp.dps = 30
+    coef = 1.0 / (2.0 * math.pi)
+    ws = (1e-12, 0.05, 0.7, 1.0)
+    for w_plus, w_minus in zip(ws, reversed(ws)):
+        k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus, coef, coef, DEFAULT_TOL)
+        for k, w in ((k_plus, w_plus), (k_minus, w_minus)):
+            ref = float(_kernel_reference(z, w))
+            assert abs(k - ref) <= 1e-14 * ref
+
+
+def test_split_route_keeps_its_left_tail_relative_accuracy():
+    # where F is small the tolerance is loose against F, so the auto route's
+    # quad-split values are judged relative to F by the direct oracle, which
+    # shares neither the split nor its kernel; |nu - tau| > 0.05 keeps the
+    # points clear of the band the direct oracle refuses
+    rng = random.Random(2027)
+    worst, checked = 0.0, 0
+    while checked < 300:
+        p, x = draw_point(rng)
+        r = cdf(p, x)
+        if (
+            r.method is Method.QUAD_SPLIT
+            and 0.0 < r.value < 1e-6
+            and abs(geometry(p, x).nu - p.tau) > 0.05
+        ):
+            worst = max(worst, abs(r.value - cdf_quad_direct(p, x)) / r.value)
+            checked += 1
+    assert worst <= 1e-10
 
 
 def _sigma_grid_kernel(z: float, w: float, tol: float) -> float:

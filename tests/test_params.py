@@ -1,6 +1,5 @@
 """Parameter validation and the per-point geometry."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -97,7 +96,7 @@ def test_gamma_and_tau_where_the_product_leaves_the_double_range(alpha, beta):
 
 def test_parameters_are_frozen():
     p = validate(8.0, 2.0, 3.0, 2.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         p.alpha = 9.0
 
 
