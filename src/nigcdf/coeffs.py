@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cache
+from math import factorial
 
 from .errors import DomainError
 from .params import _require_finite
@@ -79,35 +80,97 @@ def _rows(kmax: int) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
+def _straight_line(label: str, tables: tuple) -> Callable[[float, float], tuple[float, ...]]:
+    """Tables of polynomial rows compiled into one straight-line function of (w, y).
+
+    Each table holds the same number n + 1 of rows, each row a polynomial in
+    w, highest power first.  The function returns, for each table, the sum
+    over k of row_k(w) y^k, then for each table its last row at w, then
+    y^n: Horner in y over the rows from the last down, each row by Horner in
+    w.  Each multiply-add is one assignment, in the order of the loop over
+    the rows that it unrolls, with the coefficients written as float
+    literals, which ``repr`` round-trips exactly; statements rather than one
+    nested expression, which a row of 151 terms would nest 151 deep.  A row
+    starts at its leading coefficient, the double that 0.0 * w + c gives
+    for every finite w.  ``label`` names the function in tracebacks.
+    """
+    n = len(tables[0]) - 1
+    body = []
+    for i, rows in enumerate(tables):
+        body.append(f"last{i} = {rows[n][0]!r}")
+        body += [f"last{i} = last{i} * w + {c!r}" for c in rows[n][1:]]
+        body.append(f"total{i} = last{i}")
+        for row in reversed(rows[:n]):
+            body.append(f"p = {row[0]!r}")
+            body += [f"p = p * w + {c!r}" for c in row[1:]]
+            body.append(f"total{i} = total{i} * y + p")
+    body.append("yk = y" if n else "yk = 1.0")
+    body += ["yk = yk * y"] * (n - 1)
+    names = [f"total{i}" for i in range(len(tables))] + [f"last{i}" for i in range(len(tables))]
+    body.append(f"return {', '.join(names)}, yk")
+    source = "def straight_line(w, y):\n    " + "\n    ".join(body) + "\n"
+    namespace: dict = {}
+    exec(compile(source, f"<nigcdf.coeffs.{label}>", "exec"), namespace)
+    return namespace["straight_line"]
+
+
 @cache
 def _horner(kmax: int) -> Callable[[float, float], tuple[float, float, float]]:
-    """The rows of ``_rows(kmax)`` compiled into one straight-line function.
+    """The rows of ``_rows(kmax)`` compiled by ``_straight_line`` into one function.
 
-    ``_horner(kmax)(w, y)`` returns (sum_k P_k(w) y^k, P_kmax(w), y^kmax):
-    Horner in y over the rows from P_kmax down, each row by Horner in w.
-    Each multiply-add is one assignment, in the order of the loop over the
-    rows that it unrolls, with the coefficients written as float literals,
-    which ``repr`` round-trips exactly; statements rather than one nested
-    expression, which row 151 would nest 151 deep.  A row starts at its
-    leading coefficient, the double that 0.0 * w + c gives for every finite
-    w.  Compiled on first use of a kmax, never at import; ``kmax`` must
-    already be checked, as the rows past ``_KMAX_LIMIT`` are not finite.
+    ``_horner(kmax)(w, y)`` returns (sum_k P_k(w) y^k, P_kmax(w), y^kmax).
+    Compiled on first use of a kmax, never at import; ``kmax`` must already
+    be checked, as the rows past ``_KMAX_LIMIT`` are not finite.
     """
-    rows = _rows(kmax)
-    body = [f"last = {rows[kmax][0]!r}"]
-    body += [f"last = last * w + {c!r}" for c in rows[kmax][1:]]
-    body.append("total = last")
-    for row in reversed(rows[:kmax]):
-        body.append(f"p = {row[0]!r}")
-        body += [f"p = p * w + {c!r}" for c in row[1:]]
-        body.append("total = total * y + p")
-    body.append("yk = y" if kmax else "yk = 1.0")
-    body += ["yk = yk * y"] * (kmax - 1)
-    body.append("return total, last, yk")
-    source = "def horner(w, y):\n    " + "\n    ".join(body) + "\n"
-    namespace: dict = {}
-    exec(compile(source, f"<nigcdf.coeffs._horner({kmax})>", "exec"), namespace)
-    return namespace["horner"]
+    return _straight_line(f"_horner({kmax})", (_rows(kmax),))
+
+
+@cache
+def _small_z_rows(order: int) -> tuple[tuple[tuple[float, ...], ...], ...]:
+    """The rows of the small-z series M, split by parity, for an odd ``order``.
+
+    With a = w^2 - 1/2 and Lambda = ln z - ln 4 + gamma_E,
+    M = sum_{n=0..order} z^{n+1} [U_n(a) - Lambda V_n(a)], where
+    V_n = A_n / (n+1), U_n = (B_n + A_n / (n+1)) / (n+1),
+    A_n(a) = sum_{j+2k=n} c_k a^j / j!, B_n(a) = sum_{j+2k=n} c_k H_k a^j / j!,
+    c_k = 1 / (16^k k!^2) and H_k the harmonic numbers (H_0 = 0).  U_n and
+    V_n hold only the powers a^j with j = n mod 2, so each is a^(n mod 2)
+    times a polynomial in b = a^2.  Returns four tables of rows in b,
+    highest power first: U at even n, U at odd n, V at even n, V at odd n,
+    each of (order + 1) / 2 rows, so that with y = z^2
+
+        sum_n z^n U_n(a) = sum_m U_2m(b) y^m + a z sum_m U_2m+1(b) y^m
+
+    and likewise for V.  Each coefficient is one exact ratio of integers,
+    which ``int / int`` rounds correctly.
+    """
+    tables: tuple[list, ...] = ([], [], [], [])
+    harmonic = [(0, 1)]  # H_k as numerator, denominator
+    for k in range(1, order // 2 + 1):
+        num, den = harmonic[-1]
+        harmonic.append((num * k + den, den * k))
+    for n in range(order + 1):
+        u_row, v_row = [], []
+        for k in range(n // 2 + 1):  # j = n - 2k falls from n, highest power first
+            num, den = harmonic[k]
+            base = 16**k * factorial(k) ** 2 * factorial(n - 2 * k) * (n + 1)
+            u_row.append((num * (n + 1) + den) / (base * (n + 1) * den))
+            v_row.append(1 / base)
+        tables[n % 2].append(tuple(u_row))
+        tables[2 + n % 2].append(tuple(v_row))
+    return tuple(tuple(table) for table in tables)
+
+
+@cache
+def _small_z_horner(order: int) -> Callable[[float, float], tuple[float, ...]]:
+    """The rows of ``_small_z_rows(order)`` compiled by ``_straight_line`` into one function.
+
+    ``_small_z_horner(order)(a * a, z * z)`` returns the four sums over the
+    tables in their order, then the four last rows at b = a^2, then
+    (z^2)^((order - 1) / 2).  Compiled on first use of an order, never at
+    import.
+    """
+    return _straight_line(f"_small_z_horner({order})", _small_z_rows(order))
 
 
 def _d_values(w: float, kmax: int) -> list[float]:

@@ -2,17 +2,30 @@
 
 ``_split`` splits the CDF exactly into erfc terms plus two pole-free
 remainder integrals K(z, w), valid for every point, the transition point
-included; it takes K from a kernel, the expansion's asymptotic series or,
-for the primary oracle ``cdf_quad_split``, the trapezoid ``_kernel``.
-That puts both integrals on one grid in ``t``, ``sigma = sinh(t)``: the
-map turns the algebraic ``1/sigma^2`` tail into a double-exponential one,
-so the truncation grows only like ``log(1/z)`` as z -> 0 (about 16 at
+included.  It takes K from one of three kernels: the expansion's
+asymptotic series, for large z; ``_small_z_kernel``, a convergent series
+in z, which the auto route of ``expansion.cdf`` takes below z = 0.5; and
+the trapezoid ``_kernel``, for the primary oracle ``cdf_quad_split`` and
+the forced quad-split route at every z, so the oracle shares no series
+with the routes it judges.
+
+The small-z series is exact at infinite order: K(0, w) in closed form, an
+erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
+the ascending series of K_0 (DLMF 10.31-10.32) by one straight-line
+function compiled on first use.  At order 13 it stays within 7.3e-16
+relative of mpmath up to z = 0.6.  On a shared 2-vCPU host a point took
+about 14 us on it, against 18 to 50 us on the trapezoid below z = 0.5.
+
+The trapezoid puts both integrals on one grid in ``t``, ``sigma = sinh(t)``:
+the map turns the algebraic ``1/sigma^2`` tail into a double-exponential
+one, so the truncation grows only like ``log(1/z)`` as z -> 0 (about 16 at
 z = 1e-12, against 6e6 in sigma), and each step halving evaluates only the
 new odd nodes.  Both kernels refine until their weighted change in F, the
 error estimate the split reports, is at most tol/2.  A fixed node budget
 bounds the work of every call: at the smallest tol, at most 29 node
 evaluations for z >= 1, 77 for z >= 1e-2, 180 for z >= 1e-12 and 2,998 at
 the smallest positive double.  This grid is the split oracle's only rule.
+
 The secondary oracle integrates the steepest-descent representation
 directly with a nested trapezoid rule; it degenerates when the poles
 approach the saddle, so it refuses a band around the transition.  One
@@ -26,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
+from .coeffs import _small_z_horner
 from .errors import ConvergenceError, DomainError, NearTransitionError
 from .params import Geometry, Parameters, _require_finite, geometry, validate
 from .special import _erfcx
@@ -47,6 +61,10 @@ _W_MINUS_NEGLIGIBLE = 1e-13
 # kernels converge within 180 nodes for z >= 1e-12 and 2,998 at the smallest double z
 _NODE_BUDGET = 4096
 _Kernel = Callable[..., tuple[float, float, float, float]]
+# ln 4 - gamma_E, so that Lambda = ln z - ln 4 + gamma_E of ``_small_z_kernel``
+# is one subtraction from ln z
+_LOG_4_MINUS_GAMMA = math.log(4.0) - 0.5772156649015329
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def _check_tol(tol: float) -> float:
@@ -125,6 +143,66 @@ def _kernel(
         prev_plus, prev_minus = cur_plus, cur_minus
         h *= 0.5
         stride = 2
+
+
+def _small_z_kernel(
+    z: float, w_plus: float, w_minus: float, coef_plus: float, coef_minus: float, order: int
+) -> tuple[float, float, float, float]:
+    """K(z, w_plus) and K(z, w_minus) by their convergent small-z series, and their last terms.
+
+    The same kernels as ``_kernel``, exact for every z > 0 at infinite
+    order; the auto route of ``expansion.cdf`` takes them below a measured
+    crossover in z.  With s^2 = (1 - w)(1 + w) and the integral
+    e^{z/2} K_0(z/2) of e^{-z sigma^2} / q (DLMF 10.32), K solves
+    dK/dz = s^2 K - sqrt(pi/z) + w e^{z/2} K_0(z/2) from
+    K(0, w) = 2 atan2(s, w) / s, so
+
+        K(z, w) = e^{s^2 z} [2 atan2(s, w) / s - pi erf(s sqrt z) / s + w M],
+
+    M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2.  The
+    ascending series of K_0 (DLMF 10.31) turns M into
+    sum_{n=0..order} z^{n+1} [U_n(a) - Lambda V_n(a)], Lambda = ln z - ln 4
+    + gamma_E, which the function compiled by ``coeffs._small_z_horner``
+    sums; Lambda is never formed as ln(z/4), which underflows at the
+    smallest double.  Both factors stay smooth as s -> 0: atan2(s, w) / s
+    tends to 1/w, and erf(y) / y is taken by its Taylor series below
+    y = 1e-4.  ``order`` must be odd; the minus series is skipped when its
+    weight c_minus is 0.  Each dK is the magnitude of the term n = order,
+    weighted as M enters K.  The series converges, so this measures the
+    truncation, but it is no bound: odd n holds only odd powers of a, so
+    that term vanishes at w^2 = 1/2.  Below z = 0.5 the truncation lies far
+    under the rounding of K.  No trapezoid node is used.
+    """
+    sums = _small_z_horner(order)
+    root_z = math.sqrt(z)
+    lam = math.log(z) - _LOG_4_MINUS_GAMMA
+    y = z * z
+    k_plus, dk_plus = _small_z_one(sums, z, root_z, lam, y, w_plus)
+    k_minus = dk_minus = 0.0
+    if coef_minus != 0.0:
+        k_minus, dk_minus = _small_z_one(sums, z, root_z, lam, y, w_minus)
+    return k_plus, k_minus, dk_plus, dk_minus
+
+
+def _small_z_one(
+    sums: Callable[..., tuple[float, ...]], z: float, root_z: float, lam: float, y: float, w: float
+) -> tuple[float, float]:
+    """K(z, w) and its last term for ``_small_z_kernel``, given sqrt(z), Lambda and z^2."""
+    s2 = (1.0 - w) * (1.0 + w)
+    s = math.sqrt(s2)
+    a = w * w - 0.5
+    even_u, odd_u, even_v, odd_v, _, last_u, _, last_v, yk = sums(a * a, y)
+    az = a * z
+    m = z * ((even_u + az * odd_u) - lam * (even_v + az * odd_v))
+    last = z * az * yk * (last_u - lam * last_v)
+    arg = s * root_z
+    if arg < 1e-4:
+        ratio = _TWO_OVER_SQRT_PI * (1.0 - arg * arg / 3.0)  # erf(arg) / arg
+    else:
+        ratio = math.erf(arg) / arg
+    angle = math.atan2(s, w) / s if s > 0.0 else 1.0 / w
+    growth = math.exp(s2 * z)
+    return growth * (2.0 * angle - math.pi * root_z * ratio + w * m), growth * w * abs(last)
 
 
 def cdf_quad_split(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:

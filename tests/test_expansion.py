@@ -22,7 +22,8 @@ from nigcdf import (
     transition_point,
     validate,
 )
-from nigcdf.expansion import _series_kernel
+from nigcdf import oracle
+from nigcdf.expansion import Z_MIN, _SMALL_Z_LIMIT, _SMALL_Z_ORDER, _series_kernel
 from nigcdf.oracle import DEFAULT_TOL, _kernel
 from nigcdf.selftest import draw_point
 
@@ -207,10 +208,48 @@ def test_policy_complements_right_of_transition():
 
 
 def test_policy_falls_back_to_quadrature_for_small_z():
+    # z = 2 alpha delta at x = mu: below the crossover the small-z series,
+    # from the crossover, inclusive, up to Z_MIN the trapezoid
     p = validate(0.5, 0.125, 3.0, 0.1)
+    assert geometry(p, 3.0).z == pytest.approx(0.1)
     r = cdf(p, 3.0)
-    assert r.method is Method.QUAD_SPLIT
-    assert r.kmax_used == 0
+    assert r.method is Method.SMALL_Z_SERIES
+    assert r.kmax_used == _SMALL_Z_ORDER
+    for delta in (_SMALL_Z_LIMIT, 1.0, 10.0):
+        p = validate(1.0, 0.25, 3.0, 0.5 * delta)
+        assert _SMALL_Z_LIMIT <= geometry(p, 3.0).z == delta < Z_MIN
+        r = cdf(p, 3.0)
+        assert r.method is Method.QUAD_SPLIT
+        assert r.kmax_used == 0
+
+
+def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
+    # seeded draws with z from 1e-12 up to the crossover, on both sides of
+    # w_minus = 0; the route takes no trapezoid node, so the trapezoid kernel
+    # is swapped for one that fails, and the forced route gets it back
+    rng = random.Random(1606)
+    draws = []
+    while len(draws) < 200:
+        alpha = 10.0 ** rng.uniform(-6.0, 1.0)
+        delta = 10.0 ** rng.uniform(-12.0, 0.0) / alpha
+        p = validate(alpha, alpha * rng.uniform(-0.99, 0.99), rng.uniform(-2.0, 2.0), delta)
+        x = p.mu + delta * rng.uniform(-10.0, 10.0)
+        if geometry(p, x).z < _SMALL_Z_LIMIT:
+            draws.append((p, x))
+
+    def no_trapezoid(*args):
+        raise AssertionError("the small-z route took a trapezoid node")
+
+    monkeypatch.setattr(oracle, "_kernel", no_trapezoid)
+    results = [cdf(p, x) for p, x in draws]
+    monkeypatch.undo()
+    signs = set()
+    for (p, x), r in zip(draws, results):
+        assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == _SMALL_Z_ORDER
+        assert 0.0 <= r.error_estimate <= 1e-15
+        assert abs(r.value - cdf(p, x, method="quad-split", tol=1e-13).value) <= 1e-13
+        signs.add(geometry(p, x).w_minus > 0.0)
+    assert signs == {False, True}
 
 
 def test_policy_falls_back_to_quadrature_for_small_w_minus():

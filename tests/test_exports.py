@@ -70,3 +70,26 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_set_up_evaluations_compile_no_small_z_rows():
+    # the two evaluations that time the benchmark's set-up (one series point,
+    # one trapezoid point, as in bench/setup_probe.py) build no row of the
+    # small-z kernel and load no further submodule: its rows compile on the
+    # first point below the crossover, never at import
+    code = "\n".join((
+        "import sys, nigcdf",
+        "loaded = {m for m in sys.modules if m.startswith('nigcdf')}",
+        "nigcdf.cdf(nigcdf.validate(8.0, 2.0, 3.0, 2.0), 5.0)",
+        "nigcdf.cdf(nigcdf.validate(1.0, 0.2, 0.0, 1.0), 0.5)",
+        "from nigcdf import coeffs",
+        "print(coeffs._small_z_rows.cache_info().currsize,",
+        "      coeffs._small_z_horner.cache_info().currsize,",
+        "      sorted({m for m in sys.modules if m.startswith('nigcdf')} - loaded))",
+    ))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nigcdf.__file__).parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert run.stdout.strip() == "0 0 []"

@@ -29,7 +29,9 @@ from nigcdf import (
     transition_point,
     validate,
 )
-from nigcdf.oracle import _MIN_TOL, _kernel
+from nigcdf.coeffs import _small_z_rows
+from nigcdf.expansion import _SMALL_Z_LIMIT, _SMALL_Z_ORDER
+from nigcdf.oracle import _MIN_TOL, _kernel, _small_z_kernel
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfc, erfcx
 
@@ -285,6 +287,85 @@ def test_kernel_is_relatively_accurate_at_large_z(z):
         for k, w in ((k_plus, w_plus), (k_minus, w_minus)):
             ref = float(_kernel_reference(z, w))
             assert abs(k - ref) <= 1e-14 * ref
+
+
+# the w grid of the small-z kernel's checks: both ends, and both ends' neighbours
+SMALL_Z_WS = (0.0, 1e-12, 0.05, 0.3, 0.7, 0.99, 1.0 - 1e-9, 1.0)
+# from the smallest double up to the largest double below the crossover
+SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.1, 0.3, 0.45,
+              math.nextafter(_SMALL_Z_LIMIT, 0.0))
+
+
+def _small_z(z: float, w: float) -> float:
+    return _small_z_kernel(z, w, 0.0, 1.0, 0.0, _SMALL_Z_ORDER)[0]
+
+
+def test_small_z_kernel_at_the_smallest_double_is_k_at_zero():
+    # K(0, w) = 2 acos(w) / sqrt(1 - w^2), which tends to 2 as w -> 1; at
+    # z = 5e-324, K(z, w) lies about 2 sqrt(pi z) = 8e-162 below it
+    for w in SMALL_Z_WS:
+        ref = 2.0 if w == 1.0 else 2.0 * math.acos(w) / math.sqrt((1.0 - w) * (1.0 + w))
+        assert abs(_small_z(5e-324, w) - ref) <= 4e-16 * ref
+
+
+@pytest.mark.parametrize("z", SMALL_Z_ZS)
+def test_small_z_kernel_at_w_zero_is_pi_erfcx(z):
+    ref = math.pi * erfcx(math.sqrt(z))
+    assert abs(_small_z(z, 0.0) - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("z", SMALL_Z_ZS)
+def test_small_z_kernel_matches_mpmath(z):
+    mpmath.mp.dps = 30
+    for w_plus, w_minus in zip(SMALL_Z_WS, reversed(SMALL_Z_WS)):
+        k_plus, k_minus, dk_plus, dk_minus = _small_z_kernel(
+            z, w_plus, w_minus, 0.1, -0.1, _SMALL_Z_ORDER
+        )
+        for k, dk, w in ((k_plus, dk_plus, w_plus), (k_minus, dk_minus, w_minus)):
+            ref = float(_kernel_reference(z, w))
+            assert abs(k - ref) <= 2e-15 * ref
+            assert 0.0 <= dk <= 1e-15 * ref
+    # a zero minus weight skips the minus series
+    assert _small_z_kernel(z, 0.3, 0.7, 0.1, 0.0, _SMALL_Z_ORDER)[1::2] == (0.0, 0.0)
+
+
+def _m_by_rows(z: float, a: float, order: int) -> float:
+    """M = sum_n z^{n+1} [U_n(a) - Lambda V_n(a)] by a loop over n, from ``_small_z_rows``.
+
+    Row n of U and of V is the (n // 2)-th row of the table of its parity,
+    a polynomial in a^2, times a for odd n.
+    """
+    tables = _small_z_rows(order)
+    lam = math.log(z) - math.log(4.0) + float(mpmath.euler)
+    total = 0.0
+    for n in range(order, -1, -1):
+        u, v = (_horner_loop(tables[i + n % 2][n // 2], a * a) for i in (0, 2))
+        if n % 2:
+            u, v = a * u, a * v
+        total = total * z + (u - lam * v)
+    return z * total
+
+
+def _horner_loop(row, x):
+    value = 0.0
+    for c in row:
+        value = value * x + c
+    return value
+
+
+@pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-4, 0.1, 0.3, 0.45])
+def test_small_z_rows_sum_m_to_mpmath(z):
+    # M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2, alone:
+    # at small z, M enters K at about z ln(1/z) and so is invisible in K.
+    # The reference integrates over [0, 1] in u = t / z, where the quadrature
+    # resolves the logarithmic singularity at 0 at every z
+    mpmath.mp.dps = 30
+    for w in SMALL_Z_WS:
+        a = w * w - 0.5
+        ref = z * mpmath.quad(
+            lambda u: mpmath.exp(a * z * u) * mpmath.besselk(0, z * u / 2), [0, 1]
+        )
+        assert abs(_m_by_rows(z, a, _SMALL_Z_ORDER) - float(ref)) <= 1e-15 * float(ref)
 
 
 def test_split_route_keeps_its_left_tail_relative_accuracy():
