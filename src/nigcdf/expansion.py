@@ -141,7 +141,7 @@ def _expand(g: Geometry, kmax: int, upper: bool, complemented: bool) -> EvalResu
     value, error = oracle._evaluate(g, upper, _series_kernel, kmax)
     if complemented:
         value = 1.0 - value
-    return EvalResult(value, Method.UNIFORM_ASYM, kmax, error, complemented)
+    return tuple.__new__(EvalResult, (value, Method.UNIFORM_ASYM, kmax, error, complemented))
 
 
 def f_plus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
@@ -195,15 +195,17 @@ def _route(
     """``cdf`` at ``g = geometry(p, x)``: x a float, the rest checked by ``_check_route_args``."""
     if method == "quad-direct":
         value, error = oracle._quad_direct(p, g, tol)
-        return EvalResult(value, Method.QUAD_DIRECT, 0, error)
+        return tuple.__new__(EvalResult, (value, Method.QUAD_DIRECT, 0, error, False))
     if method == "asym":
         return _expand(g, kmax, False, False)
     if method == "quad-split" or g.z < Z_MIN or g.w_minus < W_MINUS_MIN:
         if method == "auto" and g.z < _SMALL_Z_LIMIT:
             value, error = oracle._evaluate(g, False, oracle._small_z_kernel, _SMALL_Z_ORDER)
-            return EvalResult(value, Method.SMALL_Z_SERIES, _SMALL_Z_ORDER, error)
+            return tuple.__new__(
+                EvalResult, (value, Method.SMALL_Z_SERIES, _SMALL_Z_ORDER, error, False)
+            )
         value, error = oracle._evaluate(g, False, oracle._kernel, tol)
-        return EvalResult(value, Method.QUAD_SPLIT, 0, error)
+        return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
     right = x > g.x0
     return _expand(g, kmax, right, right)
 

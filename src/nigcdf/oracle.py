@@ -222,7 +222,8 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
 
     so F = F_plus + F_minus and G = G_plus - F_minus; the erfcx form keeps
     both factors of (1/2) e^{2 gamma delta} erfc(zeta_minus) at or below
-    one.  Below ``_W_MINUS_NEGLIGIBLE`` F_minus is 0 and c_minus is 0.
+    one.  F_minus and c_minus are 0 below ``_W_MINUS_NEGLIGIBLE``, and
+    where E underflows to 0, which makes both terms of F_minus exactly 0.
     ``kernel(z, w_plus, |w_minus|, c_plus, c_minus, arg)`` returns
     (K_plus, K_minus, dK_plus, dK_minus), dK its error measure; it is not
     called when both weights are 0.  ``arg``, already checked, is ``tol``
@@ -231,7 +232,7 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
     """
     damp = math.exp(-g.z * (g.s_plus * g.s_plus))
     w_minus = abs(g.w_minus)
-    negligible = w_minus < _W_MINUS_NEGLIGIBLE
+    negligible = w_minus < _W_MINUS_NEGLIGIBLE or damp == 0.0
     c_plus = g.s_plus * damp / (2.0 * math.pi)
     c_minus = 0.0 if negligible else g.s_minus * damp / (2.0 * math.pi)
     k_plus = k_minus = dk_plus = dk_minus = 0.0

@@ -21,7 +21,8 @@ __all__ = ["Parameters", "Geometry", "validate", "transition_point", "geometry"]
 
 # the records are NamedTuples: one builds in a fraction of a frozen dataclass's
 # time, and without dataclasses the package's import loads neither
-# ``dataclasses`` nor ``inspect``
+# ``dataclasses`` nor ``inspect``.  Inside the package each is built by
+# ``tuple.__new__(Cls, (...))`` with every field given, defaults included
 class Parameters(NamedTuple):
     """Validated distribution parameters plus derived constants.
 
@@ -102,7 +103,7 @@ def validate(alpha: float, beta: float, mu: float, delta: float) -> Parameters:
     gamma = math.ldexp(math.sqrt((a - b) * (a + b)), e)
     # atan2 stays accurate where acos(beta/alpha) loses digits, same angle
     tau = math.atan2(gamma, beta)
-    return Parameters(alpha, beta, mu, delta, gamma, tau)
+    return tuple.__new__(Parameters, (alpha, beta, mu, delta, gamma, tau))
 
 
 def transition_point(p: Parameters) -> float:
@@ -140,8 +141,9 @@ def geometry(p: Parameters, x: float) -> Geometry:
     s_minus = math.sin(half_sum)
     w_minus = math.cos(half_sum)
     sqrt_z = math.sqrt(z)
-    # positional: keyword arguments make an 11-field NamedTuple markedly slower to build
-    return Geometry(
+    # tuple.__new__ skips the NamedTuple's generated __new__, a Python-level call,
+    # and the x0 of ``transition_point`` is inlined for the same reason
+    return tuple.__new__(Geometry, (
         xi, omega, nu, z, s_plus, s_minus, w_plus, w_minus,
-        s_plus * sqrt_z, s_minus * sqrt_z, transition_point(p),
-    )
+        s_plus * sqrt_z, s_minus * sqrt_z, p.mu + p.beta * p.delta / p.gamma,
+    ))

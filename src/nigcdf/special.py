@@ -6,12 +6,14 @@ expansions need, built on the C library's ``math.erfc``:
 * ``erfc`` is ``math.erfc`` itself, after the real-number check of
   ``params``; ``oracle._split``, whose arguments are finite by
   construction, calls ``math.erfc`` and ``_erfcx`` unchecked.
-* ``erfcx`` on ``0 <= x <= 9`` is ``e^{x^2} * math.erfc(x)``, with a
-  split-argument exponential so the rounding of ``x*x`` does not amplify.
-* ``erfcx`` for ``x > 9`` is the divergent large-x series, truncated once
-  terms fall under 1e-18, long before the smallest term; the product
-  form would fail there, as erfc(x) goes subnormal and e^{x^2} overflows
-  near x = 26.6.  ``_erfcx`` is these two, for x >= 0.
+* ``erfcx`` on ``0 <= x <= 26`` is ``e^{x^2} * math.erfc(x)``, with a
+  split-argument exponential so the rounding of ``x*x`` does not amplify;
+  both factors stay normal and finite there (erfc(26) is about 6e-296).
+* ``erfcx`` for ``x > 26`` is the first nine terms of the divergent
+  large-x series (DLMF 7.12.1), one loop-free Horner polynomial in
+  ``1/(2 x^2)``; the first dropped term is below 3e-21 relative.  The
+  product form would fail further out, as erfc(x) goes subnormal and
+  e^{x^2} overflows near x = 26.6.  ``_erfcx`` is these two, for x >= 0.
 * ``erfcx`` for ``x < 0`` goes through the reflection formula.
 """
 
@@ -20,11 +22,12 @@ from __future__ import annotations
 import math
 import sys
 
+from .errors import DomainError
 from .params import _require_finite
 
 __all__ = ["erfc", "erfcx", "ERFCX_NEG_LIMIT"]
 
-_SQRT_PI = math.sqrt(math.pi)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 # e^{x^2} must stay at or below DBL_MAX/2 so that 2*e^{x^2} is representable
 ERFCX_NEG_LIMIT = -math.sqrt(math.log(sys.float_info.max / 2.0))
@@ -56,31 +59,31 @@ def erfcx(x: float) -> float:
     """Scaled complementary error function e^{x^2} erfc(x) for finite real x.
 
     Never overflows for x >= 0.  For x < 0 it is computed by reflection and
-    raises OverflowError once e^{x^2} leaves the double range, at
-    x < ERFCX_NEG_LIMIT (about -26.6287); a non-finite x raises DomainError.
+    raises DomainError once e^{x^2} leaves the double range, at
+    x < ERFCX_NEG_LIMIT (about -26.6287), as it does for a non-finite x.
     """
     x = _require_finite("x", x)
     if x >= 0.0:
         return _erfcx(x)
     if x < ERFCX_NEG_LIMIT:
-        raise OverflowError(
+        raise DomainError(
             f"erfcx({x}) exceeds the double range; defined only for x >= {ERFCX_NEG_LIMIT:.4f}"
         )
     return 2.0 * _split_exp(x) - _erfcx(-x)
 
 
 def _erfcx(x: float) -> float:
-    """e^{x^2} erfc(x) for a float x >= 0, unchecked; never overflows."""
-    if x > 9.0:
+    """e^{x^2} erfc(x) for a float x >= 0, unchecked; never overflows.
+
+    The product form on [0, 26]; above, sum_{k<=8} (-1)^k (2k-1)!! t^k
+    / (x sqrt(pi)), t = 1/(2 x^2), by Horner.  Against 40-digit mpmath the
+    worst relative error seen is 4.6e-16 on [0, 26] and 2.5e-16 on [26, 1e300].
+    Once x*x overflows, t is 0 and the value is 1/(x sqrt(pi)).
+    """
+    if x > 26.0:
         t = 0.5 / (x * x)
-        term = 1.0
-        total = 1.0
-        k = 1
-        while True:
-            term *= -(2 * k - 1) * t
-            total += term
-            if abs(term) < 1e-18:
-                break
-            k += 1
-        return total / (x * _SQRT_PI)
+        poly = 1.0 + t * (-1.0 + t * (3.0 + t * (-15.0 + t * (105.0 + t * (
+            -945.0 + t * (10395.0 + t * (-135135.0 + t * 2027025.0)))))))
+        # x * sqrt(pi) would overflow for x above DBL_MAX / sqrt(pi)
+        return poly * _INV_SQRT_PI / x
     return _split_exp(x) * math.erfc(x)

@@ -174,6 +174,28 @@ def test_eval_result_fields():
     assert hash(r) == hash(cdf_asym(p, 4.0, kmax=3))
 
 
+def test_every_route_returns_a_complete_eval_result():
+    # the records are built field by field inside the package; each must be
+    # the same EvalResult as one built through the public constructor
+    rng = random.Random(17)
+    points = [draw_point(rng) for _ in range(300)]
+    points += [(validate(0.5, 0.125, 3.0, 0.1), 3.0)]  # z < 0.5: small-z series
+    taken = set()
+    for p, x in points:
+        results = [cdf(p, x, method=m) for m in ("auto", "asym", "quad-split")]
+        results += [cdf_asym(p, x), sf_asym(p, x)]
+        try:
+            results.append(cdf(p, x, method="quad-direct"))
+        except NigError:
+            pass
+        for r in results:
+            assert type(r) is EvalResult
+            assert r == EvalResult(**r._asdict())
+            assert type(r.complemented) is bool
+            taken.add((r.method, r.complemented))
+    assert taken == {(m, False) for m in Method} | {(Method.UNIFORM_ASYM, True)}
+
+
 @pytest.mark.parametrize("field", EVAL_RESULT_FIELDS)
 def test_eval_result_is_immutable(field):
     r = cdf(_bench(2.0), 5.0)

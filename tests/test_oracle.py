@@ -29,6 +29,7 @@ from nigcdf import (
     transition_point,
     validate,
 )
+from nigcdf import oracle
 from nigcdf.coeffs import _small_z_rows
 from nigcdf.expansion import _SMALL_Z_LIMIT, _SMALL_Z_ORDER
 from nigcdf.oracle import _MIN_TOL, _kernel, _small_z_kernel
@@ -540,3 +541,49 @@ def test_direct_route_reports_a_measured_error_estimate():
         assert abs(r.value - cdf_quad_split(p, x)) <= 100.0 * (r.error_estimate + 1e-15)
         estimates.append(r.error_estimate)
     assert max(estimates) > 0.0
+
+
+def _points_where_the_split_weight_underflows(count: int) -> list:
+    """Seeded points with E = exp(-z s_plus^2) == 0, on both sides of the transition."""
+    rng = random.Random(745)
+    points = []
+    while len(points) < count:
+        alpha = math.exp(rng.uniform(0.0, math.log(1e3)))
+        delta = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        p = validate(alpha, alpha * rng.uniform(-0.95, 0.95), 0.0, delta)
+        x = rng.choice((-1.0, 1.0)) * delta * 10.0 ** rng.uniform(0.0, 4.0)
+        g = geometry(p, x)
+        if math.exp(-g.z * (g.s_plus * g.s_plus)) == 0.0:
+            points.append((p, x, g))
+    return points
+
+
+@pytest.mark.parametrize("method", ["auto", "asym", "quad-split"])
+def test_split_skips_the_minus_part_where_its_weight_underflows(monkeypatch, method):
+    # with E = 0 both minus-part terms are exactly 0, so _split neither
+    # evaluates erfcx nor changes F: F is the bare erfc term of the plus part
+    minus_parts = []
+    split = oracle._split
+
+    def recorded(*args):
+        parts = split(*args)
+        minus_parts.append(parts[1])
+        return parts
+
+    def refused(x):
+        raise AssertionError("erfcx evaluated for a minus part of weight 0")
+
+    monkeypatch.setattr(oracle, "_split", recorded)
+    monkeypatch.setattr(oracle, "_erfcx", refused)
+    taken = set()
+    for p, x, g in _points_where_the_split_weight_underflows(60):
+        minus_parts.clear()
+        r = cdf(p, x, method=method)
+        taken.add((r.method, r.complemented))
+        assert minus_parts == [0.0]
+        if r.complemented:
+            assert r.value == 1.0 - 0.5 * math.erfc(-g.zeta_plus)
+        else:
+            assert r.value == 0.5 * math.erfc(g.zeta_plus)
+    if method == "auto":
+        assert taken == {(Method.UNIFORM_ASYM, True), (Method.QUAD_SPLIT, False)}

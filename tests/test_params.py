@@ -1,6 +1,7 @@
 """Parameter validation and the per-point geometry."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +21,7 @@ from nigcdf import (
     transition_point,
     validate,
 )
+from nigcdf.selftest import draw_point
 
 # benchmark family used throughout the suite
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
@@ -150,6 +152,19 @@ def test_geometry_frozen_point_values():
     assert g.x0 == pytest.approx(3.516397779494322, rel=1e-14)
     assert Geometry._fields == GEOMETRY_FIELDS
     assert hash(g) == hash(geometry(p, 5.0))
+
+
+def test_validate_and_geometry_build_their_records():
+    # built field by field inside the package, with x0 inlined from
+    # transition_point, which must agree bit for bit
+    rng = random.Random(29)
+    for _ in range(500):
+        p, x = draw_point(rng)
+        q = validate(p.alpha, p.beta, p.mu, p.delta)
+        assert type(q) is Parameters and q == Parameters(**q._asdict())
+        g = geometry(q, x)
+        assert type(g) is Geometry and g == Geometry(**g._asdict())
+        assert g.x0 == transition_point(q)
 
 
 def test_geometry_at_transition_point():

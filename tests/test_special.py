@@ -94,8 +94,33 @@ def test_erfcx_within_1e15_of_mpmath():
     assert _worst_rel_error(erfcx, _ref_erfcx, xs) <= 1e-15
 
 
+def _ref_erfcx_far(x: float):
+    # mpmath's erfc overflows near x = 1e300, so from x = 1e6 on the reference
+    # is the large-x series (DLMF 7.12.1) to four terms, in mpmath; its error is
+    # below the first dropped term, 105 / (2 x^2)^4 < 1e-46 relative
+    if x < 1e6:
+        xm = mpmath.mpf(x)
+        return mpmath.exp(xm * xm) * mpmath.erfc(xm)
+    t = 1 / (2 * mpmath.mpf(x) ** 2)
+    return (1 - t + 3 * t**2 - 15 * t**3) / (x * mpmath.sqrt(mpmath.pi))
+
+
+def test_erfcx_asymptotic_branch_within_1e15_of_mpmath():
+    # x log-uniform over [26, 1e300], across the switch to the Horner series
+    # at 26 and past x ~ 1.3e154, where x*x overflows and the series is its
+    # leading term 1/(x sqrt(pi))
+    rng = random.Random(26)
+    xs = [26.0, math.nextafter(26.0, 30.0), 1e154, 1e155, 1e300]
+    xs += [math.exp(rng.uniform(math.log(26.0), math.log(1e300))) for _ in range(1500)]
+    assert _worst_rel_error(erfcx, _ref_erfcx_far, xs) <= 1e-15
+    # above DBL_MAX / sqrt(pi) the value is subnormal, not 0
+    for x in (1.7e308, sys.float_info.max):
+        assert erfcx(x) > 0.0
+        assert abs(erfcx(x) - float(_ref_erfcx_far(x))) <= 1e-323
+
+
 def test_regime_boundaries_are_seamless():
-    for x in (0.5, 9.0):
+    for x in (0.5, 9.0, 26.0):
         for eps in (-1e-9, 0.0, 1e-9):
             v = erfc(x + eps)
             assert v == pytest.approx(_ref_erfc(x + eps), rel=1e-14)
@@ -155,11 +180,11 @@ def test_erfcx_positive_side_never_overflows(x):
 
 
 def test_erfcx_negative_overflow_contract():
-    # just inside the limit evaluates; past it raises
+    # just inside the limit evaluates; past it raises the package's DomainError
     assert math.isfinite(erfcx(ERFCX_NEG_LIMIT + 1e-6))
-    with pytest.raises(OverflowError):
+    with pytest.raises(DomainError, match="exceeds the double range"):
         erfcx(ERFCX_NEG_LIMIT - 1e-6)
-    with pytest.raises(OverflowError):
+    with pytest.raises(DomainError, match="exceeds the double range"):
         erfcx(-30.0)
 
 
