@@ -58,8 +58,9 @@ DEFAULT_KMAX = 5
 # below this z the auto route takes oracle._small_z_kernel at this odd order.
 # At order 13 the kernel is within 7.3e-16 relative of mpmath up to z = 0.6,
 # but 1.7e-14 at z = 0.8, so a higher crossover needs a higher order.  On a
-# shared 2-vCPU host a point took about 14 us on it at every z, against
-# 30 to 50 us on the trapezoid below z = 0.1 and about 19 us from 0.5 to 3.
+# shared 2-vCPU host a point took about 11 us on it at every z, against
+# 21 to 29 us on the trapezoid below z = 0.1, 12 to 19 us from 0.1 to 0.49
+# and about 12 us from 0.5 to 3.
 _SMALL_Z_LIMIT = 0.5
 _SMALL_Z_ORDER = 13
 

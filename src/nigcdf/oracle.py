@@ -14,17 +14,18 @@ erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
 the ascending series of K_0 (DLMF 10.31-10.32) by one straight-line
 function compiled on first use.  At order 13 it stays within 7.3e-16
 relative of mpmath up to z = 0.6.  On a shared 2-vCPU host a point took
-about 14 us on it, against 18 to 50 us on the trapezoid below z = 0.5.
+about 11 us on it, against 12 to 29 us on the trapezoid below z = 0.5.
 
 The trapezoid puts both integrals on one grid in ``t``, ``sigma = sinh(t)``:
 the map turns the algebraic ``1/sigma^2`` tail into a double-exponential
 one, so the truncation grows only like ``log(1/z)`` as z -> 0 (about 16 at
 z = 1e-12, against 6e6 in sigma), and each step halving evaluates only the
-new odd nodes.  Both kernels refine until their weighted change in F, the
-error estimate the split reports, is at most tol/2.  A fixed node budget
-bounds the work of every call: at the smallest tol, at most 29 node
-evaluations for z >= 1, 77 for z >= 1e-2, 180 for z >= 1e-12 and 2,998 at
-the smallest positive double.  This grid is the split oracle's only rule.
+new odd nodes, at one exp per node: sinh t and cosh t step from node to
+node by a hyperbolic rotation.  Both kernels refine until their weighted
+change in F, the error estimate the split reports, is at most tol/2.  A
+fixed node budget bounds the work of every call: at the smallest tol, at
+most 29 node evaluations for z >= 1, 77 for z >= 1e-2, 180 for z >= 1e-12
+and 2,998 at the smallest positive double.  This grid is the split oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
 directly with a nested trapezoid rule; it degenerates when the poles
@@ -94,10 +95,21 @@ def _kernel(
 
     whose integrand is even, and analytic and bounded in the strip
     |Im t| < pi/4, so the trapezoid rule converges geometrically in 1/h.
-    Each node costs one sinh, one exp, one sqrt and a division per kernel;
-    each halving adds only the odd nodes to the running sums, until the
-    check has passed.  Past ``_NODE_BUDGET`` node evaluations the call
-    raises ConvergenceError.  The grid is truncated at T = asinh(6/sqrt(z)),
+    Each node costs one exp and a division per kernel: (sinh t, cosh t)
+    steps from node to node by the hyperbolic rotation
+
+        sinh(t + d) = sinh t cosh d + cosh t sinh d,
+        cosh(t + d) = cosh t cosh d + sinh t sinh d,
+
+    d the spacing of the level's nodes, so only sinh h and cosh h are taken
+    afresh, once per level.  The first level starts at t = h and steps by h;
+    each halving adds only the odd nodes to the running sums, starting at
+    the new h and stepping by the previous level's exact pair at 2h, until
+    the check has passed.  The rotation's rounding grows about linearly in
+    the node index; against sinh and sqrt taken at every node, K moved by
+    at most 8.3e-16 relative over 20,000 seeded calls, z from 5e-324 to
+    1e16.  Past ``_NODE_BUDGET`` node evaluations the call raises
+    ConvergenceError.  The grid is truncated at T = asinh(6/sqrt(z)),
     where the integrand has fallen to e^{-36}.  Past T,
     sinh^2 t >= sinh^2 T + 2 sinh T cosh T (t - T), so the dropped tail of K
     is at most e^{-36}/72, about 3e-18, and about 2e-17 of K at large z,
@@ -109,7 +121,7 @@ def _kernel(
     to 180 nodes at most for z >= 1e-12, all at the smallest tol.
     """
     weight_plus, weight_minus, target = abs(coef_plus), abs(coef_minus), 0.5 * tol
-    sinh, exp, sqrt = math.sinh, math.exp, math.sqrt
+    exp = math.exp
     neg_z = -z
     root_z = math.sqrt(z)
     trunc = math.asinh(6.0 / root_z)
@@ -119,21 +131,25 @@ def _kernel(
     sum_minus = 0.5 / (1.0 + w_minus)
     nodes = 1
     stride = 1  # the first level takes every node, each halving only the odd ones
+    # (sinh h, cosh h): the first node of every level, and the step between
+    # the nodes of the first level; a halving steps by the previous level's pair
+    sinh_h, cosh_h = math.sinh(h), math.cosh(h)
+    step_s, step_c = sinh_h, cosh_h
     prev_plus = prev_minus = math.nan
     while True:
         last = int(trunc / h)
-        nodes += len(range(1, last + 1, stride))
+        count = len(range(1, last + 1, stride))
+        nodes += count
         if nodes > _NODE_BUDGET:
             raise ConvergenceError(
                 f"trapezoid kernels did not stabilize to {target:g} within {_NODE_BUDGET} nodes"
             )
-        for k in range(1, last + 1, stride):
-            s = sinh(k * h)
-            s2 = s * s
-            e = exp(neg_z * s2)
-            c = sqrt(1.0 + s2)
+        s, c = sinh_h, cosh_h
+        for _ in range(count):
+            e = exp(neg_z * (s * s))
             sum_plus += e / (c + w_plus)
             sum_minus += e / (c + w_minus)
+            s, c = s * step_c + c * step_s, c * step_c + s * step_s
         cur_plus = 2.0 * h * sum_plus
         cur_minus = 2.0 * h * sum_minus
         dk_plus = abs(cur_plus - prev_plus)
@@ -143,6 +159,8 @@ def _kernel(
         prev_plus, prev_minus = cur_plus, cur_minus
         h *= 0.5
         stride = 2
+        step_s, step_c = sinh_h, cosh_h
+        sinh_h, cosh_h = math.sinh(h), math.cosh(h)
 
 
 def _small_z_kernel(
@@ -230,22 +248,23 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
     for ``_kernel`` and ``kmax`` for the series kernel.  Returns (F_plus,
     or G_plus when ``upper``; F_minus; |c_plus| dK_plus + |c_minus| dK_minus).
     """
-    damp = math.exp(-g.z * (g.s_plus * g.s_plus))
-    w_minus = abs(g.w_minus)
+    _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus, _ = g
+    damp = math.exp(-z * (s_plus * s_plus))
+    w_minus = abs(signed_w_minus)
     negligible = w_minus < _W_MINUS_NEGLIGIBLE or damp == 0.0
-    c_plus = g.s_plus * damp / (2.0 * math.pi)
-    c_minus = 0.0 if negligible else g.s_minus * damp / (2.0 * math.pi)
+    c_plus = s_plus * damp / (2.0 * math.pi)
+    c_minus = 0.0 if negligible else s_minus * damp / (2.0 * math.pi)
     k_plus = k_minus = dk_plus = dk_minus = 0.0
     if c_plus != 0.0 or c_minus != 0.0:
-        k_plus, k_minus, dk_plus, dk_minus = kernel(g.z, g.w_plus, w_minus, c_plus, c_minus, arg)
+        k_plus, k_minus, dk_plus, dk_minus = kernel(z, w_plus, w_minus, c_plus, c_minus, arg)
     if upper:
-        plus = 0.5 * math.erfc(-g.zeta_plus) + c_plus * k_plus
+        plus = 0.5 * math.erfc(-zeta_plus) + c_plus * k_plus
     else:
-        plus = 0.5 * math.erfc(g.zeta_plus) - c_plus * k_plus
+        plus = 0.5 * math.erfc(zeta_plus) - c_plus * k_plus
     minus = 0.0
     if not negligible:
-        minus = 0.5 * damp * _erfcx(g.zeta_minus) - c_minus * k_minus
-        if g.w_minus < 0.0:
+        minus = 0.5 * damp * _erfcx(zeta_minus) - c_minus * k_minus
+        if signed_w_minus < 0.0:
             minus = -minus
     return plus, minus, abs(c_plus) * dk_plus + abs(c_minus) * dk_minus
 

@@ -93,3 +93,27 @@ def test_set_up_evaluations_compile_no_small_z_rows():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert run.stdout.strip() == "0 0 []"
+
+
+def _bench_traced() -> tuple[tuple[str, str], ...]:
+    """The ``TRACED`` pairs of ``bench/spans.py``, read from its source without running it."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no TRACED")
+
+
+def test_every_benchmark_traced_function_exists():
+    # the benchmark's layer trace wraps these names; a missing one silently
+    # drops its keys from the traced output instead of failing the run
+    traced = _bench_traced()
+    assert traced
+    missing = [
+        f"{module}.{name}"
+        for module, name in traced
+        if not callable(getattr(importlib.import_module(f"nigcdf.{module}"), name, None))
+    ]
+    assert missing == []

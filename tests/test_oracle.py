@@ -218,7 +218,7 @@ def test_node_budget_covers_every_positive_z(z):
 
 
 class _CountingMath:
-    """Stands in for ``math`` in the oracle: counts sinh calls, one per node past t = 0."""
+    """Stands in for ``math`` in the oracle: counts exp calls, one per node past t = 0."""
 
     def __init__(self):
         self.calls = 0
@@ -226,9 +226,9 @@ class _CountingMath:
     def __getattr__(self, name):
         return getattr(math, name)
 
-    def sinh(self, x):
+    def exp(self, x):
         self.calls += 1
-        return math.sinh(x)
+        return math.exp(x)
 
 
 def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
@@ -253,6 +253,72 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
                 if z >= band:
                     worst[band] = max(worst[band], counting.calls + 1)
     assert worst == {1.0: 29, 1e-2: 77, 1e-12: 180, 5e-324: 2998}
+
+
+def _sinh_loop_kernel(z, w_plus, w_minus, coef_plus, coef_minus, tol):
+    """``_kernel`` by its former node loop, one sinh, exp and sqrt per node; and its node count.
+
+    The loop that the hyperbolic rotation of ``_kernel`` replaces: each
+    node t = k h takes sigma = sinh(t) and q = sqrt(1 + sigma^2) afresh.
+    Same grid, step ladder and stopping rule; returns the four values of
+    ``_kernel`` and the nodes it evaluated, t = 0 included.
+    """
+    weight_plus, weight_minus, target = abs(coef_plus), abs(coef_minus), 0.5 * tol
+    sinh, exp, sqrt = math.sinh, math.exp, math.sqrt
+    neg_z = -z
+    root_z = math.sqrt(z)
+    trunc = math.asinh(6.0 / root_z)
+    h = min(0.5, math.asinh(8.0 / root_z) / 8.0)
+    sum_plus = 0.5 / (1.0 + w_plus)
+    sum_minus = 0.5 / (1.0 + w_minus)
+    nodes = 1
+    stride = 1
+    prev_plus = prev_minus = math.nan
+    while True:
+        last = int(trunc / h)
+        nodes += len(range(1, last + 1, stride))
+        if nodes > oracle._NODE_BUDGET:
+            raise ConvergenceError("node budget exhausted")
+        for k in range(1, last + 1, stride):
+            s = sinh(k * h)
+            s2 = s * s
+            e = exp(neg_z * s2)
+            c = sqrt(1.0 + s2)
+            sum_plus += e / (c + w_plus)
+            sum_minus += e / (c + w_minus)
+        cur_plus = 2.0 * h * sum_plus
+        cur_minus = 2.0 * h * sum_minus
+        dk_plus = abs(cur_plus - prev_plus)
+        dk_minus = abs(cur_minus - prev_minus)
+        if weight_plus * dk_plus + weight_minus * dk_minus <= target:
+            return cur_plus, cur_minus, dk_plus, dk_minus, nodes
+        prev_plus, prev_minus = cur_plus, cur_minus
+        h *= 0.5
+        stride = 2
+
+
+def test_rotated_kernel_matches_the_sinh_loop(monkeypatch):
+    # z log-uniform over the whole positive double range the oracle meets,
+    # w both ends and log-uniform between, weights up to 1/(2 pi) of either sign
+    counting = _CountingMath()
+    monkeypatch.setattr("nigcdf.oracle.math", counting)
+    rng = random.Random(1919)
+    log_z = (math.log(5e-324), math.log(1e16))
+    log_w = (math.log(1e-13), 0.0)
+    coef = 1.0 / (2.0 * math.pi)
+    for i in range(600):
+        z = 5e-324 if i == 0 else math.exp(rng.uniform(*log_z))
+        w_plus = rng.choice((0.0, 1.0, math.exp(rng.uniform(*log_w))))
+        w_minus = rng.choice((0.0, 1.0, math.exp(rng.uniform(*log_w))))
+        coef_plus, coef_minus = coef * rng.uniform(-1.0, 1.0), coef * rng.uniform(-1.0, 1.0)
+        tol = rng.choice((1e-13, 1e-12, 1e-8))
+        args = (z, w_plus, w_minus, coef_plus, coef_minus, tol)
+        *expected, nodes = _sinh_loop_kernel(*args)
+        counting.calls = 0
+        got = _kernel(*args)
+        assert counting.calls + 1 == nodes, args
+        for k, ref in zip(got[:2], expected[:2]):
+            assert abs(k - ref) <= 2e-15 * ref, args
 
 
 def _kernel_reference(z: float, w: float) -> float:
