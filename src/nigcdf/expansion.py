@@ -58,9 +58,10 @@ DEFAULT_KMAX = 5
 # below this z the auto route takes oracle._small_z_kernel at this odd order.
 # At order 13 the kernel is within 7.3e-16 relative of mpmath up to z = 0.6,
 # but 1.7e-14 at z = 0.8, so a higher crossover needs a higher order.  On a
-# shared 2-vCPU host a point took about 11 us on it at every z, against
-# 21 to 29 us on the trapezoid below z = 0.1, 12 to 19 us from 0.1 to 0.49
-# and about 12 us from 0.5 to 3.
+# shared 2-vCPU host the certified trapezoid took 2.9, 1.5 and 1.2 times as
+# long a point as this kernel at z = 1e-12, 1e-4 and 0.015, and the same
+# within 5 % from 0.1 to 3, so a crossover anywhere in [0.1, 0.5] costs the
+# same.
 _SMALL_Z_LIMIT = 0.5
 _SMALL_Z_ORDER = 13
 
@@ -82,9 +83,11 @@ class EvalResult(NamedTuple):
     the value.  The asymptotic series' dK is the magnitude of its last
     retained term, a heuristic rather than a bound; the convergent small-z
     series' is the magnitude of its last term, n = 13, as it enters K; the
-    trapezoid's is its change in the last level.  On QUAD_DIRECT it is the
-    change of the integral in the last step halving.  Each includes the
-    distance by which the value was clamped into [0, 1].  ``kmax_used`` is
+    trapezoid's is the bound its step is certified to, 2^-53 times a
+    lower bound on K, a bound that holds before rounding rather than a
+    measured change.  On QUAD_DIRECT it is the change of the integral in
+    the last step halving.  Each includes the distance by which the value
+    was clamped into [0, 1].  ``kmax_used`` is
     the series order: kmax on UNIFORM_ASYM, 13 on SMALL_Z_SERIES, 0 on the
     quadrature routes.  ``complemented`` records that the value was
     produced as 1 minus the directly computed complement.
@@ -220,14 +223,17 @@ def cdf(
 ) -> EvalResult:
     """F with route selection.
 
+    ``tol`` is checked on every route but read only by ``quad-direct``:
+    the split's trapezoid is certified to 2^-53 of K and the small-z
+    series is at the rounding level, both finer than any permitted tol.
     ``auto``: below z = 0.5 the split with the convergent small-z series
-    (SMALL_Z_SERIES), whatever w_minus, which needs no quadrature node and
-    ignores ``tol``, as its error is at the rounding level; then quadrature
-    when z < Z_MIN or w_minus < W_MINUS_MIN, where the fixed-order series
-    does not reach the accuracy of the quadrature (the w_minus gate is
-    signed, so every negative w_minus takes quadrature); otherwise the
-    expansions, evaluating the complement and flipping when x lies right of
-    the transition point so the smaller function is the one computed.
+    (SMALL_Z_SERIES), whatever w_minus, which needs no quadrature node;
+    then quadrature when z < Z_MIN or w_minus < W_MINUS_MIN, where the
+    fixed-order series does not reach the accuracy of the quadrature (the
+    w_minus gate is signed, so every negative w_minus takes quadrature);
+    otherwise the expansions, evaluating the complement and flipping when x
+    lies right of the transition point so the smaller function is the one
+    computed.
     ``asym``, ``quad-split``, ``quad-direct`` force a route, and forced
     ``quad-split`` keeps the trapezoid at every z; forced ``asym``
     evaluates the same signed minus part at any w_minus.  Every argument is

@@ -13,19 +13,23 @@ The small-z series is exact at infinite order: K(0, w) in closed form, an
 erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
 the ascending series of K_0 (DLMF 10.31-10.32) by one straight-line
 function compiled on first use.  At order 13 it stays within 7.3e-16
-relative of mpmath up to z = 0.6.  On a shared 2-vCPU host a point took
-about 11 us on it, against 12 to 29 us on the trapezoid below z = 0.5.
+relative of mpmath up to z = 0.6.  Timed point by point against the
+certified trapezoid on a shared 2-vCPU host, it was 2.9, 1.5 and 1.2
+times faster at z = 1e-12, 1e-4 and 0.015, and level with it, within
+5 %, from z = 0.1 to 3.
 
 The trapezoid puts both integrals on one grid in ``t``, ``sigma = sinh(t)``:
 the map turns the algebraic ``1/sigma^2`` tail into a double-exponential
 one, so the truncation grows only like ``log(1/z)`` as z -> 0 (about 16 at
-z = 1e-12, against 6e6 in sigma), and each step halving evaluates only the
-new odd nodes, at one exp per node: sinh t and cosh t step from node to
-node by a hyperbolic rotation.  Both kernels refine until their weighted
-change in F, the error estimate the split reports, is at most tol/2.  A
-fixed node budget bounds the work of every call: at the smallest tol, at
-most 29 node evaluations for z >= 1, 77 for z >= 1e-2, 180 for z >= 1e-12
-and 2,998 at the smallest positive double.  This grid is the split oracle's only rule.
+z = 1e-12, against 6e6 in sigma).  It sums one level, at a step chosen in
+advance from the Trefethen-Weideman bound on a strip, so that before
+rounding the sum is within eps = 2^-53 K_low of K, K_low a closed-form
+lower bound on K; that bound, not a measured change, is the error
+estimate the split reports.  Each node costs one exp: sinh t and cosh t
+step from node to node by a hyperbolic rotation.  A call takes at most
+21 nodes for z >= 1, 39 for z >= 1e-2,
+131 for z >= 1e-12 and 2,991 at the smallest positive double, under a
+fixed node budget.  This grid is the split oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
 directly with a nested trapezoid rule; it degenerates when the poles
@@ -58,14 +62,25 @@ _NEAR_TRANSITION_GAP = 0.02
 # below this |w_minus| the whole minus-part contribution is O(1e-13) and the
 # two halves of the split cancel; treat it as zero instead of integrating
 _W_MINUS_NEGLIGIBLE = 1e-13
-# node evaluations allowed per trapezoid kernel call; at the smallest tol the
-# kernels converge within 180 nodes for z >= 1e-12 and 2,998 at the smallest double z
+# node evaluations allowed per trapezoid kernel call; the certified step takes
+# at most 131 nodes for z >= 1e-12 and 2,991 at the smallest double z
 _NODE_BUDGET = 4096
+# the trapezoid kernel's error bound, relative to a lower bound on K
+_TARGET_REL = 2.0**-53
+# nodes per block of the trapezoid kernel: each block restarts the rotation
+_RESTART = 32
 _Kernel = Callable[..., tuple[float, float, float, float]]
 # ln 4 - gamma_E, so that Lambda = ln z - ln 4 + gamma_E of ``_small_z_kernel``
 # is one subtraction from ln z
 _LOG_4_MINUS_GAMMA = math.log(4.0) - 0.5772156649015329
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+_INV_SQRT_PI = 1.0 / _SQRT_PI
+# the strip half-width y of ``_step`` is sqrt(R0 / z), R0 = 55 ln 2, capped at
+# pi/4; at the cap 4 M / eps is this constant times e^{z/2} (sqrt z + sqrt(z + 2))
+_SQRT_R0 = math.sqrt(55.0 * math.log(2.0))
+_QUARTER_PI = 0.25 * math.pi
+_WIDE_STRIP_RATIO = 4.0 * math.sqrt(2.0) * math.pi / (_TARGET_REL * _SQRT_PI)
 
 
 def _check_tol(tol: float) -> float:
@@ -79,88 +94,115 @@ def _check_tol(tol: float) -> float:
 def _kernel(
     z: float, w_plus: float, w_minus: float, coef_plus: float, coef_minus: float, tol: float
 ) -> tuple[float, float, float, float]:
-    """K(z, w_plus) and K(z, w_minus), the kernels of weights coef_plus and coef_minus in F.
-
-    Returns both kernels and, after them, how much each changed in the
-    last level: |K_h - K_2h| at the final step h.
+    """K(z, w_plus) and K(z, w_minus) on one certified trapezoid level, and their error bound.
 
     K(z, w) is the integral of e^{-z sigma^2} / (q (q + w)) over the real
-    line, q = sqrt(1+sigma^2), for w in [0, 1].  ``tol`` is the absolute
-    tolerance on F: both kernels are refined until one more level changes
-    F by at most tol/2, |coef_plus| dK_plus + |coef_minus| dK_minus <= tol/2,
-    the estimate that ``_split`` reports.
-    The one rule evaluates both on one trapezoid grid in t, sigma = sinh(t):
+    line, q = sqrt(1+sigma^2), for w in [0, 1].  The one rule evaluates both
+    on one trapezoid grid in t, sigma = sinh(t):
 
-        K(z, w) = integral of e^{-z sinh^2 t} / (cosh t + w) dt,
+        K(z, w) = integral of f(t) = e^{-z sinh^2 t} / (cosh t + w) dt,
 
-    whose integrand is even, and analytic and bounded in the strip
-    |Im t| < pi/4, so the trapezoid rule converges geometrically in 1/h.
+    whose integrand is even and analytic in the strip |Im t| < pi/2.
+    ``_step`` fixes the step h and the last node in advance: before
+    rounding, the sum differs from K by at most eps = 2^-53 K_low <=
+    2^-53 K(z, w).  That eps is returned as dK for both kernels, so
+    ``_split`` reports a bound that holds, not a measured change.  ``tol``
+    and the weights are not read; they keep the signature that ``_split``
+    shares with the series kernels.
+
     Each node costs one exp and a division per kernel: (sinh t, cosh t)
     steps from node to node by the hyperbolic rotation
 
-        sinh(t + d) = sinh t cosh d + cosh t sinh d,
-        cosh(t + d) = cosh t cosh d + sinh t sinh d,
+        sinh(t + h) = sinh t + (sinh t (cosh h - 1) + cosh t sinh h),
+        cosh(t + h) = cosh t + (cosh t (cosh h - 1) + sinh t sinh h),
 
-    d the spacing of the level's nodes, so only sinh h and cosh h are taken
-    afresh, once per level.  The first level starts at t = h and steps by h;
-    each halving adds only the odd nodes to the running sums, starting at
-    the new h and stepping by the previous level's exact pair at 2h, until
-    the check has passed.  The rotation's rounding grows about linearly in
-    the node index; against sinh and sqrt taken at every node, K moved by
-    at most 8.3e-16 relative over 20,000 seeded calls, z from 5e-324 to
-    1e16.  Past ``_NODE_BUDGET`` node evaluations the call raises
-    ConvergenceError.  The grid is truncated at T = asinh(6/sqrt(z)),
-    where the integrand has fallen to e^{-36}.  Past T,
-    sinh^2 t >= sinh^2 T + 2 sinh T cosh T (t - T), so the dropped tail of K
-    is at most e^{-36}/72, about 3e-18, and about 2e-17 of K at large z,
-    far below any permitted tolerance.  The step starts at
-    h0 = min(0.5, asinh(8/sqrt(z))/8), independent of T: the strip, not
-    the span, sets the step at which the rule converges.  Cost per z:
-    T/h0 is about 6 to 8 for z above 0.09, so a call takes at most 29
-    nodes for z >= 1 and 77 for z >= 1e-2; below, T grows like log(1/z),
-    to 180 nodes at most for z >= 1e-12, all at the smallest tol.
+    with cosh h - 1 = 2 sinh^2(h/2) taken without cancellation.  Rounded
+    cosh h and sinh h would make the pair drift by about one unit of
+    rounding per node, enough to move K by 8e-16 at z = 170; in this form
+    the step's own rounding adds only about h units per node.  Every
+    ``_RESTART`` nodes the pair is taken afresh from sinh and cosh, and the
+    block's partial sums join the totals.  Against 40-digit mpmath, K,
+    rounding included, stayed within 8.4e-16 relative over 300 seeded
+    calls, z log-uniform over [1e-300, 1e16].  A call takes at most 21
+    nodes for z >= 1, 39 for z >= 1e-2, 131 for z >= 1e-12 and 2,991 at
+    the smallest positive double; past ``_NODE_BUDGET`` nodes it raises
+    ConvergenceError before summing.
     """
-    weight_plus, weight_minus, target = abs(coef_plus), abs(coef_minus), 0.5 * tol
-    exp = math.exp
+    h, last, _, eps = _step(z)
+    if last >= _NODE_BUDGET:
+        raise ConvergenceError(
+            f"the certified trapezoid step needs {last + 1} nodes at z={z!r}, "
+            f"over the budget of {_NODE_BUDGET}"
+        )
+    exp, sinh, cosh = math.exp, math.sinh, math.cosh
     neg_z = -z
-    root_z = math.sqrt(z)
-    trunc = math.asinh(6.0 / root_z)
-    h = min(0.5, math.asinh(8.0 / root_z) / 8.0)
+    step_s = sinh(h)
+    half = sinh(0.5 * h)
+    step_m = 2.0 * (half * half)  # cosh h - 1
+    s, c = step_s, 1.0 + step_m
     # sums over the nodes t = k h >= 0, the t = 0 node weighted 1/2
     sum_plus = 0.5 / (1.0 + w_plus)
     sum_minus = 0.5 / (1.0 + w_minus)
-    nodes = 1
-    stride = 1  # the first level takes every node, each halving only the odd ones
-    # (sinh h, cosh h): the first node of every level, and the step between
-    # the nodes of the first level; a halving steps by the previous level's pair
-    sinh_h, cosh_h = math.sinh(h), math.cosh(h)
-    step_s, step_c = sinh_h, cosh_h
-    prev_plus = prev_minus = math.nan
-    while True:
-        last = int(trunc / h)
-        count = len(range(1, last + 1, stride))
-        nodes += count
-        if nodes > _NODE_BUDGET:
-            raise ConvergenceError(
-                f"trapezoid kernels did not stabilize to {target:g} within {_NODE_BUDGET} nodes"
-            )
-        s, c = sinh_h, cosh_h
-        for _ in range(count):
+    for first in range(1, last + 1, _RESTART):
+        if first > 1:
+            t = first * h
+            s, c = sinh(t), cosh(t)
+        part_plus = part_minus = 0.0
+        for _ in range(min(_RESTART, last + 1 - first)):
             e = exp(neg_z * (s * s))
-            sum_plus += e / (c + w_plus)
-            sum_minus += e / (c + w_minus)
-            s, c = s * step_c + c * step_s, c * step_c + s * step_s
-        cur_plus = 2.0 * h * sum_plus
-        cur_minus = 2.0 * h * sum_minus
-        dk_plus = abs(cur_plus - prev_plus)
-        dk_minus = abs(cur_minus - prev_minus)
-        if weight_plus * dk_plus + weight_minus * dk_minus <= target:
-            return cur_plus, cur_minus, dk_plus, dk_minus
-        prev_plus, prev_minus = cur_plus, cur_minus
-        h *= 0.5
-        stride = 2
-        step_s, step_c = sinh_h, cosh_h
-        sinh_h, cosh_h = math.sinh(h), math.cosh(h)
+            part_plus += e / (c + w_plus)
+            part_minus += e / (c + w_minus)
+            s, c = s + (s * step_m + c * step_s), c + (c * step_m + s * step_s)
+        sum_plus += part_plus
+        sum_minus += part_minus
+    return 2.0 * h * sum_plus, 2.0 * h * sum_minus, eps, eps
+
+
+def _step(z: float) -> tuple[float, int, float, float]:
+    """The certified trapezoid of ``_kernel`` at z: (step h, last node index, y, eps).
+
+    The step: on the strip |Im t| <= y <= pi/4, Re sinh^2(x + ib) =
+    sinh^2 x cos 2b - sin^2 b and |cosh(x + ib) + w| >= cos y (cosh x + w), so
+
+        |f(x + ib)| <= e^{z sin^2 y} e^{-z cos 2y sinh^2 x} / (cos y (cosh x + w)),
+
+    and, as K(u, 0) = pi erfcx(sqrt u) <= min(pi, sqrt(pi/u)), every line
+    integral of |f| is at most M = e^{z sin^2 y} min(pi, sqrt(pi/(z cos 2y))) / cos y.
+    By Trefethen & Weideman (SIAM Rev. 56, 2014, Thm 5.1) the untruncated
+    trapezoid sum then differs from K by at most B = 2M / (e^{2 pi y / h} - 1).
+    K(z, w) >= K(z, 1) >= (pi/2) erfcx(sqrt z) > K_low = sqrt(pi) /
+    (sqrt z + sqrt(z + 2)) (A&S 7.1.13), and eps = 2^-53 K_low.  The step
+    h = 2 pi y / ln(4 M / eps) makes B <= eps/2.
+
+    y = min(pi/4, sqrt(R0 / z)) is about where h peaks, since at large z
+    ln M grows like z y^2; R0 = 55 ln 2 is the large-z limit of
+    ln(2 min(pi, sqrt(pi/z)) / eps), within 0.01 of it wherever y < pi/4,
+    that is for z > 16 R0 / pi^2, about 62.  At the cap y = pi/4,
+    M = sqrt(2) pi e^{z/2}.  min(pi, sqrt(pi/u)) is formed as
+    sqrt(pi) / max(1/sqrt(pi), sqrt(u)), which never divides by u = 0.
+
+    The truncation: the nodes run to T = asinh(sqrt(Lambda / z)).  For
+    t >= T, sinh^2 t >= S^2 + 2 S C (t - T), with S = sinh T and
+    C = cosh T >= 1, and cosh t + w >= 1, so the nodes dropped on each side
+    sum to at most h e^{-Lambda} / (1 - e^{-r}), r = 2 z S C h.  Over every
+    positive double z, r >= 6.1, so Lambda = ln(4 h / eps) + 0.01 keeps
+    both sides within eps/2.  Lambda lies in [35.8, 37.7], so T grows
+    like log(1/z) as z -> 0.
+    """
+    root_z = math.sqrt(z)
+    scale = root_z + math.sqrt(z + 2.0)  # sqrt(pi) / K_low
+    eps = _TARGET_REL * _SQRT_PI / scale
+    y = _SQRT_R0 / root_z
+    if y >= _QUARTER_PI:
+        y = _QUARTER_PI
+        log_ratio = 0.5 * z + math.log(_WIDE_STRIP_RATIO * scale)  # ln(4 M / eps)
+    else:
+        sin_y = math.sin(y)
+        rest = max(_INV_SQRT_PI, math.sqrt(z * math.cos(2.0 * y))) * math.cos(y) * eps
+        log_ratio = z * (sin_y * sin_y) + math.log(4.0 * _SQRT_PI / rest)
+    h = 2.0 * math.pi * y / log_ratio
+    lam = math.log(4.0 * h / eps) + 0.01
+    return h, int(math.asinh(math.sqrt(lam) / root_z) / h), y, eps
 
 
 def _small_z_kernel(
@@ -224,7 +266,11 @@ def _small_z_one(
 
 
 def cdf_quad_split(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
-    """High-accuracy CDF by ``_split`` with the trapezoid ``_kernel``; valid for every z > 0."""
+    """High-accuracy CDF by ``_split`` with the trapezoid ``_kernel``; valid for every z > 0.
+
+    ``tol`` is checked, as on every route, but the kernel does not read it:
+    its step is certified to 2^-53 of K, finer than any permitted tol.
+    """
     return _evaluate(geometry(p, x), False, _kernel, _check_tol(tol))[0]
 
 
@@ -244,9 +290,10 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
     where E underflows to 0, which makes both terms of F_minus exactly 0.
     ``kernel(z, w_plus, |w_minus|, c_plus, c_minus, arg)`` returns
     (K_plus, K_minus, dK_plus, dK_minus), dK its error measure; it is not
-    called when both weights are 0.  ``arg``, already checked, is ``tol``
-    for ``_kernel`` and ``kmax`` for the series kernel.  Returns (F_plus,
-    or G_plus when ``upper``; F_minus; |c_plus| dK_plus + |c_minus| dK_minus).
+    called when both weights are 0.  ``arg``, already checked, is the
+    order of a series kernel, and ``tol`` for ``_kernel``, which does not
+    read it.  Returns (F_plus, or G_plus when ``upper``; F_minus;
+    |c_plus| dK_plus + |c_minus| dK_minus).
     """
     _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus, _ = g
     damp = math.exp(-z * (s_plus * s_plus))
