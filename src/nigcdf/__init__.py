@@ -16,9 +16,6 @@ from .expansion import (
     Z_MIN,
     cdf,
     cdf_asym,
-    f_minus_asym,
-    f_plus_asym,
-    g_plus_asym,
     sf_asym,
 )
 from .oracle import DEFAULT_TOL, cdf_quad_direct, cdf_quad_split, reflect
@@ -49,9 +46,6 @@ __all__ = [
     "d_coefficients",
     "erfc",
     "erfcx",
-    "f_minus_asym",
-    "f_plus_asym",
-    "g_plus_asym",
     "geometry",
     "reflect",
     "sf_asym",

@@ -22,8 +22,8 @@ import sys
 from . import selftest as selftest_mod
 from .errors import ConvergenceError, DomainError, NearTransitionError
 from .coeffs import _check_kmax
-from .expansion import DEFAULT_KMAX, _check_route_args, _route, cdf_asym, f_minus_asym
-from .oracle import DEFAULT_TOL, cdf_quad_split
+from .expansion import DEFAULT_KMAX, _check_route_args, _route, _series_kernel, cdf_asym
+from .oracle import DEFAULT_TOL, _split, cdf_quad_split
 from .params import geometry, transition_point, validate
 
 __all__ = ["main", "run"]
@@ -93,7 +93,7 @@ def _cmd_table1(args) -> int:
         x0 = transition_point(p)
         g = geometry(p, x0)
         f_asym = cdf_asym(p, x0, kmax=args.kmax).value
-        f_oracle = cdf_quad_split(p, x0, tol=args.tol)
+        f_oracle = cdf_quad_split(p, x0)
         row = (beta, x0, f_asym, f_oracle, g.z, abs(f_asym - f_oracle))
         print(",".join(f"{v:.17g}" for v in row))
     return 0
@@ -107,6 +107,7 @@ def _cmd_figure1(args) -> int:
     header += [f"Fminus_beta_{lab}" for lab in labels]
     print(",".join(header))
     kmax = _check_kmax(args.kmax)
+    series = _series_kernel(kmax)
     n = args.points
     for i in range(n):
         x = 20.0 * i / (n - 1)
@@ -114,7 +115,7 @@ def _cmd_figure1(args) -> int:
         # the policy evaluator computes the smaller of F and G first, which
         # keeps the emitted curve monotone through the saturated tails
         fs = [_route(p, x, g, "auto", kmax, DEFAULT_TOL).value for p, g in zip(params, gs)]
-        fminus = [f_minus_asym(g, kmax=kmax) for g in gs]
+        fminus = [_split(g, False, series)[1] for g in gs]
         print(",".join(f"{v:.17g}" for v in [x, *fs, *fminus]))
     return 0
 
@@ -153,7 +154,6 @@ def _build_parser() -> _Parser:
 
     tb = sub.add_parser("table1", help="benchmark rows at the transition points (CSV)")
     tb.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
-    tb.add_argument("--tol", type=float, default=DEFAULT_TOL)
     tb.set_defaults(func=_cmd_table1)
 
     fg = sub.add_parser("figure1", help="CDF and minus-part curves on [0, 20] (CSV)")

@@ -4,17 +4,17 @@ The CDF splits exactly as F = F_plus + F_minus and the complement as
 G = G_plus - F_minus: erfc terms plus remainder integrals K(z, w), the one
 split of ``oracle._split``.  The uniform expansion is that split with each
 K replaced by its asymptotic series (the pole-saddle form of Temme),
-K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.  ``_series_kernel``
-hands both series to the split, each summed by the straight-line function
-that ``coeffs._horner`` compiles, once per kmax, from the polynomial rows
-of ``coeffs._rows``.  The leading erfc(-+zeta_plus) keeps F_plus and
-G_plus smooth through the transition point, and F_minus takes one signed
-form on both sides of w_minus = 0.  A forced expansion at a z so small
-that a series leaves the double range raises DomainError naming z and
-kmax.
+K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.
+``_series_kernel(kmax)`` builds, once per kmax, the kernel that hands both
+series to the split, each summed by the straight-line function that
+``coeffs._horner`` compiles from the polynomial rows of ``coeffs._rows``.
+The leading erfc(-+zeta_plus) keeps F_plus and G_plus smooth through the
+transition point, and F_minus takes one signed form on both sides of
+w_minus = 0.  A forced expansion at a z so small that a series leaves the
+double range raises DomainError naming z and kmax.
 
 The public functions are thin callers: they check their arguments, build
-the geometry when given (p, x), and call the split.  ``cdf`` adds the
+the geometry from (p, x), and call the split.  ``cdf`` adds the
 evaluation policy.  Below z = 0.5 the same split takes
 ``oracle._small_z_kernel``, a convergent series in z, whatever w_minus;
 from there the trapezoid kernel of the quadrature oracle takes z < Z_MIN
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 from .coeffs import _check_kmax, _horner
@@ -44,9 +45,6 @@ __all__ = [
     "Z_MIN",
     "W_MINUS_MIN",
     "DEFAULT_KMAX",
-    "f_plus_asym",
-    "f_minus_asym",
-    "g_plus_asym",
     "cdf_asym",
     "sf_asym",
     "cdf",
@@ -55,15 +53,12 @@ __all__ = [
 Z_MIN = 30.0
 W_MINUS_MIN = 0.05
 DEFAULT_KMAX = 5
-# below this z the auto route takes oracle._small_z_kernel at this odd order.
-# At order 13 the kernel is within 7.3e-16 relative of mpmath up to z = 0.6,
-# but 1.7e-14 at z = 0.8, so a higher crossover needs a higher order.  On a
-# shared 2-vCPU host the certified trapezoid took 2.9, 1.5 and 1.2 times as
-# long a point as this kernel at z = 1e-12, 1e-4 and 0.015, and the same
-# within 5 % from 0.1 to 3, so a crossover anywhere in [0.1, 0.5] costs the
-# same.
+# below this z the auto route takes oracle._small_z_kernel, which holds its
+# accuracy up to z = 0.6 (see oracle._SMALL_Z_ORDER).  On a shared 2-vCPU
+# host the certified trapezoid took 2.9, 1.5 and 1.2 times as long a point
+# as that kernel at z = 1e-12, 1e-4 and 0.015, and the same within 5 % from
+# 0.1 to 3, so a crossover anywhere in [0.1, 0.5] costs the same.
 _SMALL_Z_LIMIT = 0.5
-_SMALL_Z_ORDER = 13
 
 
 class Method(Enum):
@@ -103,38 +98,44 @@ class EvalResult(NamedTuple):
 _METHODS = ("auto", "asym", "quad-split", "quad-direct")
 
 
-def _series_kernel(
-    z: float, w_plus: float, w_minus: float, c_plus: float, c_minus: float, kmax: int
-) -> tuple[float, float, float, float]:
-    """Both remainder kernels of ``oracle._split`` by their series, and their last terms.
+@cache
+def _series_kernel(kmax: int) -> oracle._Kernel:
+    """The kernel of ``oracle._split`` that sums both remainders by their series to ``kmax``.
 
     K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.  With
     d_k(w) = P_k(w) / (1 + w)^k the sum is sum_k P_k(w) y^k,
     y = 1 / ((1 + w) z), which the function compiled by ``coeffs._horner``
-    sums together with P_kmax(w) and y^kmax; the last term is
+    sums together with P_kmax(w) and y^kmax; each dK is the last term,
     sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  One sqrt(pi/z) serves both
-    series, and the minus series is skipped when its weight c_minus is 0.
-    Raises DomainError when a series or its last term leaves the double
+    series, and the minus series is skipped unless ``minus``.  The kernel
+    raises DomainError when a series or its last term leaves the double
     range, which needs z far below Z_MIN: z below about 2e-56 at kmax = 5,
-    or 7e-12 at kmax = 25, whatever w.  ``kmax`` must already be checked.
+    or 7e-12 at kmax = 25, whatever w.  ``kmax`` must already be checked;
+    like ``_horner(kmax)``, the kernel is built once per kmax.
     """
     horner = _horner(kmax)
-    root = math.sqrt(math.pi / z)
-    u = 1.0 + w_plus
-    total, last, yk = horner(w_plus, 1.0 / (u * z))
-    scale = root / u
-    k_plus, last_plus = scale * total, abs(scale * last) * yk
-    k_minus = last_minus = 0.0
-    if c_minus != 0.0:
-        u = 1.0 + w_minus
-        total, last, yk = horner(w_minus, 1.0 / (u * z))
+
+    def kernel(
+        z: float, w_plus: float, w_minus: float, minus: bool
+    ) -> tuple[float, float, float, float]:
+        root = math.sqrt(math.pi / z)
+        u = 1.0 + w_plus
+        total, last, yk = horner(w_plus, 1.0 / (u * z))
         scale = root / u
-        k_minus, last_minus = scale * total, abs(scale * last) * yk
-    if not (math.isfinite(k_plus + last_plus) and math.isfinite(k_minus + last_minus)):
-        raise DomainError(
-            f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
-        )
-    return k_plus, k_minus, last_plus, last_minus
+        k_plus, last_plus = scale * total, abs(scale * last) * yk
+        k_minus = last_minus = 0.0
+        if minus:
+            u = 1.0 + w_minus
+            total, last, yk = horner(w_minus, 1.0 / (u * z))
+            scale = root / u
+            k_minus, last_minus = scale * total, abs(scale * last) * yk
+        if not (math.isfinite(k_plus + last_plus) and math.isfinite(k_minus + last_minus)):
+            raise DomainError(
+                f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
+            )
+        return k_plus, k_minus, last_plus, last_minus
+
+    return kernel
 
 
 def _expand(g: Geometry, kmax: int, upper: bool, complemented: bool) -> EvalResult:
@@ -142,36 +143,10 @@ def _expand(g: Geometry, kmax: int, upper: bool, complemented: bool) -> EvalResu
 
     With ``complemented`` the G so computed is returned flipped to F.
     """
-    value, error = oracle._evaluate(g, upper, _series_kernel, kmax)
+    value, error = oracle._evaluate(g, upper, _series_kernel(kmax))
     if complemented:
         value = 1.0 - value
     return tuple.__new__(EvalResult, (value, Method.UNIFORM_ASYM, kmax, error, complemented))
-
-
-def f_plus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
-    """Uniform expansion of the plus part; leading term erfc(zeta_plus)/2."""
-    return oracle._split(g, False, _series_kernel, _check_kmax(kmax))[0]
-
-
-def g_plus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
-    """Uniform expansion of the complement's plus part.
-
-    Satisfies f_plus_asym + g_plus_asym = 1 up to rounding: the erfc halves
-    are complementary and the series corrections cancel exactly.
-    """
-    return oracle._split(g, True, _series_kernel, _check_kmax(kmax))[0]
-
-
-def f_minus_asym(g: Geometry, kmax: int = DEFAULT_KMAX) -> float:
-    """The small minus-part correction by its signed uniform expansion.
-
-    sgn(w_minus) times (1/2) e^{2 gamma delta} erfc(zeta_minus) minus the
-    d-series at |w_minus|, on both sides of w_minus = 0; 0 where |w_minus|
-    is negligible.  Its accuracy at a fixed ``kmax`` falls as |w_minus|
-    nears zero.  ``cdf`` routes every w_minus < W_MINUS_MIN to quadrature,
-    which takes each negative w_minus, however far from zero.
-    """
-    return oracle._split(g, False, _series_kernel, _check_kmax(kmax))[1]
 
 
 def cdf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
@@ -204,11 +179,11 @@ def _route(
         return _expand(g, kmax, False, False)
     if method == "quad-split" or g.z < Z_MIN or g.w_minus < W_MINUS_MIN:
         if method == "auto" and g.z < _SMALL_Z_LIMIT:
-            value, error = oracle._evaluate(g, False, oracle._small_z_kernel, _SMALL_Z_ORDER)
+            value, error = oracle._evaluate(g, False, oracle._small_z_kernel)
             return tuple.__new__(
-                EvalResult, (value, Method.SMALL_Z_SERIES, _SMALL_Z_ORDER, error, False)
+                EvalResult, (value, Method.SMALL_Z_SERIES, oracle._SMALL_Z_ORDER, error, False)
             )
-        value, error = oracle._evaluate(g, False, oracle._kernel, tol)
+        value, error = oracle._evaluate(g, False, oracle._kernel)
         return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
     right = x > g.x0
     return _expand(g, kmax, right, right)

@@ -2,21 +2,22 @@
 
 ``_split`` splits the CDF exactly into erfc terms plus two pole-free
 remainder integrals K(z, w), valid for every point, the transition point
-included.  It takes K from one of three kernels: the expansion's
-asymptotic series, for large z; ``_small_z_kernel``, a convergent series
-in z, which the auto route of ``expansion.cdf`` takes below z = 0.5; and
-the trapezoid ``_kernel``, for the primary oracle ``cdf_quad_split`` and
-the forced quad-split route at every z, so the oracle shares no series
-with the routes it judges.
+included.  It takes K from one of three kernels, all called as
+``kernel(z, w_plus, w_minus, minus)``: the expansion's asymptotic series,
+for large z; ``_small_z_kernel``, a convergent series in z, which the auto
+route of ``expansion.cdf`` takes below z = 0.5; and the trapezoid
+``_kernel``, for the primary oracle ``cdf_quad_split`` and the forced
+quad-split route at every z, so the oracle shares no series with the
+routes it judges.
 
 The small-z series is exact at infinite order: K(0, w) in closed form, an
 erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
 the ascending series of K_0 (DLMF 10.31-10.32) by one straight-line
-function compiled on first use.  At order 13 it stays within 7.3e-16
-relative of mpmath up to z = 0.6.  Timed point by point against the
-certified trapezoid on a shared 2-vCPU host, it was 2.9, 1.5 and 1.2
-times faster at z = 1e-12, 1e-4 and 0.015, and level with it, within
-5 %, from z = 0.1 to 3.
+function compiled on first use.  At order ``_SMALL_Z_ORDER`` = 13 it
+stays within 7.3e-16 relative of mpmath up to z = 0.6.  Timed point by
+point against the certified trapezoid on a shared 2-vCPU host, it was
+2.9, 1.5 and 1.2 times faster at z = 1e-12, 1e-4 and 0.015, and level
+with it, within 5 %, from z = 0.1 to 3.
 
 The trapezoid puts both integrals on one grid in ``t``, ``sigma = sinh(t)``:
 the map turns the algebraic ``1/sigma^2`` tail into a double-exponential
@@ -69,7 +70,11 @@ _NODE_BUDGET = 4096
 _TARGET_REL = 2.0**-53
 # nodes per block of the trapezoid kernel: each block restarts the rotation
 _RESTART = 32
-_Kernel = Callable[..., tuple[float, float, float, float]]
+# kernel(z, w_plus, w_minus, minus) -> (K_plus, K_minus, dK_plus, dK_minus)
+_Kernel = Callable[[float, float, float, bool], tuple[float, float, float, float]]
+# the odd order of ``_small_z_kernel``: within 7.3e-16 relative of mpmath up to
+# z = 0.6, but 1.7e-14 at z = 0.8, so a higher crossover needs a higher order
+_SMALL_Z_ORDER = 13
 # ln 4 - gamma_E, so that Lambda = ln z - ln 4 + gamma_E of ``_small_z_kernel``
 # is one subtraction from ln z
 _LOG_4_MINUS_GAMMA = math.log(4.0) - 0.5772156649015329
@@ -92,7 +97,7 @@ def _check_tol(tol: float) -> float:
 
 
 def _kernel(
-    z: float, w_plus: float, w_minus: float, coef_plus: float, coef_minus: float, tol: float
+    z: float, w_plus: float, w_minus: float, minus: bool
 ) -> tuple[float, float, float, float]:
     """K(z, w_plus) and K(z, w_minus) on one certified trapezoid level, and their error bound.
 
@@ -106,9 +111,8 @@ def _kernel(
     ``_step`` fixes the step h and the last node in advance: before
     rounding, the sum differs from K by at most eps = 2^-53 K_low <=
     2^-53 K(z, w).  That eps is returned as dK for both kernels, so
-    ``_split`` reports a bound that holds, not a measured change.  ``tol``
-    and the weights are not read; they keep the signature that ``_split``
-    shares with the series kernels.
+    ``_split`` reports a bound that holds, not a measured change.  Both
+    kernels share every node's exp, so K_minus is summed whatever ``minus``.
 
     Each node costs one exp and a division per kernel: (sinh t, cosh t)
     steps from node to node by the hyperbolic rotation
@@ -206,7 +210,7 @@ def _step(z: float) -> tuple[float, int, float, float]:
 
 
 def _small_z_kernel(
-    z: float, w_plus: float, w_minus: float, coef_plus: float, coef_minus: float, order: int
+    z: float, w_plus: float, w_minus: float, minus: bool
 ) -> tuple[float, float, float, float]:
     """K(z, w_plus) and K(z, w_minus) by their convergent small-z series, and their last terms.
 
@@ -221,25 +225,26 @@ def _small_z_kernel(
 
     M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2.  The
     ascending series of K_0 (DLMF 10.31) turns M into
-    sum_{n=0..order} z^{n+1} [U_n(a) - Lambda V_n(a)], Lambda = ln z - ln 4
+    sum_{n=0..13} z^{n+1} [U_n(a) - Lambda V_n(a)], Lambda = ln z - ln 4
     + gamma_E, which the function compiled by ``coeffs._small_z_horner``
     sums; Lambda is never formed as ln(z/4), which underflows at the
     smallest double.  Both factors stay smooth as s -> 0: atan2(s, w) / s
     tends to 1/w, and erf(y) / y is taken by its Taylor series below
-    y = 1e-4.  ``order`` must be odd; the minus series is skipped when its
-    weight c_minus is 0.  Each dK is the magnitude of the term n = order,
-    weighted as M enters K.  The series converges, so this measures the
-    truncation, but it is no bound: odd n holds only odd powers of a, so
-    that term vanishes at w^2 = 1/2.  Below z = 0.5 the truncation lies far
-    under the rounding of K.  No trapezoid node is used.
+    y = 1e-4.  The order 13 is ``_SMALL_Z_ORDER``, which must be odd; the
+    minus series is skipped unless ``minus``.  Each dK is the magnitude of
+    the term n = 13, weighted as M enters K.  The series converges, so this
+    measures the truncation, but it is no bound: odd n holds only odd
+    powers of a, so that term vanishes at w^2 = 1/2.  Below z = 0.5 the
+    truncation lies far under the rounding of K.  No trapezoid node is
+    used.
     """
-    sums = _small_z_horner(order)
+    sums = _small_z_horner(_SMALL_Z_ORDER)
     root_z = math.sqrt(z)
     lam = math.log(z) - _LOG_4_MINUS_GAMMA
     y = z * z
     k_plus, dk_plus = _small_z_one(sums, z, root_z, lam, y, w_plus)
     k_minus = dk_minus = 0.0
-    if coef_minus != 0.0:
+    if minus:
         k_minus, dk_minus = _small_z_one(sums, z, root_z, lam, y, w_minus)
     return k_plus, k_minus, dk_plus, dk_minus
 
@@ -265,16 +270,15 @@ def _small_z_one(
     return growth * (2.0 * angle - math.pi * root_z * ratio + w * m), growth * w * abs(last)
 
 
-def cdf_quad_split(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
+def cdf_quad_split(p: Parameters, x: float) -> float:
     """High-accuracy CDF by ``_split`` with the trapezoid ``_kernel``; valid for every z > 0.
 
-    ``tol`` is checked, as on every route, but the kernel does not read it:
-    its step is certified to 2^-53 of K, finer than any permitted tol.
+    It takes no tolerance: the kernel's step is certified to 2^-53 of K.
     """
-    return _evaluate(geometry(p, x), False, _kernel, _check_tol(tol))[0]
+    return _evaluate(geometry(p, x), False, _kernel)[0]
 
 
-def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float, float, float]:
+def _split(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float, float]:
     """The exact erfc split at one geometry, each remainder K(z, w) taken from ``kernel``.
 
     With E = e^{z sigma_plus^2} <= 1, weights c = s E / (2 pi) for each part
@@ -288,12 +292,11 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
     both factors of (1/2) e^{2 gamma delta} erfc(zeta_minus) at or below
     one.  F_minus and c_minus are 0 below ``_W_MINUS_NEGLIGIBLE``, and
     where E underflows to 0, which makes both terms of F_minus exactly 0.
-    ``kernel(z, w_plus, |w_minus|, c_plus, c_minus, arg)`` returns
-    (K_plus, K_minus, dK_plus, dK_minus), dK its error measure; it is not
-    called when both weights are 0.  ``arg``, already checked, is the
-    order of a series kernel, and ``tol`` for ``_kernel``, which does not
-    read it.  Returns (F_plus, or G_plus when ``upper``; F_minus;
-    |c_plus| dK_plus + |c_minus| dK_minus).
+    ``kernel(z, w_plus, |w_minus|, minus)`` returns (K_plus, K_minus,
+    dK_plus, dK_minus), dK its error measure; ``minus`` is c_minus != 0,
+    and a kernel may skip K_minus, returning 0 for it, where it is false.
+    The kernel is not called when both weights are 0.  Returns (F_plus, or
+    G_plus when ``upper``; F_minus; |c_plus| dK_plus + |c_minus| dK_minus).
     """
     _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus, _ = g
     damp = math.exp(-z * (s_plus * s_plus))
@@ -303,7 +306,7 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
     c_minus = 0.0 if negligible else s_minus * damp / (2.0 * math.pi)
     k_plus = k_minus = dk_plus = dk_minus = 0.0
     if c_plus != 0.0 or c_minus != 0.0:
-        k_plus, k_minus, dk_plus, dk_minus = kernel(z, w_plus, w_minus, c_plus, c_minus, arg)
+        k_plus, k_minus, dk_plus, dk_minus = kernel(z, w_plus, w_minus, c_minus != 0.0)
     if upper:
         plus = 0.5 * math.erfc(-zeta_plus) + c_plus * k_plus
     else:
@@ -316,13 +319,13 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float
     return plus, minus, abs(c_plus) * dk_plus + abs(c_minus) * dk_minus
 
 
-def _evaluate(g: Geometry, upper: bool, kernel: _Kernel, arg: float) -> tuple[float, float]:
+def _evaluate(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float]:
     """F, or G when ``upper``, by ``_split`` clamped to [0, 1], and its error estimate.
 
     The estimate is the weighted kernel error of ``_split`` plus the
     distance by which the value was clamped.
     """
-    plus, minus, error = _split(g, upper, kernel, arg)
+    plus, minus, error = _split(g, upper, kernel)
     raw = plus - minus if upper else plus + minus
     value = min(1.0, max(0.0, raw))
     return value, error + abs(raw - value)
@@ -400,5 +403,6 @@ def reflect(p: Parameters, x: float) -> tuple[Parameters, float]:
     """Mirror the evaluation: F(x; p) = 1 - F(-x; reflected p).
 
     Flips the signs of beta and mu, negates x, and is its own inverse.
+    Raises DomainError unless x is a finite real number.
     """
-    return validate(p.alpha, -p.beta, -p.mu, p.delta), -x
+    return validate(p.alpha, -p.beta, -p.mu, p.delta), -_require_finite("x", x)

@@ -12,7 +12,6 @@ import math
 import random
 
 from .coeffs import d_closed_form, d_coefficients
-from .expansion import f_plus_asym, g_plus_asym
 from .oracle import cdf_quad_direct, cdf_quad_split, reflect
 from .params import Parameters, geometry, validate
 from .special import erfc
@@ -134,20 +133,6 @@ def special_suite():
     return "special functions", passed, failed
 
 
-def expansion_suite(seed: int = DEFAULT_SEED):
-    """Complement identity of the plus parts: f_plus + g_plus = 1."""
-    rng = random.Random(seed + 2)
-    passed = failed = 0
-    for _ in range(200):
-        p, x = draw_point(rng)
-        g = geometry(p, x)
-        if abs(f_plus_asym(g) + g_plus_asym(g) - 1.0) <= 1e-14:
-            passed += 1
-        else:
-            failed += 1
-    return "expansion complement", passed, failed
-
-
 def oracle_suite(seed: int = DEFAULT_SEED):
     """Cross-oracle agreement and the reflection identity."""
     rng = random.Random(seed + 3)
@@ -186,6 +171,5 @@ def run_all(seed: int = DEFAULT_SEED, perturb: float = 0.0):
         identity_suite(seed=seed, perturb=perturb),
         coefficient_suite(seed=seed),
         special_suite(),
-        expansion_suite(seed=seed),
         oracle_suite(seed=seed),
     ]

@@ -81,7 +81,7 @@ def test_criterion_02_large_parameter_values():
 def test_criterion_03_table_function_values():
     rows = []
     for p, f_pub, f_ind in zip(_bench(), F_PUBLISHED, F_INDEPENDENT):
-        f = cdf_quad_split(p, transition_point(p), tol=1e-12)
+        f = cdf_quad_split(p, transition_point(p))
         rows.append((p.beta, f, f_ind, f_pub, abs(f - f_ind)))
     report = "\n".join(
         f"  beta={beta:5}: oracle={f:.17g}  independent={f_ind:.17g}  "

@@ -223,7 +223,7 @@ def test_selftest_perturbation_hook_fails(capsys):
 
 def test_run_all_reports_every_suite():
     report = run_all(seed=1)
-    assert len(report) == 5
+    assert len(report) == 4
     assert all(failed == 0 for _, _, failed in report)
     assert all(passed > 0 for _, passed, _ in report)
 

@@ -14,17 +14,14 @@ from nigcdf import (
     cdf,
     cdf_asym,
     cdf_quad_split,
-    f_minus_asym,
-    f_plus_asym,
-    g_plus_asym,
     geometry,
     sf_asym,
     transition_point,
     validate,
 )
 from nigcdf import oracle
-from nigcdf.expansion import Z_MIN, _SMALL_Z_LIMIT, _SMALL_Z_ORDER, _series_kernel
-from nigcdf.oracle import DEFAULT_TOL, _kernel
+from nigcdf.expansion import Z_MIN, _SMALL_Z_LIMIT, _series_kernel
+from nigcdf.oracle import _SMALL_Z_ORDER, _kernel
 from nigcdf.selftest import draw_point
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
@@ -39,27 +36,32 @@ def _bench(beta):
     return validate(ALPHA, beta, MU, DELTA)
 
 
+def _parts(g, upper=False):
+    """(F_plus, or G_plus when ``upper``; F_minus) of the split with the kmax = 5 series."""
+    plus, minus, _ = oracle._split(g, upper, _series_kernel(5))
+    return plus, minus
+
+
 def test_f_plus_is_half_at_transition():
     for beta in BETAS:
         p = _bench(beta)
         g = geometry(p, transition_point(p))
-        assert f_plus_asym(g) == pytest.approx(0.5, abs=1e-13)
-        assert g_plus_asym(g) == pytest.approx(0.5, abs=1e-13)
+        assert _parts(g)[0] == pytest.approx(0.5, abs=1e-13)
+        assert _parts(g, upper=True)[0] == pytest.approx(0.5, abs=1e-13)
 
 
 def test_f_plus_matches_oracle_remainder():
     # F - F_minus computed by quadrature isolates the plus part
     p = _bench(-4.0)
-    g = geometry(p, 6.0)
-    oracle_f_plus = cdf_quad_split(p, 6.0) - f_minus_asym(g)
-    assert abs(f_plus_asym(g) - oracle_f_plus) <= 1e-8
+    f_plus, f_minus = _parts(geometry(p, 6.0))
+    assert abs(f_plus - (cdf_quad_split(p, 6.0) - f_minus)) <= 1e-8
 
 
 def test_g_plus_matches_oracle_remainder():
     p = _bench(7.5)
-    g = geometry(p, 15.0)
+    g_plus, f_minus = _parts(geometry(p, 15.0), upper=True)
     oracle_g = 1.0 - cdf_quad_split(p, 15.0)
-    assert abs((g_plus_asym(g) - f_minus_asym(g)) - oracle_g) <= 1e-9
+    assert abs((g_plus - f_minus) - oracle_g) <= 1e-9
 
 
 def test_plus_parts_are_complementary():
@@ -67,7 +69,7 @@ def test_plus_parts_are_complementary():
     for _ in range(200):
         p, x = draw_point(rng)
         g = geometry(p, x)
-        assert abs(f_plus_asym(g) + g_plus_asym(g) - 1.0) <= 1e-14
+        assert abs(_parts(g)[0] + _parts(g, upper=True)[0] - 1.0) <= 1e-14
 
 
 def test_forced_asym_is_accurate_where_w_minus_is_small():
@@ -99,7 +101,7 @@ def test_f_minus_vanishes_where_w_minus_changes_sign():
     x_w0 = p.mu - p.beta * p.delta / p.gamma
     for dx in (-1e-6, -1e-9, 1e-9, 1e-6):
         g = geometry(p, x_w0 + dx)
-        f_minus = f_minus_asym(g)
+        f_minus = _parts(g)[1]
         assert f_minus * g.w_minus > 0.0
         assert abs(f_minus) <= 1e-11
         assert abs(cdf_asym(p, x_w0 + dx).value - cdf_quad_split(p, x_w0 + dx)) <= 1e-11
@@ -429,14 +431,13 @@ def test_series_kernel_is_the_asymptotic_series_of_the_trapezoid_kernel():
     # falls short of the error by up to three orders), and rounding adds a
     # few ulps of K
     rng = random.Random(23)
-    coef = 1.0 / (2.0 * math.pi)  # the largest weight a kernel has in F
     for _ in range(3000):
         z = math.exp(rng.uniform(math.log(30.0), math.log(1e4)))
         w = math.exp(rng.uniform(math.log(1e-13), 0.0))
         kmax = rng.choice((5, 10))
-        k_series, _, _, _ = _series_kernel(z, w, w, coef, coef, kmax)
-        k_trap, _, _, _ = _kernel(z, w, w, coef, coef, DEFAULT_TOL)
-        omitted = _series_kernel(z, w, w, coef, 0.0, kmax + 1)[2]
+        k_series, _, _, _ = _series_kernel(kmax)(z, w, w, True)
+        k_trap, _, _, _ = _kernel(z, w, w, True)
+        omitted = _series_kernel(kmax + 1)(z, w, w, False)[2]
         assert abs(k_series - k_trap) <= 10.0 * omitted + 1e-15 * k_trap
 
 

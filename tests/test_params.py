@@ -18,6 +18,7 @@ from nigcdf import (
     erfc,
     erfcx,
     geometry,
+    reflect,
     transition_point,
     validate,
 )
@@ -186,8 +187,9 @@ def test_geometry_published_z_values():
 def test_geometry_rejects_bad_x():
     p = validate(8.0, 2.0, 3.0, 2.0)
     for bad in (math.inf, -math.inf, math.nan, "five", None):
-        with pytest.raises(DomainError):
-            geometry(p, bad)
+        for call in (geometry, reflect):  # reflect checks x as geometry does
+            with pytest.raises(DomainError):
+                call(p, bad)
 
 
 _P = validate(8.0, 2.0, 3.0, 2.0)
@@ -200,6 +202,7 @@ HUGE_INPUTS = {
     "cdf-fraction": lambda: cdf(_P, Fraction(10**400, 3)),
     "cdf-tol": lambda: cdf(_P, 5.0, tol=10**400),
     "geometry": lambda: geometry(_P, -10**400),
+    "reflect": lambda: reflect(_P, 10**400),
     "erfc": lambda: erfc(10**400),
     "erfcx": lambda: erfcx(-10**400),
     "d_coefficients": lambda: d_coefficients(10**400, 3),
@@ -211,6 +214,11 @@ HUGE_INPUTS = {
 def test_numbers_beyond_the_double_range_are_domain_errors(call):
     with pytest.raises(DomainError, match="must be finite"):
         call()
+
+
+def test_reflect_takes_x_as_a_float():
+    assert reflect(_P, "1") == (validate(8.0, -2.0, -3.0, 2.0), -1.0)
+    assert type(reflect(_P, 1)[1]) is float
 
 
 @given(param_sets(), st.floats(min_value=-15.0, max_value=15.0))
