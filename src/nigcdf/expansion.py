@@ -15,16 +15,15 @@ double range raises DomainError naming z and kmax.
 
 The public functions are thin callers: they check their arguments, build
 the geometry from (p, x), and call the split.  ``cdf`` adds the
-evaluation policy.  Below z = 0.5 the same split takes
-``oracle._small_z_kernel``, a convergent series in z, whatever w_minus;
-from there the trapezoid kernel of the quadrature oracle takes z < Z_MIN
-and w_minus < W_MINUS_MIN; the rest goes to the expansions, with
-complement-first evaluation right of the transition so the smaller of F
-and G is the one computed directly.  ``W_MINUS_MIN`` is an accuracy gate of
-the fixed-order series, not a limit of the coefficients, and it is signed:
-every negative w_minus goes to quadrature, whatever its magnitude, and
-only w_minus >= W_MINUS_MIN to the series.  Every argument is checked
-before routing, and the geometry is computed once.
+evaluation policy, which gives each z band the split with its own kernel,
+whatever w_minus: below z = 0.5 ``oracle._small_z_kernel``, a convergent
+series in z; from z = 30 ``oracle._gauss_kernel``, an 8-node Gauss rule
+whose error is certified in advance; between the two the trapezoid kernel
+of the quadrature oracle.  On the Gauss route the complement is evaluated
+first right of the transition, so the smaller of F and G is the one
+computed directly.  The paper's series, at the order asked for, serves
+only the forced expansions (``asym``, ``cdf_asym``, ``sf_asym``).  Every
+argument is checked before routing, and the geometry is computed once.
 """
 
 from __future__ import annotations
@@ -42,16 +41,12 @@ from . import oracle
 __all__ = [
     "Method",
     "EvalResult",
-    "Z_MIN",
-    "W_MINUS_MIN",
     "DEFAULT_KMAX",
     "cdf_asym",
     "sf_asym",
     "cdf",
 ]
 
-Z_MIN = 30.0
-W_MINUS_MIN = 0.05
 DEFAULT_KMAX = 5
 # below this z the auto route takes oracle._small_z_kernel, which holds its
 # accuracy up to z = 0.6 (see oracle._SMALL_Z_ORDER).  On a shared 2-vCPU
@@ -59,6 +54,9 @@ DEFAULT_KMAX = 5
 # as that kernel at z = 1e-12, 1e-4 and 0.015, and the same within 5 % from
 # 0.1 to 3, so a crossover anywhere in [0.1, 0.5] costs the same.
 _SMALL_Z_LIMIT = 0.5
+# from this z on the auto route takes oracle._gauss_kernel, whose error is
+# within 2^-53 of K from z = 26.2
+_GAUSS_LIMIT = 30.0
 
 
 class Method(Enum):
@@ -66,26 +64,28 @@ class Method(Enum):
     QUAD_SPLIT = "quad_split"
     QUAD_DIRECT = "quad_direct"
     SMALL_Z_SERIES = "small_z_series"
+    GAUSS_SPLIT = "gauss_split"
 
 
 # a NamedTuple, not a frozen dataclass, for the reason given at params.Parameters
 class EvalResult(NamedTuple):
     """One evaluation: probability, route taken, and an error estimate.
 
-    ``error_estimate`` is, on the three split routes (UNIFORM_ASYM,
-    SMALL_Z_SERIES and QUAD_SPLIT), |c_plus| dK_plus + |c_minus| dK_minus:
-    each remainder kernel's error measure, weighted as the kernel enters
-    the value.  The asymptotic series' dK is the magnitude of its last
-    retained term, a heuristic rather than a bound; the convergent small-z
-    series' is the magnitude of its last term, n = 13, as it enters K; the
-    trapezoid's is the bound its step is certified to, 2^-53 times a
-    lower bound on K, a bound that holds before rounding rather than a
-    measured change.  On QUAD_DIRECT it is the change of the integral in
-    the last step halving.  Each includes the distance by which the value
-    was clamped into [0, 1].  ``kmax_used`` is
-    the series order: kmax on UNIFORM_ASYM, 13 on SMALL_Z_SERIES, 0 on the
-    quadrature routes.  ``complemented`` records that the value was
-    produced as 1 minus the directly computed complement.
+    ``error_estimate`` is, on the four split routes (UNIFORM_ASYM,
+    GAUSS_SPLIT, SMALL_Z_SERIES and QUAD_SPLIT), |c_plus| dK_plus +
+    |c_minus| dK_minus: each remainder kernel's error measure, weighted as
+    the kernel enters the value.  The asymptotic series' dK is the
+    magnitude of its last retained term, a heuristic rather than a bound;
+    the Gauss rule's is 2^-53 K, and the trapezoid's 2^-53 times a lower
+    bound on K, bounds that hold before rounding rather than measured
+    changes; the convergent small-z series' is the magnitude of its last
+    term, n = 13, as it enters K.  On QUAD_DIRECT it is the change of the
+    integral in the last step halving.  Each includes the distance by
+    which the value was clamped into [0, 1].  ``kmax_used`` is the work
+    done: the series order, kmax on UNIFORM_ASYM and 13 on SMALL_Z_SERIES;
+    the node count, 8, on GAUSS_SPLIT; 0 on the quadrature routes.
+    ``complemented`` records that the value was produced as 1 minus the
+    directly computed complement.
     """
 
     value: float
@@ -109,7 +109,7 @@ def _series_kernel(kmax: int) -> oracle._Kernel:
     sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  One sqrt(pi/z) serves both
     series, and the minus series is skipped unless ``minus``.  The kernel
     raises DomainError when a series or its last term leaves the double
-    range, which needs z far below Z_MIN: z below about 2e-56 at kmax = 5,
+    range, which needs z far below 1: z below about 2e-56 at kmax = 5,
     or 7e-12 at kmax = 25, whatever w.  ``kmax`` must already be checked;
     like ``_horner(kmax)``, the kernel is built once per kmax.
     """
@@ -138,25 +138,20 @@ def _series_kernel(kmax: int) -> oracle._Kernel:
     return kernel
 
 
-def _expand(g: Geometry, kmax: int, upper: bool, complemented: bool) -> EvalResult:
-    """F (or G when ``upper``) by the split with the series kernel, clamped to [0, 1].
-
-    With ``complemented`` the G so computed is returned flipped to F.
-    """
+def _expand(g: Geometry, kmax: int, upper: bool) -> EvalResult:
+    """F (or G when ``upper``) by the split with the series kernel, clamped to [0, 1]."""
     value, error = oracle._evaluate(g, upper, _series_kernel(kmax))
-    if complemented:
-        value = 1.0 - value
-    return tuple.__new__(EvalResult, (value, Method.UNIFORM_ASYM, kmax, error, complemented))
+    return tuple.__new__(EvalResult, (value, Method.UNIFORM_ASYM, kmax, error, False))
 
 
 def cdf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     """F by the asymptotic expansions alone, clamped to [0, 1]."""
-    return _expand(geometry(p, x), _check_kmax(kmax), False, False)
+    return _expand(geometry(p, x), _check_kmax(kmax), False)
 
 
 def sf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     """G = 1 - F by the asymptotic expansions alone, clamped to [0, 1]."""
-    return _expand(geometry(p, x), _check_kmax(kmax), True, False)
+    return _expand(geometry(p, x), _check_kmax(kmax), True)
 
 
 def _check_route_args(method: str, kmax: int, tol: float) -> tuple[int, float]:
@@ -176,17 +171,23 @@ def _route(
         value, error = oracle._quad_direct(p, g, tol)
         return tuple.__new__(EvalResult, (value, Method.QUAD_DIRECT, 0, error, False))
     if method == "asym":
-        return _expand(g, kmax, False, False)
-    if method == "quad-split" or g.z < Z_MIN or g.w_minus < W_MINUS_MIN:
-        if method == "auto" and g.z < _SMALL_Z_LIMIT:
+        return _expand(g, kmax, False)
+    if method == "auto":
+        if g.z >= _GAUSS_LIMIT:
+            right = x > g.x0
+            value, error = oracle._evaluate(g, right, oracle._gauss_kernel)
+            if right:
+                value = 1.0 - value
+            return tuple.__new__(
+                EvalResult, (value, Method.GAUSS_SPLIT, oracle._GAUSS_NODES, error, right)
+            )
+        if g.z < _SMALL_Z_LIMIT:
             value, error = oracle._evaluate(g, False, oracle._small_z_kernel)
             return tuple.__new__(
                 EvalResult, (value, Method.SMALL_Z_SERIES, oracle._SMALL_Z_ORDER, error, False)
             )
-        value, error = oracle._evaluate(g, False, oracle._kernel)
-        return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
-    right = x > g.x0
-    return _expand(g, kmax, right, right)
+    value, error = oracle._evaluate(g, False, oracle._kernel)
+    return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
 
 
 def cdf(
@@ -199,19 +200,19 @@ def cdf(
     """F with route selection.
 
     ``tol`` is checked on every route but read only by ``quad-direct``:
-    the split's trapezoid is certified to 2^-53 of K and the small-z
-    series is at the rounding level, both finer than any permitted tol.
-    ``auto``: below z = 0.5 the split with the convergent small-z series
-    (SMALL_Z_SERIES), whatever w_minus, which needs no quadrature node;
-    then quadrature when z < Z_MIN or w_minus < W_MINUS_MIN, where the
-    fixed-order series does not reach the accuracy of the quadrature (the
-    w_minus gate is signed, so every negative w_minus takes quadrature);
-    otherwise the expansions, evaluating the complement and flipping when x
-    lies right of the transition point so the smaller function is the one
-    computed.
+    the split's trapezoid and Gauss rule are certified to 2^-53 of K and
+    the small-z series is at the rounding level, all finer than any
+    permitted tol.
+    ``auto``: the split, whatever w_minus, with the kernel of its z band:
+    below z = 0.5 the convergent small-z series (SMALL_Z_SERIES), which
+    needs no quadrature node; from z = 30 the 8-node Gauss rule
+    (GAUSS_SPLIT), evaluating the complement and flipping when x lies
+    right of the transition point so the smaller function is the one
+    computed; between the two the trapezoid (QUAD_SPLIT).  All three take
+    each K to about its rounding, so ``kmax`` is read only by ``asym``.
     ``asym``, ``quad-split``, ``quad-direct`` force a route, and forced
-    ``quad-split`` keeps the trapezoid at every z; forced ``asym``
-    evaluates the same signed minus part at any w_minus.  Every argument is
+    ``quad-split`` keeps the trapezoid at every z; forced ``asym`` sums
+    the paper's series to ``kmax`` at any z and w_minus.  Every argument is
     checked before routing, whichever route the point takes; the geometry
     is computed once.
     """

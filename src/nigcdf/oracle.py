@@ -2,13 +2,19 @@
 
 ``_split`` splits the CDF exactly into erfc terms plus two pole-free
 remainder integrals K(z, w), valid for every point, the transition point
-included.  It takes K from one of three kernels, all called as
+included.  It takes K from one of four kernels, all called as
 ``kernel(z, w_plus, w_minus, minus)``: the expansion's asymptotic series,
-for large z; ``_small_z_kernel``, a convergent series in z, which the auto
-route of ``expansion.cdf`` takes below z = 0.5; and the trapezoid
-``_kernel``, for the primary oracle ``cdf_quad_split`` and the forced
-quad-split route at every z, so the oracle shares no series with the
-routes it judges.
+for the forced expansions; ``_gauss_kernel``, an 8-node Gauss rule, which
+the auto route of ``expansion.cdf`` takes from z = 30; ``_small_z_kernel``,
+a convergent series in z, which that route takes below z = 0.5; and the
+trapezoid ``_kernel``, for the auto route between the two, and for the
+primary oracle ``cdf_quad_split`` and the forced quad-split route at every
+z, so the oracle shares no rule with the routes it judges.
+
+The Gauss rule is the one for the weight u^{-1/2} e^{-z u}, u = sigma^2:
+its nodes are the squared positive nodes of the order-16 Gauss-Hermite
+rule over z.  Before rounding it underestimates K, by at most 2^-53 K from
+z = 26.2 on, so its error bound needs no table.
 
 The small-z series is exact at infinite order: K(0, w) in closed form, an
 erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
@@ -75,6 +81,20 @@ _Kernel = Callable[[float, float, float, bool], tuple[float, float, float, float
 # the odd order of ``_small_z_kernel``: within 7.3e-16 relative of mpmath up to
 # z = 0.6, but 1.7e-14 at z = 0.8, so a higher crossover needs a higher order
 _SMALL_Z_ORDER = 13
+# (x_i^2, 2 W_i) over the 8 positive nodes x_i of the order-16 Gauss-Hermite
+# rule, smallest weight first, for ``_gauss_kernel``: 50-digit mpmath
+# (Golub-Welsch, then Newton on the normalised Hermite recurrence), rounded once
+_GAUSS_RULE = (
+    (float.fromhex("0x1.5fbf94e0e468dp+4"), float.fromhex("0x1.23e62febce393p-31")),
+    (float.fromhex("0x1.df1fc2d7ffd78p+3"), float.fromhex("0x1.f26d457674892p-22")),
+    (float.fromhex("0x1.42fc81eea0951p+3"), float.fromhex("0x1.c6f9810be5860p-15")),
+    (float.fromhex("0x1.9eebdacdca993p+2"), float.fromhex("0x1.e8c90a9ef9aa7p-10")),
+    (float.fromhex("0x1.e79cebe1bb3b6p+1"), float.fromhex("0x1.a60fe26755d4fp-6")),
+    (float.fromhex("0x1.e7b586f59fa88p+0"), float.fromhex("0x1.574932ae292a7p-3")),
+    (float.fromhex("0x1.5ac0647566296p-1"), float.fromhex("0x1.1f620c20579f4p-1")),
+    (float.fromhex("0x1.3258f91c2758ap-4"), float.fromhex("0x1.040f552a19f20p+0")),
+)
+_GAUSS_NODES = len(_GAUSS_RULE)
 # ln 4 - gamma_E, so that Lambda = ln z - ln 4 + gamma_E of ``_small_z_kernel``
 # is one subtraction from ln z
 _LOG_4_MINUS_GAMMA = math.log(4.0) - 0.5772156649015329
@@ -268,6 +288,41 @@ def _small_z_one(
     angle = math.atan2(s, w) / s if s > 0.0 else 1.0 / w
     growth = math.exp(s2 * z)
     return growth * (2.0 * angle - math.pi * root_z * ratio + w * m), growth * w * abs(last)
+
+
+def _gauss_kernel(
+    z: float, w_plus: float, w_minus: float, minus: bool
+) -> tuple[float, float, float, float]:
+    """K(z, w_plus) and K(z, w_minus) by the 8-node Gauss rule, and their error bound.
+
+    In u = sigma^2, K(z, w) is the integral over u > 0 of u^{-1/2} e^{-z u}
+    g(u), g(u) = 1 / (q (q + w)), q = sqrt(1 + u).  The Gauss rule for the
+    weight u^{-1/2} e^{-z u} has the nodes x_i^2 / z, x_i the positive nodes
+    of the order-16 Gauss-Hermite rule, so
+
+        K(z, w) ~ z^{-1/2} sum_i 2 W_i / (q_i (q_i + w)),  q_i = sqrt(1 + x_i^2 / z).
+
+    It is exact through the d-series term k = 15, and it converges where
+    that series diverges: it is the Pade (Stieltjes) form of the same
+    series.  For w in [0, 1], g is a Stieltjes function, so every even
+    derivative of g is positive and, before rounding, the rule
+    underestimates K.  Its relative error is largest at w = 0, where
+    K(z, 0) = pi erfcx(sqrt z), and falls with z: 1.93e-17 at z = 30, where
+    the auto route of ``expansion.cdf`` starts taking it (2^-53 is reached
+    at z = 26.2), and 1.98e-20 at z = 50.  So each dK is 2^-53 K, one
+    bound for every w, as on the trapezoid.  Both sums share each sqrt,
+    and K_minus is summed whatever ``minus``; no node calls exp.
+    """
+    sqrt = math.sqrt
+    sum_plus = sum_minus = 0.0
+    for node, weight in _GAUSS_RULE:
+        q = sqrt(1.0 + node / z)
+        sum_plus += weight / (q * (q + w_plus))
+        sum_minus += weight / (q * (q + w_minus))
+    root = sqrt(z)
+    k_plus = sum_plus / root
+    k_minus = sum_minus / root
+    return k_plus, k_minus, _TARGET_REL * k_plus, _TARGET_REL * k_minus
 
 
 def cdf_quad_split(p: Parameters, x: float) -> float:

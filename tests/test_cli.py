@@ -21,7 +21,7 @@ def test_eval_plain_format(capsys):
     assert main(EVAL_BASE + ["--x", "5"]) == 0
     out = dict(line.split("=", 1) for line in _lines(capsys))
     assert set(out) == {"x", "F", "G", "method", "kmax", "error_estimate", "x0", "z"}
-    assert out["method"] == "uniform_asym"
+    assert out["method"] == "gauss_split"
     assert float(out["F"]) == pytest.approx(0.99512722743310920, abs=1e-9)
     # plain mode prints 10 significant digits, so the sum carries that rounding
     assert float(out["F"]) + float(out["G"]) == pytest.approx(1.0, abs=1e-9)

@@ -20,7 +20,7 @@ from nigcdf import (
     validate,
 )
 from nigcdf import oracle
-from nigcdf.expansion import Z_MIN, _SMALL_Z_LIMIT, _series_kernel
+from nigcdf.expansion import _GAUSS_LIMIT, _SMALL_Z_LIMIT, _series_kernel
 from nigcdf.oracle import _SMALL_Z_ORDER, _kernel
 from nigcdf.selftest import draw_point
 
@@ -195,7 +195,7 @@ def test_every_route_returns_a_complete_eval_result():
             assert r == EvalResult(**r._asdict())
             assert type(r.complemented) is bool
             taken.add((r.method, r.complemented))
-    assert taken == {(m, False) for m in Method} | {(Method.UNIFORM_ASYM, True)}
+    assert taken == {(m, False) for m in Method} | {(Method.GAUSS_SPLIT, True)}
 
 
 @pytest.mark.parametrize("field", EVAL_RESULT_FIELDS)
@@ -216,24 +216,27 @@ def test_error_estimate_tracks_actual_error():
 
 
 def test_policy_uses_asym_in_the_trusted_region():
+    # the auto route takes the Gauss rule here; forced asym keeps the series
     p = _bench(2.0)
-    r = cdf(p, transition_point(p))
+    x0 = transition_point(p)
+    r = cdf(p, x0, method="asym")
     assert r.method is Method.UNIFORM_ASYM
     assert not r.complemented
+    assert cdf(p, x0).method is Method.GAUSS_SPLIT
 
 
 def test_policy_complements_right_of_transition():
     p = _bench(-4.0)
     r = cdf(p, 20.0)
     assert r.complemented
-    assert r.method is Method.UNIFORM_ASYM
+    assert r.method is Method.GAUSS_SPLIT
     assert 0.0 <= r.value <= 1.0
     assert abs(r.value - cdf_quad_split(p, 20.0)) <= 1e-9
 
 
 def test_policy_falls_back_to_quadrature_for_small_z():
     # z = 2 alpha delta at x = mu: below the crossover the small-z series,
-    # from the crossover, inclusive, up to Z_MIN the trapezoid
+    # from the crossover, inclusive, up to the Gauss rule's 30 the trapezoid
     p = validate(0.5, 0.125, 3.0, 0.1)
     assert geometry(p, 3.0).z == pytest.approx(0.1)
     r = cdf(p, 3.0)
@@ -241,7 +244,7 @@ def test_policy_falls_back_to_quadrature_for_small_z():
     assert r.kmax_used == _SMALL_Z_ORDER
     for delta in (_SMALL_Z_LIMIT, 1.0, 10.0):
         p = validate(1.0, 0.25, 3.0, 0.5 * delta)
-        assert _SMALL_Z_LIMIT <= geometry(p, 3.0).z == delta < Z_MIN
+        assert _SMALL_Z_LIMIT <= geometry(p, 3.0).z == delta < _GAUSS_LIMIT
         r = cdf(p, 3.0)
         assert r.method is Method.QUAD_SPLIT
         assert r.kmax_used == 0
@@ -276,11 +279,13 @@ def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     assert signs == {False, True}
 
 
-def test_policy_falls_back_to_quadrature_for_small_w_minus():
+def test_policy_takes_the_gauss_rule_at_small_w_minus():
+    # the fixed-order series once sent such points to quadrature; the Gauss
+    # rule holds its bound at any w_minus
     p = _bench(-4.0)
     g = geometry(p, 1.0)
     assert g.z >= 30.0 and g.w_minus < 0.05
-    assert cdf(p, 1.0).method is Method.QUAD_SPLIT
+    assert cdf(p, 1.0).method is Method.GAUSS_SPLIT
 
 
 def test_policy_forced_methods():
@@ -358,17 +363,19 @@ def test_forced_expansions_refuse_kmax_past_the_last_finite_row(entry):
         entry(validate(8.0, 7.5, 3.0, 2.0), 40.0, 152)
 
 
-# (method, x) with p = _bench(2.0): the auto asym route, complemented and
-# not, the auto quadrature route, and each forced route
+# (method, x) with p = _bench(2.0): the auto Gauss route, complemented and
+# not, the same at w_minus < 0 (z >= 32 at every x, so no auto point takes
+# the trapezoid), and each forced route
 ROUTES = [("auto", 20.0), ("auto", 3.0), ("auto", 1.0), ("asym", 5.0),
           ("quad-split", 5.0), ("quad-direct", 5.0)]
 
 
+BAD_ARGS = [{"tol": -1.0}, {"tol": "tight"}, {"kmax": -1}, {"kmax": 2.0},
+            {"tol": math.nan}, {"kmax": 152}, {"tol": 2.0}, {"tol": math.inf}]
+
+
 @pytest.mark.parametrize("method,x", ROUTES)
-@pytest.mark.parametrize(
-    "bad", [{"tol": -1.0}, {"tol": "tight"}, {"kmax": -1}, {"kmax": 2.0},
-            {"tol": math.nan}, {"kmax": 152}, {"tol": 2.0}, {"tol": math.inf}],
-)
+@pytest.mark.parametrize("bad", BAD_ARGS)
 def test_cdf_checks_every_argument_on_every_route(method, x, bad):
     p = _bench(2.0)
     cdf(p, x, method=method)  # the point itself evaluates
@@ -376,11 +383,23 @@ def test_cdf_checks_every_argument_on_every_route(method, x, bad):
         cdf(p, x, method=method, **bad)
 
 
+@pytest.mark.parametrize("bad", BAD_ARGS)
+def test_cdf_checks_every_argument_on_the_other_auto_routes(bad):
+    # ROUTES has no auto point below z = 30: here the trapezoid and the small-z series
+    for params, x, method in (((1.0, 0.2, 0.0, 1.0), 0.5, Method.QUAD_SPLIT),
+                              ((0.5, 0.125, 3.0, 0.1), 3.0, Method.SMALL_Z_SERIES)):
+        p = validate(*params)
+        assert cdf(p, x).method is method
+        with pytest.raises(DomainError):
+            cdf(p, x, **bad)
+
+
 def test_auto_routes_take_the_routes_they_name():
     p = _bench(2.0)
     taken = [(r.method, r.complemented) for r in (cdf(p, x) for _, x in ROUTES[:3])]
-    assert taken == [(Method.UNIFORM_ASYM, True), (Method.UNIFORM_ASYM, False),
-                     (Method.QUAD_SPLIT, False)]
+    assert taken == [(Method.GAUSS_SPLIT, True), (Method.GAUSS_SPLIT, False),
+                     (Method.GAUSS_SPLIT, False)]
+    assert geometry(p, 1.0).w_minus < 0.0
 
 
 @pytest.mark.parametrize(
@@ -389,7 +408,7 @@ def test_auto_routes_take_the_routes_they_name():
     + [pytest.param("quad-direct", x, id=f"quad-direct-{x}") for x in (20.0, 1.0)],
 )
 def test_cdf_computes_the_geometry_once(monkeypatch, method, x):
-    # auto: a complemented asym point, an asym point and a quad-split point;
+    # auto: a complemented Gauss point, and two Gauss points, one at w_minus < 0;
     # quad-direct on both sides of the transition, nu < tau at x = 20, and
     # without validating the parameters again
     calls = []
@@ -408,20 +427,24 @@ def test_cdf_computes_the_geometry_once(monkeypatch, method, x):
     assert calls == [x]
 
 
-def test_auto_route_equals_the_forced_expansions_bit_for_bit():
+def test_forced_asym_route_equals_the_forced_expansions_bit_for_bit():
+    # forced asym and cdf_asym are one split with the series kernel; the
+    # auto route at the same points takes the Gauss rule, complementing
+    # right of the transition
     rng = random.Random(41)
     asym = 0
     for _ in range(2000):
         p, x = draw_point(rng)
-        r = cdf(p, x)
-        if r.method is not Method.UNIFORM_ASYM:
+        g = geometry(p, x)
+        if g.z < _GAUSS_LIMIT:
             continue
         asym += 1
-        if r.complemented:
-            assert r.value == 1.0 - sf_asym(p, x).value
-            assert r.error_estimate == sf_asym(p, x).error_estimate
-        else:
-            assert r == cdf_asym(p, x)
+        r = cdf(p, x, method="asym")
+        assert r == cdf_asym(p, x)
+        assert r.method is Method.UNIFORM_ASYM and not r.complemented
+        auto = cdf(p, x)
+        assert auto.method is Method.GAUSS_SPLIT
+        assert auto.complemented == (x > g.x0)
     assert asym >= 400
 
 
@@ -459,5 +482,5 @@ def test_cdf_routes_on_x_as_a_float():
         for method in ("auto", "asym", "quad-split", "quad-direct"):
             assert _cdf_outcome(p, x, method) == _cdf_outcome(p, float(x), method), (x, method)
         r = cdf(p, x)
-        assert r.method is Method.UNIFORM_ASYM
+        assert r.method is Method.GAUSS_SPLIT
         assert r.complemented == (float(x) > x0)

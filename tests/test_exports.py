@@ -73,7 +73,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_set_up_evaluations_compile_no_small_z_rows():
-    # the two evaluations that time the benchmark's set-up (one series point,
+    # the two evaluations that time the benchmark's set-up (one Gauss point,
     # one trapezoid point, as in bench/setup_probe.py) build no row of the
     # small-z kernel and load no further submodule: its rows compile on the
     # first point below the crossover, never at import

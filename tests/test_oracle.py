@@ -30,7 +30,7 @@ from nigcdf import (
 )
 from nigcdf import oracle
 from nigcdf.coeffs import _small_z_rows
-from nigcdf.expansion import _SMALL_Z_LIMIT
+from nigcdf.expansion import _SMALL_Z_LIMIT, _series_kernel
 from nigcdf.oracle import _SMALL_Z_ORDER, _kernel, _small_z_kernel
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfc, erfcx
@@ -91,7 +91,7 @@ def test_split_oracle_rules_agree():
         elif drawn > 10:
             continue
         a = cdf_quad_split(p, x)
-        b = _reference_split_cdf(p, x, _gauss_kernel)
+        b = _reference_split_cdf(p, x, _legendre_kernel)
         assert abs(a - b) <= 1e-12
 
 
@@ -482,6 +482,166 @@ def test_small_z_rows_sum_m_to_mpmath(z):
         assert abs(_m_by_rows(z, a, _SMALL_Z_ORDER) - float(ref)) <= 1e-15 * float(ref)
 
 
+def _hermite_rule(n: int) -> list:
+    """(x_i, W_i) over the positive nodes of the order-n Gauss-Hermite rule, at the current precision.
+
+    Golub-Welsch (the eigenvalues of the Jacobi matrix, off-diagonal
+    sqrt(k/2)), then Newton on the normalised Hermite recurrence, whose
+    polynomials p_k have p_n' = sqrt(2n) p_{n-1}; the weight is the
+    Christoffel number 1 / sum_{k<n} p_k(x)^2 at the last iterate but one,
+    which the last Newton step moves only at the working precision.
+    """
+    jacobi = mpmath.zeros(n, n)
+    for k in range(1, n):
+        jacobi[k, k - 1] = jacobi[k - 1, k] = mpmath.sqrt(mpmath.mpf(k) / 2)
+    eigenvalues = mpmath.eigsy(jacobi, eigvals_only=True)
+    rule = []
+    for x in sorted(v for v in eigenvalues if v > 0):
+        for _ in range(4):
+            p0, p1, total = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25), mpmath.mpf(0)
+            for k in range(n):
+                total += p1 * p1
+                p0, p1 = p1, x * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * p1 - mpmath.sqrt(
+                    mpmath.mpf(k) / (k + 1)) * p0
+            x -= p1 / (mpmath.sqrt(2 * n) * p0)
+        rule.append((x, 1 / total))
+    return rule
+
+
+def _gauss_rule_mp(z, w, rule) -> mpmath.mpf:
+    """The Gauss sum of ``oracle._gauss_kernel`` at the current precision, with ``rule``'s nodes."""
+    z, w = mpmath.mpf(z), mpmath.mpf(w)
+    total = mpmath.mpf(0)
+    for x, weight in rule:
+        q = mpmath.sqrt(1 + x * x / z)
+        total += 2 * weight / (q * (q + w))
+    return total / mpmath.sqrt(z)
+
+
+def test_gauss_rule_literals_are_the_mpmath_rule_rounded_once():
+    with mpmath.workdps(50):
+        rule = _hermite_rule(16)
+        assert abs(mpmath.fsum(2 * weight for _, weight in rule) - mpmath.sqrt(mpmath.pi)) < 1e-45
+        recomputed = tuple((float(x * x), float(2 * weight)) for x, weight in reversed(rule))
+    assert recomputed == oracle._GAUSS_RULE
+    assert oracle._GAUSS_NODES == 8
+    # smallest weight first; the rounded weights still sum to sqrt(pi)
+    weights = [weight for _, weight in oracle._GAUSS_RULE]
+    assert weights == sorted(weights)
+    assert abs(math.fsum(weights) - math.sqrt(math.pi)) <= 2.3e-16
+
+
+def test_gauss_rule_underestimates_k_by_at_most_its_bound():
+    # z log-uniform over [30, 1e6], ends included, w at both ends and
+    # uniform between: before rounding (the 50-digit rule) the rule lies
+    # below K by at most 2^-53 K, the dK it reports.  Past z = 300 its error
+    # falls below the 1e-38 to which 40 digits resolve K, so there only the
+    # bound is checked.  Rounding included, the kernel is within 8e-16 of K.
+    rng = random.Random(2201)
+    log_z = (math.log(30.0), math.log(1e6))
+    with mpmath.workdps(40):
+        rule = _hermite_rule(16)
+        for i in range(40):
+            z = (30.0, 1e6)[i] if i < 2 else math.exp(rng.uniform(*log_z))
+            w = rng.choice((0.0, 1.0, rng.random()))
+            ref = _kernel_reference(z, w)
+            rel = (ref - _gauss_rule_mp(z, w, rule)) / ref
+            assert (0.0 if z <= 300.0 else -1e-38) <= rel <= 2.0**-53, (z, w)
+            k_plus, k_minus, dk_plus, dk_minus = oracle._gauss_kernel(z, w, 1.0 - w, True)
+            assert abs(k_plus - ref) <= 8e-16 * ref, (z, w)
+            assert dk_plus == 2.0**-53 * k_plus and dk_minus == 2.0**-53 * k_minus
+
+
+def test_gauss_rule_error_at_w_zero_falls_with_z():
+    # at w = 0, where the relative error is largest, K = pi erfcx(sqrt z):
+    # the error is positive, crosses 2^-53 at z = 26.2, and falls from there
+    zs = (26.0, 26.5, 30.0, 35.0, 40.0, 50.0, 70.0, 100.0, 150.0, 200.0, 300.0)
+    with mpmath.workdps(40):
+        rule = _hermite_rule(16)
+        errors = []
+        for z in map(mpmath.mpf, zs):
+            ref = mpmath.pi * mpmath.exp(z) * mpmath.erfc(mpmath.sqrt(z))
+            errors.append((ref - _gauss_rule_mp(z, 0.0, rule)) / ref)
+    assert errors[0] > 2.0**-53 >= errors[1]
+    assert all(a >= b > 0.0 for a, b in zip(errors, errors[1:]))
+    assert 1.9e-17 < errors[2] < 2.0e-17
+
+
+@pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
+def test_gauss_rule_minus_the_kmax_15_series_is_order_z_minus_16(w):
+    # the rule integrates u^k exactly for k <= 15, so with g(u) = 1/(q (q + w))
+    # = sum_k g_k u^k and the rule's moments M_k = sum_i 2 W_i x_i^(2k),
+    # Gauss - S_15 = sum_{k>=16} g_k M_k z^(-k-1/2): z^16.5 (Gauss - S_15)
+    # tends to g_16 M_16, within O(1/z).  S_15 is the d-series to kmax = 15,
+    # sum_k g_k Gamma(k + 1/2) z^(-k-1/2).
+    with mpmath.workdps(80):
+        rule = _hermite_rule(16)
+        g = mpmath.taylor(lambda u: 1 / (mpmath.sqrt(1 + u) * (mpmath.sqrt(1 + u) + w)), 0, 16)
+        half = mpmath.mpf(1) / 2
+
+        def series(z):
+            return mpmath.fsum(g[k] * mpmath.gamma(k + half) * z ** (-k - half) for k in range(16))
+
+        limit = g[16] * mpmath.fsum(2 * weight * x**32 for x, weight in rule)
+        for z in (1e2, 1e3, 1e4):
+            z = mpmath.mpf(z)
+            scaled = z**16.5 * (_gauss_rule_mp(z, w, rule) - series(z))
+            assert abs(scaled / limit - 1) <= 20 / z, z
+        # the float kernels show the same gap while it is above their rounding
+        for z in (30.0, 35.0, 40.0):
+            gauss = oracle._gauss_kernel(z, w, w, True)[0]
+            gap = gauss - _series_kernel(15)(z, w, w, True)[0]
+            assert abs(gap - float(_gauss_rule_mp(z, w, rule) - series(z))) <= 1e-15 * gauss, z
+
+
+def test_gauss_route_agrees_with_the_trapezoid_at_every_w_minus():
+    # seeded points with z >= 30, on both sides of the transition, with
+    # w_minus < 0, 0 <= w_minus < 0.05 (the band the old gate sent to
+    # quadrature) and w_minus >= 0.05; the two rules share nothing but the split
+    rng = random.Random(2202)
+    bands = {"negative": [], "small": [], "rest": []}
+    while len(bands["small"]) < 25 or min(len(v) for v in bands.values()) < 25:
+        p, x = draw_point(rng)
+        g = geometry(p, x)
+        if g.z < 30.0:
+            continue
+        band = "negative" if g.w_minus < 0.0 else "small" if g.w_minus < 0.05 else "rest"
+        if len(bands[band]) < 300:
+            bands[band].append((p, x))
+    complemented = set()
+    for points in bands.values():
+        for p, x in points:
+            r = cdf(p, x)
+            assert r.method is Method.GAUSS_SPLIT and r.kmax_used == 8
+            assert 0.0 <= r.error_estimate <= 1e-16
+            assert abs(r.value - cdf_quad_split(p, x)) <= 4.5e-16, (p, x)
+            complemented.add(r.complemented)
+    assert complemented == {False, True}
+
+
+@pytest.mark.parametrize("beta", [-6.0, -2.0, 0.0, 2.0, 6.0])
+def test_cdf_has_no_jump_where_z_crosses_30(beta):
+    # z = 2 alpha omega = 30 at two x, one each side of mu; the trapezoid
+    # route ends one double short of each, and the Gauss route starts there
+    p = validate(8.0, beta, 3.0, 1.0)
+    reach = math.sqrt((15.0 / 8.0) ** 2 - 1.0)
+    for side in (-1.0, 1.0):
+        outer = p.mu + side * (reach + 0.1)  # z > 30
+        inner = p.mu + side * (reach - 0.1)  # z < 30
+        for _ in range(200):
+            mid = 0.5 * (outer + inner)
+            if mid in (outer, inner):
+                break
+            if geometry(p, mid).z >= 30.0:
+                outer = mid
+            else:
+                inner = mid
+        below, above = cdf(p, inner), cdf(p, outer)
+        assert math.nextafter(inner, outer) == outer
+        assert (below.method, above.method) == (Method.QUAD_SPLIT, Method.GAUSS_SPLIT)
+        assert abs(above.value - below.value) <= 4.5e-16, (side, below, above)
+
+
 def test_split_route_keeps_its_left_tail_relative_accuracy():
     # where F is small the tolerance is loose against F, so the auto route's
     # quad-split values are judged relative to F by the direct oracle, which
@@ -558,7 +718,7 @@ def _legendre_16() -> tuple[tuple[float, ...], tuple[float, ...]]:
 _GL_NODES, _GL_WEIGHTS = _legendre_16()
 
 
-def _gauss_kernel(z: float, w: float, tol: float) -> float:
+def _legendre_kernel(z: float, w: float, tol: float) -> float:
     """K(z, w) by composite 16-point Gauss-Legendre in sigma, kept as a reference.
 
     Integrates over [0, S], S = 8/sqrt(z), from 2 panels; each level
@@ -595,8 +755,10 @@ def _gauss_kernel(z: float, w: float, tol: float) -> float:
 def _reference_split_cdf(p, x, kernel, tol: float = DEFAULT_TOL) -> float:
     """The split identity of ``cdf_quad_split`` with one reference ``kernel`` call per part.
 
-    ``kernel(z, w, tol)`` returns K(z, w); each part's kernel gets the
-    oracle's per-kernel tolerance min(0.1, tol/(4|coef|)).
+    ``kernel(z, w, tol)`` returns K(z, w) to within an absolute ``tol`` of
+    its own, min(0.1, tol/(4|coef|)) for each part, so that the two weighted
+    parts together stay within tol/2.  The oracle takes no such tolerance:
+    its trapezoid step is certified in advance to 2^-53 of K.
     """
     g = geometry(p, x)
     damp = math.exp(-g.z * g.s_plus**2)
@@ -624,16 +786,16 @@ def test_split_oracle_matches_sigma_grid_reference():
 
 
 def test_split_route_reports_a_measured_error_estimate():
-    # the estimate is the weighted change of the kernels in their last level,
-    # not the requested tol: the kernels refine until that weighted change is
-    # at most tol/2, so it stays within tol/2 plus a clamping of rounding size;
-    # the Gauss-Legendre reference judges it
+    # the estimate is |c_plus| eps + |c_minus| eps, eps = 2^-53 K_low the
+    # bound the trapezoid step is certified to in advance, not the requested
+    # tol, which the route does not read; so it stays far within tol/2 plus
+    # a clamping of rounding size, and the Gauss-Legendre reference judges it
     rng = random.Random(17)
     for _ in range(40):
         p, x = draw_point(rng)
         r = cdf(p, x, method="quad-split", tol=DEFAULT_TOL)
         assert 0.0 <= r.error_estimate <= 0.5 * DEFAULT_TOL + 1e-15
-        gauss = _reference_split_cdf(p, x, _gauss_kernel)
+        gauss = _reference_split_cdf(p, x, _legendre_kernel)
         assert abs(r.value - gauss) <= 100.0 * (r.error_estimate + 1e-15)
 
 
@@ -699,4 +861,4 @@ def test_split_skips_the_minus_part_where_its_weight_underflows(monkeypatch, met
         else:
             assert r.value == 0.5 * math.erfc(g.zeta_plus)
     if method == "auto":
-        assert taken == {(Method.UNIFORM_ASYM, True), (Method.QUAD_SPLIT, False)}
+        assert taken == {(Method.GAUSS_SPLIT, True), (Method.GAUSS_SPLIT, False)}

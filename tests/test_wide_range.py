@@ -80,7 +80,7 @@ def test_reflection_identity_on_the_split_route(sweep):
     split = [
         (p, x)
         for p, x, r in sweep
-        if not isinstance(r, NigError) and r.method is Method.QUAD_SPLIT
+        if not isinstance(r, NigError) and r.method in (Method.QUAD_SPLIT, Method.GAUSS_SPLIT)
     ]
     assert len(split) >= 100
     for p, x in split:
