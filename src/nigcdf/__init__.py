@@ -18,18 +18,16 @@ from .expansion import (
     cdf_asym,
     sf_asym,
 )
-from .oracle import DEFAULT_TOL, cdf_quad_direct, cdf_quad_split, reflect
+from .oracle import cdf_quad_direct, cdf_quad_split, reflect
 from .params import Geometry, Parameters, geometry, transition_point, validate
-from .special import ERFCX_NEG_LIMIT, erfc, erfcx
+from .special import erfc, erfcx
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
     "DEFAULT_KMAX",
-    "DEFAULT_TOL",
     "DomainError",
-    "ERFCX_NEG_LIMIT",
     "EvalResult",
     "Geometry",
     "Method",

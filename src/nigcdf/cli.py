@@ -23,7 +23,7 @@ from . import selftest as selftest_mod
 from .errors import ConvergenceError, DomainError, NearTransitionError
 from .coeffs import _check_kmax
 from .expansion import DEFAULT_KMAX, _check_route_args, _route, _series_kernel, cdf_asym
-from .oracle import DEFAULT_TOL, _split, cdf_quad_split
+from .oracle import _split, cdf_quad_split
 from .params import geometry, transition_point, validate
 
 __all__ = ["main", "run"]
@@ -62,9 +62,9 @@ def _fmt(value, digits: int) -> str:
 def _cmd_eval(args) -> int:
     p = validate(args.alpha, args.beta, args.mu, args.delta)
     # cdf split in two, so that the geometry it routes on also gives x0 and z
-    kmax, tol = _check_route_args(args.method, args.kmax, args.tol)
+    kmax = _check_route_args(args.method, args.kmax)
     g = geometry(p, args.x)
-    result = _route(p, args.x, g, args.method, kmax, tol)
+    result = _route(p, args.x, g, args.method, kmax)
     record = {
         "x": args.x,
         "F": result.value,
@@ -114,7 +114,7 @@ def _cmd_figure1(args) -> int:
         gs = [geometry(p, x) for p in params]
         # the policy evaluator computes the smaller of F and G first, which
         # keeps the emitted curve monotone through the saturated tails
-        fs = [_route(p, x, g, "auto", kmax, DEFAULT_TOL).value for p, g in zip(params, gs)]
+        fs = [_route(p, x, g, "auto", kmax).value for p, g in zip(params, gs)]
         fminus = [_split(g, False, series)[1] for g in gs]
         print(",".join(f"{v:.17g}" for v in [x, *fs, *fminus]))
     return 0
@@ -122,7 +122,7 @@ def _cmd_figure1(args) -> int:
 
 def _cmd_selftest(args) -> int:
     total_failed = 0
-    for name, passed, failed in selftest_mod.run_all(seed=args.seed, perturb=args.perturb):
+    for name, passed, failed in selftest_mod.run_all(seed=args.seed):
         total_failed += failed
         print(f"{name}: {passed} passed, {failed} failed")
     if total_failed:
@@ -148,7 +148,6 @@ def _build_parser() -> _Parser:
         default="auto",
     )
     ev.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
-    ev.add_argument("--tol", type=float, default=DEFAULT_TOL)
     ev.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     ev.set_defaults(func=_cmd_eval)
 
@@ -163,12 +162,6 @@ def _build_parser() -> _Parser:
 
     st = sub.add_parser("selftest", help="run the built-in invariant suites")
     st.add_argument("--seed", type=int, default=selftest_mod.DEFAULT_SEED)
-    st.add_argument(
-        "--perturb",
-        type=float,
-        default=0.0,
-        help="inject a bias into the first identity (harness sensitivity hook)",
-    )
     st.set_defaults(func=_cmd_selftest)
     return parser
 

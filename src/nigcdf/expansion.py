@@ -79,11 +79,14 @@ class EvalResult(NamedTuple):
     the Gauss rule's is 2^-53 K, and the trapezoid's 2^-53 times a lower
     bound on K, bounds that hold before rounding rather than measured
     changes; the convergent small-z series' is the magnitude of its last
-    term, n = 13, as it enters K.  On QUAD_DIRECT it is the change of the
-    integral in the last step halving.  Each includes the distance by
-    which the value was clamped into [0, 1].  ``kmax_used`` is the work
-    done: the series order, kmax on UNIFORM_ASYM and 13 on SMALL_Z_SERIES;
-    the node count, 8, on GAUSS_SPLIT; 0 on the quadrature routes.
+    term, n = 13, as it enters K.  Where |w_minus| < 1e-13 the split drops
+    F_minus, and the estimate adds E |w_minus| / pi, E = e^{z sigma_plus^2},
+    which bounds the dropped term to first order.  On QUAD_DIRECT it is the
+    change of the integral in the last step halving, at most 1e-12.  Each
+    includes the distance by which the value was clamped into [0, 1].
+    ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
+    and 13 on SMALL_Z_SERIES; the node count, 8, on GAUSS_SPLIT; 0 on the
+    quadrature routes.
     ``complemented`` records that the value was produced as 1 minus the
     directly computed complement.
     """
@@ -107,28 +110,23 @@ def _series_kernel(kmax: int) -> oracle._Kernel:
     y = 1 / ((1 + w) z), which the function compiled by ``coeffs._horner``
     sums together with P_kmax(w) and y^kmax; each dK is the last term,
     sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  One sqrt(pi/z) serves both
-    series, and the minus series is skipped unless ``minus``.  The kernel
-    raises DomainError when a series or its last term leaves the double
-    range, which needs z far below 1: z below about 2e-56 at kmax = 5,
-    or 7e-12 at kmax = 25, whatever w.  ``kmax`` must already be checked;
+    series.  The kernel raises DomainError when a series or its last term
+    leaves the double range, which needs z far below 1: z below about
+    2e-56 at kmax = 5, or 7e-12 at kmax = 25, whatever w.  ``kmax`` must already be checked;
     like ``_horner(kmax)``, the kernel is built once per kmax.
     """
     horner = _horner(kmax)
 
-    def kernel(
-        z: float, w_plus: float, w_minus: float, minus: bool
-    ) -> tuple[float, float, float, float]:
+    def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
         root = math.sqrt(math.pi / z)
         u = 1.0 + w_plus
         total, last, yk = horner(w_plus, 1.0 / (u * z))
         scale = root / u
         k_plus, last_plus = scale * total, abs(scale * last) * yk
-        k_minus = last_minus = 0.0
-        if minus:
-            u = 1.0 + w_minus
-            total, last, yk = horner(w_minus, 1.0 / (u * z))
-            scale = root / u
-            k_minus, last_minus = scale * total, abs(scale * last) * yk
+        u = 1.0 + w_minus
+        total, last, yk = horner(w_minus, 1.0 / (u * z))
+        scale = root / u
+        k_minus, last_minus = scale * total, abs(scale * last) * yk
         if not (math.isfinite(k_plus + last_plus) and math.isfinite(k_minus + last_minus)):
             raise DomainError(
                 f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
@@ -154,21 +152,19 @@ def sf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     return _expand(geometry(p, x), _check_kmax(kmax), True)
 
 
-def _check_route_args(method: str, kmax: int, tol: float) -> tuple[int, float]:
-    """``cdf``'s checks of method, kmax and tol; returns kmax and tol as checked."""
+def _check_route_args(method: str, kmax: int) -> int:
+    """``cdf``'s checks of method and kmax; returns kmax as checked."""
     if method not in _METHODS:
         raise DomainError(
             f"unknown method {method!r}; expected auto, asym, quad-split, or quad-direct"
         )
-    return _check_kmax(kmax), oracle._check_tol(tol)
+    return _check_kmax(kmax)
 
 
-def _route(
-    p: Parameters, x: float, g: Geometry, method: str, kmax: int, tol: float
-) -> EvalResult:
+def _route(p: Parameters, x: float, g: Geometry, method: str, kmax: int) -> EvalResult:
     """``cdf`` at ``g = geometry(p, x)``: x a float, the rest checked by ``_check_route_args``."""
     if method == "quad-direct":
-        value, error = oracle._quad_direct(p, g, tol)
+        value, error = oracle._quad_direct(p, g)
         return tuple.__new__(EvalResult, (value, Method.QUAD_DIRECT, 0, error, False))
     if method == "asym":
         return _expand(g, kmax, False)
@@ -190,19 +186,9 @@ def _route(
     return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
 
 
-def cdf(
-    p: Parameters,
-    x: float,
-    method: str = "auto",
-    kmax: int = DEFAULT_KMAX,
-    tol: float = oracle.DEFAULT_TOL,
-) -> EvalResult:
+def cdf(p: Parameters, x: float, method: str = "auto", kmax: int = DEFAULT_KMAX) -> EvalResult:
     """F with route selection.
 
-    ``tol`` is checked on every route but read only by ``quad-direct``:
-    the split's trapezoid and Gauss rule are certified to 2^-53 of K and
-    the small-z series is at the rounding level, all finer than any
-    permitted tol.
     ``auto``: the split, whatever w_minus, with the kernel of its z band:
     below z = 0.5 the convergent small-z series (SMALL_Z_SERIES), which
     needs no quadrature node; from z = 30 the 8-node Gauss rule
@@ -210,12 +196,14 @@ def cdf(
     right of the transition point so the smaller function is the one
     computed; between the two the trapezoid (QUAD_SPLIT).  All three take
     each K to about its rounding, so ``kmax`` is read only by ``asym``.
+    Every split route calls its kernel as ``kernel(z, w_plus, |w_minus|)``
+    and reports the estimate described at ``EvalResult``.
     ``asym``, ``quad-split``, ``quad-direct`` force a route, and forced
     ``quad-split`` keeps the trapezoid at every z; forced ``asym`` sums
     the paper's series to ``kmax`` at any z and w_minus.  Every argument is
     checked before routing, whichever route the point takes; the geometry
     is computed once.
     """
-    kmax, tol = _check_route_args(method, kmax, tol)
+    kmax = _check_route_args(method, kmax)
     x = _require_finite("x", x)
-    return _route(p, x, geometry(p, x), method, kmax, tol)
+    return _route(p, x, geometry(p, x), method, kmax)

@@ -3,13 +3,15 @@
 ``_split`` splits the CDF exactly into erfc terms plus two pole-free
 remainder integrals K(z, w), valid for every point, the transition point
 included.  It takes K from one of four kernels, all called as
-``kernel(z, w_plus, w_minus, minus)``: the expansion's asymptotic series,
+``kernel(z, w_plus, w_minus)``: the expansion's asymptotic series,
 for the forced expansions; ``_gauss_kernel``, an 8-node Gauss rule, which
 the auto route of ``expansion.cdf`` takes from z = 30; ``_small_z_kernel``,
 a convergent series in z, which that route takes below z = 0.5; and the
 trapezoid ``_kernel``, for the auto route between the two, and for the
 primary oracle ``cdf_quad_split`` and the forced quad-split route at every
-z, so the oracle shares no rule with the routes it judges.
+z, so the oracle shares no rule with the routes it judges.  Below
+|w_minus| = 1e-13 the split drops the minus part, and its error estimate
+takes E |w_minus| / pi for what it dropped.
 
 The Gauss rule is the one for the weight u^{-1/2} e^{-z u}, u = sigma^2:
 its nodes are the squared positive nodes of the order-16 Gauss-Hermite
@@ -52,7 +54,7 @@ import math
 from collections.abc import Callable
 
 from .coeffs import _small_z_horner
-from .errors import ConvergenceError, DomainError, NearTransitionError
+from .errors import ConvergenceError, NearTransitionError
 from .params import Geometry, Parameters, _require_finite, geometry, validate
 from .special import _erfcx
 
@@ -60,14 +62,13 @@ __all__ = [
     "cdf_quad_split",
     "cdf_quad_direct",
     "reflect",
-    "DEFAULT_TOL",
 ]
 
-DEFAULT_TOL = 1e-12
-_MIN_TOL = 1e-13
+# the direct oracle stops once one step halving moves its integral by at most this
+_DIRECT_TOL = 1e-12
 _NEAR_TRANSITION_GAP = 0.02
-# below this |w_minus| the whole minus-part contribution is O(1e-13) and the
-# two halves of the split cancel; treat it as zero instead of integrating
+# below this |w_minus| the two halves of the minus part cancel to within
+# E |w_minus| / pi; ``_split`` takes it as zero and adds that to its estimate
 _W_MINUS_NEGLIGIBLE = 1e-13
 # node evaluations allowed per trapezoid kernel call; the certified step takes
 # at most 131 nodes for z >= 1e-12 and 2,991 at the smallest double z
@@ -76,8 +77,8 @@ _NODE_BUDGET = 4096
 _TARGET_REL = 2.0**-53
 # nodes per block of the trapezoid kernel: each block restarts the rotation
 _RESTART = 32
-# kernel(z, w_plus, w_minus, minus) -> (K_plus, K_minus, dK_plus, dK_minus)
-_Kernel = Callable[[float, float, float, bool], tuple[float, float, float, float]]
+# kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus)
+_Kernel = Callable[[float, float, float], tuple[float, float, float, float]]
 # the odd order of ``_small_z_kernel``: within 7.3e-16 relative of mpmath up to
 # z = 0.6, but 1.7e-14 at z = 0.8, so a higher crossover needs a higher order
 _SMALL_Z_ORDER = 13
@@ -108,17 +109,7 @@ _QUARTER_PI = 0.25 * math.pi
 _WIDE_STRIP_RATIO = 4.0 * math.sqrt(2.0) * math.pi / (_TARGET_REL * _SQRT_PI)
 
 
-def _check_tol(tol: float) -> float:
-    tol = _require_finite("tol", tol)
-    # F is a probability, so a tolerance above 1 asks for nothing
-    if not _MIN_TOL <= tol <= 1.0:
-        raise DomainError(f"tol must lie in [{_MIN_TOL:g}, 1], got {tol!r}")
-    return tol
-
-
-def _kernel(
-    z: float, w_plus: float, w_minus: float, minus: bool
-) -> tuple[float, float, float, float]:
+def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
     """K(z, w_plus) and K(z, w_minus) on one certified trapezoid level, and their error bound.
 
     K(z, w) is the integral of e^{-z sigma^2} / (q (q + w)) over the real
@@ -132,7 +123,7 @@ def _kernel(
     rounding, the sum differs from K by at most eps = 2^-53 K_low <=
     2^-53 K(z, w).  That eps is returned as dK for both kernels, so
     ``_split`` reports a bound that holds, not a measured change.  Both
-    kernels share every node's exp, so K_minus is summed whatever ``minus``.
+    kernels share every node's exp.
 
     Each node costs one exp and a division per kernel: (sinh t, cosh t)
     steps from node to node by the hyperbolic rotation
@@ -229,9 +220,7 @@ def _step(z: float) -> tuple[float, int, float, float]:
     return h, int(math.asinh(math.sqrt(lam) / root_z) / h), y, eps
 
 
-def _small_z_kernel(
-    z: float, w_plus: float, w_minus: float, minus: bool
-) -> tuple[float, float, float, float]:
+def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
     """K(z, w_plus) and K(z, w_minus) by their convergent small-z series, and their last terms.
 
     The same kernels as ``_kernel``, exact for every z > 0 at infinite
@@ -250,22 +239,19 @@ def _small_z_kernel(
     sums; Lambda is never formed as ln(z/4), which underflows at the
     smallest double.  Both factors stay smooth as s -> 0: atan2(s, w) / s
     tends to 1/w, and erf(y) / y is taken by its Taylor series below
-    y = 1e-4.  The order 13 is ``_SMALL_Z_ORDER``, which must be odd; the
-    minus series is skipped unless ``minus``.  Each dK is the magnitude of
-    the term n = 13, weighted as M enters K.  The series converges, so this
-    measures the truncation, but it is no bound: odd n holds only odd
-    powers of a, so that term vanishes at w^2 = 1/2.  Below z = 0.5 the
-    truncation lies far under the rounding of K.  No trapezoid node is
-    used.
+    y = 1e-4.  The order 13 is ``_SMALL_Z_ORDER``, which must be odd.
+    Each dK is the magnitude of the term n = 13, weighted as M enters K.
+    The series converges, so this measures the truncation, but it is no
+    bound: odd n holds only odd powers of a, so that term vanishes at
+    w^2 = 1/2.  Below z = 0.5 the truncation lies far under the rounding
+    of K.  No trapezoid node is used.
     """
     sums = _small_z_horner(_SMALL_Z_ORDER)
     root_z = math.sqrt(z)
     lam = math.log(z) - _LOG_4_MINUS_GAMMA
     y = z * z
     k_plus, dk_plus = _small_z_one(sums, z, root_z, lam, y, w_plus)
-    k_minus = dk_minus = 0.0
-    if minus:
-        k_minus, dk_minus = _small_z_one(sums, z, root_z, lam, y, w_minus)
+    k_minus, dk_minus = _small_z_one(sums, z, root_z, lam, y, w_minus)
     return k_plus, k_minus, dk_plus, dk_minus
 
 
@@ -290,9 +276,7 @@ def _small_z_one(
     return growth * (2.0 * angle - math.pi * root_z * ratio + w * m), growth * w * abs(last)
 
 
-def _gauss_kernel(
-    z: float, w_plus: float, w_minus: float, minus: bool
-) -> tuple[float, float, float, float]:
+def _gauss_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
     """K(z, w_plus) and K(z, w_minus) by the 8-node Gauss rule, and their error bound.
 
     In u = sigma^2, K(z, w) is the integral over u > 0 of u^{-1/2} e^{-z u}
@@ -311,7 +295,7 @@ def _gauss_kernel(
     the auto route of ``expansion.cdf`` starts taking it (2^-53 is reached
     at z = 26.2), and 1.98e-20 at z = 50.  So each dK is 2^-53 K, one
     bound for every w, as on the trapezoid.  Both sums share each sqrt,
-    and K_minus is summed whatever ``minus``; no node calls exp.
+    and no node calls exp.
     """
     sqrt = math.sqrt
     sum_plus = sum_minus = 0.0
@@ -328,7 +312,7 @@ def _gauss_kernel(
 def cdf_quad_split(p: Parameters, x: float) -> float:
     """High-accuracy CDF by ``_split`` with the trapezoid ``_kernel``; valid for every z > 0.
 
-    It takes no tolerance: the kernel's step is certified to 2^-53 of K.
+    The kernel's step is certified in advance to 2^-53 of K.
     """
     return _evaluate(geometry(p, x), False, _kernel)[0]
 
@@ -345,13 +329,16 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float, flo
 
     so F = F_plus + F_minus and G = G_plus - F_minus; the erfcx form keeps
     both factors of (1/2) e^{2 gamma delta} erfc(zeta_minus) at or below
-    one.  F_minus and c_minus are 0 below ``_W_MINUS_NEGLIGIBLE``, and
-    where E underflows to 0, which makes both terms of F_minus exactly 0.
-    ``kernel(z, w_plus, |w_minus|, minus)`` returns (K_plus, K_minus,
-    dK_plus, dK_minus), dK its error measure; ``minus`` is c_minus != 0,
-    and a kernel may skip K_minus, returning 0 for it, where it is false.
-    The kernel is not called when both weights are 0.  Returns (F_plus, or
-    G_plus when ``upper``; F_minus; |c_plus| dK_plus + |c_minus| dK_minus).
+    one.  ``kernel(z, w_plus, |w_minus|)`` returns (K_plus, K_minus,
+    dK_plus, dK_minus), dK its error measure; it is not called when both
+    weights are 0.  The estimate is |c_plus| dK_plus + |c_minus| dK_minus.
+    F_minus and c_minus are 0 where E underflows to 0, which makes both
+    terms of F_minus exactly 0, and below ``_W_MINUS_NEGLIGIBLE``.  There
+    F_minus is dropped, and E |w_minus| / pi joins the estimate: F_minus
+    vanishes at w_minus = 0, s_minus moves only at second order in w_minus,
+    and dK/dw(z, 0), the integral of -e^{-z sinh^2 t} / cosh^2 t, lies in
+    [-2, 0), so |F_minus| <= E |w_minus| / pi + O(w_minus^2).  Returns
+    (F_plus, or G_plus when ``upper``; F_minus; the estimate).
     """
     _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus, _ = g
     damp = math.exp(-z * (s_plus * s_plus))
@@ -361,17 +348,18 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float, flo
     c_minus = 0.0 if negligible else s_minus * damp / (2.0 * math.pi)
     k_plus = k_minus = dk_plus = dk_minus = 0.0
     if c_plus != 0.0 or c_minus != 0.0:
-        k_plus, k_minus, dk_plus, dk_minus = kernel(z, w_plus, w_minus, c_minus != 0.0)
+        k_plus, k_minus, dk_plus, dk_minus = kernel(z, w_plus, w_minus)
     if upper:
         plus = 0.5 * math.erfc(-zeta_plus) + c_plus * k_plus
     else:
         plus = 0.5 * math.erfc(zeta_plus) - c_plus * k_plus
-    minus = 0.0
-    if not negligible:
-        minus = 0.5 * damp * _erfcx(zeta_minus) - c_minus * k_minus
-        if signed_w_minus < 0.0:
-            minus = -minus
-    return plus, minus, abs(c_plus) * dk_plus + abs(c_minus) * dk_minus
+    error = abs(c_plus) * dk_plus + abs(c_minus) * dk_minus
+    if negligible:
+        return plus, 0.0, error + damp * w_minus / math.pi
+    minus = 0.5 * damp * _erfcx(zeta_minus) - c_minus * k_minus
+    if signed_w_minus < 0.0:
+        minus = -minus
+    return plus, minus, error
 
 
 def _evaluate(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float]:
@@ -386,7 +374,7 @@ def _evaluate(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float]:
     return value, error + abs(raw - value)
 
 
-def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
+def cdf_quad_direct(p: Parameters, x: float) -> float:
     """Independent CDF oracle: trapezoid on the steepest-descent integral.
 
     Only defined away from the transition: |nu - tau| <= 0.02 raises
@@ -395,17 +383,16 @@ def cdf_quad_direct(p: Parameters, x: float, tol: float = DEFAULT_TOL) -> float:
     for nu < tau, where the contour has crossed the plus pole, F = 1 + I,
     the 1 being that pole's residue.
     """
-    tol = _check_tol(tol)
-    return _quad_direct(p, geometry(p, x), tol)[0]
+    return _quad_direct(p, geometry(p, x))[0]
 
 
-def _quad_direct(p: Parameters, g: Geometry, tol: float) -> tuple[float, float]:
+def _quad_direct(p: Parameters, g: Geometry) -> tuple[float, float]:
     """F at ``g`` by the direct integral of ``cdf_quad_direct``, and its error estimate.
 
-    ``tol`` must already be checked.  Halves the trapezoid step until one
-    more halving changes the integral by at most ``tol``; the first level
-    takes every node, each halving adds only the odd ones.  The estimate is
-    that last change plus the distance by which F was clamped into [0, 1].
+    Halves the trapezoid step until one more halving changes the integral
+    by at most ``_DIRECT_TOL``; the first level takes every node, each
+    halving adds only the odd ones.  The estimate is that last change plus
+    the distance by which F was clamped into [0, 1].
     """
     gap = g.nu - p.tau
     if abs(gap) <= _NEAR_TRANSITION_GAP:
@@ -429,6 +416,7 @@ def _quad_direct(p: Parameters, g: Geometry, tol: float) -> tuple[float, float]:
         den = 4.0 * (sh2 + sp2) * (sh2 + sm2)
         return math.exp(big_a - aw * ch) * sin_nu * (cos_tau * ch - cos_nu) / den
 
+    tol = _DIRECT_TOL
     reach = math.log(10.0 / tol) + 10.0
     # |f(s)| <= (cosh s + 1)/(cosh s - 1)^2 ~ 2 e^{-s} whatever alpha omega, so past
     # s = reach the tail is below tol e^{-10}, even where reach / aw overflows

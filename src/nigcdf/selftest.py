@@ -1,9 +1,7 @@
 """Built-in invariant suites, runnable from the CLI.
 
 Each suite draws random valid parameters, checks a family of exact
-identities or cross-checks, and reports pass/fail counts.  The ``perturb``
-argument injects a bias into the first identity so a harness run can prove
-the suite is able to fail; it is a test hook, not a tuning knob.
+identities or cross-checks, and reports pass/fail counts.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ def draw_point(rng: random.Random) -> tuple[Parameters, float]:
     return p, x
 
 
-def identity_suite(n: int = 10000, seed: int = DEFAULT_SEED, perturb: float = 0.0):
+def identity_suite(n: int = 10000, seed: int = DEFAULT_SEED):
     """Exact trigonometric and exponent identities of the geometry.
 
     Checks, per draw: the exponent identity
@@ -58,7 +56,7 @@ def identity_suite(n: int = 10000, seed: int = DEFAULT_SEED, perturb: float = 0.
         ok = True
 
         # sigma_plus^2 = -s_plus^2 and sigma_minus^2 = -s_minus^2
-        lhs = gd + bxi - aw + perturb * scale
+        lhs = gd + bxi - aw
         ok = ok and abs(lhs + g.z * (g.s_plus * g.s_plus)) <= 1e-12 * scale
 
         gap = g.z * (g.s_minus * g.s_minus - g.s_plus * g.s_plus)
@@ -165,10 +163,10 @@ def oracle_suite(seed: int = DEFAULT_SEED):
     return "quadrature oracles", passed, failed
 
 
-def run_all(seed: int = DEFAULT_SEED, perturb: float = 0.0):
+def run_all(seed: int = DEFAULT_SEED):
     """Run every suite; returns a list of (name, passed, failed)."""
     return [
-        identity_suite(seed=seed, perturb=perturb),
+        identity_suite(seed=seed),
         coefficient_suite(seed=seed),
         special_suite(),
         oracle_suite(seed=seed),

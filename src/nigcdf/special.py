@@ -13,24 +13,20 @@ expansions need, built on the C library's ``math.erfc``:
   large-x series (DLMF 7.12.1), one loop-free Horner polynomial in
   ``1/(2 x^2)``; the first dropped term is below 3e-21 relative.  The
   product form would fail further out, as erfc(x) goes subnormal and
-  e^{x^2} overflows near x = 26.6.  ``_erfcx`` is these two, for x >= 0.
-* ``erfcx`` for ``x < 0`` goes through the reflection formula.
+  e^{x^2} overflows near x = 26.6.  ``_erfcx`` is these two, unchecked.
+* ``erfcx`` refuses ``x < 0``: the split's zeta_minus is never negative.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import DomainError
 from .params import _require_finite
 
-__all__ = ["erfc", "erfcx", "ERFCX_NEG_LIMIT"]
+__all__ = ["erfc", "erfcx"]
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
-# e^{x^2} must stay at or below DBL_MAX/2 so that 2*e^{x^2} is representable
-ERFCX_NEG_LIMIT = -math.sqrt(math.log(sys.float_info.max / 2.0))
 
 
 def _split_exp(x: float) -> float:
@@ -56,20 +52,14 @@ def erfc(x: float) -> float:
 
 
 def erfcx(x: float) -> float:
-    """Scaled complementary error function e^{x^2} erfc(x) for finite real x.
+    """Scaled complementary error function e^{x^2} erfc(x) for finite real x >= 0.
 
-    Never overflows for x >= 0.  For x < 0 it is computed by reflection and
-    raises DomainError once e^{x^2} leaves the double range, at
-    x < ERFCX_NEG_LIMIT (about -26.6287), as it does for a non-finite x.
+    Never overflows; raises DomainError for x < 0 and for a non-finite x.
     """
     x = _require_finite("x", x)
-    if x >= 0.0:
-        return _erfcx(x)
-    if x < ERFCX_NEG_LIMIT:
-        raise DomainError(
-            f"erfcx({x}) exceeds the double range; defined only for x >= {ERFCX_NEG_LIMIT:.4f}"
-        )
-    return 2.0 * _split_exp(x) - _erfcx(-x)
+    if x < 0.0:
+        raise DomainError(f"erfcx is defined here for x >= 0 only, got {x!r}")
+    return _erfcx(x)
 
 
 def _erfcx(x: float) -> float:

@@ -87,13 +87,19 @@ def test_eval_domain_error_exits_2(capsys):
     assert "beta" in err
 
 
-@pytest.mark.parametrize(
-    "extra", [["--method", "quad-direct", "--tol", "1e6"], ["--method", "quad-split", "--kmax", "152"]]
-)
-def test_eval_out_of_range_tol_and_kmax_exit_2(capsys, extra):
+@pytest.mark.parametrize("extra", [["--method", "quad-direct", "--kmax", "-1"],
+                                   ["--method", "quad-split", "--kmax", "152"]])
+def test_eval_out_of_range_kmax_exits_2(capsys, extra):
     assert main(["eval", "--alpha", "1", "--beta", "0.2", "--mu", "0", "--delta", "1",
                  "--x", "3"] + extra) == 2
     assert "domain error" in capsys.readouterr().err
+
+
+def test_eval_takes_no_tol_option():
+    # no route reads a tolerance, so the option is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(EVAL_BASE + ["--x", "5", "--method", "quad-direct", "--tol", "1e-10"])
+    assert exc.value.code == 1
 
 
 def test_eval_near_transition_exits_3(capsys):
@@ -216,9 +222,19 @@ def test_selftest_seed_independent():
     assert main(["selftest", "--seed", "2"]) == 0
 
 
-def test_selftest_perturbation_hook_fails(capsys):
-    assert main(["selftest", "--perturb", "1e-6"]) == 4
-    assert "FAILED" in capsys.readouterr().out
+def test_selftest_perturbation_hook_fails(monkeypatch, capsys):
+    # z biased by one part in a million where the identity suite reads the
+    # geometry: the suite must catch it, and the CLI must exit 4
+    def biased(p, x):
+        g = geometry(p, x)
+        return g._replace(z=g.z * (1.0 + 1e-6))
+
+    monkeypatch.setattr("nigcdf.selftest.geometry", biased)
+    assert main(["selftest"]) == 4
+    lines = _lines(capsys)
+    report = dict(line.split(": ", 1) for line in lines[:-1])
+    assert not report["geometry identities"].endswith(" 0 failed"), report
+    assert lines[-1].startswith("selftest FAILED")
 
 
 def test_run_all_reports_every_suite():

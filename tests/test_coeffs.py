@@ -225,7 +225,7 @@ def test_series_matches_the_reference_sum(kmax):
         # K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k
         pref = math.sqrt(math.pi / z) / (1.0 + w)
         terms = [pref * d / z**k for k, d in enumerate(_reference_d_values(w, kmax))]
-        series, _, tail, _ = _series_kernel(kmax)(z, w, 0.0, False)
+        series, _, tail, _ = _series_kernel(kmax)(z, w, w)
         scale = sum(abs(t) for t in terms)
         assert abs(series - sum(terms)) <= 1e-13 * scale
         assert tail == pytest.approx(abs(terms[-1]), rel=1e-13, abs=0.0)
@@ -269,10 +269,8 @@ def _outcome(f, *args):
         return str(exc)
 
 
-def _loop_kernel(kmax, z, w_plus, w_minus, minus):
+def _loop_kernel(kmax, z, w_plus, w_minus):
     k_plus, last_plus = _loop_series(z, w_plus, kmax)
-    if not minus:
-        return k_plus, 0.0, last_plus, 0.0
     k_minus, last_minus = _loop_series(z, w_minus, kmax)
     return k_plus, k_minus, last_plus, last_minus
 
@@ -285,8 +283,7 @@ def test_series_kernel_matches_the_loop_bit_for_bit(kmax):
     for _ in range(200):
         z = math.exp(rng.uniform(math.log(1e-2), math.log(1e8)))
         w_plus, w_minus = math.exp(rng.uniform(*log_w)), math.exp(rng.uniform(*log_w))
-        minus = rng.choice((False, True, True))
-        args = (z, w_plus, w_minus, minus)
+        args = (z, w_plus, w_minus)
         expected = _outcome(_loop_kernel, kmax, *args)
         assert _outcome(_series_kernel(kmax), *args) == expected, args
         refused += isinstance(expected, str)

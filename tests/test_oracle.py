@@ -17,7 +17,6 @@ import pytest
 
 from nigcdf import (
     ConvergenceError,
-    DEFAULT_TOL,
     Method,
     NearTransitionError,
     cdf,
@@ -146,11 +145,12 @@ def test_direct_oracle_refuses_transition_band():
         cdf_quad_direct(p, transition_point(p))
 
 
-def test_direct_oracle_step_halving_stability():
-    # tightening tol by two orders must not move the value beyond coarse tol
+def test_direct_oracle_step_halving_stability(monkeypatch):
+    # a stopping change two orders coarser must not move the value beyond it
     p = validate(ALPHA, -4.0, MU, DELTA)
-    coarse = cdf_quad_direct(p, 0.5, tol=1e-10)
-    fine = cdf_quad_direct(p, 0.5, tol=1e-12)
+    fine = cdf_quad_direct(p, 0.5)
+    monkeypatch.setattr(oracle, "_DIRECT_TOL", 1e-10)
+    coarse = cdf_quad_direct(p, 0.5)
     assert abs(coarse - fine) <= 1e-10
 
 
@@ -191,16 +191,15 @@ def test_reflection_identity_via_split_oracle():
 
 def test_kernel_raises_when_budget_exhausted(monkeypatch):
     # at z = 30 the certified step needs 12 nodes; a budget of 4 refuses it
-    # before any node is summed, whether or not the minus part is asked for
+    # before any node is summed
     monkeypatch.setattr(oracle, "_NODE_BUDGET", 4)
-    for minus in (False, True):
-        with pytest.raises(ConvergenceError):
-            _kernel(30.0, 0.5, 0.5, minus)
+    with pytest.raises(ConvergenceError):
+        _kernel(30.0, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-12, 1e20, 1e300])
 def test_node_budget_covers_every_positive_z(z):
-    k_plus, k_minus, _, _ = _kernel(z, 0.0, 1.0, True)
+    k_plus, k_minus, _, _ = _kernel(z, 0.0, 1.0)
     # K(z, w) falls with z from K(0, 0) = pi and K(0, 1) = 2
     assert 0.0 < k_plus <= math.pi + 1e-13 and 0.0 < k_minus <= 2.0 + 1e-13
     if z < 1e-200:
@@ -238,7 +237,7 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
     for z in zs:
         for w in ws:
             counting.calls = 0
-            _kernel(z, 0.0, w, True)
+            _kernel(z, 0.0, w)
             for band in worst:
                 if z >= band:
                     worst[band] = max(worst[band], counting.calls + 1)
@@ -274,7 +273,7 @@ def _sinh_loop_kernel(z, w_plus, w_minus):
 def test_rotated_kernel_matches_the_sinh_loop(monkeypatch):
     # z log-uniform over the whole positive double range the oracle meets,
     # w both ends and log-uniform between; the kernel sums both parts on its
-    # one grid whatever ``minus``
+    # one grid
     counting = _CountingMath()
     monkeypatch.setattr("nigcdf.oracle.math", counting)
     rng = random.Random(1919)
@@ -284,7 +283,8 @@ def test_rotated_kernel_matches_the_sinh_loop(monkeypatch):
         z = 5e-324 if i == 0 else math.exp(rng.uniform(*log_z))
         w_plus = rng.choice((0.0, 1.0, math.exp(rng.uniform(*log_w))))
         w_minus = rng.choice((0.0, 1.0, math.exp(rng.uniform(*log_w))))
-        args = (z, w_plus, w_minus, rng.choice((False, True)))
+        rng.choice((False, True))  # an unused draw that keeps the seeded sample as it was
+        args = (z, w_plus, w_minus)
         *expected, nodes = _sinh_loop_kernel(z, w_plus, w_minus)
         counting.calls = 0
         got = _kernel(*args)
@@ -293,27 +293,27 @@ def test_rotated_kernel_matches_the_sinh_loop(monkeypatch):
             assert abs(k - ref) <= 2e-15 * ref, args
 
 
-def _trapezoid_reference(z, w, h):
-    """The untruncated trapezoid sum h * sum over all k of f(k h), in mpmath.
+def _trapezoid_reference(z, w, h, digits):
+    """The untruncated trapezoid sum h * sum over all k of f(k h), in ``digits``-digit mpmath.
 
-    Summed at the current precision until a term falls below 10^-(dps+5)
-    of the total.
+    Summed until a term falls below 10^-(digits+5) of the total.
     """
-    z, w, h = mpmath.mpf(z), mpmath.mpf(w), mpmath.mpf(h)
-    floor = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
-    total = mpmath.mpf(0.5) / (1 + w)
-    k = 1
-    while True:
-        t = k * h
-        term = mpmath.exp(-z * mpmath.sinh(t) ** 2) / (mpmath.cosh(t) + w)
-        total += term
-        if term < floor * total:
-            return 2 * h * total
-        k += 1
+    with mpmath.workdps(digits):
+        z, w, h = mpmath.mpf(z), mpmath.mpf(w), mpmath.mpf(h)
+        floor = mpmath.mpf(10) ** (-digits - 5)
+        total = mpmath.mpf(0.5) / (1 + w)
+        k = 1
+        while True:
+            t = k * h
+            term = mpmath.exp(-z * mpmath.sinh(t) ** 2) / (mpmath.cosh(t) + w)
+            total += term
+            if term < floor * total:
+                return 2 * h * total
+            k += 1
 
 
 def _check_strip_bound(z, w):
-    """The certificate of ``oracle._step`` at (z, w), judged in mpmath at the current precision.
+    """The certificate of ``oracle._step`` at (z, w), judged in 40-digit mpmath.
 
     Trefethen-Weideman on the strip |Im t| <= y: the whole trapezoid sum at
     step h is within B = 2M / (e^{2 pi y / h} - 1) of K, with
@@ -332,7 +332,7 @@ def _check_strip_bound(z, w):
     )
     for h in (h_c, 2.0 * h_c, 4.0 * h_c):
         bound = 2 * m / mpmath.expm1(2 * mpmath.pi * ym / h)
-        assert abs(_trapezoid_reference(z, w, h) - k) <= bound, (z, w, h)
+        assert abs(_trapezoid_reference(z, w, h, 40) - k) <= bound, (z, w, h)
         if h == h_c:
             assert bound <= 0.5 * eps * (1 + 1e-12), (z, w)
     hm = mpmath.mpf(h_c)
@@ -368,25 +368,25 @@ def _kernel_reference(z: float, w: float):
 
 @pytest.mark.parametrize("z", [1e-12, 1e-9, 1e-4, 0.5, 30.0, 5000.0])
 def test_kernel_matches_mpmath(z):
-    mpmath.mp.dps = 30
     ws = (1e-12, 0.05, 0.7, 1.0)
-    for w_plus, w_minus in zip(ws, reversed(ws)):
-        k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus, True)
-        assert abs(k_plus - float(_kernel_reference(z, w_plus))) <= 1e-14
-        assert abs(k_minus - float(_kernel_reference(z, w_minus))) <= 1e-14
+    with mpmath.workdps(30):
+        for w_plus, w_minus in zip(ws, reversed(ws)):
+            k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus)
+            assert abs(k_plus - float(_kernel_reference(z, w_plus))) <= 1e-14
+            assert abs(k_minus - float(_kernel_reference(z, w_minus))) <= 1e-14
 
 
 @pytest.mark.parametrize("z", [1e4, 1e8, 1e16])
 def test_kernel_is_relatively_accurate_at_large_z(z):
     # K falls like sqrt(pi/z), to about 1.8e-8 at z = 1e16, where an absolute
     # 1e-14 says nothing; the truncated tail and the step are judged relative to K
-    mpmath.mp.dps = 30
     ws = (1e-12, 0.05, 0.7, 1.0)
-    for w_plus, w_minus in zip(ws, reversed(ws)):
-        k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus, True)
-        for k, w in ((k_plus, w_plus), (k_minus, w_minus)):
-            ref = float(_kernel_reference(z, w))
-            assert abs(k - ref) <= 1e-14 * ref
+    with mpmath.workdps(30):
+        for w_plus, w_minus in zip(ws, reversed(ws)):
+            k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus)
+            for k, w in ((k_plus, w_plus), (k_minus, w_minus)):
+                ref = float(_kernel_reference(z, w))
+                assert abs(k - ref) <= 1e-14 * ref
 
 
 def test_kernel_is_relatively_accurate_over_the_double_range():
@@ -401,7 +401,7 @@ def test_kernel_is_relatively_accurate_over_the_double_range():
             z = math.exp(rng.uniform(*log_z))
             w = rng.choice((0.0, 1.0, rng.random()))
             ref = _kernel_reference(z, w)
-            k = _kernel(z, w, w, True)[0]
+            k = _kernel(z, w, w)[0]
             assert abs(k - ref) <= 1.1e-15 * ref, (z, w)
 
 
@@ -413,7 +413,7 @@ SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.1, 0.3, 0.45,
 
 
 def _small_z(z: float, w: float) -> float:
-    return _small_z_kernel(z, w, 0.0, False)[0]
+    return _small_z_kernel(z, w, w)[0]
 
 
 def test_small_z_kernel_at_the_smallest_double_is_k_at_zero():
@@ -432,15 +432,13 @@ def test_small_z_kernel_at_w_zero_is_pi_erfcx(z):
 
 @pytest.mark.parametrize("z", SMALL_Z_ZS)
 def test_small_z_kernel_matches_mpmath(z):
-    mpmath.mp.dps = 30
-    for w_plus, w_minus in zip(SMALL_Z_WS, reversed(SMALL_Z_WS)):
-        k_plus, k_minus, dk_plus, dk_minus = _small_z_kernel(z, w_plus, w_minus, True)
-        for k, dk, w in ((k_plus, dk_plus, w_plus), (k_minus, dk_minus, w_minus)):
-            ref = float(_kernel_reference(z, w))
-            assert abs(k - ref) <= 2e-15 * ref
-            assert 0.0 <= dk <= 1e-15 * ref
-    # minus = False, as for a zero minus weight, skips the minus series
-    assert _small_z_kernel(z, 0.3, 0.7, False)[1::2] == (0.0, 0.0)
+    with mpmath.workdps(30):
+        for w_plus, w_minus in zip(SMALL_Z_WS, reversed(SMALL_Z_WS)):
+            k_plus, k_minus, dk_plus, dk_minus = _small_z_kernel(z, w_plus, w_minus)
+            for k, dk, w in ((k_plus, dk_plus, w_plus), (k_minus, dk_minus, w_minus)):
+                ref = float(_kernel_reference(z, w))
+                assert abs(k - ref) <= 2e-15 * ref
+                assert 0.0 <= dk <= 1e-15 * ref
 
 
 def _m_by_rows(z: float, a: float, order: int) -> float:
@@ -473,13 +471,13 @@ def test_small_z_rows_sum_m_to_mpmath(z):
     # at small z, M enters K at about z ln(1/z) and so is invisible in K.
     # The reference integrates over [0, 1] in u = t / z, where the quadrature
     # resolves the logarithmic singularity at 0 at every z
-    mpmath.mp.dps = 30
-    for w in SMALL_Z_WS:
-        a = w * w - 0.5
-        ref = z * mpmath.quad(
-            lambda u: mpmath.exp(a * z * u) * mpmath.besselk(0, z * u / 2), [0, 1]
-        )
-        assert abs(_m_by_rows(z, a, _SMALL_Z_ORDER) - float(ref)) <= 1e-15 * float(ref)
+    with mpmath.workdps(30):
+        for w in SMALL_Z_WS:
+            a = w * w - 0.5
+            ref = z * mpmath.quad(
+                lambda u: mpmath.exp(a * z * u) * mpmath.besselk(0, z * u / 2), [0, 1]
+            )
+            assert abs(_m_by_rows(z, a, _SMALL_Z_ORDER) - float(ref)) <= 1e-15 * float(ref)
 
 
 def _hermite_rule(n: int) -> list:
@@ -547,7 +545,7 @@ def test_gauss_rule_underestimates_k_by_at_most_its_bound():
             ref = _kernel_reference(z, w)
             rel = (ref - _gauss_rule_mp(z, w, rule)) / ref
             assert (0.0 if z <= 300.0 else -1e-38) <= rel <= 2.0**-53, (z, w)
-            k_plus, k_minus, dk_plus, dk_minus = oracle._gauss_kernel(z, w, 1.0 - w, True)
+            k_plus, k_minus, dk_plus, dk_minus = oracle._gauss_kernel(z, w, 1.0 - w)
             assert abs(k_plus - ref) <= 8e-16 * ref, (z, w)
             assert dk_plus == 2.0**-53 * k_plus and dk_minus == 2.0**-53 * k_minus
 
@@ -589,8 +587,8 @@ def test_gauss_rule_minus_the_kmax_15_series_is_order_z_minus_16(w):
             assert abs(scaled / limit - 1) <= 20 / z, z
         # the float kernels show the same gap while it is above their rounding
         for z in (30.0, 35.0, 40.0):
-            gauss = oracle._gauss_kernel(z, w, w, True)[0]
-            gap = gauss - _series_kernel(15)(z, w, w, True)[0]
+            gauss = oracle._gauss_kernel(z, w, w)[0]
+            gap = gauss - _series_kernel(15)(z, w, w)[0]
             assert abs(gap - float(_gauss_rule_mp(z, w, rule) - series(z))) <= 1e-15 * gauss, z
 
 
@@ -752,7 +750,11 @@ def _legendre_kernel(z: float, w: float, tol: float) -> float:
     raise AssertionError("Gauss-Legendre reference did not converge")
 
 
-def _reference_split_cdf(p, x, kernel, tol: float = DEFAULT_TOL) -> float:
+# the absolute accuracy asked of the reference splits below
+_REF_TOL = 1e-12
+
+
+def _reference_split_cdf(p, x, kernel, tol: float = _REF_TOL) -> float:
     """The split identity of ``cdf_quad_split`` with one reference ``kernel`` call per part.
 
     ``kernel(z, w, tol)`` returns K(z, w) to within an absolute ``tol`` of
@@ -787,22 +789,22 @@ def test_split_oracle_matches_sigma_grid_reference():
 
 def test_split_route_reports_a_measured_error_estimate():
     # the estimate is |c_plus| eps + |c_minus| eps, eps = 2^-53 K_low the
-    # bound the trapezoid step is certified to in advance, not the requested
-    # tol, which the route does not read; so it stays far within tol/2 plus
-    # a clamping of rounding size, and the Gauss-Legendre reference judges it
+    # bound the trapezoid step is certified to in advance; so it stays far
+    # within half the references' tolerance plus a clamping of rounding
+    # size, and the Gauss-Legendre reference judges it
     rng = random.Random(17)
     for _ in range(40):
         p, x = draw_point(rng)
-        r = cdf(p, x, method="quad-split", tol=DEFAULT_TOL)
-        assert 0.0 <= r.error_estimate <= 0.5 * DEFAULT_TOL + 1e-15
+        r = cdf(p, x, method="quad-split")
+        assert 0.0 <= r.error_estimate <= 0.5 * _REF_TOL + 1e-15
         gauss = _reference_split_cdf(p, x, _legendre_kernel)
         assert abs(r.value - gauss) <= 100.0 * (r.error_estimate + 1e-15)
 
 
 def test_direct_route_reports_a_measured_error_estimate():
     # on the criterion-07 points the estimate is the change of the direct
-    # integral in its last halving, below the requested tol rather than equal
-    # to it, and the split oracle judges it
+    # integral in its last halving, below the oracle's stopping change rather
+    # than equal to it, and the split oracle judges it
     rng = random.Random(17)
     estimates = []
     while len(estimates) < 50:
@@ -810,9 +812,9 @@ def test_direct_route_reports_a_measured_error_estimate():
         g = geometry(p, x)
         if abs(g.nu - p.tau) <= 0.05 or not 5.0 <= g.z <= 200.0:
             continue
-        r = cdf(p, x, method="quad-direct", tol=DEFAULT_TOL)
+        r = cdf(p, x, method="quad-direct")
         assert r.value == cdf_quad_direct(p, x)
-        assert 0.0 <= r.error_estimate < DEFAULT_TOL
+        assert 0.0 <= r.error_estimate < oracle._DIRECT_TOL
         assert abs(r.value - cdf_quad_split(p, x)) <= 100.0 * (r.error_estimate + 1e-15)
         estimates.append(r.error_estimate)
     assert max(estimates) > 0.0
@@ -862,3 +864,53 @@ def test_split_skips_the_minus_part_where_its_weight_underflows(monkeypatch, met
             assert r.value == 0.5 * math.erfc(g.zeta_plus)
     if method == "auto":
         assert taken == {(Method.GAUSS_SPLIT, True), (Method.GAUSS_SPLIT, False)}
+
+
+def _split_reference_near_w_minus_zero(p, x):
+    """F at (p, x) by the split in mpmath, for |w_minus| below about 1e-12.
+
+    At the current precision, the geometry comes from the exact double
+    inputs, and K(z, w_plus) from ``_kernel_reference``.  F_minus is taken
+    to first order in w_minus: it vanishes at w_minus = 0, s_minus moves
+    only at second order, and -dK/dw(z, 0) = J, the integral of
+    e^{-z sinh^2 t} / cosh^2 t over the real line, is sqrt(pi) U(1/2, 0, z)
+    = sqrt(pi) z U(3/2, 2, z) (Tricomi U), so F_minus = w_minus E J / (2 pi)
+    + O(w_minus^2).
+    """
+    a, b, mu, d, xm = map(mpmath.mpf, (p.alpha, p.beta, p.mu, p.delta, x))
+    tau = mpmath.atan2(mpmath.sqrt(a * a - b * b), b)
+    nu = mpmath.atan2(d, xm - mu)
+    z = 2 * a * mpmath.hypot(xm - mu, d)
+    s_plus, w_plus = mpmath.sin((nu - tau) / 2), mpmath.cos((nu - tau) / 2)
+    w_minus = mpmath.cos((nu + tau) / 2)
+    damp = mpmath.exp(-z * s_plus**2)
+    f_plus = mpmath.erfc(s_plus * mpmath.sqrt(z)) / 2 - s_plus * damp / (2 * mpmath.pi) * (
+        _kernel_reference(z, w_plus)
+    )
+    j = mpmath.sqrt(mpmath.pi) * z * mpmath.hyperu(1.5, 2, z)
+    return f_plus + w_minus * damp * j / (2 * mpmath.pi)
+
+
+def test_error_estimate_covers_the_minus_part_dropped_at_small_w_minus():
+    # below |w_minus| = 1e-13 the split drops F_minus, which nears
+    # E |w_minus| / pi at small z, and the estimate must cover it: seeded
+    # points at x = mu - beta delta / gamma, where w_minus = 0, and with
+    # |w_minus| log-uniform over [1e-16, 3e-13] on both sides; z runs from
+    # 3.8e-3 to 78, and F_minus up to 2.7e-14 within the band
+    rng = random.Random(2323)
+    in_band = 0
+    with mpmath.workdps(30):
+        for i in range(40):
+            alpha = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+            delta = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+            p = validate(alpha, alpha * rng.uniform(-0.95, 0.95), rng.uniform(-2.0, 2.0), delta)
+            x = p.mu - p.beta * p.delta / p.gamma
+            if i % 4:
+                # d w_minus / dx = delta / (2 omega^2)
+                w = math.exp(rng.uniform(math.log(1e-16), math.log(3e-13)))
+                x += rng.choice((-2.0, 2.0)) * w * ((x - p.mu) ** 2 + delta**2) / delta
+            r = cdf(p, x)
+            ref = float(_split_reference_near_w_minus_zero(p, x))
+            assert abs(r.value - ref) <= r.error_estimate + 4.5e-16, (p, x, r)
+            in_band += abs(geometry(p, x).w_minus) < 1e-13
+    assert in_band >= 30
