@@ -2,10 +2,10 @@
 
 Evaluates F(x; alpha, beta, mu, delta) and its complement G = 1 - F by the
 exact erfc split of the uniform asymptotic expansion, whose minus part takes
-one signed form on both sides of w_minus = 0.  The automatic route sums the
-split's remainder integrals by rules certified to rounding, an 8-node Gauss
-rule from z = 30; the paper's series serve the forced expansions, and two
-independent quadrature oracles serve for validation.
+one signed form on both sides of w_minus = 0.  The automatic route, ``cdf``,
+sums the split's remainder integrals by rules certified to rounding, an
+8-node Gauss rule from z = 30; the paper's series serve ``cdf_asym`` and
+``sf_asym``, and two independent quadrature oracles serve for validation.
 """
 
 from .coeffs import d_closed_form, d_coefficients

@@ -22,8 +22,17 @@ import sys
 from . import selftest as selftest_mod
 from .errors import ConvergenceError, DomainError, NearTransitionError
 from .coeffs import _check_kmax
-from .expansion import DEFAULT_KMAX, _check_route_args, _route, _series_kernel, cdf_asym
-from .oracle import _split, cdf_quad_split
+from .expansion import (
+    DEFAULT_KMAX,
+    EvalResult,
+    Method,
+    _auto,
+    _expand,
+    _series_kernel,
+    _trapezoid,
+    cdf_asym,
+)
+from .oracle import _quad_direct, _split, cdf_quad_split
 from .params import geometry, transition_point, validate
 
 __all__ = ["main", "run"]
@@ -59,12 +68,27 @@ def _fmt(value, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
+def _direct(p, g) -> EvalResult:
+    value, error = _quad_direct(p, g)
+    return EvalResult(value, Method.QUAD_DIRECT, 0, error)
+
+
+# eval --method: each choice and the route it names, called as route(p, x, g, kmax)
+# on the geometry that also gives the record its x0 and z
+_ROUTES = {
+    "auto": lambda p, x, g, kmax: _auto(x, g),
+    "asym": lambda p, x, g, kmax: _expand(g, kmax, False),
+    "quad-split": lambda p, x, g, kmax: _trapezoid(g),
+    "quad-direct": lambda p, x, g, kmax: _direct(p, g),
+}
+
+
 def _cmd_eval(args) -> int:
     p = validate(args.alpha, args.beta, args.mu, args.delta)
-    # cdf split in two, so that the geometry it routes on also gives x0 and z
-    kmax = _check_route_args(args.method, args.kmax)
+    # outside input, so refused on every method, not only on the one that reads it
+    kmax = _check_kmax(args.kmax)
     g = geometry(p, args.x)
-    result = _route(p, args.x, g, args.method, kmax)
+    result = _ROUTES[args.method](p, args.x, g, kmax)
     record = {
         "x": args.x,
         "F": result.value,
@@ -114,7 +138,7 @@ def _cmd_figure1(args) -> int:
         gs = [geometry(p, x) for p in params]
         # the policy evaluator computes the smaller of F and G first, which
         # keeps the emitted curve monotone through the saturated tails
-        fs = [_route(p, x, g, "auto", kmax).value for p, g in zip(params, gs)]
+        fs = [_auto(x, g).value for g in gs]
         fminus = [_split(g, False, series)[1] for g in gs]
         print(",".join(f"{v:.17g}" for v in [x, *fs, *fminus]))
     return 0
@@ -142,11 +166,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--mu", type=float, required=True)
     ev.add_argument("--delta", type=float, required=True)
     ev.add_argument("--x", type=float, required=True)
-    ev.add_argument(
-        "--method",
-        choices=("auto", "asym", "quad-split", "quad-direct"),
-        default="auto",
-    )
+    ev.add_argument("--method", choices=tuple(_ROUTES), default="auto")
     ev.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
     ev.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     ev.set_defaults(func=_cmd_eval)

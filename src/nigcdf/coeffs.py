@@ -115,17 +115,6 @@ def _straight_line(label: str, tables: tuple) -> Callable[[float, float], tuple[
 
 
 @cache
-def _horner(kmax: int) -> Callable[[float, float], tuple[float, float, float]]:
-    """The rows of ``_rows(kmax)`` compiled by ``_straight_line`` into one function.
-
-    ``_horner(kmax)(w, y)`` returns (sum_k P_k(w) y^k, P_kmax(w), y^kmax).
-    Compiled on first use of a kmax, never at import; ``kmax`` must already
-    be checked, as the rows past ``_KMAX_LIMIT`` are not finite.
-    """
-    return _straight_line(f"_horner({kmax})", (_rows(kmax),))
-
-
-@cache
 def _small_z_rows(order: int) -> tuple[tuple[tuple[float, ...], ...], ...]:
     """The rows of the small-z series M, split by parity, for an odd ``order``.
 

@@ -7,23 +7,24 @@ K replaced by its asymptotic series (the pole-saddle form of Temme),
 K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.
 ``_series_kernel(kmax)`` builds, once per kmax, the kernel that hands both
 series to the split, each summed by the straight-line function that
-``coeffs._horner`` compiles from the polynomial rows of ``coeffs._rows``.
-The leading erfc(-+zeta_plus) keeps F_plus and G_plus smooth through the
-transition point, and F_minus takes one signed form on both sides of
-w_minus = 0.  A forced expansion at a z so small that a series leaves the
-double range raises DomainError naming z and kmax.
+``coeffs._straight_line`` compiles from the polynomial rows of
+``coeffs._rows``.  The leading erfc(-+zeta_plus) keeps F_plus and G_plus
+smooth through the transition point, and F_minus takes one signed form on
+both sides of w_minus = 0.  An expansion at a z so small that a series
+leaves the double range raises DomainError naming z and kmax.
 
 The public functions are thin callers: they check their arguments, build
-the geometry from (p, x), and call the split.  ``cdf`` adds the
-evaluation policy, which gives each z band the split with its own kernel,
-whatever w_minus: below z = 0.5 ``oracle._small_z_kernel``, a convergent
-series in z; from z = 30 ``oracle._gauss_kernel``, an 8-node Gauss rule
-whose error is certified in advance; between the two the trapezoid kernel
-of the quadrature oracle.  On the Gauss route the complement is evaluated
-first right of the transition, so the smaller of F and G is the one
-computed directly.  The paper's series, at the order asked for, serves
-only the forced expansions (``asym``, ``cdf_asym``, ``sf_asym``).  Every
-argument is checked before routing, and the geometry is computed once.
+the geometry from (p, x), and call the split.  ``cdf(p, x)`` is the
+evaluation policy and takes no other argument: it gives each z band the
+split with its own kernel, whatever w_minus: below z = 0.5
+``oracle._small_z_kernel``, a convergent series in z; from z = 30
+``oracle._gauss_kernel``, an 8-node Gauss rule whose error is certified
+in advance; between the two the trapezoid kernel of the quadrature
+oracle.  On the Gauss route the complement is evaluated first right of
+the transition, so the smaller of F and G is the one computed directly.
+The paper's series, at the order asked for, serves only ``cdf_asym`` and
+``sf_asym``; the quadrature oracles have their own functions,
+``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from enum import Enum
 from functools import cache
 from typing import NamedTuple
 
-from .coeffs import _check_kmax, _horner
+from .coeffs import _check_kmax, _rows, _straight_line
 from .errors import DomainError
 from .params import Geometry, Parameters, _require_finite, geometry
 from . import oracle
@@ -98,24 +99,24 @@ class EvalResult(NamedTuple):
     complemented: bool = False
 
 
-_METHODS = ("auto", "asym", "quad-split", "quad-direct")
-
-
 @cache
 def _series_kernel(kmax: int) -> oracle._Kernel:
     """The kernel of ``oracle._split`` that sums both remainders by their series to ``kmax``.
 
     K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.  With
     d_k(w) = P_k(w) / (1 + w)^k the sum is sum_k P_k(w) y^k,
-    y = 1 / ((1 + w) z), which the function compiled by ``coeffs._horner``
-    sums together with P_kmax(w) and y^kmax; each dK is the last term,
+    y = 1 / ((1 + w) z), which the function that ``coeffs._straight_line``
+    compiles from ``coeffs._rows(kmax)`` sums together with P_kmax(w) and
+    y^kmax; each dK is the last term,
     sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  One sqrt(pi/z) serves both
     series.  The kernel raises DomainError when a series or its last term
     leaves the double range, which needs z far below 1: z below about
-    2e-56 at kmax = 5, or 7e-12 at kmax = 25, whatever w.  ``kmax`` must already be checked;
-    like ``_horner(kmax)``, the kernel is built once per kmax.
+    2e-56 at kmax = 5, or 7e-12 at kmax = 25, whatever w.  ``kmax`` must
+    already be checked, as the rows past ``coeffs._KMAX_LIMIT`` are not
+    finite; the kernel is built, and its rows compiled, on first use of a
+    kmax, never at import.
     """
-    horner = _horner(kmax)
+    horner = _straight_line(f"_series_kernel({kmax})", (_rows(kmax),))
 
     def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
         root = math.sqrt(math.pi / z)
@@ -152,58 +153,46 @@ def sf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     return _expand(geometry(p, x), _check_kmax(kmax), True)
 
 
-def _check_route_args(method: str, kmax: int) -> int:
-    """``cdf``'s checks of method and kmax; returns kmax as checked."""
-    if method not in _METHODS:
-        raise DomainError(
-            f"unknown method {method!r}; expected auto, asym, quad-split, or quad-direct"
-        )
-    return _check_kmax(kmax)
-
-
-def _route(p: Parameters, x: float, g: Geometry, method: str, kmax: int) -> EvalResult:
-    """``cdf`` at ``g = geometry(p, x)``: x a float, the rest checked by ``_check_route_args``."""
-    if method == "quad-direct":
-        value, error = oracle._quad_direct(p, g)
-        return tuple.__new__(EvalResult, (value, Method.QUAD_DIRECT, 0, error, False))
-    if method == "asym":
-        return _expand(g, kmax, False)
-    if method == "auto":
-        if g.z >= _GAUSS_LIMIT:
-            right = x > g.x0
-            value, error = oracle._evaluate(g, right, oracle._gauss_kernel)
-            if right:
-                value = 1.0 - value
-            return tuple.__new__(
-                EvalResult, (value, Method.GAUSS_SPLIT, oracle._GAUSS_NODES, error, right)
-            )
-        if g.z < _SMALL_Z_LIMIT:
-            value, error = oracle._evaluate(g, False, oracle._small_z_kernel)
-            return tuple.__new__(
-                EvalResult, (value, Method.SMALL_Z_SERIES, oracle._SMALL_Z_ORDER, error, False)
-            )
+def _trapezoid(g: Geometry) -> EvalResult:
+    """F by the split with the trapezoid kernel of the quadrature oracle, at any z."""
     value, error = oracle._evaluate(g, False, oracle._kernel)
     return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
 
 
-def cdf(p: Parameters, x: float, method: str = "auto", kmax: int = DEFAULT_KMAX) -> EvalResult:
-    """F with route selection.
+def _auto(x: float, g: Geometry) -> EvalResult:
+    """The evaluation policy of ``cdf`` at ``g = geometry(p, x)``, x a float."""
+    if g.z >= _GAUSS_LIMIT:
+        right = x > g.x0
+        value, error = oracle._evaluate(g, right, oracle._gauss_kernel)
+        if right:
+            value = 1.0 - value
+        return tuple.__new__(
+            EvalResult, (value, Method.GAUSS_SPLIT, oracle._GAUSS_NODES, error, right)
+        )
+    if g.z < _SMALL_Z_LIMIT:
+        value, error = oracle._evaluate(g, False, oracle._small_z_kernel)
+        return tuple.__new__(
+            EvalResult, (value, Method.SMALL_Z_SERIES, oracle._SMALL_Z_ORDER, error, False)
+        )
+    return _trapezoid(g)
 
-    ``auto``: the split, whatever w_minus, with the kernel of its z band:
-    below z = 0.5 the convergent small-z series (SMALL_Z_SERIES), which
-    needs no quadrature node; from z = 30 the 8-node Gauss rule
-    (GAUSS_SPLIT), evaluating the complement and flipping when x lies
-    right of the transition point so the smaller function is the one
-    computed; between the two the trapezoid (QUAD_SPLIT).  All three take
-    each K to about its rounding, so ``kmax`` is read only by ``asym``.
-    Every split route calls its kernel as ``kernel(z, w_plus, |w_minus|)``
-    and reports the estimate described at ``EvalResult``.
-    ``asym``, ``quad-split``, ``quad-direct`` force a route, and forced
-    ``quad-split`` keeps the trapezoid at every z; forced ``asym`` sums
-    the paper's series to ``kmax`` at any z and w_minus.  Every argument is
-    checked before routing, whichever route the point takes; the geometry
-    is computed once.
+
+def cdf(p: Parameters, x: float) -> EvalResult:
+    """F by the evaluation policy.
+
+    The split, whatever w_minus, with the kernel of its z band: below
+    z = 0.5 the convergent small-z series (SMALL_Z_SERIES), which needs no
+    quadrature node; from z = 30 the 8-node Gauss rule (GAUSS_SPLIT),
+    evaluating the complement and flipping when x lies right of the
+    transition point so the smaller function is the one computed; between
+    the two the trapezoid (QUAD_SPLIT).  All three take each K to about its
+    rounding.  Every split route calls its kernel as
+    ``kernel(z, w_plus, |w_minus|)`` and reports the estimate described at
+    ``EvalResult``.  x is checked before routing and the geometry is
+    computed once.  The other routes have their own functions: the paper's
+    series to a chosen order in ``cdf_asym`` and ``sf_asym``, the
+    quadrature oracles in ``oracle.cdf_quad_split`` and
+    ``oracle.cdf_quad_direct``.
     """
-    kmax = _check_route_args(method, kmax)
     x = _require_finite("x", x)
-    return _route(p, x, geometry(p, x), method, kmax)
+    return _auto(x, geometry(p, x))

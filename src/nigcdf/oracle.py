@@ -4,12 +4,12 @@
 remainder integrals K(z, w), valid for every point, the transition point
 included.  It takes K from one of four kernels, all called as
 ``kernel(z, w_plus, w_minus)``: the expansion's asymptotic series,
-for the forced expansions; ``_gauss_kernel``, an 8-node Gauss rule, which
-the auto route of ``expansion.cdf`` takes from z = 30; ``_small_z_kernel``,
-a convergent series in z, which that route takes below z = 0.5; and the
-trapezoid ``_kernel``, for the auto route between the two, and for the
-primary oracle ``cdf_quad_split`` and the forced quad-split route at every
-z, so the oracle shares no rule with the routes it judges.  Below
+for ``cdf_asym`` and ``sf_asym``; ``_gauss_kernel``, an 8-node Gauss rule,
+which the policy ``expansion.cdf`` takes from z = 30; ``_small_z_kernel``,
+a convergent series in z, which that policy takes below z = 0.5; and the
+trapezoid ``_kernel``, for the policy between the two, and for the
+primary oracle ``cdf_quad_split`` at every z, so the oracle shares no
+rule with the routes it judges.  Below
 |w_minus| = 1e-13 the split drops the minus part, and its error estimate
 takes E |w_minus| / pi for what it dropped.
 

@@ -145,12 +145,12 @@ def test_criterion_08_global_behavior():
 def test_criterion_09_symmetric_median():
     p = validate(ALPHA, 0.0, MU, DELTA)
     assert abs(cdf(p, MU).value - 0.5) <= 1e-10
-    assert abs(cdf(p, MU, method="asym").value - 0.5) <= 1e-10
-    assert abs(cdf(p, MU, method="quad-split").value - 0.5) <= 1e-10
-    # the direct oracle excludes nu = tau by design; the route must refuse,
-    # not return a wrong number
+    assert abs(cdf_asym(p, MU).value - 0.5) <= 1e-10
+    assert abs(cdf_quad_split(p, MU) - 0.5) <= 1e-10
+    # the direct oracle excludes nu = tau by design; it must refuse, not
+    # return a wrong number
     with pytest.raises(NearTransitionError):
-        cdf(p, MU, method="quad-direct")
+        cdf_quad_direct(p, MU)
 
 
 def test_criterion_10_reflection():

@@ -69,6 +69,12 @@ def test_eval_method_selection(capsys):
     assert out["method"] == "quad_split"
 
 
+def test_eval_refuses_an_unknown_method():
+    with pytest.raises(SystemExit) as exc:
+        main(EVAL_BASE + ["--x", "5", "--method", "fastest"])
+    assert exc.value.code == 1
+
+
 @pytest.mark.parametrize("method", ["auto", "quad-split"])
 def test_eval_far_right_tail_exits_0(capsys, method):
     # z = 1.2e16 puts erfc's argument near 1e6, far past its underflow point
@@ -198,7 +204,7 @@ def _count_geometry_calls(monkeypatch):
 @pytest.mark.parametrize("method", ["auto", "asym", "quad-split", "quad-direct"])
 @pytest.mark.parametrize("x", ["5", "1"])
 def test_eval_computes_the_geometry_once(monkeypatch, capsys, method, x):
-    # x = 5 takes the asym route under auto, x = 1 the quad-split route
+    # both points take the Gauss route under auto, x = 1 at w_minus < 0
     calls = _count_geometry_calls(monkeypatch)
     assert main(EVAL_BASE + ["--x", x, "--method", method]) == 0
     assert calls == [float(x)]

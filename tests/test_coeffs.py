@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nigcdf import DomainError, cdf, d_closed_form, d_coefficients, validate
+from nigcdf import DomainError, cdf_asym, d_closed_form, d_coefficients, validate
 from nigcdf.coeffs import (
     _KMAX_LIMIT,
     _d_values,
-    _horner,
     _rows,
     _small_z_horner,
     _small_z_rows,
@@ -87,19 +86,19 @@ def test_kmax_must_be_a_nonnegative_integer(kmax):
 
 def test_kmax_past_the_limit_is_refused_before_any_row_is_built():
     built = _rows.cache_info().currsize
-    compiled = _horner.cache_info().currsize
+    compiled = _series_kernel.cache_info().currsize
     with pytest.raises(DomainError, match="kmax must be"):
         d_coefficients(0.5, _KMAX_LIMIT + 1)
     with pytest.raises(DomainError, match="kmax must be"):
-        cdf(validate(8.0, 2.0, 3.0, 2.0), 5.0, method="asym", kmax=_KMAX_LIMIT + 1)
+        cdf_asym(validate(8.0, 2.0, 3.0, 2.0), 5.0, kmax=_KMAX_LIMIT + 1)
     assert _rows.cache_info().currsize == built
-    assert _horner.cache_info().currsize == compiled
+    assert _series_kernel.cache_info().currsize == compiled
     assert all(math.isfinite(d) for d in d_coefficients(0.5, _KMAX_LIMIT))
 
 
 def test_the_largest_series_kernel_compiles():
     # the longest source: one statement per coefficient of 152 rows
-    assert all(math.isfinite(v) for v in _horner(_KMAX_LIMIT)(1.0, 1e-3))
+    assert all(math.isfinite(v) for v in _series_kernel(_KMAX_LIMIT)(500.0, 1.0, 1.0))
 
 
 def test_kmax_limit_is_the_last_finite_row():
@@ -234,7 +233,7 @@ def test_series_matches_the_reference_sum(kmax):
 def _loop_series(z, w, kmax):
     """K(z, w) to order kmax and its last term by a Horner loop over ``_rows``.
 
-    The loop that the compiled ``_horner`` functions unroll: Horner in
+    The loop that the straight-line function of ``_series_kernel`` unrolls: Horner in
     y = 1 / ((1 + w) z) over the rows from P_kmax down, each row by Horner
     in w from 0.0, then the factor sqrt(pi/z) / (1 + w).
     """

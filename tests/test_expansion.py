@@ -13,6 +13,7 @@ from nigcdf import (
     NigError,
     cdf,
     cdf_asym,
+    cdf_quad_direct,
     cdf_quad_split,
     geometry,
     sf_asym,
@@ -20,7 +21,8 @@ from nigcdf import (
     validate,
 )
 from nigcdf import oracle
-from nigcdf.expansion import _GAUSS_LIMIT, _SMALL_Z_LIMIT, _series_kernel
+from nigcdf.cli import _ROUTES
+from nigcdf.expansion import _GAUSS_LIMIT, _SMALL_Z_LIMIT, DEFAULT_KMAX, _series_kernel
 from nigcdf.oracle import _SMALL_Z_ORDER, _kernel
 from nigcdf.selftest import draw_point
 
@@ -88,7 +90,6 @@ def test_forced_asym_is_accurate_where_w_minus_is_small():
     assert len(points) >= 1000
     for p, x in points:
         ref = cdf_quad_split(p, x)
-        assert abs(cdf(p, x, method="asym").value - ref) <= 1e-7
         assert abs(cdf_asym(p, x).value - ref) <= 1e-7
         assert abs(1.0 - sf_asym(p, x).value - ref) <= 1e-7
 
@@ -178,18 +179,19 @@ def test_eval_result_fields():
 
 def test_every_route_returns_a_complete_eval_result():
     # the records are built field by field inside the package; each must be
-    # the same EvalResult as one built through the public constructor
+    # the same EvalResult as one built through the public constructor.  The
+    # routes of ``nigcdf eval --method`` include the two quadrature routes
     rng = random.Random(17)
     points = [draw_point(rng) for _ in range(300)]
     points += [(validate(0.5, 0.125, 3.0, 0.1), 3.0)]  # z < 0.5: small-z series
     taken = set()
     for p, x in points:
-        results = [cdf(p, x, method=m) for m in ("auto", "asym", "quad-split")]
-        results += [cdf_asym(p, x), sf_asym(p, x)]
-        try:
-            results.append(cdf(p, x, method="quad-direct"))
-        except NigError:
-            pass
+        results = [cdf(p, x), cdf_asym(p, x), sf_asym(p, x)]
+        for route in _ROUTES.values():
+            try:
+                results.append(route(p, x, geometry(p, x), DEFAULT_KMAX))
+            except NigError:
+                pass
         for r in results:
             assert type(r) is EvalResult
             assert r == EvalResult(**r._asdict())
@@ -216,10 +218,10 @@ def test_error_estimate_tracks_actual_error():
 
 
 def test_policy_uses_asym_in_the_trusted_region():
-    # the auto route takes the Gauss rule here; forced asym keeps the series
+    # the auto route takes the Gauss rule here; cdf_asym keeps the series
     p = _bench(2.0)
     x0 = transition_point(p)
-    r = cdf(p, x0, method="asym")
+    r = cdf_asym(p, x0)
     assert r.method is Method.UNIFORM_ASYM
     assert not r.complemented
     assert cdf(p, x0).method is Method.GAUSS_SPLIT
@@ -253,7 +255,7 @@ def test_policy_falls_back_to_quadrature_for_small_z():
 def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     # seeded draws with z from 1e-12 up to the crossover, on both sides of
     # w_minus = 0; the route takes no trapezoid node, so the trapezoid kernel
-    # is swapped for one that fails, and the forced route gets it back
+    # is swapped for one that fails, and the split oracle gets it back
     rng = random.Random(1606)
     draws = []
     while len(draws) < 200:
@@ -274,7 +276,7 @@ def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     for (p, x), r in zip(draws, results):
         assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == _SMALL_Z_ORDER
         assert 0.0 <= r.error_estimate <= 1e-15
-        assert abs(r.value - cdf(p, x, method="quad-split").value) <= 1e-13
+        assert abs(r.value - cdf_quad_split(p, x)) <= 1e-13
         signs.add(geometry(p, x).w_minus > 0.0)
     assert signs == {False, True}
 
@@ -289,20 +291,26 @@ def test_policy_takes_the_gauss_rule_at_small_w_minus():
 
 
 def test_policy_forced_methods():
+    # cdf is the policy alone: a forced route is reached through its own
+    # function, or through the routes of ``nigcdf eval --method``
     p = _bench(2.0)
-    assert cdf(p, 5.0, method="asym").method is Method.UNIFORM_ASYM
-    assert cdf(p, 5.0, method="quad-split").method is Method.QUAD_SPLIT
-    assert cdf(p, 5.0, method="quad-direct").method is Method.QUAD_DIRECT
-    with pytest.raises(DomainError):
-        cdf(p, 5.0, method="fastest")
+    with pytest.raises(TypeError):
+        cdf(p, 5.0, method="asym")
+    with pytest.raises(TypeError):
+        cdf(p, 5.0, kmax=DEFAULT_KMAX)
+    assert cdf_asym(p, 5.0).method is Method.UNIFORM_ASYM
+    g = geometry(p, 5.0)
+    taken = {m: _ROUTES[m](p, 5.0, g, DEFAULT_KMAX).method for m in _ROUTES}
+    assert taken == {"auto": Method.GAUSS_SPLIT, "asym": Method.UNIFORM_ASYM,
+                     "quad-split": Method.QUAD_SPLIT, "quad-direct": Method.QUAD_DIRECT}
 
 
 def test_policy_routes_agree_with_each_other():
     p = _bench(2.0)
     for x in (1.0, 5.0, 8.0):
-        ref = cdf(p, x, method="quad-split").value
+        ref = cdf_quad_split(p, x)
         assert abs(cdf(p, x).value - ref) <= 1e-7
-        assert abs(cdf(p, x, method="quad-direct").value - ref) <= 1e-10
+        assert abs(cdf_quad_direct(p, x) - ref) <= 1e-10
 
 
 def test_cdf_monotone_on_benchmark_grids():
@@ -317,23 +325,21 @@ def test_cdf_monotone_on_benchmark_grids():
             prev = v
 
 
-@pytest.mark.parametrize("method", ["auto", "asym", "quad-split"])
+@pytest.mark.parametrize(
+    "route", [cdf, cdf_asym, cdf_quad_split], ids=["auto", "asym", "quad-split"]
+)
 @pytest.mark.parametrize("params", [(1e-300, 0.0, 0.0, 1e-300), (1e300, 0.0, 0.0, 1e10)])
-def test_cdf_refuses_z_outside_the_double_range(method, params):
+def test_cdf_refuses_z_outside_the_double_range(route, params):
     # valid parameters whose z = 2 alpha omega underflows to 0 or overflows to inf
     p = validate(*params)
     with pytest.raises(DomainError, match="z = 2"):
-        cdf(p, 0.0, method=method)
+        route(p, 0.0)
 
 
-FORCED_EXPANSIONS = [
-    lambda p, x, kmax: cdf(p, x, method="asym", kmax=kmax),
-    lambda p, x, kmax: cdf_asym(p, x, kmax=kmax),
-    lambda p, x, kmax: sf_asym(p, x, kmax=kmax),
-]
+FORCED_EXPANSIONS = [cdf_asym, sf_asym]
 
 
-@pytest.mark.parametrize("entry", FORCED_EXPANSIONS, ids=["cdf-asym", "cdf_asym", "sf_asym"])
+@pytest.mark.parametrize("entry", FORCED_EXPANSIONS, ids=["cdf_asym", "sf_asym"])
 @pytest.mark.parametrize(
     "params,x,kmax",
     [((1e-60, 0.0, 0.0, 1e-60), 0.0, 5),  # z = 2e-120
@@ -355,7 +361,7 @@ def test_forced_expansions_keep_the_contract_where_the_series_overflows(
         assert 0.0 <= value <= 1.0
 
 
-@pytest.mark.parametrize("entry", FORCED_EXPANSIONS, ids=["cdf-asym", "cdf_asym", "sf_asym"])
+@pytest.mark.parametrize("entry", FORCED_EXPANSIONS, ids=["cdf_asym", "sf_asym"])
 def test_forced_expansions_refuse_kmax_past_the_last_finite_row(entry):
     # z = 593: row 152 of the coefficients is the first that overflows, so
     # kmax = 152 is refused as an argument before any row is built
@@ -365,26 +371,34 @@ def test_forced_expansions_refuse_kmax_past_the_last_finite_row(entry):
 
 # (method, x) with p = _bench(2.0): the auto Gauss route, complemented and
 # not, the same at w_minus < 0 (z >= 32 at every x, so no auto point takes
-# the trapezoid), and each forced route
+# the trapezoid), and each other route
 ROUTES = [("auto", 20.0), ("auto", 3.0), ("auto", 1.0), ("asym", 5.0),
           ("quad-split", 5.0), ("quad-direct", 5.0)]
+# the public function of each route
+ENTRIES = {"auto": cdf, "asym": cdf_asym, "quad-split": cdf_quad_split,
+           "quad-direct": cdf_quad_direct}
 
 
+# x of the wrong type (None, a string, a complex, a list) or not finite
+BAD_X = [{"x": None}, {"x": "five"}, {"x": 1j}, {"x": [5.0]},
+         {"x": math.nan}, {"x": math.inf}, {"x": -math.inf}, {"x": 10**400}]
 # kmax of the wrong type (a bool, a string, a float, None) or out of range
 BAD_ARGS = [{"kmax": True}, {"kmax": "5"}, {"kmax": -1}, {"kmax": 2.0},
             {"kmax": math.nan}, {"kmax": 152}, {"kmax": None}, {"kmax": 10**400}]
 
 
 @pytest.mark.parametrize("method,x", ROUTES)
-@pytest.mark.parametrize("bad", BAD_ARGS)
+@pytest.mark.parametrize("bad", BAD_X)
 def test_cdf_checks_every_argument_on_every_route(method, x, bad):
+    # x, the one argument besides the validated p, is refused by the
+    # public function of each route before any routing
     p = _bench(2.0)
-    cdf(p, x, method=method)  # the point itself evaluates
+    ENTRIES[method](p, x)  # the point itself evaluates
     with pytest.raises(DomainError):
-        cdf(p, x, method=method, **bad)
+        ENTRIES[method](p, **bad)
 
 
-@pytest.mark.parametrize("bad", BAD_ARGS)
+@pytest.mark.parametrize("bad", BAD_X)
 def test_cdf_checks_every_argument_on_the_other_auto_routes(bad):
     # ROUTES has no auto point below z = 30: here the trapezoid and the small-z series
     for params, x, method in (((1.0, 0.2, 0.0, 1.0), 0.5, Method.QUAD_SPLIT),
@@ -392,7 +406,17 @@ def test_cdf_checks_every_argument_on_the_other_auto_routes(bad):
         p = validate(*params)
         assert cdf(p, x).method is method
         with pytest.raises(DomainError):
-            cdf(p, x, **bad)
+            cdf(p, **bad)
+
+
+@pytest.mark.parametrize("entry", FORCED_EXPANSIONS, ids=["cdf_asym", "sf_asym"])
+@pytest.mark.parametrize("bad", BAD_ARGS)
+def test_asym_expansions_check_kmax(entry, bad):
+    # the two functions that read kmax refuse each bad value where it is read
+    p = _bench(2.0)
+    entry(p, 5.0)
+    with pytest.raises(DomainError, match="kmax must be"):
+        entry(p, 5.0, **bad)
 
 
 def test_auto_routes_take_the_routes_they_name():
@@ -404,13 +428,13 @@ def test_auto_routes_take_the_routes_they_name():
 
 
 @pytest.mark.parametrize(
-    "method,x",
-    [pytest.param("auto", x, id=str(x)) for x in (20.0, 3.0, 1.0)]
-    + [pytest.param("quad-direct", x, id=f"quad-direct-{x}") for x in (20.0, 1.0)],
+    "entry,x",
+    [pytest.param(cdf, x, id=str(x)) for x in (20.0, 3.0, 1.0)]
+    + [pytest.param(cdf_quad_direct, x, id=f"quad-direct-{x}") for x in (20.0, 1.0)],
 )
-def test_cdf_computes_the_geometry_once(monkeypatch, method, x):
-    # auto: a complemented Gauss point, and two Gauss points, one at w_minus < 0;
-    # quad-direct on both sides of the transition, nu < tau at x = 20, and
+def test_cdf_computes_the_geometry_once(monkeypatch, entry, x):
+    # cdf: a complemented Gauss point, and two Gauss points, one at w_minus < 0;
+    # cdf_quad_direct on both sides of the transition, nu < tau at x = 20, and
     # without validating the parameters again
     calls = []
 
@@ -424,29 +448,8 @@ def test_cdf_computes_the_geometry_once(monkeypatch, method, x):
     monkeypatch.setattr("nigcdf.expansion.geometry", counted)
     monkeypatch.setattr("nigcdf.oracle.geometry", counted)
     monkeypatch.setattr("nigcdf.oracle.validate", refused)
-    cdf(_bench(2.0), x, method=method)
+    entry(_bench(2.0), x)
     assert calls == [x]
-
-
-def test_forced_asym_route_equals_the_forced_expansions_bit_for_bit():
-    # forced asym and cdf_asym are one split with the series kernel; the
-    # auto route at the same points takes the Gauss rule, complementing
-    # right of the transition
-    rng = random.Random(41)
-    asym = 0
-    for _ in range(2000):
-        p, x = draw_point(rng)
-        g = geometry(p, x)
-        if g.z < _GAUSS_LIMIT:
-            continue
-        asym += 1
-        r = cdf(p, x, method="asym")
-        assert r == cdf_asym(p, x)
-        assert r.method is Method.UNIFORM_ASYM and not r.complemented
-        auto = cdf(p, x)
-        assert auto.method is Method.GAUSS_SPLIT
-        assert auto.complemented == (x > g.x0)
-    assert asym >= 400
 
 
 def test_series_kernel_is_the_asymptotic_series_of_the_trapezoid_kernel():
@@ -465,9 +468,9 @@ def test_series_kernel_is_the_asymptotic_series_of_the_trapezoid_kernel():
         assert abs(k_series - k_trap) <= 10.0 * omitted + 1e-15 * k_trap
 
 
-def _cdf_outcome(p, x, method):
+def _cdf_outcome(p, x, entry):
     try:
-        return cdf(p, x, method=method)
+        return entry(p, x)
     except NigError as exc:
         return type(exc), str(exc)
 
@@ -480,8 +483,8 @@ def test_cdf_routes_on_x_as_a_float():
     left = ("3.5", 3, Fraction(7, 2))
     right = ("5", 5, Fraction(11, 2), Fraction(x0) + Fraction(1, 10**30))
     for x in left + right:
-        for method in ("auto", "asym", "quad-split", "quad-direct"):
-            assert _cdf_outcome(p, x, method) == _cdf_outcome(p, float(x), method), (x, method)
+        for method, entry in ENTRIES.items():
+            assert _cdf_outcome(p, x, entry) == _cdf_outcome(p, float(x), entry), (x, method)
         r = cdf(p, x)
         assert r.method is Method.GAUSS_SPLIT
         assert r.complemented == (float(x) > x0)
