@@ -73,13 +73,13 @@ def _direct(p, g) -> EvalResult:
     return EvalResult(value, Method.QUAD_DIRECT, 0, error)
 
 
-# eval --method: each choice and the route it names, called as route(p, x, g, kmax)
-# on the geometry that also gives the record its x0 and z
+# eval --method: each choice and the route it names, called as route(p, g, kmax)
+# on the geometry that also gives the record its z
 _ROUTES = {
-    "auto": lambda p, x, g, kmax: _auto(x, g),
-    "asym": lambda p, x, g, kmax: _expand(g, kmax, False),
-    "quad-split": lambda p, x, g, kmax: _trapezoid(g),
-    "quad-direct": lambda p, x, g, kmax: _direct(p, g),
+    "auto": lambda p, g, kmax: _auto(g),
+    "asym": lambda p, g, kmax: _expand(g, kmax, False),
+    "quad-split": lambda p, g, kmax: _trapezoid(g),
+    "quad-direct": lambda p, g, kmax: _direct(p, g),
 }
 
 
@@ -88,7 +88,7 @@ def _cmd_eval(args) -> int:
     # outside input, so refused on every method, not only on the one that reads it
     kmax = _check_kmax(args.kmax)
     g = geometry(p, args.x)
-    result = _ROUTES[args.method](p, args.x, g, kmax)
+    result = _ROUTES[args.method](p, g, kmax)
     record = {
         "x": args.x,
         "F": result.value,
@@ -96,7 +96,7 @@ def _cmd_eval(args) -> int:
         "method": result.method.value,
         "kmax": result.kmax_used,
         "error_estimate": result.error_estimate,
-        "x0": g.x0,
+        "x0": transition_point(p),
         "z": g.z,
     }
     if args.format == "plain":
@@ -126,19 +126,19 @@ def _cmd_table1(args) -> int:
 def _cmd_figure1(args) -> int:
     params = [validate(_BENCH_ALPHA, beta, _BENCH_MU, _BENCH_DELTA) for beta in _BENCH_BETAS]
     labels = [f"{beta:g}" for beta in _BENCH_BETAS]
+    # kmax is refused before the header, so a refused run prints nothing
+    series = _series_kernel(_check_kmax(args.kmax))
     header = ["x"]
     header += [f"F_beta_{lab}" for lab in labels]
     header += [f"Fminus_beta_{lab}" for lab in labels]
     print(",".join(header))
-    kmax = _check_kmax(args.kmax)
-    series = _series_kernel(kmax)
     n = args.points
     for i in range(n):
         x = 20.0 * i / (n - 1)
         gs = [geometry(p, x) for p in params]
-        # the policy evaluator computes the smaller of F and G first, which
-        # keeps the emitted curve monotone through the saturated tails
-        fs = [_auto(x, g).value for g in gs]
+        # the policy computes the smaller of F and G first on every z band,
+        # which keeps the emitted curve monotone through the saturated tails
+        fs = [_auto(g).value for g in gs]
         fminus = [_split(g, False, series)[1] for g in gs]
         print(",".join(f"{v:.17g}" for v in [x, *fs, *fminus]))
     return 0

@@ -20,8 +20,9 @@ split with its own kernel, whatever w_minus: below z = 0.5
 ``oracle._small_z_kernel``, a convergent series in z; from z = 30
 ``oracle._gauss_kernel``, an 8-node Gauss rule whose error is certified
 in advance; between the two the trapezoid kernel of the quadrature
-oracle.  On the Gauss route the complement is evaluated first right of
-the transition, so the smaller of F and G is the one computed directly.
+oracle.  On every band the complement is evaluated first right of the
+transition point, where zeta_plus < 0, so the smaller of F and G is the
+one computed directly.
 The paper's series, at the order asked for, serves only ``cdf_asym`` and
 ``sf_asym``; the quadrature oracles have their own functions,
 ``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 from .coeffs import _check_kmax, _rows, _straight_line
 from .errors import DomainError
-from .params import Geometry, Parameters, _require_finite, geometry
+from .params import Geometry, Parameters, geometry
 from . import oracle
 
 __all__ = [
@@ -89,7 +90,8 @@ class EvalResult(NamedTuple):
     and 13 on SMALL_Z_SERIES; the node count, 8, on GAUSS_SPLIT; 0 on the
     quadrature routes.
     ``complemented`` records that the value was produced as 1 minus the
-    directly computed complement.
+    directly computed complement: on ``cdf``, at every point with
+    zeta_plus < 0, right of the transition point.
     """
 
     value: float
@@ -159,22 +161,19 @@ def _trapezoid(g: Geometry) -> EvalResult:
     return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
 
 
-def _auto(x: float, g: Geometry) -> EvalResult:
-    """The evaluation policy of ``cdf`` at ``g = geometry(p, x)``, x a float."""
+def _auto(g: Geometry) -> EvalResult:
+    """The policy of ``cdf`` at ``g = geometry(p, x)``: 1 - G wherever zeta_plus < 0."""
     if g.z >= _GAUSS_LIMIT:
-        right = x > g.x0
-        value, error = oracle._evaluate(g, right, oracle._gauss_kernel)
-        if right:
-            value = 1.0 - value
-        return tuple.__new__(
-            EvalResult, (value, Method.GAUSS_SPLIT, oracle._GAUSS_NODES, error, right)
-        )
-    if g.z < _SMALL_Z_LIMIT:
-        value, error = oracle._evaluate(g, False, oracle._small_z_kernel)
-        return tuple.__new__(
-            EvalResult, (value, Method.SMALL_Z_SERIES, oracle._SMALL_Z_ORDER, error, False)
-        )
-    return _trapezoid(g)
+        kernel, method, work = oracle._gauss_kernel, Method.GAUSS_SPLIT, oracle._GAUSS_NODES
+    elif g.z < _SMALL_Z_LIMIT:
+        kernel, method, work = oracle._small_z_kernel, Method.SMALL_Z_SERIES, oracle._SMALL_Z_ORDER
+    else:
+        kernel, method, work = oracle._kernel, Method.QUAD_SPLIT, 0
+    right = g.zeta_plus < 0.0
+    value, error = oracle._evaluate(g, right, kernel)
+    if right:
+        value = 1.0 - value
+    return tuple.__new__(EvalResult, (value, method, work, error, right))
 
 
 def cdf(p: Parameters, x: float) -> EvalResult:
@@ -182,17 +181,15 @@ def cdf(p: Parameters, x: float) -> EvalResult:
 
     The split, whatever w_minus, with the kernel of its z band: below
     z = 0.5 the convergent small-z series (SMALL_Z_SERIES), which needs no
-    quadrature node; from z = 30 the 8-node Gauss rule (GAUSS_SPLIT),
-    evaluating the complement and flipping when x lies right of the
-    transition point so the smaller function is the one computed; between
-    the two the trapezoid (QUAD_SPLIT).  All three take each K to about its
-    rounding.  Every split route calls its kernel as
-    ``kernel(z, w_plus, |w_minus|)`` and reports the estimate described at
-    ``EvalResult``.  x is checked before routing and the geometry is
-    computed once.  The other routes have their own functions: the paper's
-    series to a chosen order in ``cdf_asym`` and ``sf_asym``, the
-    quadrature oracles in ``oracle.cdf_quad_split`` and
-    ``oracle.cdf_quad_direct``.
+    quadrature node; from z = 30 the 8-node Gauss rule (GAUSS_SPLIT);
+    between the two the trapezoid (QUAD_SPLIT).  All three take each K to
+    about its rounding.  On every band the complement is evaluated and
+    flipped when x lies right of the transition point (zeta_plus < 0), so
+    the smaller function is the one computed.  Every split route calls its
+    kernel as ``kernel(z, w_plus, |w_minus|)`` and reports the estimate
+    described at ``EvalResult``.  ``geometry`` checks x and is computed
+    once.  The other routes have their own functions: the paper's series
+    to a chosen order in ``cdf_asym`` and ``sf_asym``, the quadrature
+    oracles in ``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.
     """
-    x = _require_finite("x", x)
-    return _auto(x, geometry(p, x))
+    return _auto(geometry(p, x))

@@ -340,7 +340,7 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float, flo
     [-2, 0), so |F_minus| <= E |w_minus| / pi + O(w_minus^2).  Returns
     (F_plus, or G_plus when ``upper``; F_minus; the estimate).
     """
-    _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus, _ = g
+    _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus = g
     damp = math.exp(-z * (s_plus * s_plus))
     w_minus = abs(signed_w_minus)
     negligible = w_minus < _W_MINUS_NEGLIGIBLE or damp == 0.0

@@ -43,13 +43,15 @@ class Parameters(NamedTuple):
 class Geometry(NamedTuple):
     """Everything the expansions need at a single point x.
 
-    ``s_plus = sin((nu-tau)/2)`` carries the sign of ``x0 - x`` and vanishes
-    exactly at the transition point; ``s_minus = sin((nu+tau)/2)`` is always
-    positive.  ``w_plus``/``w_minus`` are the matching cosines; ``w_minus``
-    goes negative once ``nu + tau`` exceeds pi.  The squared pole locations
-    are sigma_plus^2 = -s_plus^2 and sigma_minus^2 = -s_minus^2, and
-    ``zeta_plus = s_plus*sqrt(z)``, ``zeta_minus = s_minus*sqrt(z)`` are the
-    error-function arguments; both are finite, as z is and |s| <= 1.
+    ``s_plus = sin((nu-tau)/2)`` carries the sign of ``x0 - x``, x0 the
+    ``transition_point``, and vanishes exactly there, so the sign of
+    ``zeta_plus`` tells the side of x0 and the record keeps no x0;
+    ``s_minus = sin((nu+tau)/2)`` is always positive.  ``w_plus``/``w_minus``
+    are the matching cosines; ``w_minus`` goes negative once ``nu + tau``
+    exceeds pi.  The squared pole locations are sigma_plus^2 = -s_plus^2 and
+    sigma_minus^2 = -s_minus^2, and ``zeta_plus = s_plus*sqrt(z)``,
+    ``zeta_minus = s_minus*sqrt(z)`` are the error-function arguments; both
+    are finite, as z is and |s| <= 1.
     """
 
     xi: float
@@ -62,7 +64,6 @@ class Geometry(NamedTuple):
     w_minus: float
     zeta_plus: float
     zeta_minus: float
-    x0: float
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -141,9 +142,7 @@ def geometry(p: Parameters, x: float) -> Geometry:
     s_minus = math.sin(half_sum)
     w_minus = math.cos(half_sum)
     sqrt_z = math.sqrt(z)
-    # tuple.__new__ skips the NamedTuple's generated __new__, a Python-level call,
-    # and the x0 of ``transition_point`` is inlined for the same reason
+    # tuple.__new__ skips the NamedTuple's generated __new__, a Python-level call
     return tuple.__new__(Geometry, (
-        xi, omega, nu, z, s_plus, s_minus, w_plus, w_minus,
-        s_plus * sqrt_z, s_minus * sqrt_z, p.mu + p.beta * p.delta / p.gamma,
+        xi, omega, nu, z, s_plus, s_minus, w_plus, w_minus, s_plus * sqrt_z, s_minus * sqrt_z,
     ))

@@ -11,7 +11,7 @@ import random
 
 from .coeffs import d_closed_form, d_coefficients
 from .oracle import cdf_quad_direct, cdf_quad_split, reflect
-from .params import Parameters, geometry, validate
+from .params import Parameters, geometry, transition_point, validate
 from .special import erfc
 
 __all__ = ["DEFAULT_SEED", "run_all", "draw_point", "identity_suite"]
@@ -63,8 +63,9 @@ def identity_suite(n: int = 10000, seed: int = DEFAULT_SEED):
         ok = ok and abs(gap - 2.0 * gd) <= 1e-12 * max(2.0 * gd, 1e-300)
 
         ok = ok and abs(g.zeta_plus * g.zeta_plus - (aw - bxi - gd)) <= 1e-12 * scale
-        if abs(x - g.x0) > 1e-9 * (1.0 + abs(g.x0)):
-            ok = ok and (g.zeta_plus > 0.0) == (g.x0 > x)
+        x0 = transition_point(p)
+        if abs(x - x0) > 1e-9 * (1.0 + abs(x0)):
+            ok = ok and (g.zeta_plus > 0.0) == (x0 > x)
 
         zeta_minus_ref = math.sqrt(aw - bxi + gd)
         ok = ok and abs(g.zeta_minus - zeta_minus_ref) <= 1e-12 * zeta_minus_ref

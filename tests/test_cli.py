@@ -189,6 +189,14 @@ def test_figure1_respects_points_flag(capsys):
     assert len(_lines(capsys)) == 3
 
 
+def test_figure1_refuses_kmax_before_printing(capsys):
+    # a refused run must not leave a header-only CSV behind a redirect
+    assert main(["figure1", "--kmax", "152"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "domain error" in captured.err
+
+
 def _count_geometry_calls(monkeypatch):
     calls = []
 

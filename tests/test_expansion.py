@@ -183,13 +183,14 @@ def test_every_route_returns_a_complete_eval_result():
     # routes of ``nigcdf eval --method`` include the two quadrature routes
     rng = random.Random(17)
     points = [draw_point(rng) for _ in range(300)]
-    points += [(validate(0.5, 0.125, 3.0, 0.1), 3.0)]  # z < 0.5: small-z series
+    # z < 0.5: the small-z series, left and right of the transition
+    points += [(validate(0.5, 0.125, 3.0, 0.1), x) for x in (3.0, 3.2)]
     taken = set()
     for p, x in points:
         results = [cdf(p, x), cdf_asym(p, x), sf_asym(p, x)]
         for route in _ROUTES.values():
             try:
-                results.append(route(p, x, geometry(p, x), DEFAULT_KMAX))
+                results.append(route(p, geometry(p, x), DEFAULT_KMAX))
             except NigError:
                 pass
         for r in results:
@@ -197,7 +198,8 @@ def test_every_route_returns_a_complete_eval_result():
             assert r == EvalResult(**r._asdict())
             assert type(r.complemented) is bool
             taken.add((r.method, r.complemented))
-    assert taken == {(m, False) for m in Method} | {(Method.GAUSS_SPLIT, True)}
+    complemented = {Method.GAUSS_SPLIT, Method.QUAD_SPLIT, Method.SMALL_Z_SERIES}
+    assert taken == {(m, False) for m in Method} | {(m, True) for m in complemented}
 
 
 @pytest.mark.parametrize("field", EVAL_RESULT_FIELDS)
@@ -300,7 +302,7 @@ def test_policy_forced_methods():
         cdf(p, 5.0, kmax=DEFAULT_KMAX)
     assert cdf_asym(p, 5.0).method is Method.UNIFORM_ASYM
     g = geometry(p, 5.0)
-    taken = {m: _ROUTES[m](p, 5.0, g, DEFAULT_KMAX).method for m in _ROUTES}
+    taken = {m: _ROUTES[m](p, g, DEFAULT_KMAX).method for m in _ROUTES}
     assert taken == {"auto": Method.GAUSS_SPLIT, "asym": Method.UNIFORM_ASYM,
                      "quad-split": Method.QUAD_SPLIT, "quad-direct": Method.QUAD_DIRECT}
 
@@ -313,16 +315,47 @@ def test_policy_routes_agree_with_each_other():
         assert abs(cdf_quad_direct(p, x) - ref) <= 1e-10
 
 
+# (parameters, x range, points): the benchmark rows, all on the Gauss band,
+# then grids across the transition point on the lower bands: two on the
+# small-z band that reach the trapezoid (z = 0.5) at their ends, and one on
+# the trapezoid band that crosses into the Gauss band (z = 30) at x = 15
+MONOTONE_GRIDS = [((ALPHA, beta, MU, DELTA), (MU - 10.0, MU + 20.0), 400) for beta in BETAS] + [
+    ((0.5, 0.125, 3.0, 0.1), (2.5, 3.49), 2000),
+    ((1.0, 0.2, 0.0, 1.0), (-12.0, 20.0), 2000),
+    ((0.05, 0.02, 0.0, 1.0), (-4.9, 4.9), 2000),
+]
+
+
 def test_cdf_monotone_on_benchmark_grids():
-    for beta in BETAS:
-        p = _bench(beta)
+    for params, (lo, hi), n in MONOTONE_GRIDS:
+        p = validate(*params)
         prev = -1.0
-        for i in range(400):
-            x = MU - 10.0 + 30.0 * i / 399.0
+        for i in range(n):
+            x = lo + (hi - lo) * i / (n - 1)
             v = cdf(p, x).value
             assert 0.0 <= v <= 1.0
-            assert v >= prev
+            assert v >= prev, (params, x)
             prev = v
+
+
+@pytest.mark.parametrize(
+    "params,x,method",
+    [((0.5, 0.125, 3.0, 0.1), 2.9, Method.SMALL_Z_SERIES),
+     ((0.5, 0.125, 3.0, 0.1), 3.2, Method.SMALL_Z_SERIES),
+     ((1.0, 0.2, 0.0, 1.0), -1.0, Method.QUAD_SPLIT),
+     ((1.0, 0.2, 0.0, 1.0), 3.0, Method.QUAD_SPLIT),
+     ((8.0, 2.0, 3.0, 2.0), 1.0, Method.GAUSS_SPLIT),
+     ((8.0, 2.0, 3.0, 2.0), 5.0, Method.GAUSS_SPLIT)],
+    ids=[f"{band}-{side}" for band in ("small-z", "trapezoid", "gauss")
+         for side in ("left", "right")],
+)
+def test_cdf_complements_right_of_the_transition_on_every_band(params, x, method):
+    # one policy path: every band evaluates G and flips it where zeta_plus < 0
+    p = validate(*params)
+    r = cdf(p, x)
+    assert r.method is method
+    assert r.complemented == (geometry(p, x).zeta_plus < 0.0) == (x > transition_point(p))
+    assert abs(r.value - cdf_quad_split(p, x)) <= 1e-15
 
 
 @pytest.mark.parametrize(

@@ -107,7 +107,7 @@ def test_parameters_are_frozen():
 
 GEOMETRY_FIELDS = (
     "xi", "omega", "nu", "z", "s_plus", "s_minus", "w_plus", "w_minus",
-    "zeta_plus", "zeta_minus", "x0",
+    "zeta_plus", "zeta_minus",
 )
 
 
@@ -152,14 +152,14 @@ def test_geometry_frozen_point_values():
     assert g.w_minus == pytest.approx(0.49604611600897525, rel=1e-13)
     assert g.zeta_plus == pytest.approx(-1.770729683813951, rel=1e-13)
     assert g.zeta_minus == pytest.approx(5.841177140166114, rel=1e-13)
-    assert g.x0 == pytest.approx(3.516397779494322, rel=1e-14)
+    assert transition_point(p) == pytest.approx(3.516397779494322, rel=1e-14)
     assert Geometry._fields == GEOMETRY_FIELDS
     assert hash(g) == hash(geometry(p, 5.0))
 
 
 def test_validate_and_geometry_build_their_records():
-    # built field by field inside the package, with x0 inlined from
-    # transition_point, which must agree bit for bit
+    # built field by field inside the package; transition_point, which
+    # gives the eval record its x0, is mu + beta*delta/gamma bit for bit
     rng = random.Random(29)
     for _ in range(500):
         p, x = draw_point(rng)
@@ -167,7 +167,7 @@ def test_validate_and_geometry_build_their_records():
         assert type(q) is Parameters and q == Parameters(**q._asdict())
         g = geometry(q, x)
         assert type(g) is Geometry and g == Geometry(**g._asdict())
-        assert g.x0 == transition_point(q)
+        assert transition_point(q) == q.mu + q.beta * q.delta / q.gamma
 
 
 def test_geometry_at_transition_point():
@@ -242,8 +242,9 @@ def test_geometry_invariants(p, t):
 def test_zeta_plus_sign_tracks_transition_side(p, t):
     x = p.mu + p.delta * t
     g = geometry(p, x)
-    if abs(x - g.x0) > 1e-9 * (1.0 + abs(g.x0)):
-        assert (g.zeta_plus > 0.0) == (x < g.x0)
+    x0 = transition_point(p)
+    if abs(x - x0) > 1e-9 * (1.0 + abs(x0)):
+        assert (g.zeta_plus > 0.0) == (x < x0)
 
 
 @pytest.mark.parametrize("beta", BETAS)
@@ -263,7 +264,6 @@ def test_geometry_continuous_across_transition(beta):
         "w_minus",
         "zeta_plus",
         "zeta_minus",
-        "x0",
     ):
         a = getattr(left, field)
         b = getattr(right, field)
