@@ -28,11 +28,9 @@ from .expansion import (
     Method,
     _auto,
     _expand,
-    _series_kernel,
     _trapezoid,
-    cdf_asym,
 )
-from .oracle import _quad_direct, _split, cdf_quad_split
+from .oracle import _evaluate, _kernel, _quad_direct, _split
 from .params import geometry, transition_point, validate
 
 __all__ = ["main", "run"]
@@ -111,13 +109,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    # kmax is refused before the header, so a refused run prints nothing
+    kmax = _check_kmax(args.kmax)
     print("beta,x0,F_asym,F_oracle,z,abs_err")
     for beta in _BENCH_BETAS:
         p = validate(_BENCH_ALPHA, beta, _BENCH_MU, _BENCH_DELTA)
         x0 = transition_point(p)
         g = geometry(p, x0)
-        f_asym = cdf_asym(p, x0, kmax=args.kmax).value
-        f_oracle = cdf_quad_split(p, x0)
+        f_asym = _expand(g, kmax, False).value
+        f_oracle = _evaluate(g, False, _kernel)[0]
         row = (beta, x0, f_asym, f_oracle, g.z, abs(f_asym - f_oracle))
         print(",".join(f"{v:.17g}" for v in row))
     return 0
@@ -126,8 +126,6 @@ def _cmd_table1(args) -> int:
 def _cmd_figure1(args) -> int:
     params = [validate(_BENCH_ALPHA, beta, _BENCH_MU, _BENCH_DELTA) for beta in _BENCH_BETAS]
     labels = [f"{beta:g}" for beta in _BENCH_BETAS]
-    # kmax is refused before the header, so a refused run prints nothing
-    series = _series_kernel(_check_kmax(args.kmax))
     header = ["x"]
     header += [f"F_beta_{lab}" for lab in labels]
     header += [f"Fminus_beta_{lab}" for lab in labels]
@@ -139,7 +137,8 @@ def _cmd_figure1(args) -> int:
         # the policy computes the smaller of F and G first on every z band,
         # which keeps the emitted curve monotone through the saturated tails
         fs = [_auto(g).value for g in gs]
-        fminus = [_split(g, False, series)[1] for g in gs]
+        # the minus part of the primary oracle's split, certified at every z
+        fminus = [_split(g, False, _kernel)[1] for g in gs]
         print(",".join(f"{v:.17g}" for v in [x, *fs, *fminus]))
     return 0
 
@@ -177,7 +176,6 @@ def _build_parser() -> _Parser:
 
     fg = sub.add_parser("figure1", help="CDF and minus-part curves on [0, 20] (CSV)")
     fg.add_argument("--points", type=_points_type, default=200)
-    fg.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
     fg.set_defaults(func=_cmd_figure1)
 
     st = sub.add_parser("selftest", help="run the built-in invariant suites")

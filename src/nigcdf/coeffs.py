@@ -5,11 +5,11 @@ term of the uniform expansion, for both the plus part (w = w_plus) and the
 signed minus part (w = |w_minus|).  Each is rational in w:
 ``d_k(w) = P_k(w) / (1 + w)^k`` with ``P_k`` a degree-k polynomial whose
 coefficients all share the sign (-1)^k.  ``_rows`` builds the ``P_k`` once
-per ``kmax`` by a series inversion on polynomials; evaluating a row by
-Horner on w in (0, 1] cannot cancel, so the d_k match the closed forms to
-about 5e-16 relative from w = 1 down to w = 1e-13, below which the minus
-part is treated as zero.  The closed forms for k <= 4 serve as independent
-cross-checks in the tests and the selftest.
+per ``kmax`` by a series inversion on polynomials; ``_row_values``
+evaluates each by Horner on w, which on (0, 1] cannot cancel, so the d_k
+match the closed forms to about 5e-16 relative from w = 1 down to
+w = 1e-13, below which the minus part is treated as zero.  The closed forms
+for k <= 4 serve as independent cross-checks in the tests and the selftest.
 """
 
 from __future__ import annotations
@@ -86,13 +86,13 @@ def _straight_line(label: str, tables: tuple) -> Callable[[float, float], tuple[
     Each table holds the same number n + 1 of rows, each row a polynomial in
     w, highest power first.  The function returns, for each table, the sum
     over k of row_k(w) y^k, then for each table its last row at w, then
-    y^n: Horner in y over the rows from the last down, each row by Horner in
-    w.  Each multiply-add is one assignment, in the order of the loop over
-    the rows that it unrolls, with the coefficients written as float
-    literals, which ``repr`` round-trips exactly; statements rather than one
-    nested expression, which a row of 151 terms would nest 151 deep.  A row
-    starts at its leading coefficient, the double that 0.0 * w + c gives
-    for every finite w.  ``label`` names the function in tracebacks.
+    y^n, the product of n factors y from 1.0: Horner in y over the rows from
+    the last down, each row by Horner in w.  Each multiply-add is one
+    assignment, in the order of the loop over the rows that it unrolls, with
+    the coefficients written as float literals, which ``repr`` round-trips
+    exactly.  A row starts at its leading coefficient, the double that
+    0.0 * w + c gives for every finite w.  ``label`` names the function in
+    tracebacks.
     """
     n = len(tables[0]) - 1
     body = []
@@ -104,8 +104,8 @@ def _straight_line(label: str, tables: tuple) -> Callable[[float, float], tuple[
             body.append(f"p = {row[0]!r}")
             body += [f"p = p * w + {c!r}" for c in row[1:]]
             body.append(f"total{i} = total{i} * y + p")
-    body.append("yk = y" if n else "yk = 1.0")
-    body += ["yk = yk * y"] * (n - 1)
+    body.append("yk = 1.0")
+    body += ["yk = yk * y"] * n
     names = [f"total{i}" for i in range(len(tables))] + [f"last{i}" for i in range(len(tables))]
     body.append(f"return {', '.join(names)}, yk")
     source = "def straight_line(w, y):\n    " + "\n    ".join(body) + "\n"
@@ -162,15 +162,14 @@ def _small_z_horner(order: int) -> Callable[[float, float], tuple[float, ...]]:
     return _straight_line(f"_small_z_horner({order})", _small_z_rows(order))
 
 
-def _d_values(w: float, kmax: int) -> list[float]:
-    """d_0..d_kmax from the rows of ``_rows``, for a checked w and kmax."""
-    u = 1.0 + w
+def _row_values(w: float, kmax: int) -> list[float]:
+    """P_0(w)..P_kmax(w), each row of ``_rows`` by Horner in w, for a checked w and kmax."""
     values = []
-    for k, row in enumerate(_rows(kmax)):
+    for row in _rows(kmax):
         p = 0.0
         for c in row:
             p = p * w + c
-        values.append(p / u**k)
+        values.append(p)
     return values
 
 
@@ -182,7 +181,8 @@ def d_coefficients(w: float, kmax: int) -> tuple[float, ...]:
     """
     w = _check_w(w)
     kmax = _check_kmax(kmax)
-    return tuple(_d_values(w, kmax))
+    u = 1.0 + w
+    return tuple(p / u**k for k, p in enumerate(_row_values(w, kmax)))
 
 
 def d_closed_form(w: float, k: int) -> float:

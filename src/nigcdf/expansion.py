@@ -5,13 +5,13 @@ G = G_plus - F_minus: erfc terms plus remainder integrals K(z, w), the one
 split of ``oracle._split``.  The uniform expansion is that split with each
 K replaced by its asymptotic series (the pole-saddle form of Temme),
 K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.
-``_series_kernel(kmax)`` builds, once per kmax, the kernel that hands both
-series to the split, each summed by the straight-line function that
-``coeffs._straight_line`` compiles from the polynomial rows of
-``coeffs._rows``.  The leading erfc(-+zeta_plus) keeps F_plus and G_plus
-smooth through the transition point, and F_minus takes one signed form on
-both sides of w_minus = 0.  An expansion at a z so small that a series
-leaves the double range raises DomainError naming z and kmax.
+``_series_kernel(kmax)`` is the kernel that hands both series to the
+split, each summed by Horner in 1 / ((1 + w) z) over the values at w of the
+polynomial rows of ``coeffs._rows``.  The leading erfc(-+zeta_plus) keeps
+F_plus and G_plus smooth through the transition point, and F_minus takes
+one signed form on both sides of w_minus = 0.  An expansion at a z so
+small that a series leaves the double range raises DomainError naming z
+and kmax.
 
 The public functions are thin callers: they check their arguments, build
 the geometry from (p, x), and call the split.  ``cdf(p, x)`` is the
@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cache
 from typing import NamedTuple
 
-from .coeffs import _check_kmax, _rows, _straight_line
+from .coeffs import _check_kmax, _row_values
 from .errors import DomainError
 from .params import Geometry, Parameters, geometry
 from . import oracle
@@ -101,35 +100,36 @@ class EvalResult(NamedTuple):
     complemented: bool = False
 
 
-@cache
 def _series_kernel(kmax: int) -> oracle._Kernel:
     """The kernel of ``oracle._split`` that sums both remainders by their series to ``kmax``.
 
     K(z, w) ~ sqrt(pi/z) / (1 + w) * sum_k d_k(w) / z^k.  With
     d_k(w) = P_k(w) / (1 + w)^k the sum is sum_k P_k(w) y^k,
-    y = 1 / ((1 + w) z), which the function that ``coeffs._straight_line``
-    compiles from ``coeffs._rows(kmax)`` sums together with P_kmax(w) and
-    y^kmax; each dK is the last term,
-    sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  One sqrt(pi/z) serves both
-    series.  The kernel raises DomainError when a series or its last term
-    leaves the double range, which needs z far below 1: z below about
+    y = 1 / ((1 + w) z), summed by Horner in y over the row values
+    ``coeffs._row_values(w, kmax)`` from P_kmax down; each dK is the last
+    term, sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  One sqrt(pi/z) serves
+    both series.  The kernel raises DomainError when a series or its last
+    term leaves the double range, which needs z far below 1: z below about
     2e-56 at kmax = 5, or 7e-12 at kmax = 25, whatever w.  ``kmax`` must
     already be checked, as the rows past ``coeffs._KMAX_LIMIT`` are not
-    finite; the kernel is built, and its rows compiled, on first use of a
-    kmax, never at import.
+    finite.
     """
-    horner = _straight_line(f"_series_kernel({kmax})", (_rows(kmax),))
 
     def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
         root = math.sqrt(math.pi / z)
-        u = 1.0 + w_plus
-        total, last, yk = horner(w_plus, 1.0 / (u * z))
-        scale = root / u
-        k_plus, last_plus = scale * total, abs(scale * last) * yk
-        u = 1.0 + w_minus
-        total, last, yk = horner(w_minus, 1.0 / (u * z))
-        scale = root / u
-        k_minus, last_minus = scale * total, abs(scale * last) * yk
+        parts = []
+        for w in (w_plus, w_minus):
+            u = 1.0 + w
+            y = 1.0 / (u * z)
+            rows = _row_values(w, kmax)
+            last = total = rows.pop()
+            yk = 1.0
+            for p in reversed(rows):
+                total = total * y + p
+                yk *= y
+            scale = root / u
+            parts += (scale * total, abs(scale * last) * yk)
+        k_plus, last_plus, k_minus, last_minus = parts
         if not (math.isfinite(k_plus + last_plus) and math.isfinite(k_minus + last_minus)):
             raise DomainError(
                 f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"

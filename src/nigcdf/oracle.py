@@ -8,8 +8,8 @@ for ``cdf_asym`` and ``sf_asym``; ``_gauss_kernel``, an 8-node Gauss rule,
 which the policy ``expansion.cdf`` takes from z = 30; ``_small_z_kernel``,
 a convergent series in z, which that policy takes below z = 0.5; and the
 trapezoid ``_kernel``, for the policy between the two, and for the
-primary oracle ``cdf_quad_split`` at every z, so the oracle shares no
-rule with the routes it judges.  Below
+primary oracle ``cdf_quad_split`` at every z; the judge that shares no
+rule with any split route is the direct oracle ``cdf_quad_direct``.  Below
 |w_minus| = 1e-13 the split drops the minus part, and its error estimate
 takes E |w_minus| / pi for what it dropped.
 

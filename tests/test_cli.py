@@ -7,7 +7,8 @@ import pathlib
 import pytest
 
 from nigcdf.cli import main, run
-from nigcdf.params import geometry
+from nigcdf.oracle import _gauss_kernel, _split
+from nigcdf.params import geometry, validate
 from nigcdf.selftest import run_all
 
 EVAL_BASE = ["eval", "--alpha", "8", "--beta", "2", "--mu", "3", "--delta", "2"]
@@ -190,11 +191,31 @@ def test_figure1_respects_points_flag(capsys):
 
 
 def test_figure1_refuses_kmax_before_printing(capsys):
+    # figure1 sums no series, so --kmax is a usage error, refused before any output
+    with pytest.raises(SystemExit) as exc:
+        main(["figure1", "--kmax", "5"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_table1_refuses_kmax_before_printing(capsys):
     # a refused run must not leave a header-only CSV behind a redirect
-    assert main(["figure1", "--kmax", "152"]) == 2
+    assert main(["table1", "--kmax", "152"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "domain error" in captured.err
+
+
+def test_figure1_minus_column_is_the_minus_part_of_the_split(capsys):
+    # every default cell has z >= 32, where the Gauss rule is certified, so
+    # its minus part judges the trapezoid's
+    assert main(["figure1"]) == 0
+    rows = [list(map(float, line.split(","))) for line in _lines(capsys)[1:]]
+    params = [validate(8.0, beta, 3.0, 2.0) for beta in (-4.0, 2.0, 7.5)]
+    for row in rows:
+        for p, fminus in zip(params, row[4:]):
+            expected = _split(geometry(p, row[0]), False, _gauss_kernel)[1]
+            assert abs(fminus - expected) <= 1e-15, row
 
 
 def _count_geometry_calls(monkeypatch):
@@ -223,6 +244,12 @@ def test_figure1_computes_one_geometry_per_curve_point(monkeypatch, capsys, n):
     calls = _count_geometry_calls(monkeypatch)
     assert main(["figure1", "--points", str(n)]) == 0
     assert len(calls) == 3 * n
+
+
+def test_table1_computes_one_geometry_per_row(monkeypatch, capsys):
+    calls = _count_geometry_calls(monkeypatch)
+    assert main(["table1"]) == 0
+    assert len(calls) == 3
 
 
 def test_selftest_passes_with_default_seed(capsys):

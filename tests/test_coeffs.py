@@ -1,5 +1,6 @@
 """Coefficient rows against their closed forms and the series-inversion loop."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from nigcdf import DomainError, cdf_asym, d_closed_form, d_coefficients, validate
 from nigcdf.coeffs import (
     _KMAX_LIMIT,
-    _d_values,
+    _row_values,
     _rows,
     _small_z_horner,
     _small_z_rows,
@@ -86,18 +87,16 @@ def test_kmax_must_be_a_nonnegative_integer(kmax):
 
 def test_kmax_past_the_limit_is_refused_before_any_row_is_built():
     built = _rows.cache_info().currsize
-    compiled = _series_kernel.cache_info().currsize
     with pytest.raises(DomainError, match="kmax must be"):
         d_coefficients(0.5, _KMAX_LIMIT + 1)
     with pytest.raises(DomainError, match="kmax must be"):
         cdf_asym(validate(8.0, 2.0, 3.0, 2.0), 5.0, kmax=_KMAX_LIMIT + 1)
     assert _rows.cache_info().currsize == built
-    assert _series_kernel.cache_info().currsize == compiled
     assert all(math.isfinite(d) for d in d_coefficients(0.5, _KMAX_LIMIT))
 
 
-def test_the_largest_series_kernel_compiles():
-    # the longest source: one statement per coefficient of 152 rows
+def test_the_largest_series_kernel_evaluates():
+    # the longest sum: Horner over 152 rows of up to 152 coefficients each
     assert all(math.isfinite(v) for v in _series_kernel(_KMAX_LIMIT)(500.0, 1.0, 1.0))
 
 
@@ -148,7 +147,7 @@ def test_rows_at_w_zero_are_the_pochhammer_symbols_exactly():
     # d_k(0) = (-1)^k (1/2)_k; the recursion's w^0 terms carry no rounding
     # beyond that of the product (1/2)_k itself, formed in ascending order
     poch = 1.0
-    for k, d in enumerate(_d_values(0.0, _KMAX_LIMIT)):
+    for k, d in enumerate(_row_values(0.0, _KMAX_LIMIT)):
         if k:
             poch *= k - 0.5
         assert d == (-1.0) ** k * poch, k
@@ -211,7 +210,7 @@ def test_rows_do_not_depend_on_kmax():
 def test_d_values_match_the_reference_recursion_to_k_30():
     worst = 0.0
     for w in _log_uniform_ws(400, seed=11):
-        for got, ref in zip(_d_values(w, 30), _reference_d_values(w, 30)):
+        for got, ref in zip(d_coefficients(w, 30), _reference_d_values(w, 30)):
             worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-13
 
@@ -230,36 +229,6 @@ def test_series_matches_the_reference_sum(kmax):
         assert tail == pytest.approx(abs(terms[-1]), rel=1e-13, abs=0.0)
 
 
-def _loop_series(z, w, kmax):
-    """K(z, w) to order kmax and its last term by a Horner loop over ``_rows``.
-
-    The loop that the straight-line function of ``_series_kernel`` unrolls: Horner in
-    y = 1 / ((1 + w) z) over the rows from P_kmax down, each row by Horner
-    in w from 0.0, then the factor sqrt(pi/z) / (1 + w).
-    """
-    y = 1.0 / ((1.0 + w) * z)
-    rows = reversed(_rows(kmax))
-    last = 0.0
-    for c in next(rows):
-        last = last * w + c
-    total = last
-    yk = 1.0
-    for row in rows:
-        p = 0.0
-        for c in row:
-            p = p * w + c
-        total = total * y + p
-        yk *= y
-    scale = math.sqrt(math.pi / z) / (1.0 + w)
-    series = scale * total
-    tail = abs(scale * last) * yk
-    if not math.isfinite(series + tail):
-        raise DomainError(
-            f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
-        )
-    return series, tail
-
-
 def _outcome(f, *args):
     """The float.hex of each value ``f`` returns, or the DomainError message it raises."""
     try:
@@ -268,24 +237,43 @@ def _outcome(f, *args):
         return str(exc)
 
 
-def _loop_kernel(kmax, z, w_plus, w_minus):
-    k_plus, last_plus = _loop_series(z, w_plus, kmax)
-    k_minus, last_minus = _loop_series(z, w_minus, kmax)
-    return k_plus, k_minus, last_plus, last_minus
+# The kernel once summed its series by a straight-line function compiled from
+# the rows, which unrolled the loop the kernel now runs.  These are the first
+# 16 hex digits of the SHA-256 of the compiled function's outcomes over the
+# draws of the test below, recorded before the loop replaced it; the draws
+# and the kernel's arithmetic are exact IEEE operations, so they hold on
+# every platform.
+_COMPILED_DIGESTS = {
+    0: "10434bd18ff4adfa", 1: "bf76897be4005abe", 2: "48eceebba2bec466",
+    3: "d737645ff8d967f9", 4: "3c5ca954d48d228c", 5: "37d4a4c98aa3a77a",
+    6: "26760152575be6c6", 7: "ed0e79d632d7cdb9", 8: "82dfd6c7eca20f0b",
+    9: "fc13c3a3b93cb880", 10: "c31c87d66490510a", 11: "4a405ae1df4da87d",
+    12: "1f0436469e6aa2f6", 13: "595d984ca3e5716b", 14: "6414e000eafdf25c",
+    15: "ef08f5ac5dc2cd27", 16: "9c5362d2500d961a", 17: "56379d1f460c756e",
+    18: "478958e31f8698ae", 19: "5dd715f35d4fe8be", 20: "2d3998ab061fb07f",
+    21: "a3aebade7cbb5488", 22: "7ee804dedb2737ee", 23: "11c59b7441a548ce",
+    24: "f4b0206636cf9696", 25: "14a6a78f010d4964", 26: "22d9439c24e0c1ba",
+    27: "ec37c7143e906241", 28: "25ecd75a34b7c7c7", 29: "6f2dca8d77651d6a",
+    30: "10dcad6fa96b0c0c", 50: "28aefb5aefc61f2a", 100: "b20e527fed0c12e9",
+    _KMAX_LIMIT: "cba5be1e623fe420",
+}
 
 
 @pytest.mark.parametrize("kmax", [*range(31), 50, 100, _KMAX_LIMIT])
 def test_series_kernel_matches_the_loop_bit_for_bit(kmax):
+    # the loop against the compiled function it replaced, DomainError messages included
     rng = random.Random(1000 + kmax)
-    log_w = (math.log(1e-13), 0.0)
+    digest = hashlib.sha256()
     refused = 0
     for _ in range(200):
-        z = math.exp(rng.uniform(math.log(1e-2), math.log(1e8)))
-        w_plus, w_minus = math.exp(rng.uniform(*log_w)), math.exp(rng.uniform(*log_w))
-        args = (z, w_plus, w_minus)
-        expected = _outcome(_loop_kernel, kmax, *args)
-        assert _outcome(_series_kernel(kmax), *args) == expected, args
-        refused += isinstance(expected, str)
+        # z on [2^-7, 2^27] and each w on [2^-44, 1), drawn by exact scalings
+        z = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-7, 26))
+        w_plus = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-44, -1))
+        w_minus = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-44, -1))
+        outcome = _outcome(_series_kernel(kmax), z, w_plus, w_minus)
+        digest.update(repr(outcome).encode())
+        refused += isinstance(outcome, str)
+    assert digest.hexdigest()[:16] == _COMPILED_DIGESTS[kmax]
     if kmax >= 100:
         # z below about 0.03 overflows from kmax = 100 on, and so exercises the error
         assert refused > 0
