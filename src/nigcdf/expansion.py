@@ -16,7 +16,7 @@ and kmax.
 The public functions are thin callers: they check their arguments, build
 the geometry from (p, x), and call the split.  ``cdf(p, x)`` is the
 evaluation policy and takes no other argument: it gives each z band the
-split with its own kernel, whatever w_minus: below z = 0.5
+split with its own kernel, whatever w_minus: below z = 0.25
 ``oracle._small_z_kernel``, a convergent series in z; from z = 30
 ``oracle._gauss_kernel``, an 8-node Gauss rule whose error is certified
 in advance; between the two the trapezoid kernel of the quadrature
@@ -49,12 +49,13 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 5
-# below this z the auto route takes oracle._small_z_kernel, which holds its
-# accuracy up to z = 0.6 (see oracle._SMALL_Z_ORDER).  On a shared 2-vCPU
-# host the certified trapezoid took 2.9, 1.5 and 1.2 times as long a point
-# as that kernel at z = 1e-12, 1e-4 and 0.015, and the same within 5 % from
-# 0.1 to 3, so a crossover anywhere in [0.1, 0.5] costs the same.
-_SMALL_Z_LIMIT = 0.5
+# below this z the auto route takes oracle._small_z_kernel, whose order holds
+# its accuracy to about z = 0.3 (see oracle._SMALL_Z_ORDER).  On a shared
+# 2-vCPU host the certified trapezoid took 4.5, 2.0 and 1.5 times as long a
+# point as that kernel at z = 1e-12, 1e-4 and 0.015, 1.2 to 1.3 times at 0.1
+# and 0.2, and 1.04 to 1.12 times at 0.3 and 0.45, where the series needs
+# order 13, which ran level with the trapezoid there.
+_SMALL_Z_LIMIT = 0.25
 # from this z on the auto route takes oracle._gauss_kernel, whose error is
 # within 2^-53 of K from z = 26.2
 _GAUSS_LIMIT = 30.0
@@ -80,13 +81,13 @@ class EvalResult(NamedTuple):
     the Gauss rule's is 2^-53 K, and the trapezoid's 2^-53 times a lower
     bound on K, bounds that hold before rounding rather than measured
     changes; the convergent small-z series' is the magnitude of its last
-    term, n = 13, as it enters K.  Where |w_minus| < 1e-13 the split drops
+    term, n = 11, as it enters K.  Where |w_minus| < 1e-13 the split drops
     F_minus, and the estimate adds E |w_minus| / pi, E = e^{z sigma_plus^2},
     which bounds the dropped term to first order.  On QUAD_DIRECT it is the
     change of the integral in the last step halving, at most 1e-12.  Each
     includes the distance by which the value was clamped into [0, 1].
     ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
-    and 13 on SMALL_Z_SERIES; the node count, 8, on GAUSS_SPLIT; 0 on the
+    and 11 on SMALL_Z_SERIES; the node count, 8, on GAUSS_SPLIT; 0 on the
     quadrature routes.
     ``complemented`` records that the value was produced as 1 minus the
     directly computed complement: on ``cdf``, at every point with
@@ -180,7 +181,7 @@ def cdf(p: Parameters, x: float) -> EvalResult:
     """F by the evaluation policy.
 
     The split, whatever w_minus, with the kernel of its z band: below
-    z = 0.5 the convergent small-z series (SMALL_Z_SERIES), which needs no
+    z = 0.25 the convergent small-z series (SMALL_Z_SERIES), which needs no
     quadrature node; from z = 30 the 8-node Gauss rule (GAUSS_SPLIT);
     between the two the trapezoid (QUAD_SPLIT).  All three take each K to
     about its rounding.  On every band the complement is evaluated and

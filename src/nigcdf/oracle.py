@@ -6,7 +6,7 @@ included.  It takes K from one of four kernels, all called as
 ``kernel(z, w_plus, w_minus)``: the expansion's asymptotic series,
 for ``cdf_asym`` and ``sf_asym``; ``_gauss_kernel``, an 8-node Gauss rule,
 which the policy ``expansion.cdf`` takes from z = 30; ``_small_z_kernel``,
-a convergent series in z, which that policy takes below z = 0.5; and the
+a convergent series in z, which that policy takes below z = 0.25; and the
 trapezoid ``_kernel``, for the policy between the two, and for the
 primary oracle ``cdf_quad_split`` at every z; the judge that shares no
 rule with any split route is the direct oracle ``cdf_quad_direct``.  Below
@@ -20,12 +20,11 @@ z = 26.2 on, so its error bound needs no table.
 
 The small-z series is exact at infinite order: K(0, w) in closed form, an
 erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
-the ascending series of K_0 (DLMF 10.31-10.32) by one straight-line
-function compiled on first use.  At order ``_SMALL_Z_ORDER`` = 13 it
-stays within 7.3e-16 relative of mpmath up to z = 0.6.  Timed point by
-point against the certified trapezoid on a shared 2-vCPU host, it was
-2.9, 1.5 and 1.2 times faster at z = 1e-12, 1e-4 and 0.015, and level
-with it, within 5 %, from z = 0.1 to 3.
+the ascending series of K_0 (DLMF 10.31-10.32) by one loop that steps its
+coefficients by their three-term recurrence.  At order ``_SMALL_Z_ORDER``
+= 11 it stays within 6.0e-16 relative of 40-digit mpmath below z = 0.25,
+the crossover, at the rounding of its closed-form terms, and its last
+term is at most 7.7e-17 K.
 
 The trapezoid puts both integrals on one grid in ``t``, ``sigma = sinh(t)``:
 the map turns the algebraic ``1/sigma^2`` tail into a double-exponential
@@ -53,7 +52,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .coeffs import _small_z_horner
 from .errors import ConvergenceError, NearTransitionError
 from .params import Geometry, Parameters, _require_finite, geometry, validate
 from .special import _erfcx
@@ -79,9 +77,16 @@ _TARGET_REL = 2.0**-53
 _RESTART = 32
 # kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus)
 _Kernel = Callable[[float, float, float], tuple[float, float, float, float]]
-# the odd order of ``_small_z_kernel``: within 7.3e-16 relative of mpmath up to
-# z = 0.6, but 1.7e-14 at z = 0.8, so a higher crossover needs a higher order
-_SMALL_Z_ORDER = 13
+# the order of ``_small_z_kernel``: within 6.0e-16 relative of mpmath below
+# z = 0.25, the crossover, but over 2e-15 at z = 0.45, so a higher crossover
+# needs a higher order
+_SMALL_Z_ORDER = 11
+# (2n+1) / (n+1)^2, 1 / (n+1)^2, 2 / (n+1) and 1 / (n+2) for each step
+# n -> n + 1 of the recurrences of ``_small_z_kernel``, n = 1 .. order - 1
+_SMALL_Z_STEPS = tuple(
+    ((2 * n + 1) / (n + 1) ** 2, 1 / (n + 1) ** 2, 2 / (n + 1), 1 / (n + 2))
+    for n in range(1, _SMALL_Z_ORDER)
+)
 # (x_i^2, 2 W_i) over the 8 positive nodes x_i of the order-16 Gauss-Hermite
 # rule, smallest weight first, for ``_gauss_kernel``: 50-digit mpmath
 # (Golub-Welsch, then Newton on the normalised Hermite recurrence), rounded once
@@ -232,40 +237,77 @@ def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, flo
 
         K(z, w) = e^{s^2 z} [2 atan2(s, w) / s - pi erf(s sqrt z) / s + w M],
 
-    M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2.  The
-    ascending series of K_0 (DLMF 10.31) turns M into
-    sum_{n=0..13} z^{n+1} [U_n(a) - Lambda V_n(a)], Lambda = ln z - ln 4
-    + gamma_E, which the function compiled by ``coeffs._small_z_horner``
-    sums; Lambda is never formed as ln(z/4), which underflows at the
+    M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2.  By the
+    ascending series of K_0 (DLMF 10.31), e^{a t} K_0(t/2) =
+    sum_n (B_n - Lambda(t) A_n) t^n, Lambda(t) = ln t - ln 4 + gamma_E,
+    with A_n and B_n the Taylor coefficients of e^{a t} I_0(t/2) and of its
+    K_0 companion.  Both solve t g'' + (1 - 2 a t) g' + ((a^2 - 1/4) t - a) g
+    = 0, so, with w^2 s^2 = 1/4 - a^2,
+
+        (n+1)^2 A_{n+1} = (2n+1) a A_n + w^2 s^2 A_{n-1},  A_0 = 1, A_1 = a,
+        (n+1)^2 B_{n+1} = (2n+1) a B_n + w^2 s^2 B_{n-1} + 2(n+1) A_{n+1} - 2 a A_n,
+
+    from B_0 = B_1 = 0.  One loop steps alpha_n = A_n z^n and
+    beta_n = B_n z^n for both w at once, and sums
+    M = z sum_{n=0..11} (beta_n + alpha_n (1/(n+1) - Lambda)) / (n+1),
+    Lambda = Lambda(z), never formed as ln(z/4), which underflows at the
     smallest double.  Both factors stay smooth as s -> 0: atan2(s, w) / s
     tends to 1/w, and erf(y) / y is taken by its Taylor series below
-    y = 1e-4.  The order 13 is ``_SMALL_Z_ORDER``, which must be odd.
-    Each dK is the magnitude of the term n = 13, weighted as M enters K.
-    The series converges, so this measures the truncation, but it is no
-    bound: odd n holds only odd powers of a, so that term vanishes at
-    w^2 = 1/2.  Below z = 0.5 the truncation lies far under the rounding
-    of K.  No trapezoid node is used.
+    y = 1e-4.  The order 11 is ``_SMALL_Z_ORDER``.  Each dK is the
+    magnitude of the term n = 11, weighted as M enters K.  The series
+    converges, so this measures the truncation, but it is no bound: A_n and
+    B_n hold only the powers a^j with j = n mod 2, so the odd term n = 11
+    vanishes at w^2 = 1/2.  Below z = 0.25 the truncation lies far under
+    the rounding of K.  No trapezoid node is used.
     """
-    sums = _small_z_horner(_SMALL_Z_ORDER)
+    m_plus, m_minus, last_plus, last_minus = _small_z_m(z, w_plus, w_minus)
     root_z = math.sqrt(z)
-    lam = math.log(z) - _LOG_4_MINUS_GAMMA
-    y = z * z
-    k_plus, dk_plus = _small_z_one(sums, z, root_z, lam, y, w_plus)
-    k_minus, dk_minus = _small_z_one(sums, z, root_z, lam, y, w_minus)
+    k_plus, dk_plus = _small_z_one(z, root_z, w_plus, m_plus, last_plus)
+    k_minus, dk_minus = _small_z_one(z, root_z, w_minus, m_minus, last_minus)
     return k_plus, k_minus, dk_plus, dk_minus
 
 
-def _small_z_one(
-    sums: Callable[..., tuple[float, ...]], z: float, root_z: float, lam: float, y: float, w: float
-) -> tuple[float, float]:
-    """K(z, w) and its last term for ``_small_z_kernel``, given sqrt(z), Lambda and z^2."""
+def _small_z_m(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+    """M of ``_small_z_kernel`` at w_plus and at w_minus, then the last term of each.
+
+    One loop steps both pairs (alpha_n, beta_n) by their recurrences.
+    """
+    lam = math.log(z) - _LOG_4_MINUS_GAMMA
+    zz = z * z
+    w2_plus = w_plus * w_plus
+    w2_minus = w_minus * w_minus
+    az_plus = (w2_plus - 0.5) * z
+    az_minus = (w2_minus - 0.5) * z
+    c_plus = w2_plus * ((1.0 - w_plus) * (1.0 + w_plus)) * zz  # w^2 s^2 z^2
+    c_minus = w2_minus * ((1.0 - w_minus) * (1.0 + w_minus)) * zz
+    # alpha_n, beta_n, their predecessors, and M / z summed over n = 0 and 1
+    al_plus, al_minus = az_plus, az_minus
+    al0_plus = al0_minus = 1.0
+    be_plus = be_minus = be0_plus = be0_minus = 0.0
+    m_plus = 1.0 - lam + 0.5 * az_plus * (0.5 - lam)
+    m_minus = 1.0 - lam + 0.5 * az_minus * (0.5 - lam)
+    for p, q, r, inv in _SMALL_Z_STEPS:
+        x_plus = az_plus * al_plus
+        x_minus = az_minus * al_minus
+        al0_plus, al_plus = al_plus, p * x_plus + q * (c_plus * al0_plus)
+        al0_minus, al_minus = al_minus, p * x_minus + q * (c_minus * al0_minus)
+        be0_plus, be_plus = be_plus, (
+            p * (az_plus * be_plus) + q * (c_plus * be0_plus) + r * al_plus - 2.0 * q * x_plus
+        )
+        be0_minus, be_minus = be_minus, (
+            p * (az_minus * be_minus) + q * (c_minus * be0_minus) + r * al_minus - 2.0 * q * x_minus
+        )
+        last_plus = (be_plus + al_plus * (inv - lam)) * inv
+        last_minus = (be_minus + al_minus * (inv - lam)) * inv
+        m_plus += last_plus
+        m_minus += last_minus
+    return z * m_plus, z * m_minus, z * last_plus, z * last_minus
+
+
+def _small_z_one(z: float, root_z: float, w: float, m: float, last: float) -> tuple[float, float]:
+    """K(z, w) and its weighted last term for ``_small_z_kernel``, given sqrt(z), M and its last term."""
     s2 = (1.0 - w) * (1.0 + w)
     s = math.sqrt(s2)
-    a = w * w - 0.5
-    even_u, odd_u, even_v, odd_v, _, last_u, _, last_v, yk = sums(a * a, y)
-    az = a * z
-    m = z * ((even_u + az * odd_u) - lam * (even_v + az * odd_v))
-    last = z * az * yk * (last_u - lam * last_v)
     arg = s * root_z
     if arg < 1e-4:
         ratio = _TWO_OVER_SQRT_PI * (1.0 - arg * arg / 3.0)  # erf(arg) / arg

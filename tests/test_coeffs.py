@@ -10,13 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nigcdf import DomainError, cdf_asym, d_closed_form, d_coefficients, validate
-from nigcdf.coeffs import (
-    _KMAX_LIMIT,
-    _row_values,
-    _rows,
-    _small_z_horner,
-    _small_z_rows,
-)
+from nigcdf.coeffs import _KMAX_LIMIT, _row_values, _rows
 from nigcdf.expansion import _series_kernel
 
 W_RANGE = st.floats(min_value=0.05, max_value=1.0)
@@ -156,44 +150,6 @@ def test_rows_at_w_zero_are_the_pochhammer_symbols_exactly():
     for k in range(1, _KMAX_LIMIT + 1):
         exact *= Fraction(2 * k - 1, 2)
     assert abs(Fraction(poch) - exact) <= _KMAX_LIMIT * 2.0**-53 * exact
-
-
-def test_small_z_rows_equal_their_hand_sums():
-    # U_n and V_n for n <= 3, from A_0 = 1, A_1 = a, A_2 = a^2/2 + 1/16,
-    # A_3 = a^3/6 + a/16, B_0 = B_1 = 0, B_2 = 1/16 and B_3 = a/16
-    assert _small_z_rows(3) == (
-        ((1.0,), (1 / 18, 1 / 36)),
-        ((1 / 4,), (1 / 96, 5 / 256)),
-        ((1.0,), (1 / 6, 1 / 48)),
-        ((1 / 2,), (1 / 24, 1 / 64)),
-    )
-    assert tuple(table[:2] for table in _small_z_rows(13)) == _small_z_rows(3)
-
-
-@pytest.mark.parametrize("order", [1, 3, 13, 25])
-def test_small_z_sums_match_the_loop_bit_for_bit(order):
-    # the loop that the compiled function unrolls, table by table
-    rng = random.Random(order)
-    tables = _small_z_rows(order)
-    for _ in range(50):
-        b, y = rng.uniform(0.0, 0.25), rng.uniform(0.0, 0.25)
-        totals, lasts = [], []
-        for rows in tables:
-            rows = list(reversed(rows))
-            last = 0.0
-            for c in rows[0]:
-                last = last * b + c
-            total = last
-            for row in rows[1:]:
-                p = 0.0
-                for c in row:
-                    p = p * b + c
-                total = total * y + p
-            totals.append(total)
-            lasts.append(last)
-        got = _small_z_horner(order)(b, y)
-        assert got[:8] == (*totals, *lasts)
-        assert got[8] == pytest.approx(y ** (len(tables[0]) - 1), rel=1e-14)
 
 
 def test_rows_are_sign_definite_to_k_30():

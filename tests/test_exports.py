@@ -72,27 +72,41 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert run.stdout.strip() == "[]"
 
 
-def test_set_up_evaluations_compile_no_small_z_rows():
+def _code_runners(tree: ast.Module) -> list[str]:
+    """The calls of ``exec``, ``eval`` or ``compile`` in ``tree``, by name or attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("exec", "eval", "compile"):
+                found.append(f"{name} at line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "nigcdf").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_compiles_code(path):
+    # every function of the package is written out in its source: none is
+    # generated as text and run
+    assert _code_runners(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_set_up_evaluations_load_no_further_submodule():
     # the two evaluations that time the benchmark's set-up (one Gauss point,
-    # one trapezoid point, as in bench/setup_probe.py) build no row of the
-    # small-z kernel and load no further submodule: its rows compile on the
-    # first point below the crossover, never at import
+    # one trapezoid point, as in bench/setup_probe.py) import nothing more
     code = "\n".join((
         "import sys, nigcdf",
         "loaded = {m for m in sys.modules if m.startswith('nigcdf')}",
         "nigcdf.cdf(nigcdf.validate(8.0, 2.0, 3.0, 2.0), 5.0)",
         "nigcdf.cdf(nigcdf.validate(1.0, 0.2, 0.0, 1.0), 0.5)",
-        "from nigcdf import coeffs",
-        "print(coeffs._small_z_rows.cache_info().currsize,",
-        "      coeffs._small_z_horner.cache_info().currsize,",
-        "      sorted({m for m in sys.modules if m.startswith('nigcdf')} - loaded))",
+        "print(sorted({m for m in sys.modules if m.startswith('nigcdf')} - loaded))",
     ))
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nigcdf.__file__).parent.parent)}
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert run.stdout.strip() == "0 0 []"
+    assert run.stdout.strip() == "[]"
 
 
 def _bench_traced() -> tuple[tuple[str, str], ...]:

@@ -29,9 +29,8 @@ from nigcdf import (
     validate,
 )
 from nigcdf import oracle
-from nigcdf.coeffs import _small_z_rows
 from nigcdf.expansion import _SMALL_Z_LIMIT, _series_kernel
-from nigcdf.oracle import _SMALL_Z_ORDER, _kernel, _small_z_kernel
+from nigcdf.oracle import _kernel, _small_z_kernel, _small_z_m
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfc, erfcx
 
@@ -410,7 +409,7 @@ def test_kernel_is_relatively_accurate_over_the_double_range():
 # the w grid of the small-z kernel's checks: both ends, and both ends' neighbours
 SMALL_Z_WS = (0.0, 1e-12, 0.05, 0.3, 0.7, 0.99, 1.0 - 1e-9, 1.0)
 # from the smallest double up to the largest double below the crossover
-SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.1, 0.3, 0.45,
+SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.1, 0.2, 0.24,
               math.nextafter(_SMALL_Z_LIMIT, 0.0))
 
 
@@ -443,43 +442,20 @@ def test_small_z_kernel_matches_mpmath(z):
                 assert 0.0 <= dk <= 1e-15 * ref
 
 
-def _m_by_rows(z: float, a: float, order: int) -> float:
-    """M = sum_n z^{n+1} [U_n(a) - Lambda V_n(a)] by a loop over n, from ``_small_z_rows``.
-
-    Row n of U and of V is the (n // 2)-th row of the table of its parity,
-    a polynomial in a^2, times a for odd n.
-    """
-    tables = _small_z_rows(order)
-    lam = math.log(z) - math.log(4.0) + float(mpmath.euler)
-    total = 0.0
-    for n in range(order, -1, -1):
-        u, v = (_horner_loop(tables[i + n % 2][n // 2], a * a) for i in (0, 2))
-        if n % 2:
-            u, v = a * u, a * v
-        total = total * z + (u - lam * v)
-    return z * total
-
-
-def _horner_loop(row, x):
-    value = 0.0
-    for c in row:
-        value = value * x + c
-    return value
-
-
-@pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-4, 0.1, 0.3, 0.45])
+@pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-4, 0.1, 0.2, math.nextafter(_SMALL_Z_LIMIT, 0.0)])
 def test_small_z_rows_sum_m_to_mpmath(z):
-    # M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2, alone:
-    # at small z, M enters K at about z ln(1/z) and so is invisible in K.
-    # The reference integrates over [0, 1] in u = t / z, where the quadrature
-    # resolves the logarithmic singularity at 0 at every z
+    # M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2, alone,
+    # as the recurrences of ``_small_z_m`` sum it: at small z, M enters K at
+    # about z ln(1/z) and so is invisible in K.  The reference integrates
+    # over [0, 1] in u = t / z, where the quadrature resolves the
+    # logarithmic singularity at 0 at every z
     with mpmath.workdps(30):
         for w in SMALL_Z_WS:
             a = w * w - 0.5
             ref = z * mpmath.quad(
                 lambda u: mpmath.exp(a * z * u) * mpmath.besselk(0, z * u / 2), [0, 1]
             )
-            assert abs(_m_by_rows(z, a, _SMALL_Z_ORDER) - float(ref)) <= 1e-15 * float(ref)
+            assert abs(_small_z_m(z, w, w)[0] - float(ref)) <= 1e-15 * float(ref)
 
 
 def _hermite_rule(n: int) -> list:
@@ -619,27 +595,49 @@ def test_gauss_route_agrees_with_the_trapezoid_at_every_w_minus():
     assert complemented == {False, True}
 
 
+def _either_side_of_z(p, limit: float, side: float) -> tuple[float, float]:
+    """The adjacent doubles x, on ``side`` of mu, with z(x) < ``limit`` <= z(next x).
+
+    With delta = 1, z = 2 alpha omega reaches ``limit`` at |x - mu| = reach.
+    """
+    reach = math.sqrt((limit / (2.0 * p.alpha)) ** 2 - 1.0)
+    outer = p.mu + side * (reach + 0.1)  # z > limit
+    inner = p.mu + side * (reach - 0.1)  # z < limit
+    for _ in range(200):
+        mid = 0.5 * (outer + inner)
+        if mid in (outer, inner):
+            break
+        if geometry(p, mid).z >= limit:
+            outer = mid
+        else:
+            inner = mid
+    assert math.nextafter(inner, outer) == outer
+    return inner, outer
+
+
 @pytest.mark.parametrize("beta", [-6.0, -2.0, 0.0, 2.0, 6.0])
 def test_cdf_has_no_jump_where_z_crosses_30(beta):
     # z = 2 alpha omega = 30 at two x, one each side of mu; the trapezoid
     # route ends one double short of each, and the Gauss route starts there
     p = validate(8.0, beta, 3.0, 1.0)
-    reach = math.sqrt((15.0 / 8.0) ** 2 - 1.0)
     for side in (-1.0, 1.0):
-        outer = p.mu + side * (reach + 0.1)  # z > 30
-        inner = p.mu + side * (reach - 0.1)  # z < 30
-        for _ in range(200):
-            mid = 0.5 * (outer + inner)
-            if mid in (outer, inner):
-                break
-            if geometry(p, mid).z >= 30.0:
-                outer = mid
-            else:
-                inner = mid
+        inner, outer = _either_side_of_z(p, 30.0, side)
         below, above = cdf(p, inner), cdf(p, outer)
-        assert math.nextafter(inner, outer) == outer
         assert (below.method, above.method) == (Method.QUAD_SPLIT, Method.GAUSS_SPLIT)
         assert abs(above.value - below.value) <= 4.5e-16, (side, below, above)
+
+
+@pytest.mark.parametrize("tilt", [-0.8, -0.4, 0.0, 0.4, 0.8])
+def test_cdf_has_no_jump_where_z_crosses_the_small_z_limit(tilt):
+    # the same at the small-z crossover: the series ends one double short of
+    # each x where z = _SMALL_Z_LIMIT, and the trapezoid starts there
+    for alpha in (0.05, 0.1):
+        p = validate(alpha, tilt * alpha, 3.0, 1.0)
+        for side in (-1.0, 1.0):
+            inner, outer = _either_side_of_z(p, _SMALL_Z_LIMIT, side)
+            below, above = cdf(p, inner), cdf(p, outer)
+            assert (below.method, above.method) == (Method.SMALL_Z_SERIES, Method.QUAD_SPLIT)
+            assert abs(above.value - below.value) <= 4.5e-16, (alpha, side, below, above)
 
 
 def test_split_route_keeps_its_left_tail_relative_accuracy():
