@@ -51,10 +51,11 @@ __all__ = [
 DEFAULT_KMAX = 5
 # below this z the auto route takes oracle._small_z_kernel, whose order holds
 # its accuracy to about z = 0.3 (see oracle._SMALL_Z_ORDER).  On a shared
-# 2-vCPU host the certified trapezoid took 4.5, 2.0 and 1.5 times as long a
-# point as that kernel at z = 1e-12, 1e-4 and 0.015, 1.2 to 1.3 times at 0.1
-# and 0.2, and 1.04 to 1.12 times at 0.3 and 0.45, where the series needs
-# order 13, which ran level with the trapezoid there.
+# 2-vCPU host the certified trapezoid, read from its node tables, took 2.7
+# to 2.8 times as long a call as that kernel at z = 1e-12, 1.14 to 1.17 times
+# at 1e-3, 0.91 to 1.05 times at 0.01 and 0.03, and 0.71 to 0.89 times from
+# z = 0.1 to 0.249, so the trapezoid is now the faster kernel just below
+# this limit; lowering it is an open item of ROADMAP.md.
 _SMALL_Z_LIMIT = 0.25
 # from this z on the auto route takes oracle._gauss_kernel, whose error is
 # within 2^-53 of K from z = 26.2

@@ -33,10 +33,11 @@ z = 1e-12, against 6e6 in sigma).  It sums one level, at a step chosen in
 advance from the Trefethen-Weideman bound on a strip, so that before
 rounding the sum is within eps = 2^-53 K_low of K, K_low a closed-form
 lower bound on K; that bound, not a measured change, is the error
-estimate the split reports.  Each node costs one exp: sinh t and cosh t
-step from node to node by a hyperbolic rotation.  A call takes at most
-21 nodes for z >= 1, 39 for z >= 1e-2,
-131 for z >= 1e-12 and 2,991 at the smallest positive double, under a
+estimate the split reports.  The step is rounded down to a fixed ladder
+of powers of 2^(-1/16), so the nodes' sinh^2 t and cosh t come from a
+table kept per step, and each node costs one exp and one division per
+integral.  A call takes at most 21 nodes for z >= 1, 39 for z >= 1e-2,
+131 for z >= 1e-12 and 2,998 at the smallest positive double, under a
 fixed node budget.  This grid is the split oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
@@ -50,6 +51,7 @@ whose residue is 1.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 
 from .errors import ConvergenceError, NearTransitionError
@@ -68,13 +70,21 @@ _NEAR_TRANSITION_GAP = 0.02
 # below this |w_minus| the two halves of the minus part cancel to within
 # E |w_minus| / pi; ``_split`` takes it as zero and adds that to its estimate
 _W_MINUS_NEGLIGIBLE = 1e-13
-# node evaluations allowed per trapezoid kernel call; the certified step takes
-# at most 131 nodes for z >= 1e-12 and 2,991 at the smallest double z
+# node evaluations allowed per trapezoid kernel call, checked before any node
+# table is built or read; the certified step takes at most 131 nodes for
+# z >= 1e-12 and 2,998 at the smallest double z
 _NODE_BUDGET = 4096
 # the trapezoid kernel's error bound, relative to a lower bound on K
 _TARGET_REL = 2.0**-53
-# nodes per block of the trapezoid kernel: each block restarts the rotation
-_RESTART = 32
+# the trapezoid's node tables, keyed by their step, the rung 2^(-j/16) of
+# ``_step``'s ladder, so by j alone, each grown to the most nodes a call has
+# needed.  None is built at import.  At most _TABLE_LIMIT are kept: the auto
+# route's band 0.25 <= z < 30 uses 9 of them, every z below 0.0137 shares one
+# of at most 2,997 nodes, and all others hold under 40; 10,000 z log-uniform
+# over [5e-324, 1e300] leave about 0.3 MB of tables
+_TABLES: dict[float, tuple[tuple[float, float], ...]] = {}
+_TABLE_LIMIT = 64
+_TABLE_LOCK = threading.Lock()
 # kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus)
 _Kernel = Callable[[float, float, float], tuple[float, float, float, float]]
 # the order of ``_small_z_kernel``: within 6.0e-16 relative of mpmath below
@@ -130,23 +140,17 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
     ``_split`` reports a bound that holds, not a measured change.  Both
     kernels share every node's exp.
 
-    Each node costs one exp and a division per kernel: (sinh t, cosh t)
-    steps from node to node by the hyperbolic rotation
-
-        sinh(t + h) = sinh t + (sinh t (cosh h - 1) + cosh t sinh h),
-        cosh(t + h) = cosh t + (cosh t (cosh h - 1) + sinh t sinh h),
-
-    with cosh h - 1 = 2 sinh^2(h/2) taken without cancellation.  Rounded
-    cosh h and sinh h would make the pair drift by about one unit of
-    rounding per node, enough to move K by 8e-16 at z = 170; in this form
-    the step's own rounding adds only about h units per node.  Every
-    ``_RESTART`` nodes the pair is taken afresh from sinh and cosh, and the
-    block's partial sums join the totals.  Against 40-digit mpmath, K,
-    rounding included, stayed within 8.4e-16 relative over 300 seeded
-    calls, z log-uniform over [1e-300, 1e16].  A call takes at most 21
-    nodes for z >= 1, 39 for z >= 1e-2, 131 for z >= 1e-12 and 2,991 at
-    the smallest positive double; past ``_NODE_BUDGET`` nodes it raises
-    ConvergenceError before summing.
+    Each node costs one exp and a division per kernel: sinh^2 t and cosh t
+    at t = k h are read from the table of the step h, a rung of ``_step``'s
+    ladder, which ``_node_table`` builds on first use and keeps.  The node
+    terms fall with t, so they are summed from the last node back, smallest
+    first: summed from t = 0 on in blocks of 32, the rounding reached
+    5.9e-16 of K on a seeded sample where this order stays within 3.0e-16.
+    Against 40-digit mpmath, K, rounding included, stayed within 3.2e-16
+    relative over 300 seeded calls, z log-uniform over [1e-300, 1e16].  A
+    call takes at most 21 nodes for z >= 1, 39 for z >= 1e-2, 131 for
+    z >= 1e-12 and 2,998 at the smallest positive double; past
+    ``_NODE_BUDGET`` nodes it raises ConvergenceError before summing.
     """
     h, last, _, eps = _step(z)
     if last >= _NODE_BUDGET:
@@ -154,28 +158,47 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
             f"the certified trapezoid step needs {last + 1} nodes at z={z!r}, "
             f"over the budget of {_NODE_BUDGET}"
         )
-    exp, sinh, cosh = math.exp, math.sinh, math.cosh
+    nodes = _TABLES.get(h, ())
+    if len(nodes) < last:
+        nodes = _node_table(h, last)
+    exp = math.exp
     neg_z = -z
-    step_s = sinh(h)
-    half = sinh(0.5 * h)
-    step_m = 2.0 * (half * half)  # cosh h - 1
-    s, c = step_s, 1.0 + step_m
-    # sums over the nodes t = k h >= 0, the t = 0 node weighted 1/2
-    sum_plus = 0.5 / (1.0 + w_plus)
-    sum_minus = 0.5 / (1.0 + w_minus)
-    for first in range(1, last + 1, _RESTART):
-        if first > 1:
-            t = first * h
-            s, c = sinh(t), cosh(t)
-        part_plus = part_minus = 0.0
-        for _ in range(min(_RESTART, last + 1 - first)):
-            e = exp(neg_z * (s * s))
-            part_plus += e / (c + w_plus)
-            part_minus += e / (c + w_minus)
-            s, c = s + (s * step_m + c * step_s), c + (c * step_m + s * step_s)
-        sum_plus += part_plus
-        sum_minus += part_minus
+    # the node terms fall with t, so summed from t = last h down to t = h,
+    # smallest first; the t = 0 node, weighted 1/2, comes last
+    sum_plus = sum_minus = 0.0
+    for s2, c in reversed(nodes[:last]):
+        e = exp(neg_z * s2)
+        sum_plus += e / (c + w_plus)
+        sum_minus += e / (c + w_minus)
+    sum_plus += 0.5 / (1.0 + w_plus)
+    sum_minus += 0.5 / (1.0 + w_minus)
     return 2.0 * h * sum_plus, 2.0 * h * sum_minus, eps, eps
+
+
+def _node_table(h: float, count: int) -> tuple[tuple[float, float], ...]:
+    """The nodes of step h, at least ``count`` of them: (sinh^2(k h), cosh(k h)) for k = 1, 2, ...
+
+    Looked up in, grown in and stored back to ``_TABLES`` under its lock.
+    Node k is computed from the double t = k h alone, so a table grown in
+    steps holds the same values as one built at once, and a result never
+    depends on the calls before it.  A stored table moves to the end of
+    the cache; past ``_TABLE_LIMIT`` tables the first, built or grown
+    longest ago, is dropped.
+    """
+    with _TABLE_LOCK:
+        nodes = _TABLES.pop(h, ())
+        if len(nodes) < count:
+            sinh, cosh = math.sinh, math.cosh
+            grown = []
+            for k in range(len(nodes) + 1, count + 1):
+                t = k * h
+                s = sinh(t)
+                grown.append((s * s, cosh(t)))
+            nodes += tuple(grown)
+        while len(_TABLES) >= _TABLE_LIMIT:
+            del _TABLES[next(iter(_TABLES))]
+        _TABLES[h] = nodes
+    return nodes
 
 
 def _step(z: float) -> tuple[float, int, float, float]:
@@ -192,7 +215,13 @@ def _step(z: float) -> tuple[float, int, float, float]:
     trapezoid sum then differs from K by at most B = 2M / (e^{2 pi y / h} - 1).
     K(z, w) >= K(z, 1) >= (pi/2) erfcx(sqrt z) > K_low = sqrt(pi) /
     (sqrt z + sqrt(z + 2)) (A&S 7.1.13), and eps = 2^-53 K_low.  The step
-    h = 2 pi y / ln(4 M / eps) makes B <= eps/2.
+    h_cert = 2 pi y / ln(4 M / eps) makes B <= eps/2.
+
+    The ladder: h is h_cert rounded down to the largest rung 2^(-j/16),
+    j an integer, at or below it, so ``_kernel`` reads its nodes from a
+    table kept per rung.  A smaller step only shrinks B, so eps is
+    unchanged; h > 2^(-1/16) h_cert, so the rounding adds at most 4.4 %
+    nodes.
 
     y = min(pi/4, sqrt(R0 / z)) is about where h peaks, since at large z
     ln M grows like z y^2; R0 = 55 ln 2 is the large-z limit of
@@ -204,10 +233,14 @@ def _step(z: float) -> tuple[float, int, float, float]:
     The truncation: the nodes run to T = asinh(sqrt(Lambda / z)).  For
     t >= T, sinh^2 t >= S^2 + 2 S C (t - T), with S = sinh T and
     C = cosh T >= 1, and cosh t + w >= 1, so the nodes dropped on each side
-    sum to at most h e^{-Lambda} / (1 - e^{-r}), r = 2 z S C h.  Over every
-    positive double z, r >= 6.1, so Lambda = ln(4 h / eps) + 0.01 keeps
-    both sides within eps/2.  Lambda lies in [35.8, 37.7], so T grows
-    like log(1/z) as z -> 0.
+    sum to at most h e^{-Lambda} / (1 - e^{-r}), r = 2 z S C h =
+    2 h sqrt(Lambda (Lambda + z)).  With Lambda = ln(4 h / eps) + 0.01, from
+    the rounded h, that is (eps/4) e^{ln(1/(1 - e^{-r})) - 0.01}.  At
+    h_cert, r >= 6.1 over every positive double z; the ladder takes at most
+    2^(-1/16) off it, so r >= 5.8 (5.92 at the least over 400,001
+    log-spaced z), ln(1/(1 - e^{-r})) <= 0.003 < 0.01, and both sides stay
+    within eps/2.  Lambda lies in [35.8, 37.7], so T grows like log(1/z)
+    as z -> 0.
     """
     root_z = math.sqrt(z)
     scale = root_z + math.sqrt(z + 2.0)  # sqrt(pi) / K_low
@@ -220,7 +253,14 @@ def _step(z: float) -> tuple[float, int, float, float]:
         sin_y = math.sin(y)
         rest = max(_INV_SQRT_PI, math.sqrt(z * math.cos(2.0 * y))) * math.cos(y) * eps
         log_ratio = z * (sin_y * sin_y) + math.log(4.0 * _SQRT_PI / rest)
-    h = 2.0 * math.pi * y / log_ratio
+    h_cert = 2.0 * math.pi * y / log_ratio
+    # the largest rung 2^(-j/16) at or below h_cert.  log2 and the power
+    # round: less 1e-9, the guess for j is never one too many, and at most
+    # one too few, which the check corrects
+    j = math.ceil(-16.0 * math.log2(h_cert) - 1e-9)
+    h = 2.0 ** (-j / 16)
+    if h > h_cert:
+        h = 2.0 ** (-(j + 1) / 16)
     lam = math.log(4.0 * h / eps) + 0.01
     return h, int(math.asinh(math.sqrt(lam) / root_z) / h), y, eps
 

@@ -11,6 +11,9 @@ sigma-grid trapezoid, each plugged into one reference split.
 
 import math
 import random
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import pytest
@@ -241,15 +244,15 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
             for band in worst:
                 if z >= band:
                     worst[band] = max(worst[band], counting.calls + 1)
-    assert worst == {1.0: 21, 1e-2: 39, 1e-12: 131, 5e-324: 2991}
+    assert worst == {1.0: 21, 1e-2: 39, 1e-12: 131, 5e-324: 2998}
 
 
 def _sinh_loop_kernel(z, w_plus, w_minus):
     """``_kernel`` by a plain node loop, one sinh, exp and sqrt per node; and its node count.
 
-    The loop that the hyperbolic rotation of ``_kernel`` replaces: each
-    node t = k h takes sigma = sinh(t) and q = sqrt(1 + sigma^2) afresh, on
-    the same certified grid of ``oracle._step``; returns both kernels and
+    The loop that the node table of ``_kernel`` replaces: each node
+    t = k h takes sigma = sinh(t) and q = sqrt(1 + sigma^2) afresh, on the
+    same certified grid of ``oracle._step``; returns both kernels and
     the nodes it evaluated, t = 0 included.  sigma is sinh(k h) of the exact
     product, in 40-digit mpmath, rounded once: a double t = k h moves sigma
     by about t units of rounding, and at tiny z, where t runs to a few
@@ -272,7 +275,7 @@ def _sinh_loop_kernel(z, w_plus, w_minus):
     return 2.0 * h * math.fsum(terms_plus), 2.0 * h * math.fsum(terms_minus), last + 1
 
 
-def test_rotated_kernel_matches_the_sinh_loop(monkeypatch):
+def test_table_kernel_matches_the_sinh_loop(monkeypatch):
     # z log-uniform over the whole positive double range the oracle meets,
     # w both ends and log-uniform between; the kernel sums both parts on its
     # one grid
@@ -292,6 +295,176 @@ def test_rotated_kernel_matches_the_sinh_loop(monkeypatch):
         assert counting.calls + 1 == nodes, args
         for k, ref in zip(got[:2], expected):
             assert abs(k - ref) <= 2e-15 * ref, args
+
+
+# the truncation margin r = 2 z sinh T cosh T h that the docstring of
+# ``oracle._step`` states for every positive double z
+_STEP_MARGIN = 5.8
+
+
+def _certified_step(z):
+    """The unrounded step h_cert of ``oracle._step``'s docstring, and its eps.
+
+    h_cert = 2 pi y / ln(4 M / eps), with y = min(pi/4, sqrt(55 ln 2 / z)),
+    M = e^{z sin^2 y} min(pi, sqrt(pi/(z cos 2y))) / cos y and
+    eps = 2^-53 sqrt(pi) / (sqrt z + sqrt(z + 2)), evaluated in this order,
+    not the kernel's.
+    """
+    eps = 2.0**-53 * math.sqrt(math.pi) / (math.sqrt(z) + math.sqrt(z + 2.0))
+    y = min(0.25 * math.pi, math.sqrt(55.0 * math.log(2.0) / z))
+    if y == 0.25 * math.pi:
+        bound = math.pi  # cos 2y = 0 on the wide strip
+    else:
+        bound = min(math.pi, math.sqrt(math.pi / (z * math.cos(2.0 * y))))
+    log_ratio = z * math.sin(y) ** 2 + math.log(4.0 * bound / (math.cos(y) * eps))
+    return 2.0 * math.pi * y / log_ratio, eps
+
+
+def _rung_edges(zs):
+    """Adjacent doubles on either side of a z where ``oracle._step`` changes rung, flattened.
+
+    One edge per pair of consecutive points of the sorted ``zs`` whose
+    steps differ, found by bisection in z down to adjacent doubles.
+    """
+    edges = []
+    for lo, hi in zip(zs, zs[1:]):
+        if oracle._step(lo)[0] == oracle._step(hi)[0]:
+            continue
+        while math.nextafter(lo, hi) < hi:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < mid < hi:
+                mid = math.nextafter(lo, hi)
+            if oracle._step(mid)[0] == oracle._step(lo)[0]:
+                lo = mid
+            else:
+                hi = mid
+        edges += [lo, hi]
+    return edges
+
+
+def test_step_is_a_ladder_rung_that_keeps_the_certificate():
+    # z log-uniform over [5e-324, 1e300], and the doubles either side of a
+    # rung edge between each two consecutive points on different rungs (674
+    # edges): the step is a rung 2^(-j/16), the largest at or below h_cert,
+    # and the truncation margin holds.  The test evaluates h_cert in its own
+    # order, so both ends allow 1e-14 of rounding
+    rng = random.Random(3131)
+    log_z = (math.log(5e-324), math.log(1e300))
+    zs = sorted([5e-324, 1e300] + [math.exp(rng.uniform(*log_z)) for _ in range(1500)])
+    edges = _rung_edges(zs)
+    assert len(edges) > 1000
+    for z in zs + edges:
+        h, last, _, _ = oracle._step(z)
+        j = round(-16.0 * math.log2(h))
+        assert h == 2.0 ** (-j / 16), z
+        h_cert, eps = _certified_step(z)
+        assert h <= h_cert * (1.0 + 1e-14), z
+        assert h * 2.0 ** (1 / 16) > h_cert * (1.0 - 1e-14), z
+        lam = math.log(4.0 * h / eps) + 0.01
+        assert last == int(math.asinh(math.sqrt(lam) / math.sqrt(z)) / h), z
+        # 2 z sinh T cosh T h with sinh^2 T = lam / z, free of overflow
+        assert 2.0 * h * math.sqrt(lam * (lam + z)) >= _STEP_MARGIN, z
+
+
+def _traced_bytes(run):
+    """The bytes allocated in ``oracle`` during ``run()`` that tracemalloc finds still held after it."""
+    tracemalloc.start()
+    try:
+        run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, oracle.__file__)])
+    return sum(stat.size for stat in held.statistics("filename"))
+
+
+def test_node_tables_stay_bounded(monkeypatch):
+    # the cache keeps at most _TABLE_LIMIT tables, and under 1 MB of them,
+    # after a sweep over every magnitude of z and after one over the auto
+    # route's trapezoid band; a repeated z builds nothing
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    rng = random.Random(6262)
+    log_z = (math.log(5e-324), math.log(1e300))
+    for z in [math.exp(rng.uniform(*log_z)) for _ in range(10_000)]:
+        _kernel(z, 0.0, 1.0)
+    held = [(h, len(nodes)) for h, nodes in oracle._TABLES.items()]
+    assert len(held) <= oracle._TABLE_LIMIT == 64
+    # tracing slows the kernel's float arithmetic some thirty-fold, so that
+    # sweep ran untraced; its tables are rebuilt at the same steps and
+    # lengths into an empty cache under tracing, as a table's memory
+    # depends on its contents alone
+    oracle._TABLES.clear()
+
+    def rebuild():
+        for h, count in held:
+            oracle._node_table(h, count)
+
+    assert _traced_bytes(rebuild) < 1_000_000
+    assert [(h, len(nodes)) for h, nodes in oracle._TABLES.items()] == held
+    oracle._TABLES.clear()
+    band = [rng.uniform(0.25, 30.0) for _ in range(10_000)]
+
+    def sweep():
+        for z in band:
+            _kernel(z, 0.0, 1.0)
+
+    assert _traced_bytes(sweep) < 1_000_000
+    assert len(oracle._TABLES) <= oracle._TABLE_LIMIT
+    built = []
+    build = oracle._node_table
+
+    def counted_build(h, count):
+        built.append(h)
+        return build(h, count)
+
+    monkeypatch.setattr(oracle, "_node_table", counted_build)
+    for z in (5e-324, 1e-3, 0.3, 10.0, 1e300):
+        _kernel(z, 0.5, 0.5)
+        count = len(built)
+        assert _kernel(z, 0.5, 0.5) == _kernel(z, 0.5, 0.5)
+        assert len(built) == count, z
+
+
+def test_node_tables_hold_under_threads(monkeypatch):
+    # six threads on two cores share one cache, switching every microsecond:
+    # from one start they grow the table of tiny z at each call, then evict
+    # past the limit at large z, and every result matches the same call
+    # made alone on an empty cache
+    rng = random.Random(7373)
+    log_z = (math.log(1e-300), math.log(1e-2))
+    zs = [
+        sorted((math.exp(rng.uniform(*log_z)) for _ in range(100)), reverse=True)
+        + [math.exp(rng.uniform(math.log(30.0), math.log(1e300))) for _ in range(100)]
+        for _ in range(6)
+    ]
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    expected = [[_kernel(z, 0.3, 0.7) for z in part] for part in zs]
+    oracle._TABLES.clear()
+    got = [None] * len(zs)
+    failures = []
+    start = threading.Barrier(len(zs))
+
+    def work(i):
+        try:
+            start.wait(timeout=60.0)
+            got[i] = [_kernel(z, 0.3, 0.7) for z in zs[i]]
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(zs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    assert got == expected
+    assert len(oracle._TABLES) <= oracle._TABLE_LIMIT
 
 
 def _trapezoid_reference(z, w, h, digits):
