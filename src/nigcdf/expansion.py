@@ -16,13 +16,15 @@ and kmax.
 The public functions are thin callers: they check their arguments, build
 the geometry from (p, x), and call the split.  ``cdf(p, x)`` is the
 evaluation policy and takes no other argument: it gives each z band the
-split with its own kernel, whatever w_minus: below z = 0.25
-``oracle._small_z_kernel``, a convergent series in z; from z = 30
-``oracle._gauss_kernel``, an 8-node Gauss rule whose error is certified
-in advance; between the two the trapezoid kernel of the quadrature
-oracle.  On every band the complement is evaluated first right of the
-transition point, where zeta_plus < 0, so the smaller of F and G is the
-one computed directly.
+split with its own kernel, whatever w_minus, read from one table of bands
+by their lower z edges, built at import: below z = 0.25 a convergent
+series in z from ``oracle._small_z_kernel``, of order 1 to 11; from z = 30
+a Gauss rule from ``oracle._gauss_kernel``, of 8 nodes down to 1; between
+the two the trapezoid kernel of the quadrature oracle.  Each band's order
+or node count is the least that certifies 2^-53 K at its lower edge.  On
+every band the complement is evaluated first right of the transition
+point, where zeta_plus < 0, so the smaller of F and G is the one computed
+directly.
 The paper's series, at the order asked for, serves only ``cdf_asym`` and
 ``sf_asym``; the quadrature oracles have their own functions,
 ``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.
@@ -31,6 +33,7 @@ The paper's series, at the order asked for, serves only ``cdf_asym`` and
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
 from typing import NamedTuple
 
@@ -49,17 +52,15 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 5
-# below this z the auto route takes oracle._small_z_kernel, whose order holds
-# its accuracy to about z = 0.3 (see oracle._SMALL_Z_ORDER).  On a shared
+# below this z the auto route takes oracle._small_z_kernel, whose order 11
+# certifies 2^-53 K up to z = 0.295 (see oracle._SMALL_Z_EDGES).  On a shared
 # 2-vCPU host the certified trapezoid, read from its node tables, took 2.7
-# to 2.8 times as long a call as that kernel at z = 1e-12, 1.14 to 1.17 times
-# at 1e-3, 0.91 to 1.05 times at 0.01 and 0.03, and 0.71 to 0.89 times from
-# z = 0.1 to 0.249, so the trapezoid is now the faster kernel just below
-# this limit; lowering it is an open item of ROADMAP.md.
+# to 2.8 times as long a call as that kernel at order 11 at z = 1e-12, 1.14
+# to 1.17 times at 1e-3, 0.91 to 1.05 times at 0.01 and 0.03, and 0.71 to
+# 0.89 times from z = 0.1 to 0.249, so the trapezoid was the faster kernel
+# just below this limit.  The order now falls with z, so that crossover is
+# to be timed again, an open item of ROADMAP.md.
 _SMALL_Z_LIMIT = 0.25
-# from this z on the auto route takes oracle._gauss_kernel, whose error is
-# within 2^-53 of K from z = 26.2
-_GAUSS_LIMIT = 30.0
 
 
 class Method(Enum):
@@ -79,16 +80,18 @@ class EvalResult(NamedTuple):
     |c_minus| dK_minus: each remainder kernel's error measure, weighted as
     the kernel enters the value.  The asymptotic series' dK is the
     magnitude of its last retained term, a heuristic rather than a bound;
-    the Gauss rule's is 2^-53 K, and the trapezoid's 2^-53 times a lower
-    bound on K, bounds that hold before rounding rather than measured
-    changes; the convergent small-z series' is the magnitude of its last
-    term, n = 11, as it enters K.  Where |w_minus| < 1e-13 the split drops
-    F_minus, and the estimate adds E |w_minus| / pi, E = e^{z sigma_plus^2},
-    which bounds the dropped term to first order.  On QUAD_DIRECT it is the
-    change of the integral in the last step halving, at most 1e-12.  Each
-    includes the distance by which the value was clamped into [0, 1].
+    the Gauss rule's is 2^-53 K, the trapezoid's 2^-53 times a lower bound
+    on K, and the convergent small-z series' a majorant of its omitted
+    terms as they enter K, at most 2^-53 K: bounds that hold before
+    rounding rather than measured changes.  Where |w_minus| < 1e-13 the
+    split drops F_minus, and the estimate adds E |w_minus| / pi,
+    E = e^{z sigma_plus^2}, which bounds the dropped term to first order.
+    On QUAD_DIRECT it is the change of the integral in the last step
+    halving, at most 1e-12.  Each includes the distance by which the value
+    was clamped into [0, 1].
     ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
-    and 11 on SMALL_Z_SERIES; the node count, 8, on GAUSS_SPLIT; 0 on the
+    and the order its z band sums, 1 to 11, on SMALL_Z_SERIES; the node
+    count its z band sums, 8 down to 1, on GAUSS_SPLIT; 0 on the
     quadrature routes.
     ``complemented`` records that the value was produced as 1 minus the
     directly computed complement: on ``cdf``, at every point with
@@ -163,14 +166,27 @@ def _trapezoid(g: Geometry) -> EvalResult:
     return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
 
 
+# the z bands of ``cdf``: band i holds the z from _BAND_EDGES[i - 1] (from 0
+# for i = 0) up to _BAND_EDGES[i], and _BANDS[i] is its (kernel, method,
+# work): the small-z series of order 1 to 11, the trapezoid from
+# _SMALL_Z_LIMIT, then the Gauss rules of 8 nodes down to 1
+_BAND_EDGES = (*oracle._SMALL_Z_EDGES, _SMALL_Z_LIMIT, *(edge for edge, _ in oracle._GAUSS_RULES))
+_BANDS = (
+    *(
+        (oracle._small_z_kernel(order), Method.SMALL_Z_SERIES, order)
+        for order in range(1, len(oracle._SMALL_Z_EDGES) + 2)
+    ),
+    (oracle._kernel, Method.QUAD_SPLIT, 0),
+    *(
+        (oracle._gauss_kernel(rule), Method.GAUSS_SPLIT, len(rule))
+        for _, rule in oracle._GAUSS_RULES
+    ),
+)
+
+
 def _auto(g: Geometry) -> EvalResult:
     """The policy of ``cdf`` at ``g = geometry(p, x)``: 1 - G wherever zeta_plus < 0."""
-    if g.z >= _GAUSS_LIMIT:
-        kernel, method, work = oracle._gauss_kernel, Method.GAUSS_SPLIT, oracle._GAUSS_NODES
-    elif g.z < _SMALL_Z_LIMIT:
-        kernel, method, work = oracle._small_z_kernel, Method.SMALL_Z_SERIES, oracle._SMALL_Z_ORDER
-    else:
-        kernel, method, work = oracle._kernel, Method.QUAD_SPLIT, 0
+    kernel, method, work = _BANDS[bisect_right(_BAND_EDGES, g.z)]
     right = g.zeta_plus < 0.0
     value, error = oracle._evaluate(g, right, kernel)
     if right:
@@ -183,11 +199,13 @@ def cdf(p: Parameters, x: float) -> EvalResult:
 
     The split, whatever w_minus, with the kernel of its z band: below
     z = 0.25 the convergent small-z series (SMALL_Z_SERIES), which needs no
-    quadrature node; from z = 30 the 8-node Gauss rule (GAUSS_SPLIT);
-    between the two the trapezoid (QUAD_SPLIT).  All three take each K to
-    about its rounding.  On every band the complement is evaluated and
-    flipped when x lies right of the transition point (zeta_plus < 0), so
-    the smaller function is the one computed.  Every split route calls its
+    quadrature node, summed to the order its band needs; from z = 30 a
+    Gauss rule (GAUSS_SPLIT) of the fewest nodes its band needs, 8 at
+    z = 30 and 1 from z = 6.72e7; between the two the trapezoid
+    (QUAD_SPLIT).  All three take each K to within 2^-53 before rounding.
+    On every band the complement is evaluated and flipped when x lies
+    right of the transition point (zeta_plus < 0), so the smaller function
+    is the one computed.  Every split route calls its
     kernel as ``kernel(z, w_plus, |w_minus|)`` and reports the estimate
     described at ``EvalResult``.  ``geometry`` checks x and is computed
     once.  The other routes have their own functions: the paper's series

@@ -2,29 +2,32 @@
 
 ``_split`` splits the CDF exactly into erfc terms plus two pole-free
 remainder integrals K(z, w), valid for every point, the transition point
-included.  It takes K from one of four kernels, all called as
-``kernel(z, w_plus, w_minus)``: the expansion's asymptotic series,
-for ``cdf_asym`` and ``sf_asym``; ``_gauss_kernel``, an 8-node Gauss rule,
-which the policy ``expansion.cdf`` takes from z = 30; ``_small_z_kernel``,
-a convergent series in z, which that policy takes below z = 0.25; and the
-trapezoid ``_kernel``, for the policy between the two, and for the
-primary oracle ``cdf_quad_split`` at every z; the judge that shares no
-rule with any split route is the direct oracle ``cdf_quad_direct``.  Below
-|w_minus| = 1e-13 the split drops the minus part, and its error estimate
-takes E |w_minus| / pi for what it dropped.
+included.  It takes K from a kernel, called as
+``kernel(z, w_plus, w_minus)``: the expansion's asymptotic series, for
+``cdf_asym`` and ``sf_asym``; a Gauss rule built by ``_gauss_kernel``,
+which the policy ``expansion.cdf`` takes from z = 30; a convergent series
+in z built by ``_small_z_kernel``, which that policy takes below z = 0.25;
+and the trapezoid ``_kernel``, for the policy between the two, and for
+the primary oracle ``cdf_quad_split`` at every z; the judge that shares
+no rule with any split route is the direct oracle ``cdf_quad_direct``.
+Below |w_minus| = 1e-13 the split drops the minus part, and its error
+estimate takes E |w_minus| / pi for what it dropped.
 
-The Gauss rule is the one for the weight u^{-1/2} e^{-z u}, u = sigma^2:
-its nodes are the squared positive nodes of the order-16 Gauss-Hermite
-rule over z.  Before rounding it underestimates K, by at most 2^-53 K from
-z = 26.2 on, so its error bound needs no table.
+Each of the policy's kernels does the least work that its z band needs:
+the bands' lower edges in ``_GAUSS_RULES`` and ``_SMALL_Z_EDGES`` are
+where a rule with fewer nodes, or a series of lower order, certifies
+2^-53 K.  The Gauss rules are the ones for the weight u^{-1/2} e^{-z u},
+u = sigma^2: the N-node rule's nodes are the squared positive nodes of
+the order-2N Gauss-Hermite rule over z.  Before rounding each
+underestimates K, by at most 2^-53 K from its band's edge on: 8 nodes from
+z = 30 down to 1 node from z = 6.72e7, so its error bound needs no table.
 
 The small-z series is exact at infinite order: K(0, w) in closed form, an
 erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
 the ascending series of K_0 (DLMF 10.31-10.32) by one loop that steps its
-coefficients by their three-term recurrence.  At order ``_SMALL_Z_ORDER``
-= 11 it stays within 6.0e-16 relative of 40-digit mpmath below z = 0.25,
-the crossover, at the rounding of its closed-form terms, and its last
-term is at most 7.7e-17 K.
+coefficients by their three-term recurrence.  A majorant of its terms
+bounds the tail; the order runs from 1 below z = 3.84e-6 to 11 from
+z = 0.215, and the tail stays within 2^-53 K below z = 0.25, the crossover.
 
 The trapezoid puts both integrals on one grid in ``t``, ``sigma = sinh(t)``:
 the map turns the algebraic ``1/sigma^2`` tail into a double-exponential
@@ -87,30 +90,79 @@ _TABLE_LIMIT = 64
 _TABLE_LOCK = threading.Lock()
 # kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus)
 _Kernel = Callable[[float, float, float], tuple[float, float, float, float]]
-# the order of ``_small_z_kernel``: within 6.0e-16 relative of mpmath below
-# z = 0.25, the crossover, but over 2e-15 at z = 0.45, so a higher crossover
-# needs a higher order
-_SMALL_Z_ORDER = 11
+# the lower z edges of the orders 2 .. 11 of ``_small_z_kernel``: order N
+# serves z from its edge to the next, order 1 below the first and order 11 up
+# to the crossover 0.25.  Each edge is the largest z at which order N - 1
+# still certifies 2^-53 K_low, rounded down to three digits
+_SMALL_Z_EDGES = (3.84e-6, 1.31e-4, 1.11e-3, 4.79e-3, 0.0137, 0.0307, 0.0578, 0.0973, 0.149, 0.215)
 # (2n+1) / (n+1)^2, 1 / (n+1)^2, 2 / (n+1) and 1 / (n+2) for each step
-# n -> n + 1 of the recurrences of ``_small_z_kernel``, n = 1 .. order - 1
+# n -> n + 1 of the recurrences of ``_small_z_kernel``, n = 1 .. 10; order N
+# takes the first N - 1
 _SMALL_Z_STEPS = tuple(
     ((2 * n + 1) / (n + 1) ** 2, 1 / (n + 1) ** 2, 2 / (n + 1), 1 / (n + 2))
-    for n in range(1, _SMALL_Z_ORDER)
+    for n in range(1, len(_SMALL_Z_EDGES) + 1)
 )
-# (x_i^2, 2 W_i) over the 8 positive nodes x_i of the order-16 Gauss-Hermite
-# rule, smallest weight first, for ``_gauss_kernel``: 50-digit mpmath
-# (Golub-Welsch, then Newton on the normalised Hermite recurrence), rounded once
-_GAUSS_RULE = (
-    (float.fromhex("0x1.5fbf94e0e468dp+4"), float.fromhex("0x1.23e62febce393p-31")),
-    (float.fromhex("0x1.df1fc2d7ffd78p+3"), float.fromhex("0x1.f26d457674892p-22")),
-    (float.fromhex("0x1.42fc81eea0951p+3"), float.fromhex("0x1.c6f9810be5860p-15")),
-    (float.fromhex("0x1.9eebdacdca993p+2"), float.fromhex("0x1.e8c90a9ef9aa7p-10")),
-    (float.fromhex("0x1.e79cebe1bb3b6p+1"), float.fromhex("0x1.a60fe26755d4fp-6")),
-    (float.fromhex("0x1.e7b586f59fa88p+0"), float.fromhex("0x1.574932ae292a7p-3")),
-    (float.fromhex("0x1.5ac0647566296p-1"), float.fromhex("0x1.1f620c20579f4p-1")),
-    (float.fromhex("0x1.3258f91c2758ap-4"), float.fromhex("0x1.040f552a19f20p+0")),
+# (lower z edge, rule) of each rule of ``_gauss_kernel``, by rising z: the rule
+# of N nodes, N = 8 down to 1, holds (x_i^2, 2 W_i) over the N positive nodes
+# x_i of the order-2N Gauss-Hermite rule, smallest weight first: 50-digit
+# mpmath (Golub-Welsch, then Newton on the normalised Hermite recurrence),
+# rounded once.  At w = 0, the worst w, rule N certifies 2^-53 K from z =
+# 26.18, 34.78, 50.32, 83.87, 181.3, 679.3, 10,779 and 6.71e7; each edge is
+# that z rounded up, and the first is the trapezoid's upper end, 30
+_GAUSS_RULES = (
+    (30.0, (
+        (float.fromhex("0x1.5fbf94e0e468dp+4"), float.fromhex("0x1.23e62febce393p-31")),
+        (float.fromhex("0x1.df1fc2d7ffd78p+3"), float.fromhex("0x1.f26d457674892p-22")),
+        (float.fromhex("0x1.42fc81eea0951p+3"), float.fromhex("0x1.c6f9810be5860p-15")),
+        (float.fromhex("0x1.9eebdacdca993p+2"), float.fromhex("0x1.e8c90a9ef9aa7p-10")),
+        (float.fromhex("0x1.e79cebe1bb3b6p+1"), float.fromhex("0x1.a60fe26755d4fp-6")),
+        (float.fromhex("0x1.e7b586f59fa88p+0"), float.fromhex("0x1.574932ae292a7p-3")),
+        (float.fromhex("0x1.5ac0647566296p-1"), float.fromhex("0x1.1f620c20579f4p-1")),
+        (float.fromhex("0x1.3258f91c2758ap-4"), float.fromhex("0x1.040f552a19f20p+0")),
+    )),
+    (35.0, (
+        (float.fromhex("0x1.2873d31a7e634p+4"), float.fromhex("0x1.2879e3fc189a5p-26")),
+        (float.fromhex("0x1.7fae05e229f54p+3"), float.fromhex("0x1.3c84958ff0c41p-17")),
+        (float.fromhex("0x1.e3763b7726af1p+2"), float.fromhex("0x1.745772989a757p-11")),
+        (float.fromhex("0x1.18f25ddd2e47ep+2"), float.fromhex("0x1.013b082935900p-6")),
+        (float.fromhex("0x1.171da28f68a73p+1"), float.fromhex("0x1.189942515b4ebp-3")),
+        (float.fromhex("0x1.8b55a9552b9e1p-1"), float.fromhex("0x1.17a8ff2d23f15p-1")),
+        (float.fromhex("0x1.5ca202c0f28f3p-4"), float.fromhex("0x1.12a3cb9f3069ap+0")),
+    )),
+    (51.0, (
+        (float.fromhex("0x1.e428a16a34f21p+3"), float.fromhex("0x1.1d75b65601410p-21")),
+        (float.fromhex("0x1.23f9d705393c3p+3"), float.fromhex("0x1.679b437e4bbdcp-13")),
+        (float.fromhex("0x1.4c8dc35767244p+2"), float.fromhex("0x1.ffe329ad9cf5fp-8")),
+        (float.fromhex("0x1.46bb433d480ccp+1"), float.fromhex("0x1.a6c5ca4dd8599p-4")),
+        (float.fromhex("0x1.cbee5960c2dedp-1"), float.fromhex("0x1.0abe7f05c6b6fp-1")),
+        (float.fromhex("0x1.9477bfc007490p-4"), float.fromhex("0x1.23e8c40416d39p+0")),
+    )),
+    (84.0, (
+        (float.fromhex("0x1.79d47f0da3502p+3"), float.fromhex("0x1.005ed187f8cc3p-16")),
+        (float.fromhex("0x1.9a8aee94b0762p+2"), float.fromhex("0x1.603a8a28ca7a5p-9")),
+        (float.fromhex("0x1.8affff8722656p+1"), float.fromhex("0x1.157fc10b75837p-4")),
+        (float.fromhex("0x1.13167efcf0c13p+0"), float.fromhex("0x1.ebcdcac8d7de7p-2")),
+        (float.fromhex("0x1.e19cf34ee1a70p-4"), float.fromhex("0x1.38c2fcb47bb9ap+0")),
+    )),
+    (182.0, (
+        (float.fromhex("0x1.12d61a8332157p+3"), float.fromhex("0x1.a2999ecb217f6p-12")),
+        (float.fromhex("0x1.f6a6bd7175b20p+1"), float.fromhex("0x1.17ce409fe72bfp-5")),
+        (float.fromhex("0x1.56cf1472aa3e3p+0"), float.fromhex("0x1.a994440b42f6cp-2")),
+        (float.fromhex("0x1.2994e486cd93ep-3"), float.fromhex("0x1.5281dc79924d8p+0")),
+    )),
+    (680.0, (
+        (float.fromhex("0x1.619f3b5c0b740p+2"), float.fromhex("0x1.28e0f4650c24bp-7")),
+        (float.fromhex("0x1.c8d4844af1424p+0"), float.fromhex("0x1.41ac82e074c9cp-2")),
+        (float.fromhex("0x1.85747227076d8p-3"), float.fromhex("0x1.7302a67a67abfp+0")),
+    )),
+    (10_780.0, (
+        (float.fromhex("0x1.5cc470a049097p+1"), float.fromhex("0x1.4d0eb00fdaebdp-3")),
+        (float.fromhex("0x1.19dc7afdb7b46p-2"), float.fromhex("0x1.9c1db31953993p+0")),
+    )),
+    (6.72e7, (
+        (float.fromhex("0x1.0000000000000p-1"), float.fromhex("0x1.c5bf891b4ef6bp+0")),
+    )),
 )
-_GAUSS_NODES = len(_GAUSS_RULE)
 # ln 4 - gamma_E, so that Lambda = ln z - ln 4 + gamma_E of ``_small_z_kernel``
 # is one subtraction from ln z
 _LOG_4_MINUS_GAMMA = math.log(4.0) - 0.5772156649015329
@@ -265,13 +317,14 @@ def _step(z: float) -> tuple[float, int, float, float]:
     return h, int(math.asinh(math.sqrt(lam) / root_z) / h), y, eps
 
 
-def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
-    """K(z, w_plus) and K(z, w_minus) by their convergent small-z series, and their last terms.
+def _small_z_kernel(order: int) -> _Kernel:
+    """The kernel that sums K(z, w_plus) and K(z, w_minus) by their small-z series to ``order``.
 
     The same kernels as ``_kernel``, exact for every z > 0 at infinite
     order; the auto route of ``expansion.cdf`` takes them below a measured
-    crossover in z.  With s^2 = (1 - w)(1 + w) and the integral
-    e^{z/2} K_0(z/2) of e^{-z sigma^2} / q (DLMF 10.32), K solves
+    crossover in z, at the order ``_SMALL_Z_EDGES`` gives each z.  With
+    s^2 = (1 - w)(1 + w) and the integral e^{z/2} K_0(z/2) of
+    e^{-z sigma^2} / q (DLMF 10.32), K solves
     dK/dz = s^2 K - sqrt(pi/z) + w e^{z/2} K_0(z/2) from
     K(0, w) = 2 atan2(s, w) / s, so
 
@@ -289,30 +342,54 @@ def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, flo
 
     from B_0 = B_1 = 0.  One loop steps alpha_n = A_n z^n and
     beta_n = B_n z^n for both w at once, and sums
-    M = z sum_{n=0..11} (beta_n + alpha_n (1/(n+1) - Lambda)) / (n+1),
+    M = z sum_{n=0..order} (beta_n + alpha_n (1/(n+1) - Lambda)) / (n+1),
     Lambda = Lambda(z), never formed as ln(z/4), which underflows at the
     smallest double.  Both factors stay smooth as s -> 0: atan2(s, w) / s
     tends to 1/w, and erf(y) / y is taken by its Taylor series below
-    y = 1e-4.  The order 11 is ``_SMALL_Z_ORDER``.  Each dK is the
-    magnitude of the term n = 11, weighted as M enters K.  The series
-    converges, so this measures the truncation, but it is no bound: A_n and
-    B_n hold only the powers a^j with j = n mod 2, so the odd term n = 11
-    vanishes at w^2 = 1/2.  Below z = 0.25 the truncation lies far under
-    the rounding of K.  No trapezoid node is used.
+    y = 1e-4.  No trapezoid node is used.
+
+    Each dK bounds the truncation before rounding.  With |a| <= 1/2 and
+    binomial(2k, k) <= 4^k, e^{a t} I_0(t/2) <= e^{t/2} cosh(t/2)
+    coefficientwise, so |A_n| <= 1/(2 n!) for n >= 1; the companion
+    e^{a t} sum_k H_k (t/4)^{2k} / k!^2, H_k the harmonic numbers, gives
+    |B_n| <= H_{floor(n/2)} / (2 n!) the same way.  Below z = 1/4,
+    Lambda < -2.19, so term n of M is at most t_n =
+    z^{n+1} (H_{floor(n/2)} + 1/(n+1) - Lambda) / (2 (n+1)!), each t_n
+    under half the one before, and the terms past ``order`` sum to at most
+    2 t_{order+1}.  M enters K times w e^{s^2 z}, so dK = w e^{s^2 z}
+    2 t_{order+1}; below about z = 3e-103, where z^{order+2} leaves the
+    normal range, dK is under 1e-300 K and only as exact as that power.
+    As w e^{(1 - w^2) z} rises with w for z <= 1/2, it is at most 1, and
+    dK <= 2^-53 K_low <= 2^-53 K (K_low of ``_step``) wherever
+    2 t_{order+1} <= 2^-53 K_low; each edge of ``_SMALL_Z_EDGES`` is where
+    that stops holding for the order below, rounded down.
     """
-    m_plus, m_minus, last_plus, last_minus = _small_z_m(z, w_plus, w_minus)
-    root_z = math.sqrt(z)
-    k_plus, dk_plus = _small_z_one(z, root_z, w_plus, m_plus, last_plus)
-    k_minus, dk_minus = _small_z_one(z, root_z, w_minus, m_minus, last_minus)
-    return k_plus, k_minus, dk_plus, dk_minus
+    steps = _SMALL_Z_STEPS[: order - 1]
+    # 2 t_{order+1} = z^power (offset - Lambda) / (order + 2)!
+    power = order + 2
+    offset = sum(1.0 / k for k in range(1, (order + 1) // 2 + 1)) + 1.0 / (order + 2)
+    scale = 1.0 / math.factorial(order + 2)
+
+    def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+        lam = math.log(z) - _LOG_4_MINUS_GAMMA
+        m_plus, m_minus = _small_z_m(z, lam, w_plus, w_minus, steps)
+        tail = z**power * (offset - lam) * scale
+        root_z = math.sqrt(z)
+        k_plus, dk_plus = _small_z_one(z, root_z, w_plus, m_plus, tail)
+        k_minus, dk_minus = _small_z_one(z, root_z, w_minus, m_minus, tail)
+        return k_plus, k_minus, dk_plus, dk_minus
+
+    return kernel
 
 
-def _small_z_m(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
-    """M of ``_small_z_kernel`` at w_plus and at w_minus, then the last term of each.
+def _small_z_m(
+    z: float, lam: float, w_plus: float, w_minus: float, steps: tuple[tuple[float, ...], ...]
+) -> tuple[float, float]:
+    """M of ``_small_z_kernel`` at w_plus and w_minus, given Lambda(z), to the order of ``steps``.
 
-    One loop steps both pairs (alpha_n, beta_n) by their recurrences.
+    One loop steps both pairs (alpha_n, beta_n) by their recurrences, one
+    step of ``_SMALL_Z_STEPS`` per order past 1.
     """
-    lam = math.log(z) - _LOG_4_MINUS_GAMMA
     zz = z * z
     w2_plus = w_plus * w_plus
     w2_minus = w_minus * w_minus
@@ -326,7 +403,7 @@ def _small_z_m(z: float, w_plus: float, w_minus: float) -> tuple[float, float, f
     be_plus = be_minus = be0_plus = be0_minus = 0.0
     m_plus = 1.0 - lam + 0.5 * az_plus * (0.5 - lam)
     m_minus = 1.0 - lam + 0.5 * az_minus * (0.5 - lam)
-    for p, q, r, inv in _SMALL_Z_STEPS:
+    for p, q, r, inv in steps:
         x_plus = az_plus * al_plus
         x_minus = az_minus * al_minus
         al0_plus, al_plus = al_plus, p * x_plus + q * (c_plus * al0_plus)
@@ -337,15 +414,13 @@ def _small_z_m(z: float, w_plus: float, w_minus: float) -> tuple[float, float, f
         be0_minus, be_minus = be_minus, (
             p * (az_minus * be_minus) + q * (c_minus * be0_minus) + r * al_minus - 2.0 * q * x_minus
         )
-        last_plus = (be_plus + al_plus * (inv - lam)) * inv
-        last_minus = (be_minus + al_minus * (inv - lam)) * inv
-        m_plus += last_plus
-        m_minus += last_minus
-    return z * m_plus, z * m_minus, z * last_plus, z * last_minus
+        m_plus += (be_plus + al_plus * (inv - lam)) * inv
+        m_minus += (be_minus + al_minus * (inv - lam)) * inv
+    return z * m_plus, z * m_minus
 
 
-def _small_z_one(z: float, root_z: float, w: float, m: float, last: float) -> tuple[float, float]:
-    """K(z, w) and its weighted last term for ``_small_z_kernel``, given sqrt(z), M and its last term."""
+def _small_z_one(z: float, root_z: float, w: float, m: float, tail: float) -> tuple[float, float]:
+    """K(z, w) and its bound for ``_small_z_kernel``, given sqrt(z), M and the bound on M's tail."""
     s2 = (1.0 - w) * (1.0 + w)
     s = math.sqrt(s2)
     arg = s * root_z
@@ -355,40 +430,44 @@ def _small_z_one(z: float, root_z: float, w: float, m: float, last: float) -> tu
         ratio = math.erf(arg) / arg
     angle = math.atan2(s, w) / s if s > 0.0 else 1.0 / w
     growth = math.exp(s2 * z)
-    return growth * (2.0 * angle - math.pi * root_z * ratio + w * m), growth * w * abs(last)
+    return growth * (2.0 * angle - math.pi * root_z * ratio + w * m), growth * w * tail
 
 
-def _gauss_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
-    """K(z, w_plus) and K(z, w_minus) by the 8-node Gauss rule, and their error bound.
+def _gauss_kernel(rule: tuple[tuple[float, float], ...]) -> _Kernel:
+    """The kernel that takes K(z, w_plus) and K(z, w_minus) from a Gauss rule of ``_GAUSS_RULES``.
 
     In u = sigma^2, K(z, w) is the integral over u > 0 of u^{-1/2} e^{-z u}
-    g(u), g(u) = 1 / (q (q + w)), q = sqrt(1 + u).  The Gauss rule for the
-    weight u^{-1/2} e^{-z u} has the nodes x_i^2 / z, x_i the positive nodes
-    of the order-16 Gauss-Hermite rule, so
+    g(u), g(u) = 1 / (q (q + w)), q = sqrt(1 + u).  The N-node Gauss rule
+    for the weight u^{-1/2} e^{-z u} has the nodes x_i^2 / z, x_i the
+    positive nodes of the order-2N Gauss-Hermite rule, so
 
         K(z, w) ~ z^{-1/2} sum_i 2 W_i / (q_i (q_i + w)),  q_i = sqrt(1 + x_i^2 / z).
 
-    It is exact through the d-series term k = 15, and it converges where
-    that series diverges: it is the Pade (Stieltjes) form of the same
+    It is exact through the d-series term k = 2N - 1, and it converges
+    where that series diverges: it is the Pade (Stieltjes) form of the same
     series.  For w in [0, 1], g is a Stieltjes function, so every even
     derivative of g is positive and, before rounding, the rule
     underestimates K.  Its relative error is largest at w = 0, where
-    K(z, 0) = pi erfcx(sqrt z), and falls with z: 1.93e-17 at z = 30, where
-    the auto route of ``expansion.cdf`` starts taking it (2^-53 is reached
-    at z = 26.2), and 1.98e-20 at z = 50.  So each dK is 2^-53 K, one
-    bound for every w, as on the trapezoid.  Both sums share each sqrt,
-    and no node calls exp.
+    K(z, 0) = pi erfcx(sqrt z), and falls with z; ``_GAUSS_RULES`` gives
+    each rule from where that error is within 2^-53 (the 8-node rule's is
+    1.93e-17 at z = 30, where the auto route of ``expansion.cdf`` starts
+    taking it).  So each dK is 2^-53 K, one bound for every w, as on the
+    trapezoid.  Both sums share each sqrt, and no node calls exp.
     """
-    sqrt = math.sqrt
-    sum_plus = sum_minus = 0.0
-    for node, weight in _GAUSS_RULE:
-        q = sqrt(1.0 + node / z)
-        sum_plus += weight / (q * (q + w_plus))
-        sum_minus += weight / (q * (q + w_minus))
-    root = sqrt(z)
-    k_plus = sum_plus / root
-    k_minus = sum_minus / root
-    return k_plus, k_minus, _TARGET_REL * k_plus, _TARGET_REL * k_minus
+
+    def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+        sqrt = math.sqrt
+        sum_plus = sum_minus = 0.0
+        for node, weight in rule:
+            q = sqrt(1.0 + node / z)
+            sum_plus += weight / (q * (q + w_plus))
+            sum_minus += weight / (q * (q + w_minus))
+        root = sqrt(z)
+        k_plus = sum_plus / root
+        k_minus = sum_minus / root
+        return k_plus, k_minus, _TARGET_REL * k_plus, _TARGET_REL * k_minus
+
+    return kernel
 
 
 def cdf_quad_split(p: Parameters, x: float) -> float:

@@ -3,11 +3,13 @@
 import json
 import math
 import pathlib
+from bisect import bisect_right
 
 import pytest
 
 from nigcdf.cli import main, run
-from nigcdf.oracle import _gauss_kernel, _split
+from nigcdf.expansion import _BAND_EDGES, _BANDS, Method
+from nigcdf.oracle import _split
 from nigcdf.params import geometry, validate
 from nigcdf.selftest import run_all
 
@@ -207,14 +209,17 @@ def test_table1_refuses_kmax_before_printing(capsys):
 
 
 def test_figure1_minus_column_is_the_minus_part_of_the_split(capsys):
-    # every default cell has z >= 32, where the Gauss rule is certified, so
-    # its minus part judges the trapezoid's
+    # every default cell has z >= 32, where a Gauss rule is certified, so
+    # the minus part with the kernel of the cell's z band judges the trapezoid's
     assert main(["figure1"]) == 0
     rows = [list(map(float, line.split(","))) for line in _lines(capsys)[1:]]
     params = [validate(8.0, beta, 3.0, 2.0) for beta in (-4.0, 2.0, 7.5)]
     for row in rows:
         for p, fminus in zip(params, row[4:]):
-            expected = _split(geometry(p, row[0]), False, _gauss_kernel)[1]
+            g = geometry(p, row[0])
+            kernel, method, _ = _BANDS[bisect_right(_BAND_EDGES, g.z)]
+            assert method is Method.GAUSS_SPLIT
+            expected = _split(g, False, kernel)[1]
             assert abs(fminus - expected) <= 1e-15, row
 
 

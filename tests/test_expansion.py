@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,8 @@ from nigcdf import (
 )
 from nigcdf import oracle
 from nigcdf.cli import _ROUTES
-from nigcdf.expansion import _GAUSS_LIMIT, _SMALL_Z_LIMIT, DEFAULT_KMAX, _series_kernel
-from nigcdf.oracle import _SMALL_Z_ORDER, _kernel
+from nigcdf.expansion import _BAND_EDGES, _BANDS, _SMALL_Z_LIMIT, DEFAULT_KMAX, _series_kernel
+from nigcdf.oracle import _GAUSS_RULES, _kernel
 from nigcdf.selftest import draw_point
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
@@ -36,6 +37,11 @@ ASYM_ERR_ALLOWANCE = {-4.0: 6.2e-8, 2.0: 3.4e-9, 7.5: 9.4e-10}
 
 def _bench(beta):
     return validate(ALPHA, beta, MU, DELTA)
+
+
+def _band_work(z):
+    """The order or node count that the z band of ``cdf`` holding z sums."""
+    return _BANDS[bisect_right(_BAND_EDGES, z)][2]
 
 
 def _parts(g, upper=False):
@@ -245,10 +251,10 @@ def test_policy_falls_back_to_quadrature_for_small_z():
     assert geometry(p, 3.0).z == pytest.approx(0.1)
     r = cdf(p, 3.0)
     assert r.method is Method.SMALL_Z_SERIES
-    assert r.kmax_used == _SMALL_Z_ORDER
+    assert r.kmax_used == _band_work(geometry(p, 3.0).z) == 9
     for delta in (_SMALL_Z_LIMIT, 1.0, 10.0):
         p = validate(1.0, 0.25, 3.0, 0.5 * delta)
-        assert _SMALL_Z_LIMIT <= geometry(p, 3.0).z == delta < _GAUSS_LIMIT
+        assert _SMALL_Z_LIMIT <= geometry(p, 3.0).z == delta < _GAUSS_RULES[0][0]
         r = cdf(p, 3.0)
         assert r.method is Method.QUAD_SPLIT
         assert r.kmax_used == 0
@@ -256,7 +262,7 @@ def test_policy_falls_back_to_quadrature_for_small_z():
 
 def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     # seeded draws with z from 1e-12 up to the crossover, on both sides of
-    # w_minus = 0; the route takes no trapezoid node, so the trapezoid kernel
+    # w_minus = 0; the route takes no trapezoid node, so the trapezoid's step
     # is swapped for one that fails, and the split oracle gets it back
     rng = random.Random(1606)
     draws = []
@@ -271,12 +277,12 @@ def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     def no_trapezoid(*args):
         raise AssertionError("the small-z route took a trapezoid node")
 
-    monkeypatch.setattr(oracle, "_kernel", no_trapezoid)
+    monkeypatch.setattr(oracle, "_step", no_trapezoid)
     results = [cdf(p, x) for p, x in draws]
     monkeypatch.undo()
     signs = set()
     for (p, x), r in zip(draws, results):
-        assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == _SMALL_Z_ORDER
+        assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == _band_work(geometry(p, x).z)
         assert 0.0 <= r.error_estimate <= 1e-15
         assert abs(r.value - cdf_quad_split(p, x)) <= 1e-13
         signs.add(geometry(p, x).w_minus > 0.0)

@@ -14,6 +14,8 @@ import random
 import sys
 import threading
 import tracemalloc
+from bisect import bisect_right
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -32,8 +34,8 @@ from nigcdf import (
     validate,
 )
 from nigcdf import oracle
-from nigcdf.expansion import _SMALL_Z_LIMIT, _series_kernel
-from nigcdf.oracle import _kernel, _small_z_kernel, _small_z_m
+from nigcdf.expansion import _BAND_EDGES, _BANDS, _SMALL_Z_LIMIT, _series_kernel
+from nigcdf.oracle import _kernel, _small_z_m
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfc, erfcx
 
@@ -586,8 +588,13 @@ SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.1, 0.2, 0.24,
               math.nextafter(_SMALL_Z_LIMIT, 0.0))
 
 
+def _band(z: float) -> tuple:
+    """(kernel, method, work) of the z band of ``cdf`` that holds z."""
+    return _BANDS[bisect_right(_BAND_EDGES, z)]
+
+
 def _small_z(z: float, w: float) -> float:
-    return _small_z_kernel(z, w, w)[0]
+    return _band(z)[0](z, w, w)[0]
 
 
 def test_small_z_kernel_at_the_smallest_double_is_k_at_zero():
@@ -608,7 +615,7 @@ def test_small_z_kernel_at_w_zero_is_pi_erfcx(z):
 def test_small_z_kernel_matches_mpmath(z):
     with mpmath.workdps(30):
         for w_plus, w_minus in zip(SMALL_Z_WS, reversed(SMALL_Z_WS)):
-            k_plus, k_minus, dk_plus, dk_minus = _small_z_kernel(z, w_plus, w_minus)
+            k_plus, k_minus, dk_plus, dk_minus = _band(z)[0](z, w_plus, w_minus)
             for k, dk, w in ((k_plus, dk_plus, w_plus), (k_minus, dk_minus, w_minus)):
                 ref = float(_kernel_reference(z, w))
                 assert abs(k - ref) <= 2e-15 * ref
@@ -618,17 +625,133 @@ def test_small_z_kernel_matches_mpmath(z):
 @pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-4, 0.1, 0.2, math.nextafter(_SMALL_Z_LIMIT, 0.0)])
 def test_small_z_rows_sum_m_to_mpmath(z):
     # M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2, alone,
-    # as the recurrences of ``_small_z_m`` sum it: at small z, M enters K at
-    # about z ln(1/z) and so is invisible in K.  The reference integrates
-    # over [0, 1] in u = t / z, where the quadrature resolves the
-    # logarithmic singularity at 0 at every z
+    # as the recurrences of ``_small_z_m`` sum it to the highest order, 11:
+    # at small z, M enters K at about z ln(1/z) and so is invisible in K.
+    # The reference integrates over [0, 1] in u = t / z, where the
+    # quadrature resolves the logarithmic singularity at 0 at every z
+    lam = math.log(z) - oracle._LOG_4_MINUS_GAMMA
     with mpmath.workdps(30):
         for w in SMALL_Z_WS:
             a = w * w - 0.5
             ref = z * mpmath.quad(
                 lambda u: mpmath.exp(a * z * u) * mpmath.besselk(0, z * u / 2), [0, 1]
             )
-            assert abs(_small_z_m(z, w, w)[0] - float(ref)) <= 1e-15 * float(ref)
+            m = _small_z_m(z, lam, w, w, oracle._SMALL_Z_STEPS)[0]
+            assert abs(m - float(ref)) <= 1e-15 * float(ref)
+
+
+def _harmonic(k: int) -> float:
+    return math.fsum(1.0 / j for j in range(1, k + 1))
+
+
+def _small_z_tail(n: int, z: float) -> float:
+    """2 t_n of ``oracle._small_z_kernel``: the bound on the terms of M from n on, for z <= 1/4."""
+    lam = math.log(z) - math.log(4.0) + 0.5772156649015329
+    return z ** (n + 1) * (_harmonic(n // 2) + 1.0 / (n + 1) - lam) / math.factorial(n + 1)
+
+
+def _small_z_certifies(order: int, z: float) -> bool:
+    """Whether the tail bound past ``order`` is within 2^-53 K_low, K_low of ``oracle._step``."""
+    k_low = math.sqrt(math.pi) / (math.sqrt(z) + math.sqrt(z + 2.0))
+    return _small_z_tail(order + 1, z) <= 2.0**-53 * k_low
+
+
+def _small_z_coefficients(a, one, order: int) -> tuple[list, list]:
+    """A_n and B_n of ``oracle._small_z_kernel`` for n <= ``order``, by its recurrences.
+
+    In the arithmetic of ``a`` = w^2 - 1/2 and ``one``, its unit: exact
+    with Fraction, at the current precision with mpmath.
+    """
+    c = one / 4 - a * a  # w^2 s^2
+    A, B = [one, a], [0 * one, 0 * one]
+    for n in range(1, order):
+        A.append(((2 * n + 1) * a * A[n] + c * A[n - 1]) / (n + 1) ** 2)
+        B.append(((2 * n + 1) * a * B[n] + c * B[n - 1] + 2 * (n + 1) * A[n + 1]
+                  - 2 * a * A[n]) / (n + 1) ** 2)
+    return A, B
+
+
+def test_small_z_coefficients_lie_under_their_majorants():
+    # A_n and B_n in exact rational arithmetic, with a = w^2 - 1/2 at both
+    # ends of [-1/2, 1/2], 0 and between:
+    # |A_n| <= 1/(2 n!) and |B_n| <= H_{floor(n/2)} / (2 n!)
+    for a in (Fraction(-1, 2), Fraction(-1, 3), Fraction(0), Fraction(1, 7), Fraction(1, 2)):
+        A, B = _small_z_coefficients(a, Fraction(1), 16)
+        assert B[2] == Fraction(1, 16)  # H_1 (1/4)^2, the K_0 companion's first term
+        for n in range(1, 17):
+            bound = Fraction(1, 2 * math.factorial(n))
+            assert abs(A[n]) <= bound, (a, n)
+            assert abs(B[n]) <= bound * sum(Fraction(1, j) for j in range(1, n // 2 + 1)), (a, n)
+
+
+def test_small_z_order_edges_follow_the_majorant():
+    # each edge of oracle._SMALL_Z_EDGES is the largest z at which the order
+    # below still certifies 2^-53 K_low, found here by bisection, rounded
+    # down by under 1 %; order 11 certifies up to the crossover; and the
+    # band table gives each order from its edge
+    for order, edge in enumerate(oracle._SMALL_Z_EDGES, start=1):
+        lo, hi = 1e-300, 1.0
+        assert _small_z_certifies(order, lo) and not _small_z_certifies(order, hi)
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if _small_z_certifies(order, mid):
+                lo = mid
+            else:
+                hi = mid
+        assert 0.99 * lo < edge <= lo, (order, edge, lo)
+        assert _band(math.nextafter(edge, 0.0))[1:] == (Method.SMALL_Z_SERIES, order)
+        assert _band(edge)[1:] == (Method.SMALL_Z_SERIES, order + 1)
+    last = len(oracle._SMALL_Z_EDGES) + 1
+    assert _small_z_certifies(last, _SMALL_Z_LIMIT)
+    assert _band(math.nextafter(_SMALL_Z_LIMIT, 0.0))[1:] == (Method.SMALL_Z_SERIES, last)
+
+
+def _small_z_series_mp(z: float, w: float, order: int) -> mpmath.mpf:
+    """K(z, w) by the series of ``oracle._small_z_kernel`` to ``order``, at the current precision.
+
+    The kernel's sum before rounding: its recurrences and closed-form
+    terms, each evaluated in mpmath.
+    """
+    z, w = mpmath.mpf(z), mpmath.mpf(w)
+    A, B = _small_z_coefficients(w * w - mpmath.mpf(1) / 2, mpmath.mpf(1), order)
+    lam = mpmath.log(z / 4) + mpmath.euler
+    m = z * mpmath.fsum((B[n] + A[n] * (mpmath.mpf(1) / (n + 1) - lam)) * z**n / (n + 1)
+                        for n in range(order + 1))
+    s2 = (1 - w) * (1 + w)
+    if s2 == 0:  # w = 1: atan2(s, w) / s -> 1, erf(s sqrt z) / s -> 2 sqrt(z / pi)
+        return 2 - 2 * mpmath.sqrt(mpmath.pi * z) + m
+    s = mpmath.sqrt(s2)
+    head = 2 * mpmath.atan2(s, w) / s - mpmath.pi * mpmath.erf(s * mpmath.sqrt(z)) / s
+    return mpmath.exp(s2 * z) * (head + w * m)
+
+
+def test_small_z_kernel_bounds_its_truncation():
+    # z seeded log-uniform over [1e-8, 0.25), plus the doubles either side of
+    # every order edge and the largest double below the crossover; w_plus at
+    # both ends and at w^2 = 1/2, where the odd terms of M vanish, w_minus
+    # uniform.  dK is the documented bound w e^{s^2 z} 2 t_{order+1}; the
+    # series to the band's order, summed in 40 digits, lies within it of K
+    # before rounding (up to the 1e-38 to which 40 digits resolve K, for
+    # w = 0, where dK = 0), and dK <= 2^-53 K
+    rng = random.Random(2929)
+    zs = [math.nextafter(_SMALL_Z_LIMIT, 0.0)]
+    for edge in oracle._SMALL_Z_EDGES:
+        zs += [math.nextafter(edge, 0.0), edge]
+    zs += [math.exp(rng.uniform(math.log(1e-8), math.log(0.25))) for _ in range(8)]
+    with mpmath.workdps(40):
+        for z in zs:
+            kernel, method, order = _band(z)
+            assert method is Method.SMALL_Z_SERIES
+            w_plus, w_minus = rng.choice((0.0, 1.0, math.sqrt(0.5))), rng.random()
+            _, _, dk_plus, dk_minus = kernel(z, w_plus, w_minus)
+            for w, dk in ((w_plus, dk_plus), (w_minus, dk_minus)):
+                growth = math.exp((1.0 - w) * (1.0 + w) * z)
+                bound = w * growth * _small_z_tail(order + 1, z)
+                assert dk == pytest.approx(bound, rel=1e-13, abs=0.0)
+                ref = _kernel_reference(z, w)
+                gap = abs(_small_z_series_mp(z, w, order) - ref)
+                assert gap <= dk + 1e-38 * ref, (z, w, order)
+                assert dk <= 2.0**-53 * ref, (z, w, order)
 
 
 def _hermite_rule(n: int) -> list:
@@ -667,53 +790,76 @@ def _gauss_rule_mp(z, w, rule) -> mpmath.mpf:
     return total / mpmath.sqrt(z)
 
 
+# (lower edge, next edge) of each rule's z band, the last run out to z = 1e12
+GAUSS_BANDS = list(zip([edge for edge, _ in oracle._GAUSS_RULES],
+                       [edge for edge, _ in oracle._GAUSS_RULES[1:]] + [1e12]))
+# the z from which each rule, 8 nodes down to 1, is within 2^-53 at w = 0,
+# as the oracle documents them
+GAUSS_CERTIFIED_FROM = (26.18, 34.78, 50.32, 83.87, 181.3, 679.3, 10_779.0, 6.71e7)
+
+
 def test_gauss_rule_literals_are_the_mpmath_rule_rounded_once():
-    with mpmath.workdps(50):
-        rule = _hermite_rule(16)
-        assert abs(mpmath.fsum(2 * weight for _, weight in rule) - mpmath.sqrt(mpmath.pi)) < 1e-45
-        recomputed = tuple((float(x * x), float(2 * weight)) for x, weight in reversed(rule))
-    assert recomputed == oracle._GAUSS_RULE
-    assert oracle._GAUSS_NODES == 8
-    # smallest weight first; the rounded weights still sum to sqrt(pi)
-    weights = [weight for _, weight in oracle._GAUSS_RULE]
-    assert weights == sorted(weights)
-    assert abs(math.fsum(weights) - math.sqrt(math.pi)) <= 2.3e-16
+    assert [len(rule) for _, rule in oracle._GAUSS_RULES] == list(range(8, 0, -1))
+    for _, rule in oracle._GAUSS_RULES:
+        with mpmath.workdps(50):
+            mp_rule = _hermite_rule(2 * len(rule))
+            total = mpmath.fsum(2 * weight for _, weight in mp_rule)
+            assert abs(total - mpmath.sqrt(mpmath.pi)) < 1e-45
+            recomputed = tuple((float(x * x), float(2 * weight)) for x, weight in reversed(mp_rule))
+        assert recomputed == rule
+        # smallest weight first; the rounded weights still sum to sqrt(pi)
+        weights = [weight for _, weight in rule]
+        assert weights == sorted(weights)
+        assert abs(math.fsum(weights) - math.sqrt(math.pi)) <= 2.3e-16
 
 
 def test_gauss_rule_underestimates_k_by_at_most_its_bound():
-    # z log-uniform over [30, 1e6], ends included, w at both ends and
-    # uniform between: before rounding (the 50-digit rule) the rule lies
-    # below K by at most 2^-53 K, the dK it reports.  Past z = 300 its error
-    # falls below the 1e-38 to which 40 digits resolve K, so there only the
-    # bound is checked.  Rounding included, the kernel is within 8e-16 of K.
+    # per band, z log-uniform over it, its lower edge and the largest double
+    # below the next included, the last band out to z = 1e12; w at both ends
+    # and uniform between: before rounding (the 40-digit rule) each band's
+    # rule lies below K by at most 2^-53 K, the dK it reports.  Rounding
+    # included, the kernel is within 8e-16 of K
     rng = random.Random(2201)
-    log_z = (math.log(30.0), math.log(1e6))
     with mpmath.workdps(40):
-        rule = _hermite_rule(16)
-        for i in range(40):
-            z = (30.0, 1e6)[i] if i < 2 else math.exp(rng.uniform(*log_z))
-            w = rng.choice((0.0, 1.0, rng.random()))
-            ref = _kernel_reference(z, w)
-            rel = (ref - _gauss_rule_mp(z, w, rule)) / ref
-            assert (0.0 if z <= 300.0 else -1e-38) <= rel <= 2.0**-53, (z, w)
-            k_plus, k_minus, dk_plus, dk_minus = oracle._gauss_kernel(z, w, 1.0 - w)
-            assert abs(k_plus - ref) <= 8e-16 * ref, (z, w)
-            assert dk_plus == 2.0**-53 * k_plus and dk_minus == 2.0**-53 * k_minus
+        for lo, hi in GAUSS_BANDS:
+            kernel, method, nodes = _band(lo)
+            assert method is Method.GAUSS_SPLIT
+            mp_rule = _hermite_rule(2 * nodes)
+            log_z = (math.log(lo), math.log(hi))
+            for i in range(6):
+                z = (lo, math.nextafter(hi, 0.0))[i] if i < 2 else math.exp(rng.uniform(*log_z))
+                assert _band(z)[0] is kernel
+                w = rng.choice((0.0, 1.0, rng.random()))
+                ref = _kernel_reference(z, w)
+                rel = (ref - _gauss_rule_mp(z, w, mp_rule)) / ref
+                assert 0.0 < rel <= 2.0**-53, (z, w)
+                k_plus, k_minus, dk_plus, dk_minus = kernel(z, w, 1.0 - w)
+                assert abs(k_plus - ref) <= 8e-16 * ref, (z, w)
+                assert dk_plus == 2.0**-53 * k_plus and dk_minus == 2.0**-53 * k_minus
 
 
 def test_gauss_rule_error_at_w_zero_falls_with_z():
-    # at w = 0, where the relative error is largest, K = pi erfcx(sqrt z):
-    # the error is positive, crosses 2^-53 at z = 26.2, and falls from there
-    zs = (26.0, 26.5, 30.0, 35.0, 40.0, 50.0, 70.0, 100.0, 150.0, 200.0, 300.0)
+    # at w = 0, where the relative error is largest, K = pi erfcx(sqrt z).
+    # Each rule's error crosses 2^-53 within 0.1 % of the z documented for
+    # it; at its band's lower edge it lies in (0, 2^-53] while the rule of
+    # one node fewer is over 2^-53; and it falls with z across the band
+    def error(z, rule):
+        z = mpmath.mpf(z)
+        ref = mpmath.pi * mpmath.exp(z) * mpmath.erfc(mpmath.sqrt(z))
+        return (ref - _gauss_rule_mp(z, 0.0, rule)) / ref
+
     with mpmath.workdps(40):
-        rule = _hermite_rule(16)
-        errors = []
-        for z in map(mpmath.mpf, zs):
-            ref = mpmath.pi * mpmath.exp(z) * mpmath.erfc(mpmath.sqrt(z))
-            errors.append((ref - _gauss_rule_mp(z, 0.0, rule)) / ref)
-    assert errors[0] > 2.0**-53 >= errors[1]
-    assert all(a >= b > 0.0 for a, b in zip(errors, errors[1:]))
-    assert 1.9e-17 < errors[2] < 2.0e-17
+        rules = {n: _hermite_rule(2 * n) for n in range(1, 9)}
+        for (lo, hi), certified in zip(GAUSS_BANDS, GAUSS_CERTIFIED_FROM):
+            nodes = _band(lo)[2]
+            rule = rules[nodes]
+            assert error(0.999 * certified, rule) > 2.0**-53 >= error(1.001 * certified, rule)
+            errors = [error(lo * (hi / lo) ** (k / 6), rule) for k in range(7)]
+            assert 0.0 < errors[-1] and errors[0] <= 2.0**-53
+            assert all(a > b for a, b in zip(errors, errors[1:])), nodes
+            if nodes > 1:
+                assert error(lo, rules[nodes - 1]) > 2.0**-53, nodes
+        assert 1.9e-17 < error(30.0, rules[8]) < 2.0e-17
 
 
 @pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
@@ -737,8 +883,9 @@ def test_gauss_rule_minus_the_kmax_15_series_is_order_z_minus_16(w):
             scaled = z**16.5 * (_gauss_rule_mp(z, w, rule) - series(z))
             assert abs(scaled / limit - 1) <= 20 / z, z
         # the float kernels show the same gap while it is above their rounding
+        eight_nodes = oracle._gauss_kernel(oracle._GAUSS_RULES[0][1])
         for z in (30.0, 35.0, 40.0):
-            gauss = oracle._gauss_kernel(z, w, w)[0]
+            gauss = eight_nodes(z, w, w)[0]
             gap = gauss - _series_kernel(15)(z, w, w)[0]
             assert abs(gap - float(_gauss_rule_mp(z, w, rule) - series(z))) <= 1e-15 * gauss, z
 
@@ -761,7 +908,8 @@ def test_gauss_route_agrees_with_the_trapezoid_at_every_w_minus():
     for points in bands.values():
         for p, x in points:
             r = cdf(p, x)
-            assert r.method is Method.GAUSS_SPLIT and r.kmax_used == 8
+            assert (r.method, r.kmax_used) == _band(geometry(p, x).z)[1:]
+            assert r.method is Method.GAUSS_SPLIT
             assert 0.0 <= r.error_estimate <= 1e-16
             assert abs(r.value - cdf_quad_split(p, x)) <= 4.5e-16, (p, x)
             complemented.add(r.complemented)
@@ -811,6 +959,29 @@ def test_cdf_has_no_jump_where_z_crosses_the_small_z_limit(tilt):
             below, above = cdf(p, inner), cdf(p, outer)
             assert (below.method, above.method) == (Method.SMALL_Z_SERIES, Method.QUAD_SPLIT)
             assert abs(above.value - below.value) <= 4.5e-16, (alpha, side, below, above)
+
+
+@pytest.mark.parametrize("tilt", [-0.6, 0.6])
+@pytest.mark.parametrize("edge", _BAND_EDGES)
+def test_cdf_has_no_jump_at_a_band_edge(edge, tilt):
+    # alpha = 0.4 edge puts z = edge at |x - mu| = 0.75, where x = x0 on the
+    # side of the tilt: the band below ends one double short of each such x,
+    # and the next band, with one order more or one node fewer, starts
+    # there.  Near x0 at large alpha F itself moves by up to 7e-13 from one
+    # double to the next, so the two bands' kernels are compared at the same
+    # x, the first of the upper band, where both are certified
+    band = _BAND_EDGES.index(edge)
+    p = validate(0.4 * edge, 0.4 * edge * tilt, 3.0, 1.0)
+    for side in (-1.0, 1.0):
+        inner, outer = _either_side_of_z(p, edge, side)
+        below, above = cdf(p, inner), cdf(p, outer)
+        assert (below.method, below.kmax_used) == _BANDS[band][1:]
+        assert (above.method, above.kmax_used) == _BANDS[band + 1][1:]
+        g = geometry(p, outer)
+        value = oracle._evaluate(g, above.complemented, _BANDS[band][0])[0]
+        if above.complemented:
+            value = 1.0 - value
+        assert abs(above.value - value) <= 4.5e-16, (side, above, value)
 
 
 def test_split_route_keeps_its_left_tail_relative_accuracy():
