@@ -52,15 +52,6 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 5
-# below this z the auto route takes oracle._small_z_kernel, whose order 11
-# certifies 2^-53 K up to z = 0.295 (see oracle._SMALL_Z_EDGES).  On a shared
-# 2-vCPU host the certified trapezoid, read from its node tables, took 2.7
-# to 2.8 times as long a call as that kernel at order 11 at z = 1e-12, 1.14
-# to 1.17 times at 1e-3, 0.91 to 1.05 times at 0.01 and 0.03, and 0.71 to
-# 0.89 times from z = 0.1 to 0.249, so the trapezoid was the faster kernel
-# just below this limit.  The order now falls with z, so that crossover is
-# to be timed again, an open item of ROADMAP.md.
-_SMALL_Z_LIMIT = 0.25
 
 
 class Method(Enum):
@@ -169,8 +160,8 @@ def _trapezoid(g: Geometry) -> EvalResult:
 # the z bands of ``cdf``: band i holds the z from _BAND_EDGES[i - 1] (from 0
 # for i = 0) up to _BAND_EDGES[i], and _BANDS[i] is its (kernel, method,
 # work): the small-z series of order 1 to 11, the trapezoid from
-# _SMALL_Z_LIMIT, then the Gauss rules of 8 nodes down to 1
-_BAND_EDGES = (*oracle._SMALL_Z_EDGES, _SMALL_Z_LIMIT, *(edge for edge, _ in oracle._GAUSS_RULES))
+# oracle._SMALL_Z_LIMIT, then the Gauss rules of 8 nodes down to 1
+_BAND_EDGES = (*oracle._SMALL_Z_EDGES, oracle._SMALL_Z_LIMIT, *(edge for edge, _ in oracle._GAUSS_RULES))
 _BANDS = (
     *(
         (oracle._small_z_kernel(order), Method.SMALL_Z_SERIES, order)

@@ -36,12 +36,12 @@ z = 1e-12, against 6e6 in sigma).  It sums one level, at a step chosen in
 advance from the Trefethen-Weideman bound on a strip, so that before
 rounding the sum is within eps = 2^-53 K_low of K, K_low a closed-form
 lower bound on K; that bound, not a measured change, is the error
-estimate the split reports.  The step is rounded down to a fixed ladder
-of powers of 2^(-1/16), so the nodes' sinh^2 t and cosh t come from a
-table kept per step, and each node costs one exp and one division per
-integral.  A call takes at most 21 nodes for z >= 1, 39 for z >= 1e-2,
-131 for z >= 1e-12 and 2,998 at the smallest positive double, under a
-fixed node budget.  This grid is the split oracle's only rule.
+estimate the split reports.  The step is rounded down to a ladder of
+powers of 2^(-1/16); in the policy's band a node's sinh^2 t and cosh t
+come from a table built at import per rung, so it costs one exp and one
+division per integral.  A call takes at most 21 nodes for z >= 1, 39 for
+z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double,
+under a fixed node budget.  This grid is the split oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
 directly with a nested trapezoid rule; it degenerates when the poles
@@ -54,7 +54,6 @@ whose residue is 1.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable
 
 from .errors import ConvergenceError, NearTransitionError
@@ -74,20 +73,11 @@ _NEAR_TRANSITION_GAP = 0.02
 # E |w_minus| / pi; ``_split`` takes it as zero and adds that to its estimate
 _W_MINUS_NEGLIGIBLE = 1e-13
 # node evaluations allowed per trapezoid kernel call, checked before any node
-# table is built or read; the certified step takes at most 131 nodes for
+# is read or computed; the certified step takes at most 131 nodes for
 # z >= 1e-12 and 2,998 at the smallest double z
 _NODE_BUDGET = 4096
 # the trapezoid kernel's error bound, relative to a lower bound on K
 _TARGET_REL = 2.0**-53
-# the trapezoid's node tables, keyed by their step, the rung 2^(-j/16) of
-# ``_step``'s ladder, so by j alone, each grown to the most nodes a call has
-# needed.  None is built at import.  At most _TABLE_LIMIT are kept: the auto
-# route's band 0.25 <= z < 30 uses 9 of them, every z below 0.0137 shares one
-# of at most 2,997 nodes, and all others hold under 40; 10,000 z log-uniform
-# over [5e-324, 1e300] leave about 0.3 MB of tables
-_TABLES: dict[float, tuple[tuple[float, float], ...]] = {}
-_TABLE_LIMIT = 64
-_TABLE_LOCK = threading.Lock()
 # kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus)
 _Kernel = Callable[[float, float, float], tuple[float, float, float, float]]
 # the lower z edges of the orders 2 .. 11 of ``_small_z_kernel``: order N
@@ -95,6 +85,14 @@ _Kernel = Callable[[float, float, float], tuple[float, float, float, float]]
 # to the crossover 0.25.  Each edge is the largest z at which order N - 1
 # still certifies 2^-53 K_low, rounded down to three digits
 _SMALL_Z_EDGES = (3.84e-6, 1.31e-4, 1.11e-3, 4.79e-3, 0.0137, 0.0307, 0.0578, 0.0973, 0.149, 0.215)
+# below this z ``expansion.cdf`` takes ``_small_z_kernel`` (order 11 certifies
+# 2^-53 K to z = 0.295), from it the trapezoid, whose node tables start here.
+# On a shared 2-vCPU host (``timeit``, medians of 9, three runs) the trapezoid
+# read from a table took 1.47-1.54 times as long a call as the series at its
+# band's order at z = 0.0137, 1.09-1.48 at 0.03, 1.21-1.40 at 0.05, 0.93-1.10
+# at 0.0973, 0.84-0.89 at 0.15 and 0.78-0.80 at 0.24: the crossover lies near
+# z = 0.1, and moving the limit there is an open item of ROADMAP.md
+_SMALL_Z_LIMIT = 0.25
 # (2n+1) / (n+1)^2, 1 / (n+1)^2, 2 / (n+1) and 1 / (n+2) for each step
 # n -> n + 1 of the recurrences of ``_small_z_kernel``, n = 1 .. 10; order N
 # takes the first N - 1
@@ -192,17 +190,17 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
     ``_split`` reports a bound that holds, not a measured change.  Both
     kernels share every node's exp.
 
-    Each node costs one exp and a division per kernel: sinh^2 t and cosh t
-    at t = k h are read from the table of the step h, a rung of ``_step``'s
-    ladder, which ``_node_table`` builds on first use and keeps.  The node
-    terms fall with t, so they are summed from the last node back, smallest
-    first: summed from t = 0 on in blocks of 32, the rounding reached
-    5.9e-16 of K on a seeded sample where this order stays within 3.0e-16.
-    Against 40-digit mpmath, K, rounding included, stayed within 3.2e-16
-    relative over 300 seeded calls, z log-uniform over [1e-300, 1e16].  A
-    call takes at most 21 nodes for z >= 1, 39 for z >= 1e-2, 131 for
-    z >= 1e-12 and 2,998 at the smallest positive double; past
-    ``_NODE_BUDGET`` nodes it raises ConvergenceError before summing.
+    In the policy's trapezoid band a node costs one exp and a division per
+    kernel: sinh^2 t and cosh t at t = k h are read from ``_TABLES``, built
+    at import; at other z the call computes them by ``_nodes`` and keeps
+    nothing.  The node terms fall with t, so they are summed from the last
+    node back, smallest first: summed from t = 0 on in blocks of 32, the
+    rounding reached 5.9e-16 of K on a seeded sample where this order stays
+    within 3.0e-16.  Against 40-digit mpmath, K, rounding included, stayed
+    within 3.2e-16 relative over 300 seeded calls, z log-uniform over
+    [1e-300, 1e16].  A call takes at most 21 nodes for z >= 1, 39 for
+    z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double;
+    past ``_NODE_BUDGET`` nodes it raises ConvergenceError before summing.
     """
     h, last, _, eps = _step(z)
     if last >= _NODE_BUDGET:
@@ -212,7 +210,7 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
         )
     nodes = _TABLES.get(h, ())
     if len(nodes) < last:
-        nodes = _node_table(h, last)
+        nodes = _nodes(h, last)
     exp = math.exp
     neg_z = -z
     # the node terms fall with t, so summed from t = last h down to t = h,
@@ -225,32 +223,6 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
     sum_plus += 0.5 / (1.0 + w_plus)
     sum_minus += 0.5 / (1.0 + w_minus)
     return 2.0 * h * sum_plus, 2.0 * h * sum_minus, eps, eps
-
-
-def _node_table(h: float, count: int) -> tuple[tuple[float, float], ...]:
-    """The nodes of step h, at least ``count`` of them: (sinh^2(k h), cosh(k h)) for k = 1, 2, ...
-
-    Looked up in, grown in and stored back to ``_TABLES`` under its lock.
-    Node k is computed from the double t = k h alone, so a table grown in
-    steps holds the same values as one built at once, and a result never
-    depends on the calls before it.  A stored table moves to the end of
-    the cache; past ``_TABLE_LIMIT`` tables the first, built or grown
-    longest ago, is dropped.
-    """
-    with _TABLE_LOCK:
-        nodes = _TABLES.pop(h, ())
-        if len(nodes) < count:
-            sinh, cosh = math.sinh, math.cosh
-            grown = []
-            for k in range(len(nodes) + 1, count + 1):
-                t = k * h
-                s = sinh(t)
-                grown.append((s * s, cosh(t)))
-            nodes += tuple(grown)
-        while len(_TABLES) >= _TABLE_LIMIT:
-            del _TABLES[next(iter(_TABLES))]
-        _TABLES[h] = nodes
-    return nodes
 
 
 def _step(z: float) -> tuple[float, int, float, float]:
@@ -315,6 +287,42 @@ def _step(z: float) -> tuple[float, int, float, float]:
         h = 2.0 ** (-(j + 1) / 16)
     lam = math.log(4.0 * h / eps) + 0.01
     return h, int(math.asinh(math.sqrt(lam) / root_z) / h), y, eps
+
+
+def _nodes(h: float, count: int) -> tuple[tuple[float, float], ...]:
+    """The nodes (sinh^2(k h), cosh(k h)), k = 1 .. count, each from the double t = k h alone."""
+    sinh, cosh = math.sinh, math.cosh
+    nodes = []
+    for k in range(1, count + 1):
+        t = k * h
+        s = sinh(t)
+        nodes.append((s * s, cosh(t)))
+    return tuple(nodes)
+
+
+def _band_tables() -> dict[float, tuple[tuple[float, float], ...]]:
+    """A node table per rung of the policy's trapezoid band, long enough for every z of it.
+
+    h_cert falls with z over the band, so its rungs run from that of its
+    lower edge to that of the largest double below its upper one.  The last
+    node rises as eps or z falls, so the counts take the band's least eps,
+    at its upper edge, and its least z.
+    """
+    low, high = _SMALL_Z_LIMIT, _GAUSS_RULES[0][0]
+    eps = _step(high)[3]
+    j_low = round(-16.0 * math.log2(_step(low)[0]))
+    j_high = round(-16.0 * math.log2(_step(math.nextafter(high, 0.0))[0]))
+    tables = {}
+    for j in range(j_low, j_high + 1):
+        h = 2.0 ** (-j / 16)
+        lam = math.log(4.0 * h / eps) + 0.01
+        tables[h] = _nodes(h, int(math.asinh(math.sqrt(lam) / math.sqrt(low)) / h))
+    return tables
+
+
+# the trapezoid's node tables by step h: 283 nodes on the 9 rungs of the band
+# 0.25 <= z < 30, built once here and never written after, so never locked
+_TABLES = _band_tables()
 
 
 def _small_z_kernel(order: int) -> _Kernel:

@@ -23,8 +23,8 @@ from nigcdf import (
 )
 from nigcdf import oracle
 from nigcdf.cli import _ROUTES
-from nigcdf.expansion import _BAND_EDGES, _BANDS, _SMALL_Z_LIMIT, DEFAULT_KMAX, _series_kernel
-from nigcdf.oracle import _GAUSS_RULES, _kernel
+from nigcdf.expansion import _BAND_EDGES, _BANDS, DEFAULT_KMAX, _series_kernel
+from nigcdf.oracle import _GAUSS_RULES, _SMALL_Z_LIMIT, _kernel
 from nigcdf.selftest import draw_point
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0

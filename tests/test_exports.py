@@ -62,8 +62,9 @@ def test_no_unused_module_level_imports(path):
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # every process pays for what ``import nigcdf`` loads; the records are
-    # NamedTuples, so neither module is needed.  -S keeps site hooks out.
-    code = "import sys, nigcdf; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # NamedTuples, so neither module is needed, and the oracle's node tables
+    # are never written after import, so no lock is.  -S keeps site hooks out.
+    code = "import sys, nigcdf; print(sorted({'dataclasses', 'inspect', 'threading'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nigcdf.__file__).parent.parent)}
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],

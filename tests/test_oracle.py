@@ -34,8 +34,8 @@ from nigcdf import (
     validate,
 )
 from nigcdf import oracle
-from nigcdf.expansion import _BAND_EDGES, _BANDS, _SMALL_Z_LIMIT, _series_kernel
-from nigcdf.oracle import _kernel, _small_z_m
+from nigcdf.expansion import _BAND_EDGES, _BANDS, _series_kernel
+from nigcdf.oracle import _SMALL_Z_LIMIT, _kernel, _small_z_m
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfc, erfcx
 
@@ -380,68 +380,51 @@ def _traced_bytes(run):
     return sum(stat.size for stat in held.statistics("filename"))
 
 
-def test_node_tables_stay_bounded(monkeypatch):
-    # the cache keeps at most _TABLE_LIMIT tables, and under 1 MB of them,
-    # after a sweep over every magnitude of z and after one over the auto
-    # route's trapezoid band; a repeated z builds nothing
-    monkeypatch.setattr(oracle, "_TABLES", {})
+def test_node_tables_cover_the_band_and_never_change():
+    # after import the tables are exactly those of the rungs of the policy's
+    # trapezoid band, each at least as long as any z of the band needs:
+    # seeded z and the doubles either side of each rung edge.  Sweeps over
+    # every magnitude of z and over the band leave the same tables, the same
+    # objects, and the tables take under 1 MB
+    low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
     rng = random.Random(6262)
-    log_z = (math.log(5e-324), math.log(1e300))
-    for z in [math.exp(rng.uniform(*log_z)) for _ in range(10_000)]:
-        _kernel(z, 0.0, 1.0)
-    held = [(h, len(nodes)) for h, nodes in oracle._TABLES.items()]
-    assert len(held) <= oracle._TABLE_LIMIT == 64
-    # tracing slows the kernel's float arithmetic some thirty-fold, so that
-    # sweep ran untraced; its tables are rebuilt at the same steps and
-    # lengths into an empty cache under tracing, as a table's memory
-    # depends on its contents alone
-    oracle._TABLES.clear()
-
-    def rebuild():
-        for h, count in held:
-            oracle._node_table(h, count)
-
-    assert _traced_bytes(rebuild) < 1_000_000
-    assert [(h, len(nodes)) for h, nodes in oracle._TABLES.items()] == held
-    oracle._TABLES.clear()
-    band = [rng.uniform(0.25, 30.0) for _ in range(10_000)]
+    band = sorted([low, math.nextafter(high, 0.0)] + [rng.uniform(low, high) for _ in range(10_000)])
+    assert set(oracle._TABLES) == {oracle._step(z)[0] for z in band}
+    for z in band + _rung_edges(band):
+        h, last, _, _ = oracle._step(z)
+        assert len(oracle._TABLES[h]) >= last, z
+    held = dict(oracle._TABLES)
 
     def sweep():
         for z in band:
             _kernel(z, 0.0, 1.0)
 
     assert _traced_bytes(sweep) < 1_000_000
-    assert len(oracle._TABLES) <= oracle._TABLE_LIMIT
-    built = []
-    build = oracle._node_table
-
-    def counted_build(h, count):
-        built.append(h)
-        return build(h, count)
-
-    monkeypatch.setattr(oracle, "_node_table", counted_build)
-    for z in (5e-324, 1e-3, 0.3, 10.0, 1e300):
-        _kernel(z, 0.5, 0.5)
-        count = len(built)
-        assert _kernel(z, 0.5, 0.5) == _kernel(z, 0.5, 0.5)
-        assert len(built) == count, z
+    # tracing slows the kernel's float arithmetic some thirty-fold, so the
+    # sweep over every magnitude runs untraced
+    log_z = (math.log(5e-324), math.log(1e300))
+    for z in [math.exp(rng.uniform(*log_z)) for _ in range(10_000)]:
+        _kernel(z, 0.0, 1.0)
+    assert oracle._TABLES.keys() == held.keys()
+    assert all(oracle._TABLES[h] is nodes for h, nodes in held.items())
+    rebuilt = []
+    assert _traced_bytes(lambda: rebuilt.append(oracle._band_tables())) < 1_000_000
+    assert rebuilt == [held]
 
 
-def test_node_tables_hold_under_threads(monkeypatch):
-    # six threads on two cores share one cache, switching every microsecond:
-    # from one start they grow the table of tiny z at each call, then evict
-    # past the limit at large z, and every result matches the same call
-    # made alone on an empty cache
+def test_node_tables_hold_under_threads():
+    # six threads on two cores, switching every microsecond, each on z below,
+    # inside and above the policy's trapezoid band: every result equals the
+    # same call made alone
     rng = random.Random(7373)
     log_z = (math.log(1e-300), math.log(1e-2))
     zs = [
         sorted((math.exp(rng.uniform(*log_z)) for _ in range(100)), reverse=True)
+        + [rng.uniform(_SMALL_Z_LIMIT, 30.0) for _ in range(100)]
         + [math.exp(rng.uniform(math.log(30.0), math.log(1e300))) for _ in range(100)]
         for _ in range(6)
     ]
-    monkeypatch.setattr(oracle, "_TABLES", {})
     expected = [[_kernel(z, 0.3, 0.7) for z in part] for part in zs]
-    oracle._TABLES.clear()
     got = [None] * len(zs)
     failures = []
     start = threading.Barrier(len(zs))
@@ -466,7 +449,6 @@ def test_node_tables_hold_under_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
     assert got == expected
-    assert len(oracle._TABLES) <= oracle._TABLE_LIMIT
 
 
 def _trapezoid_reference(z, w, h, digits):
