@@ -22,15 +22,8 @@ import sys
 from . import selftest as selftest_mod
 from .errors import ConvergenceError, DomainError, NearTransitionError
 from .coeffs import _check_kmax
-from .expansion import (
-    DEFAULT_KMAX,
-    EvalResult,
-    Method,
-    _auto,
-    _expand,
-    _trapezoid,
-)
-from .oracle import _evaluate, _kernel, _quad_direct, _split
+from .expansion import DEFAULT_KMAX, EvalResult, Method, cdf, cdf_asym
+from .oracle import _TRAPEZOID, _evaluate, _kernel, _quad_direct, _split, cdf_quad_split
 from .params import geometry, transition_point, validate
 
 __all__ = ["main", "run"]
@@ -71,13 +64,15 @@ def _direct(p, g) -> EvalResult:
     return EvalResult(value, Method.QUAD_DIRECT, 0, error)
 
 
-# eval --method: each choice and the route it names, called as route(p, g, kmax)
-# on the geometry that also gives the record its z
+# eval --method: each choice and the route it names, called as
+# route(p, x, g, kmax), g the geometry that also gives the record its z.  The
+# split routes compute their own, in ``oracle._evaluate``; the direct oracle
+# takes g
 _ROUTES = {
-    "auto": lambda p, g, kmax: _auto(g),
-    "asym": lambda p, g, kmax: _expand(g, kmax, False),
-    "quad-split": lambda p, g, kmax: _trapezoid(g),
-    "quad-direct": lambda p, g, kmax: _direct(p, g),
+    "auto": lambda p, x, g, kmax: cdf(p, x),
+    "asym": lambda p, x, g, kmax: cdf_asym(p, x, kmax),
+    "quad-split": lambda p, x, g, kmax: _evaluate(p, x, False, _TRAPEZOID, ()),
+    "quad-direct": lambda p, x, g, kmax: _direct(p, g),
 }
 
 
@@ -86,7 +81,7 @@ def _cmd_eval(args) -> int:
     # outside input, so refused on every method, not only on the one that reads it
     kmax = _check_kmax(args.kmax)
     g = geometry(p, args.x)
-    result = _ROUTES[args.method](p, g, kmax)
+    result = _ROUTES[args.method](p, args.x, g, kmax)
     record = {
         "x": args.x,
         "F": result.value,
@@ -116,8 +111,8 @@ def _cmd_table1(args) -> int:
         p = validate(_BENCH_ALPHA, beta, _BENCH_MU, _BENCH_DELTA)
         x0 = transition_point(p)
         g = geometry(p, x0)
-        f_asym = _expand(g, kmax, False).value
-        f_oracle = _evaluate(g, False, _kernel)[0]
+        f_asym = cdf_asym(p, x0, kmax).value
+        f_oracle = cdf_quad_split(p, x0)
         row = (beta, x0, f_asym, f_oracle, g.z, abs(f_asym - f_oracle))
         print(",".join(f"{v:.17g}" for v in row))
     return 0
@@ -133,12 +128,11 @@ def _cmd_figure1(args) -> int:
     n = args.points
     for i in range(n):
         x = 20.0 * i / (n - 1)
-        gs = [geometry(p, x) for p in params]
         # the policy computes the smaller of F and G first on every z band,
         # which keeps the emitted curve monotone through the saturated tails
-        fs = [_auto(g).value for g in gs]
+        fs = [cdf(p, x).value for p in params]
         # the minus part of the primary oracle's split, certified at every z
-        fminus = [_split(g, False, _kernel)[1] for g in gs]
+        fminus = [_split(geometry(p, x), False, _kernel)[1] for p in params]
         print(",".join(f"{v:.17g}" for v in [x, *fs, *fminus]))
     return 0
 

@@ -13,8 +13,11 @@ one signed form on both sides of w_minus = 0.  An expansion at a z so
 small that a series leaves the double range raises DomainError naming z
 and kmax.
 
-The public functions are thin callers: they check their arguments, build
-the geometry from (p, x), and call the split.  ``cdf(p, x)`` is the
+The public functions are thin callers: each checks its own arguments and
+makes one call to ``oracle._evaluate(p, x, side, bands, edges)``, which
+builds the geometry from (p, x), reads (kernel, method, work) from
+``bands`` by z and calls the split; ``cdf_asym`` and ``sf_asym`` pass one
+band, the series kernel at their kmax.  ``cdf(p, x)`` is the
 evaluation policy and takes no other argument: it gives each z band the
 split with its own kernel, whatever w_minus, read from one table of bands
 by their lower z edges, built at import: below z = 0.25 a convergent
@@ -33,13 +36,11 @@ The paper's series, at the order asked for, serves only ``cdf_asym`` and
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from enum import Enum
-from typing import NamedTuple
 
 from .coeffs import _check_kmax, _row_values
 from .errors import DomainError
-from .params import Geometry, Parameters, geometry
+from .oracle import EvalResult, Method, _evaluate
+from .params import Parameters
 from . import oracle
 
 __all__ = [
@@ -52,48 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 5
-
-
-class Method(Enum):
-    UNIFORM_ASYM = "uniform_asym"
-    QUAD_SPLIT = "quad_split"
-    QUAD_DIRECT = "quad_direct"
-    SMALL_Z_SERIES = "small_z_series"
-    GAUSS_SPLIT = "gauss_split"
-
-
-# a NamedTuple, not a frozen dataclass, for the reason given at params.Parameters
-class EvalResult(NamedTuple):
-    """One evaluation: probability, route taken, and an error estimate.
-
-    ``error_estimate`` is, on the four split routes (UNIFORM_ASYM,
-    GAUSS_SPLIT, SMALL_Z_SERIES and QUAD_SPLIT), |c_plus| dK_plus +
-    |c_minus| dK_minus: each remainder kernel's error measure, weighted as
-    the kernel enters the value.  The asymptotic series' dK is the
-    magnitude of its last retained term, a heuristic rather than a bound;
-    the Gauss rule's is 2^-53 K, the trapezoid's 2^-53 times a lower bound
-    on K, and the convergent small-z series' a majorant of its omitted
-    terms as they enter K, at most 2^-53 K: bounds that hold before
-    rounding rather than measured changes.  Where |w_minus| < 1e-13 the
-    split drops F_minus, and the estimate adds E |w_minus| / pi,
-    E = e^{z sigma_plus^2}, which bounds the dropped term to first order.
-    On QUAD_DIRECT it is the change of the integral in the last step
-    halving, at most 1e-12.  Each includes the distance by which the value
-    was clamped into [0, 1].
-    ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
-    and the order its z band sums, 1 to 11, on SMALL_Z_SERIES; the node
-    count its z band sums, 8 down to 1, on GAUSS_SPLIT; 0 on the
-    quadrature routes.
-    ``complemented`` records that the value was produced as 1 minus the
-    directly computed complement: on ``cdf``, at every point with
-    zeta_plus < 0, right of the transition point.
-    """
-
-    value: float
-    method: Method
-    kmax_used: int
-    error_estimate: float
-    complemented: bool = False
 
 
 def _series_kernel(kmax: int) -> oracle._Kernel:
@@ -135,26 +94,16 @@ def _series_kernel(kmax: int) -> oracle._Kernel:
     return kernel
 
 
-def _expand(g: Geometry, kmax: int, upper: bool) -> EvalResult:
-    """F (or G when ``upper``) by the split with the series kernel, clamped to [0, 1]."""
-    value, error = oracle._evaluate(g, upper, _series_kernel(kmax))
-    return tuple.__new__(EvalResult, (value, Method.UNIFORM_ASYM, kmax, error, False))
-
-
 def cdf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     """F by the asymptotic expansions alone, clamped to [0, 1]."""
-    return _expand(geometry(p, x), _check_kmax(kmax), False)
+    band = (_series_kernel(_check_kmax(kmax)), Method.UNIFORM_ASYM, kmax)
+    return _evaluate(p, x, False, (band,), ())
 
 
 def sf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     """G = 1 - F by the asymptotic expansions alone, clamped to [0, 1]."""
-    return _expand(geometry(p, x), _check_kmax(kmax), True)
-
-
-def _trapezoid(g: Geometry) -> EvalResult:
-    """F by the split with the trapezoid kernel of the quadrature oracle, at any z."""
-    value, error = oracle._evaluate(g, False, oracle._kernel)
-    return tuple.__new__(EvalResult, (value, Method.QUAD_SPLIT, 0, error, False))
+    band = (_series_kernel(_check_kmax(kmax)), Method.UNIFORM_ASYM, kmax)
+    return _evaluate(p, x, True, (band,), ())
 
 
 # the z bands of ``cdf``: band i holds the z from _BAND_EDGES[i - 1] (from 0
@@ -167,22 +116,12 @@ _BANDS = (
         (oracle._small_z_kernel(order), Method.SMALL_Z_SERIES, order)
         for order in range(1, len(oracle._SMALL_Z_EDGES) + 2)
     ),
-    (oracle._kernel, Method.QUAD_SPLIT, 0),
+    *oracle._TRAPEZOID,
     *(
         (oracle._gauss_kernel(rule), Method.GAUSS_SPLIT, len(rule))
         for _, rule in oracle._GAUSS_RULES
     ),
 )
-
-
-def _auto(g: Geometry) -> EvalResult:
-    """The policy of ``cdf`` at ``g = geometry(p, x)``: 1 - G wherever zeta_plus < 0."""
-    kernel, method, work = _BANDS[bisect_right(_BAND_EDGES, g.z)]
-    right = g.zeta_plus < 0.0
-    value, error = oracle._evaluate(g, right, kernel)
-    if right:
-        value = 1.0 - value
-    return tuple.__new__(EvalResult, (value, method, work, error, right))
 
 
 def cdf(p: Parameters, x: float) -> EvalResult:
@@ -198,9 +137,10 @@ def cdf(p: Parameters, x: float) -> EvalResult:
     right of the transition point (zeta_plus < 0), so the smaller function
     is the one computed.  Every split route calls its
     kernel as ``kernel(z, w_plus, |w_minus|)`` and reports the estimate
-    described at ``EvalResult``.  ``geometry`` checks x and is computed
-    once.  The other routes have their own functions: the paper's series
-    to a chosen order in ``cdf_asym`` and ``sf_asym``, the quadrature
-    oracles in ``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.
+    described at ``EvalResult``.  One call to ``oracle._evaluate`` checks
+    x, computes the geometry once and picks the band.  The other routes
+    have their own functions: the paper's series to a chosen order in
+    ``cdf_asym`` and ``sf_asym``, the quadrature oracles in
+    ``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.
     """
-    return _auto(geometry(p, x))
+    return _evaluate(p, x, None, _BANDS, _BAND_EDGES)

@@ -11,7 +11,13 @@ and the trapezoid ``_kernel``, for the policy between the two, and for
 the primary oracle ``cdf_quad_split`` at every z; the judge that shares
 no rule with any split route is the direct oracle ``cdf_quad_direct``.
 Below |w_minus| = 1e-13 the split drops the minus part, and its error
-estimate takes E |w_minus| / pi for what it dropped.
+estimate takes E |w_minus| / pi for what it dropped.  Every split route
+reaches ``_split`` through one evaluator, ``_evaluate(p, x, side, bands,
+edges)``: it computes the geometry by ``params._geometry``, takes the
+kernel of x's z band from a table of bands, clamps the value into [0, 1]
+and, for the policy, returns 1 - G right of the transition point.  A
+forced route passes a table of one band, ``_TRAPEZOID`` for
+``cdf_quad_split``.
 
 Each of the policy's kernels does the least work that its z band needs:
 the bands' lower edges in ``_GAUSS_RULES`` and ``_SMALL_Z_EDGES`` are
@@ -54,10 +60,13 @@ whose residue is 1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable
+from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConvergenceError, NearTransitionError
-from .params import Geometry, Parameters, _require_finite, geometry, validate
+from .params import Geometry, Parameters, _geometry, _require_finite, geometry, validate
 from .special import _erfcx
 
 __all__ = [
@@ -80,6 +89,51 @@ _NODE_BUDGET = 4096
 _TARGET_REL = 2.0**-53
 # kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus)
 _Kernel = Callable[[float, float, float], tuple[float, float, float, float]]
+
+
+class Method(Enum):
+    UNIFORM_ASYM = "uniform_asym"
+    QUAD_SPLIT = "quad_split"
+    QUAD_DIRECT = "quad_direct"
+    SMALL_Z_SERIES = "small_z_series"
+    GAUSS_SPLIT = "gauss_split"
+
+
+# a NamedTuple, not a frozen dataclass, for the reason given at params.Parameters;
+# defined here, where ``_evaluate`` builds it, and exported by ``expansion``
+class EvalResult(NamedTuple):
+    """One evaluation: probability, route taken, and an error estimate.
+
+    ``error_estimate`` is, on the four split routes (UNIFORM_ASYM,
+    GAUSS_SPLIT, SMALL_Z_SERIES and QUAD_SPLIT), |c_plus| dK_plus +
+    |c_minus| dK_minus: each remainder kernel's error measure, weighted as
+    the kernel enters the value.  The asymptotic series' dK is the
+    magnitude of its last retained term, a heuristic rather than a bound;
+    the Gauss rule's is 2^-53 K, the trapezoid's 2^-53 times a lower bound
+    on K, and the convergent small-z series' a majorant of its omitted
+    terms as they enter K, at most 2^-53 K: bounds that hold before
+    rounding rather than measured changes.  Where |w_minus| < 1e-13 the
+    split drops F_minus, and the estimate adds E |w_minus| / pi,
+    E = e^{z sigma_plus^2}, which bounds the dropped term to first order.
+    On QUAD_DIRECT it is the change of the integral in the last step
+    halving, at most 1e-12.  Each includes the distance by which the value
+    was clamped into [0, 1].
+    ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
+    and the order its z band sums, 1 to 11, on SMALL_Z_SERIES; the node
+    count its z band sums, 8 down to 1, on GAUSS_SPLIT; 0 on the
+    quadrature routes.
+    ``complemented`` records that the value was produced as 1 minus the
+    directly computed complement: on ``cdf``, at every point with
+    zeta_plus < 0, right of the transition point.
+    """
+
+    value: float
+    method: Method
+    kmax_used: int
+    error_estimate: float
+    complemented: bool = False
+
+
 # the lower z edges of the orders 2 .. 11 of ``_small_z_kernel``: order N
 # serves z from its edge to the next, order 1 below the first and order 11 up
 # to the crossover 0.25.  Each edge is the largest z at which order N - 1
@@ -304,24 +358,27 @@ def _band_tables() -> dict[float, tuple[tuple[float, float], ...]]:
     """A node table per rung of the policy's trapezoid band, long enough for every z of it.
 
     h_cert falls with z over the band, so its rungs run from that of its
-    lower edge to that of the largest double below its upper one.  The last
-    node rises as eps or z falls, so the counts take the band's least eps,
-    at its upper edge, and its least z.
+    lower edge on, one per edge of ``_RUNG_LOW_EDGES``.  On a rung the last
+    node, int(asinh(sqrt(Lambda / z)) / h), falls as z rises: Lambda grows
+    only like ln z.  So each table is sized at the rung's lower edge, with
+    that edge's eps.
     """
-    low, high = _SMALL_Z_LIMIT, _GAUSS_RULES[0][0]
-    eps = _step(high)[3]
-    j_low = round(-16.0 * math.log2(_step(low)[0]))
-    j_high = round(-16.0 * math.log2(_step(math.nextafter(high, 0.0))[0]))
+    j_low = round(-16.0 * math.log2(_step(_SMALL_Z_LIMIT)[0]))
     tables = {}
-    for j in range(j_low, j_high + 1):
+    for j, low in enumerate(_RUNG_LOW_EDGES, j_low):
         h = 2.0 ** (-j / 16)
-        lam = math.log(4.0 * h / eps) + 0.01
+        lam = math.log(4.0 * h / _step(low)[3]) + 0.01
         tables[h] = _nodes(h, int(math.asinh(math.sqrt(lam) / math.sqrt(low)) / h))
     return tables
 
 
-# the trapezoid's node tables by step h: 283 nodes on the 9 rungs of the band
-# 0.25 <= z < 30, built once here and never written after, so never locked
+# the least z on each rung of ``_step``'s ladder in the policy's trapezoid band
+# 0.25 <= z < 30, rounded down to three digits: the band's lower edge, then
+# the rungs j = 50 .. 57, whose first doubles are 1.9356, 4.8701, 8.2257,
+# 11.872, 15.764, 19.886, 24.230 and 28.797
+_RUNG_LOW_EDGES = (_SMALL_Z_LIMIT, 1.93, 4.87, 8.22, 11.8, 15.7, 19.8, 24.2, 28.7)
+# the trapezoid's node tables by step h: 132 nodes on the 9 rungs of the band,
+# as many as its z need, built once here and never written after, so never locked
 _TABLES = _band_tables()
 
 
@@ -478,16 +535,25 @@ def _gauss_kernel(rule: tuple[tuple[float, float], ...]) -> _Kernel:
     return kernel
 
 
+# the trapezoid as a one-band table of ``_evaluate``, for ``cdf_quad_split``
+# and ``eval --method quad-split``; ``expansion._BANDS`` takes it between the
+# small-z and Gauss bands
+_TRAPEZOID = ((_kernel, Method.QUAD_SPLIT, 0),)
+
+
 def cdf_quad_split(p: Parameters, x: float) -> float:
     """High-accuracy CDF by ``_split`` with the trapezoid ``_kernel``; valid for every z > 0.
 
     The kernel's step is certified in advance to 2^-53 of K.
     """
-    return _evaluate(geometry(p, x), False, _kernel)[0]
+    return _evaluate(p, x, False, _TRAPEZOID, ())[0]
 
 
-def _split(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float, float]:
+def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, float, float]:
     """The exact erfc split at one geometry, each remainder K(z, w) taken from ``kernel``.
+
+    ``g`` holds the fields of ``Geometry`` in order: the plain tuple of
+    ``params._geometry`` or the record itself.
 
     With E = e^{z sigma_plus^2} <= 1, weights c = s E / (2 pi) for each part
     and sgn = sign(w_minus):
@@ -531,16 +597,38 @@ def _split(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float, flo
     return plus, minus, error
 
 
-def _evaluate(g: Geometry, upper: bool, kernel: _Kernel) -> tuple[float, float]:
-    """F, or G when ``upper``, by ``_split`` clamped to [0, 1], and its error estimate.
+def _evaluate(
+    p: Parameters,
+    x: float,
+    side: bool | None,
+    bands: tuple[tuple[_Kernel, Method, int], ...],
+    edges: tuple[float, ...],
+) -> EvalResult:
+    """The one evaluator of every split route: F or G at x by ``_split``, clamped to [0, 1].
 
-    The estimate is the weighted kernel error of ``_split`` plus the
-    distance by which the value was clamped.
+    Checks x and computes the geometry once, by ``params._geometry``, then
+    takes (kernel, method, work) = ``bands[bisect_right(edges, z)]``: the
+    bands by their lower z edges, ``edges = ()`` for a one-band table.
+    ``side`` False gives F and True gives G; ``side`` None is the policy of
+    ``expansion.cdf``, which computes G and returns 1 - G where
+    zeta_plus < 0, right of the transition point, and F elsewhere, and
+    reports that flip as ``complemented``.  The estimate is the weighted
+    kernel error of ``_split`` plus the distance by which the value was
+    clamped.
     """
+    g = _geometry(p, x)
+    kernel, method, work = bands[bisect_right(edges, g[3])]  # z
+    if side is None:
+        upper = flip = g[8] < 0.0  # zeta_plus
+    else:
+        upper, flip = side, False
     plus, minus, error = _split(g, upper, kernel)
     raw = plus - minus if upper else plus + minus
     value = min(1.0, max(0.0, raw))
-    return value, error + abs(raw - value)
+    error += abs(raw - value)
+    if flip:
+        value = 1.0 - value
+    return tuple.__new__(EvalResult, (value, method, work, error, flip))
 
 
 def cdf_quad_direct(p: Parameters, x: float) -> float:

@@ -6,7 +6,9 @@ evaluation method in this package works in polar-style coordinates derived
 from the point ``x``: a radius ``omega``, two angles ``nu`` and ``tau``, and
 the large parameter ``z = 2*alpha*omega``.  This module validates parameters
 and computes those quantities once, so the expansion and quadrature code can
-stay purely algebraic.
+stay purely algebraic.  ``_geometry`` holds that arithmetic and returns a
+plain tuple, which the split's evaluator ``oracle._evaluate`` takes; the
+public ``geometry`` wraps the same tuple in the ``Geometry`` record.
 """
 
 from __future__ import annotations
@@ -122,27 +124,35 @@ def geometry(p: Parameters, x: float) -> Geometry:
     ``nu`` is taken in (0, pi) via a two-argument arctangent so that one code
     path serves both signs of ``xi = x - mu``.  Raises DomainError when
     x is not finite, or when ``z = 2*alpha*omega`` underflows to 0 or
-    overflows to inf for valid parameters.
+    overflows to inf for valid parameters.  The record of ``_geometry``.
+    """
+    return tuple.__new__(Geometry, _geometry(p, x))
+
+
+def _geometry(p: Parameters, x: float) -> tuple[float, ...]:
+    """The fields of ``geometry(p, x)`` in order, as a plain tuple; the same checks.
+
+    The package's one copy of the geometry arithmetic.  The split routes
+    take this tuple rather than the record: CPython unpacks an exact tuple
+    on a specialised path, and a NamedTuple generically.
     """
     x = _require_finite("x", x)
-    xi = x - p.mu
-    omega = math.hypot(xi, p.delta)
-    nu = math.atan2(p.delta, xi)
-    z = 2.0 * p.alpha * omega
+    alpha, _, mu, delta, _, tau = p
+    xi = x - mu
+    omega = math.hypot(xi, delta)
+    nu = math.atan2(delta, xi)
+    z = 2.0 * alpha * omega
     # every route divides by z or takes it into an erfc argument
     if not 0.0 < z < math.inf:
         raise DomainError(
             f"z = 2*alpha*omega = {z!r} leaves the positive double range "
-            f"(alpha = {p.alpha!r}, omega = {omega!r})"
+            f"(alpha = {alpha!r}, omega = {omega!r})"
         )
-    half_diff = 0.5 * (nu - p.tau)
-    half_sum = 0.5 * (nu + p.tau)
+    half_diff = 0.5 * (nu - tau)
+    half_sum = 0.5 * (nu + tau)
     s_plus = math.sin(half_diff)
     w_plus = math.cos(half_diff)
     s_minus = math.sin(half_sum)
     w_minus = math.cos(half_sum)
     sqrt_z = math.sqrt(z)
-    # tuple.__new__ skips the NamedTuple's generated __new__, a Python-level call
-    return tuple.__new__(Geometry, (
-        xi, omega, nu, z, s_plus, s_minus, w_plus, w_minus, s_plus * sqrt_z, s_minus * sqrt_z,
-    ))
+    return xi, omega, nu, z, s_plus, s_minus, w_plus, w_minus, s_plus * sqrt_z, s_minus * sqrt_z

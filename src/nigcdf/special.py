@@ -29,18 +29,6 @@ __all__ = ["erfc", "erfcx"]
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
-def _split_exp(x: float) -> float:
-    """e^{x^2} with the argument split for accuracy.
-
-    ``x_h = round(512 x)/512`` makes ``x_h^2`` exact in double precision for
-    the magnitudes used here, so the only rounding left sits in a correction
-    factor near one.
-    """
-    xh = round(x * 512.0) / 512.0
-    xl = x - xh
-    return math.exp(xh * xh) * math.exp(xl * (x + xh))
-
-
 def erfc(x: float) -> float:
     """Complementary error function for finite real x; DomainError otherwise.
 
@@ -68,7 +56,10 @@ def _erfcx(x: float) -> float:
     The product form on [0, 26]; above, sum_{k<=8} (-1)^k (2k-1)!! t^k
     / (x sqrt(pi)), t = 1/(2 x^2), by Horner.  Against 40-digit mpmath the
     worst relative error seen is 4.6e-16 on [0, 26] and 2.5e-16 on [26, 1e300].
-    Once x*x overflows, t is 0 and the value is 1/(x sqrt(pi)).
+    Once x*x overflows, t is 0 and the value is 1/(x sqrt(pi)).  The product
+    form takes e^{x^2} with the argument split: ``x_h = round(512 x)/512``
+    makes ``x_h^2`` exact in double precision for x <= 26, so the only
+    rounding left sits in a correction factor near one.
     """
     if x > 26.0:
         t = 0.5 / (x * x)
@@ -76,4 +67,6 @@ def _erfcx(x: float) -> float:
             -945.0 + t * (10395.0 + t * (-135135.0 + t * 2027025.0)))))))
         # x * sqrt(pi) would overflow for x above DBL_MAX / sqrt(pi)
         return poly * _INV_SQRT_PI / x
-    return _split_exp(x) * math.erfc(x)
+    xh = round(x * 512.0) / 512.0
+    xl = x - xh
+    return math.exp(xh * xh) * math.exp(xl * (x + xh)) * math.erfc(x)

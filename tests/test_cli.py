@@ -10,7 +10,7 @@ import pytest
 from nigcdf.cli import main, run
 from nigcdf.expansion import _BAND_EDGES, _BANDS, Method
 from nigcdf.oracle import _split
-from nigcdf.params import geometry, validate
+from nigcdf.params import _geometry, geometry, validate
 from nigcdf.selftest import run_all
 
 EVAL_BASE = ["eval", "--alpha", "8", "--beta", "2", "--mu", "3", "--delta", "2"]
@@ -224,37 +224,53 @@ def test_figure1_minus_column_is_the_minus_part_of_the_split(capsys):
 
 
 def _count_geometry_calls(monkeypatch):
-    calls = []
+    """The x of each ``Geometry`` record built, and of each geometry a split route computes.
 
-    def counted(p, x):
-        calls.append(x)
+    Every split route computes its own geometry, by ``params._geometry``
+    inside ``oracle._evaluate``; the CLI builds the record for what it
+    prints and for the routes that take one.
+    """
+    records, routes = [], []
+
+    def record(p, x):
+        records.append(x)
         return geometry(p, x)
 
-    for module in ("cli", "expansion", "oracle"):
-        monkeypatch.setattr(f"nigcdf.{module}.geometry", counted)
-    return calls
+    def route(p, x):
+        routes.append(x)
+        return _geometry(p, x)
+
+    for module in ("cli", "oracle"):
+        monkeypatch.setattr(f"nigcdf.{module}.geometry", record)
+    monkeypatch.setattr("nigcdf.oracle._geometry", route)
+    return records, routes
 
 
 @pytest.mark.parametrize("method", ["auto", "asym", "quad-split", "quad-direct"])
 @pytest.mark.parametrize("x", ["5", "1"])
 def test_eval_computes_the_geometry_once(monkeypatch, capsys, method, x):
-    # both points take the Gauss route under auto, x = 1 at w_minus < 0
-    calls = _count_geometry_calls(monkeypatch)
+    # both points take the Gauss route under auto, x = 1 at w_minus < 0: one
+    # record, and one geometry in the split route if the method takes one
+    records, routes = _count_geometry_calls(monkeypatch)
     assert main(EVAL_BASE + ["--x", x, "--method", method]) == 0
-    assert calls == [float(x)]
+    assert records == [float(x)]
+    assert routes == ([] if method == "quad-direct" else [float(x)])
 
 
 @pytest.mark.parametrize("n", [2, 7])
 def test_figure1_computes_one_geometry_per_curve_point(monkeypatch, capsys, n):
-    calls = _count_geometry_calls(monkeypatch)
+    # a record for the minus column, and one geometry in the policy's route
+    records, routes = _count_geometry_calls(monkeypatch)
     assert main(["figure1", "--points", str(n)]) == 0
-    assert len(calls) == 3 * n
+    assert len(records) == len(routes) == 3 * n
 
 
 def test_table1_computes_one_geometry_per_row(monkeypatch, capsys):
-    calls = _count_geometry_calls(monkeypatch)
+    # a record for z, and one geometry in each of the two split routes
+    records, routes = _count_geometry_calls(monkeypatch)
     assert main(["table1"]) == 0
-    assert len(calls) == 3
+    assert len(records) == 3
+    assert len(routes) == 6
 
 
 def test_selftest_passes_with_default_seed(capsys):

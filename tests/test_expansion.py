@@ -1,7 +1,9 @@
 """Asymptotic expansions against the quadrature oracle and each other."""
 
 import math
+import os
 import random
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 from nigcdf import (
     DomainError,
     EvalResult,
+    Geometry,
     Method,
     NigError,
     cdf,
@@ -25,6 +28,7 @@ from nigcdf import oracle
 from nigcdf.cli import _ROUTES
 from nigcdf.expansion import _BAND_EDGES, _BANDS, DEFAULT_KMAX, _series_kernel
 from nigcdf.oracle import _GAUSS_RULES, _SMALL_Z_LIMIT, _kernel
+from nigcdf.params import _geometry
 from nigcdf.selftest import draw_point
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
@@ -196,7 +200,7 @@ def test_every_route_returns_a_complete_eval_result():
         results = [cdf(p, x), cdf_asym(p, x), sf_asym(p, x)]
         for route in _ROUTES.values():
             try:
-                results.append(route(p, geometry(p, x), DEFAULT_KMAX))
+                results.append(route(p, x, geometry(p, x), DEFAULT_KMAX))
             except NigError:
                 pass
         for r in results:
@@ -308,7 +312,7 @@ def test_policy_forced_methods():
         cdf(p, 5.0, kmax=DEFAULT_KMAX)
     assert cdf_asym(p, 5.0).method is Method.UNIFORM_ASYM
     g = geometry(p, 5.0)
-    taken = {m: _ROUTES[m](p, g, DEFAULT_KMAX).method for m in _ROUTES}
+    taken = {m: _ROUTES[m](p, 5.0, g, DEFAULT_KMAX).method for m in _ROUTES}
     assert taken == {"auto": Method.GAUSS_SPLIT, "asym": Method.UNIFORM_ASYM,
                      "quad-split": Method.QUAD_SPLIT, "quad-direct": Method.QUAD_DIRECT}
 
@@ -474,18 +478,22 @@ def test_auto_routes_take_the_routes_they_name():
 def test_cdf_computes_the_geometry_once(monkeypatch, entry, x):
     # cdf: a complemented Gauss point, and two Gauss points, one at w_minus < 0;
     # cdf_quad_direct on both sides of the transition, nu < tau at x = 20, and
-    # without validating the parameters again
+    # without validating the parameters again.  cdf computes its geometry in
+    # oracle._evaluate, as a plain tuple; cdf_quad_direct takes the record
     calls = []
 
-    def counted(p, x):
-        calls.append(x)
-        return geometry(p, x)
+    def counted(build):
+        def wrapper(p, x):
+            calls.append(x)
+            return build(p, x)
+
+        return wrapper
 
     def refused(*args):
         raise AssertionError("validate called inside cdf")
 
-    monkeypatch.setattr("nigcdf.expansion.geometry", counted)
-    monkeypatch.setattr("nigcdf.oracle.geometry", counted)
+    monkeypatch.setattr("nigcdf.oracle._geometry", counted(_geometry))
+    monkeypatch.setattr("nigcdf.oracle.geometry", counted(geometry))
     monkeypatch.setattr("nigcdf.oracle.validate", refused)
     entry(_bench(2.0), x)
     assert calls == [x]
@@ -527,3 +535,154 @@ def test_cdf_routes_on_x_as_a_float():
         r = cdf(p, x)
         assert r.method is Method.GAUSS_SPLIT
         assert r.complemented == (float(x) > x0)
+
+
+def _layered(p, x, side, bands, edges):
+    """A split route as layers: the ``Geometry`` record, its band, ``oracle._split``, clamp, flip.
+
+    ``side`` as at ``oracle._evaluate``: False for F, True for G, None for
+    the policy of ``cdf``, which flips G to 1 - G right of x0.
+    """
+    g = geometry(p, x)
+    kernel, method, work = bands[bisect_right(edges, g.z)]
+    upper = g.zeta_plus < 0.0 if side is None else side
+    plus, minus, error = oracle._split(g, upper, kernel)
+    raw = plus - minus if upper else plus + minus
+    value = min(1.0, max(0.0, raw))
+    error += abs(raw - value)
+    flip = side is None and upper
+    return EvalResult(1.0 - value if flip else value, method, work, error, flip)
+
+
+def _layered_cdf(p, x):
+    """``cdf`` as layers: ``geometry``, ``_BANDS`` by z, ``oracle._split``, clamp and flip."""
+    return _layered(p, x, None, _BANDS, _BAND_EDGES)
+
+
+def _same_result(r, ref):
+    return (
+        type(r) is EvalResult
+        and r.value.hex() == ref.value.hex()
+        and r.method is ref.method
+        and r.kmax_used == ref.kmax_used
+        and r.error_estimate.hex() == ref.error_estimate.hex()
+        and r.complemented is ref.complemented
+    )
+
+
+def _points_on_every_band(rng, per_band=12):
+    """Seeded points with z log-uniform inside each band of ``cdf``, x on both sides of x0."""
+    points = []
+    for low, high in zip((1e-9, *_BAND_EDGES), (*_BAND_EDGES, 1e12)):
+        for _ in range(per_band):
+            z = math.exp(rng.uniform(math.log(low), math.log(high)))
+            delta = math.exp(rng.uniform(-2.0, 2.0))
+            xi = delta * rng.uniform(-5.0, 5.0)
+            alpha = z / (2.0 * math.hypot(xi, delta))
+            p = validate(alpha, alpha * rng.uniform(-0.9, 0.9), rng.uniform(-3.0, 3.0), delta)
+            points.append((p, p.mu + xi))
+    return points
+
+
+def test_every_split_route_equals_its_layered_form_field_for_field():
+    # the one evaluator gives, bit for bit, what the geometry record, the
+    # band table, the split, the clamp and the flip give as separate layers:
+    # on every band of cdf (small-z orders 1 to 11, the trapezoid, Gauss
+    # rules of 8 nodes down to 1), both sides of x0, a point with
+    # |w_minus| < 1e-13, where the split drops the minus part, and one
+    # where exp(-z s_plus^2) underflows to 0
+    rng = random.Random(3131)
+    points = _points_on_every_band(rng)
+    tiny_w = validate(8.0, 2.0, 3.0, 2.0)
+    tiny_w_x = 3.0 - 2.0 * 2.0 / tiny_w.gamma  # nu + tau = pi
+    assert abs(geometry(tiny_w, tiny_w_x).w_minus) < 1e-13
+    far = validate(8.0, 2.0, 3.0, 2.0)
+    g_far = geometry(far, 2000.0)
+    assert math.exp(-g_far.z * (g_far.s_plus * g_far.s_plus)) == 0.0
+    points += [(tiny_w, tiny_w_x), (far, 2000.0)]
+    taken = set()
+    series = (_series_kernel(DEFAULT_KMAX), Method.UNIFORM_ASYM, DEFAULT_KMAX)
+    for p, x in points:
+        r = cdf(p, x)
+        assert _same_result(r, _layered_cdf(p, x)), (p, x)
+        taken.add((r.method, r.kmax_used, r.complemented))
+        assert _same_result(cdf_asym(p, x), _layered(p, x, False, (series,), ())), (p, x)
+        assert _same_result(sf_asym(p, x), _layered(p, x, True, (series,), ())), (p, x)
+        quad = _layered(p, x, False, oracle._TRAPEZOID, ())
+        assert cdf_quad_split(p, x).hex() == quad.value.hex(), (p, x)
+    bands = {(method, work) for _, method, work in _BANDS}
+    assert len(bands) == 20
+    assert taken == {(m, w, side) for m, w in bands for side in (False, True)}
+
+
+def test_geometry_keeps_its_record_and_its_errors():
+    # the public record holds the evaluator's plain tuple field for field,
+    # and both refuse a non-finite x and a z outside the double range with
+    # the same messages
+    rng = random.Random(4141)
+    for _ in range(200):
+        p, x = draw_point(rng)
+        g = geometry(p, x)
+        assert type(g) is Geometry and type(_geometry(p, x)) is tuple
+        assert g == _geometry(p, x) and g == Geometry(**g._asdict())
+        xi = x - p.mu
+        omega = math.hypot(xi, p.delta)
+        nu = math.atan2(p.delta, xi)
+        z = 2.0 * p.alpha * omega
+        s_plus, s_minus = math.sin(0.5 * (nu - p.tau)), math.sin(0.5 * (nu + p.tau))
+        expected = (xi, omega, nu, z, s_plus, s_minus, math.cos(0.5 * (nu - p.tau)),
+                    math.cos(0.5 * (nu + p.tau)), s_plus * math.sqrt(z), s_minus * math.sqrt(z))
+        assert tuple(g) == expected
+    p = validate(8.0, 2.0, 3.0, 2.0)
+    cases = [
+        (p, math.inf, "x must be finite, got inf"),
+        (p, math.nan, "x must be finite, got nan"),
+        (validate(1e300, 0.0, 0.0, 1e10), 0.0,
+         "z = 2*alpha*omega = inf leaves the positive double range "
+         "(alpha = 1e+300, omega = 10000000000.0)"),
+        (validate(1e-300, 0.0, 0.0, 1e-300), 0.0,
+         "z = 2*alpha*omega = 0.0 leaves the positive double range "
+         "(alpha = 1e-300, omega = 1e-300)"),
+    ]
+    for q, x, message in cases:
+        for call in (geometry, _geometry, cdf, cdf_asym, sf_asym, cdf_quad_split):
+            with pytest.raises(DomainError) as info:
+                call(q, x)
+            assert str(info.value) == message, call
+
+
+def _package_calls(run):
+    """The functions of ``src/nigcdf`` entered by Python-level calls while ``run()`` runs, in order."""
+    root = os.path.dirname(oracle.__file__)
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_cdf_makes_the_pinned_python_calls_a_point():
+    # the hot path's layers, as a cost: each Python-level call that one cdf
+    # call makes in the package.  A layer added back fails here.  Every point
+    # takes cdf, the evaluator oracle._evaluate, params._geometry with its
+    # _require_finite, oracle._split, the band's kernel and the minus part's
+    # special._erfcx; the trapezoid's kernel calls oracle._step, and the
+    # small-z kernel _small_z_m and _small_z_one for each w
+    p = validate(8.0, 2.0, 3.0, 2.0)
+    head = ["cdf", "_evaluate", "_geometry", "_require_finite", "_split"]
+    assert _package_calls(lambda: cdf(p, 5.0)) == head + ["kernel", "_erfcx"]
+    trapezoid = validate(1.0, 0.2, 0.0, 1.0)
+    assert cdf(trapezoid, 0.5).method is Method.QUAD_SPLIT
+    assert _package_calls(lambda: cdf(trapezoid, 0.5)) == head + ["_kernel", "_step", "_erfcx"]
+    small = validate(0.5, 0.125, 3.0, 0.1)
+    assert cdf(small, 3.0).method is Method.SMALL_Z_SERIES
+    assert _package_calls(lambda: cdf(small, 3.0)) == head + [
+        "kernel", "_small_z_m", "_small_z_one", "_small_z_one", "_erfcx"
+    ]

@@ -383,16 +383,27 @@ def _traced_bytes(run):
 def test_node_tables_cover_the_band_and_never_change():
     # after import the tables are exactly those of the rungs of the policy's
     # trapezoid band, each at least as long as any z of the band needs:
-    # seeded z and the doubles either side of each rung edge.  Sweeps over
-    # every magnitude of z and over the band leave the same tables, the same
-    # objects, and the tables take under 1 MB
+    # seeded z and the doubles either side of each rung edge.  No longer
+    # than that either: in all no more nodes than the largest last node of
+    # each rung, summed (132).  Each rung's committed lower edge is its
+    # first double rounded down by under 1 %.  Sweeps over every magnitude
+    # of z and over the band leave the same tables, the same objects, and
+    # the tables take under 1 MB
     low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
     rng = random.Random(6262)
     band = sorted([low, math.nextafter(high, 0.0)] + [rng.uniform(low, high) for _ in range(10_000)])
     assert set(oracle._TABLES) == {oracle._step(z)[0] for z in band}
-    for z in band + _rung_edges(band):
+    edges = _rung_edges(band)
+    needed = {}
+    for z in band + edges:
         h, last, _, _ = oracle._step(z)
         assert len(oracle._TABLES[h]) >= last, z
+        needed[h] = max(needed.get(h, 0), last)
+    assert sum(map(len, oracle._TABLES.values())) <= sum(needed.values())
+    firsts = [low, *edges[1::2]]
+    assert len(oracle._RUNG_LOW_EDGES) == len(firsts) == len(oracle._TABLES)
+    for edge, first in zip(oracle._RUNG_LOW_EDGES, firsts):
+        assert edge <= first < 1.01 * edge, (edge, first)
     held = dict(oracle._TABLES)
 
     def sweep():
@@ -959,8 +970,7 @@ def test_cdf_has_no_jump_at_a_band_edge(edge, tilt):
         below, above = cdf(p, inner), cdf(p, outer)
         assert (below.method, below.kmax_used) == _BANDS[band][1:]
         assert (above.method, above.kmax_used) == _BANDS[band + 1][1:]
-        g = geometry(p, outer)
-        value = oracle._evaluate(g, above.complemented, _BANDS[band][0])[0]
+        value = oracle._evaluate(p, outer, above.complemented, _BANDS[band : band + 1], ()).value
         if above.complemented:
             value = 1.0 - value
         assert abs(above.value - value) <= 4.5e-16, (side, above, value)
@@ -1121,7 +1131,7 @@ def test_split_route_reports_a_measured_error_estimate():
     rng = random.Random(17)
     for _ in range(40):
         p, x = draw_point(rng)
-        value, error = oracle._evaluate(geometry(p, x), False, oracle._kernel)
+        value, _, _, error, _ = oracle._evaluate(p, x, False, oracle._TRAPEZOID, ())
         assert 0.0 <= error <= 0.5 * _REF_TOL + 1e-15
         gauss = _reference_split_cdf(p, x, _legendre_kernel)
         assert abs(value - gauss) <= 100.0 * (error + 1e-15)
