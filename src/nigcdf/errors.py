@@ -10,7 +10,7 @@ class DomainError(NigError, ValueError):
 
 
 class ConvergenceError(NigError, RuntimeError):
-    """A quadrature rule failed to stabilize within its node budget."""
+    """The direct oracle's trapezoid failed to stabilize within its step halvings."""
 
 
 class NearTransitionError(NigError):

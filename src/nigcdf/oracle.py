@@ -10,13 +10,15 @@ in z built by ``_small_z_kernel``, which that policy takes below z = 0.25;
 and the trapezoid ``_kernel``, for the policy between the two, and for
 the primary oracle ``cdf_quad_split`` at every z; the judge that shares
 no rule with any split route is the direct oracle ``cdf_quad_direct``.
-Below |w_minus| = 1e-13 the split drops the minus part, and its error
-estimate takes E |w_minus| / pi for what it dropped.  Every split route
-reaches ``_split`` through one evaluator, ``_evaluate(p, x, side, bands,
-edges)``: it computes the geometry by ``params._geometry``, takes the
-kernel of x's z band from a table of bands, clamps the value into [0, 1]
-and, for the policy, returns 1 - G right of the transition point.  A
-forced route passes a table of one band, ``_TRAPEZOID`` for
+Below |w_minus| = 1e-13 the split drops the minus part where its bound
+E |w_minus| / pi is no more than the kernel's own bound on that part, as
+the asymptotic series' often is, and its error estimate then takes
+E |w_minus| / pi for what it dropped; elsewhere it keeps it.  Every split
+route reaches ``_split`` through one evaluator, ``_evaluate(p, x, side,
+bands, edges)``: it computes the geometry by ``params._geometry``, takes
+the kernel of x's z band from a table of bands, clamps the value into
+[0, 1] and, for the policy, returns 1 - G right of the transition point.
+A forced route passes a table of one band, ``_TRAPEZOID`` for
 ``cdf_quad_split``.
 
 Each of the policy's kernels does the least work that its z band needs:
@@ -47,7 +49,7 @@ powers of 2^(-1/16); in the policy's band a node's sinh^2 t and cosh t
 come from a table built at import per rung, so it costs one exp and one
 division per integral.  A call takes at most 21 nodes for z >= 1, 39 for
 z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double,
-under a fixed node budget.  This grid is the split oracle's only rule.
+the most at any z.  This grid is the split oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
 directly with a nested trapezoid rule; it degenerates when the poles
@@ -79,12 +81,9 @@ __all__ = [
 _DIRECT_TOL = 1e-12
 _NEAR_TRANSITION_GAP = 0.02
 # below this |w_minus| the two halves of the minus part cancel to within
-# E |w_minus| / pi; ``_split`` takes it as zero and adds that to its estimate
+# E |w_minus| / pi; ``_split`` takes it as zero, and adds that to its
+# estimate, where that is at most the kernel's bound c_minus dK_minus
 _W_MINUS_NEGLIGIBLE = 1e-13
-# node evaluations allowed per trapezoid kernel call, checked before any node
-# is read or computed; the certified step takes at most 131 nodes for
-# z >= 1e-12 and 2,998 at the smallest double z
-_NODE_BUDGET = 4096
 # the trapezoid kernel's error bound, relative to a lower bound on K
 _TARGET_REL = 2.0**-53
 # kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus)
@@ -112,9 +111,12 @@ class EvalResult(NamedTuple):
     the Gauss rule's is 2^-53 K, the trapezoid's 2^-53 times a lower bound
     on K, and the convergent small-z series' a majorant of its omitted
     terms as they enter K, at most 2^-53 K: bounds that hold before
-    rounding rather than measured changes.  Where |w_minus| < 1e-13 the
-    split drops F_minus, and the estimate adds E |w_minus| / pi,
-    E = e^{z sigma_plus^2}, which bounds the dropped term to first order.
+    rounding rather than measured changes.  Where |w_minus| < 1e-13 and
+    E |w_minus| / pi, E = e^{z sigma_plus^2}, which bounds F_minus to first
+    order, is at most |c_minus| dK_minus, the split drops F_minus and
+    reports E |w_minus| / pi in place of |c_minus| dK_minus.  The bounded
+    kernels' dK, near 2^-53 K, allows that only below |w_minus| of about
+    1e-16.
     On QUAD_DIRECT it is the change of the integral in the last step
     halving, at most 1e-12.  Each includes the distance by which the value
     was clamped into [0, 1].
@@ -253,15 +255,10 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
     within 3.0e-16.  Against 40-digit mpmath, K, rounding included, stayed
     within 3.2e-16 relative over 300 seeded calls, z log-uniform over
     [1e-300, 1e16].  A call takes at most 21 nodes for z >= 1, 39 for
-    z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double;
-    past ``_NODE_BUDGET`` nodes it raises ConvergenceError before summing.
+    z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double,
+    the most at any z, so it needs no budget and never raises.
     """
     h, last, _, eps = _step(z)
-    if last >= _NODE_BUDGET:
-        raise ConvergenceError(
-            f"the certified trapezoid step needs {last + 1} nodes at z={z!r}, "
-            f"over the budget of {_NODE_BUDGET}"
-        )
     nodes = _TABLES.get(h, ())
     if len(nodes) < last:
         nodes = _nodes(h, last)
@@ -354,32 +351,18 @@ def _nodes(h: float, count: int) -> tuple[tuple[float, float], ...]:
     return tuple(nodes)
 
 
-def _band_tables() -> dict[float, tuple[tuple[float, float], ...]]:
-    """A node table per rung of the policy's trapezoid band, long enough for every z of it.
-
-    h_cert falls with z over the band, so its rungs run from that of its
-    lower edge on, one per edge of ``_RUNG_LOW_EDGES``.  On a rung the last
-    node, int(asinh(sqrt(Lambda / z)) / h), falls as z rises: Lambda grows
-    only like ln z.  So each table is sized at the rung's lower edge, with
-    that edge's eps.
-    """
-    j_low = round(-16.0 * math.log2(_step(_SMALL_Z_LIMIT)[0]))
-    tables = {}
-    for j, low in enumerate(_RUNG_LOW_EDGES, j_low):
-        h = 2.0 ** (-j / 16)
-        lam = math.log(4.0 * h / _step(low)[3]) + 0.01
-        tables[h] = _nodes(h, int(math.asinh(math.sqrt(lam) / math.sqrt(low)) / h))
-    return tables
-
-
-# the least z on each rung of ``_step``'s ladder in the policy's trapezoid band
-# 0.25 <= z < 30, rounded down to three digits: the band's lower edge, then
-# the rungs j = 50 .. 57, whose first doubles are 1.9356, 4.8701, 8.2257,
-# 11.872, 15.764, 19.886, 24.230 and 28.797
-_RUNG_LOW_EDGES = (_SMALL_Z_LIMIT, 1.93, 4.87, 8.22, 11.8, 15.7, 19.8, 24.2, 28.7)
-# the trapezoid's node tables by step h: 132 nodes on the 9 rungs of the band,
-# as many as its z need, built once here and never written after, so never locked
-_TABLES = _band_tables()
+# a z on each rung of ``_step``'s ladder in the policy's trapezoid band
+# 0.25 <= z < 30, by rising z: the band's lower edge, then the first doubles
+# of the rungs j = 50 .. 57, 1.93563, 4.87014, 8.22574, 11.8721, 15.7644,
+# 19.8855, 24.2297 and 28.7973, rounded up to four digits, so that each lies
+# on its own rung
+_RUNG_EDGES = (_SMALL_Z_LIMIT, 1.936, 4.871, 8.226, 11.88, 15.77, 19.89, 24.23, 28.8)
+# the trapezoid's node tables by step h, each sized by ``_step`` at its rung's
+# edge: on a rung the last node falls as z rises, and at each edge it is the
+# one at the rung's first double, so the table serves every z of the rung.
+# 132 nodes on the 9 rungs of the band, built once here and never written
+# after, so never locked
+_TABLES = {h: _nodes(h, last) for h, last, _, _ in map(_step, _RUNG_EDGES)}
 
 
 def _small_z_kernel(order: int) -> _Kernel:
@@ -566,21 +549,23 @@ def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, f
     both factors of (1/2) e^{2 gamma delta} erfc(zeta_minus) at or below
     one.  ``kernel(z, w_plus, |w_minus|)`` returns (K_plus, K_minus,
     dK_plus, dK_minus), dK its error measure; it is not called when both
-    weights are 0.  The estimate is |c_plus| dK_plus + |c_minus| dK_minus.
-    F_minus and c_minus are 0 where E underflows to 0, which makes both
-    terms of F_minus exactly 0, and below ``_W_MINUS_NEGLIGIBLE``.  There
-    F_minus is dropped, and E |w_minus| / pi joins the estimate: F_minus
-    vanishes at w_minus = 0, s_minus moves only at second order in w_minus,
-    and dK/dw(z, 0), the integral of -e^{-z sinh^2 t} / cosh^2 t, lies in
-    [-2, 0), so |F_minus| <= E |w_minus| / pi + O(w_minus^2).  Returns
-    (F_plus, or G_plus when ``upper``; F_minus; the estimate).
+    weights are 0, that is where E underflows to 0, which makes both terms
+    of F_minus exactly 0.  The estimate is |c_plus| dK_plus + |c_minus|
+    dK_minus.  Below ``_W_MINUS_NEGLIGIBLE`` F_minus is at most
+    E |w_minus| / pi + O(w_minus^2): it vanishes at w_minus = 0, s_minus
+    moves only at second order in w_minus, and dK/dw(z, 0), the integral
+    of -e^{-z sinh^2 t} / cosh^2 t, lies in [-2, 0).  Where that bound is
+    also at most c_minus dK_minus, as it often is for the asymptotic
+    series, which cannot resolve F_minus near 0, F_minus is dropped and the
+    bound replaces c_minus dK_minus in the estimate; a bounded kernel's
+    dK_minus, near 2^-53 K, keeps F_minus down to |w_minus| of about 1e-16.
+    Returns (F_plus, or G_plus when ``upper``; F_minus; the estimate).
     """
     _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus = g
     damp = math.exp(-z * (s_plus * s_plus))
     w_minus = abs(signed_w_minus)
-    negligible = w_minus < _W_MINUS_NEGLIGIBLE or damp == 0.0
     c_plus = s_plus * damp / (2.0 * math.pi)
-    c_minus = 0.0 if negligible else s_minus * damp / (2.0 * math.pi)
+    c_minus = s_minus * damp / (2.0 * math.pi)
     k_plus = k_minus = dk_plus = dk_minus = 0.0
     if c_plus != 0.0 or c_minus != 0.0:
         k_plus, k_minus, dk_plus, dk_minus = kernel(z, w_plus, w_minus)
@@ -588,13 +573,14 @@ def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, f
         plus = 0.5 * math.erfc(-zeta_plus) + c_plus * k_plus
     else:
         plus = 0.5 * math.erfc(zeta_plus) - c_plus * k_plus
-    error = abs(c_plus) * dk_plus + abs(c_minus) * dk_minus
-    if negligible:
+    error = abs(c_plus) * dk_plus
+    # E w_minus / pi <= c_minus dK_minus: dropping F_minus costs no more than keeping it
+    if damp == 0.0 or (w_minus < _W_MINUS_NEGLIGIBLE and 2.0 * w_minus <= s_minus * dk_minus):
         return plus, 0.0, error + damp * w_minus / math.pi
     minus = 0.5 * damp * _erfcx(zeta_minus) - c_minus * k_minus
     if signed_w_minus < 0.0:
         minus = -minus
-    return plus, minus, error
+    return plus, minus, error + c_minus * dk_minus
 
 
 def _evaluate(

@@ -589,7 +589,7 @@ def test_every_split_route_equals_its_layered_form_field_for_field():
     # band table, the split, the clamp and the flip give as separate layers:
     # on every band of cdf (small-z orders 1 to 11, the trapezoid, Gauss
     # rules of 8 nodes down to 1), both sides of x0, a point with
-    # |w_minus| < 1e-13, where the split drops the minus part, and one
+    # |w_minus| < 1e-13, where the split may drop the minus part, and one
     # where exp(-z s_plus^2) underflows to 0
     rng = random.Random(3131)
     points = _points_on_every_band(rng)

@@ -21,7 +21,6 @@ import mpmath
 import pytest
 
 from nigcdf import (
-    ConvergenceError,
     Method,
     NearTransitionError,
     cdf,
@@ -194,12 +193,20 @@ def test_reflection_identity_via_split_oracle():
         assert cdf_quad_split(p, x) + cdf_quad_split(rp, rx) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_kernel_raises_when_budget_exhausted(monkeypatch):
-    # at z = 30 the certified step needs 12 nodes; a budget of 4 refuses it
-    # before any node is summed
-    monkeypatch.setattr(oracle, "_NODE_BUDGET", 4)
-    with pytest.raises(ConvergenceError):
-        _kernel(30.0, 0.5, 0.5)
+def test_kernel_takes_the_most_nodes_at_the_smallest_double():
+    # the trapezoid needs no node budget: below z = 1e-12 ``_step`` stays on
+    # one rung, where its last node never rises with z, so the most nodes of
+    # any z are the 2,998 at the smallest double; from z = 1e-12 on a call
+    # sums at most 131
+    rng = random.Random(3434)
+    small = sorted(math.exp(rng.uniform(math.log(5e-324), math.log(1e-12))) for _ in range(50_000))
+    steps = [oracle._step(z) for z in [5e-324, *small, 1e-12]]
+    assert len({h for h, _, _, _ in steps}) == 1
+    lasts = [last for _, last, _, _ in steps]
+    assert all(a >= b for a, b in zip(lasts, lasts[1:]))
+    assert lasts[0] == 2997
+    log_z = (math.log(1e-12), math.log(1.7e308))
+    assert max(oracle._step(math.exp(rng.uniform(*log_z)))[1] for _ in range(50_000)) <= 130
 
 
 @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-12, 1e20, 1e300])
@@ -385,8 +392,9 @@ def test_node_tables_cover_the_band_and_never_change():
     # trapezoid band, each at least as long as any z of the band needs:
     # seeded z and the doubles either side of each rung edge.  No longer
     # than that either: in all no more nodes than the largest last node of
-    # each rung, summed (132).  Each rung's committed lower edge is its
-    # first double rounded down by under 1 %.  Sweeps over every magnitude
+    # each rung, summed (132).  Each rung's committed edge is its first
+    # double rounded up by under 0.1 %, and lies on that rung; the tables
+    # are those ``_step`` sizes at the edges.  Sweeps over every magnitude
     # of z and over the band leave the same tables, the same objects, and
     # the tables take under 1 MB
     low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
@@ -401,9 +409,10 @@ def test_node_tables_cover_the_band_and_never_change():
         needed[h] = max(needed.get(h, 0), last)
     assert sum(map(len, oracle._TABLES.values())) <= sum(needed.values())
     firsts = [low, *edges[1::2]]
-    assert len(oracle._RUNG_LOW_EDGES) == len(firsts) == len(oracle._TABLES)
-    for edge, first in zip(oracle._RUNG_LOW_EDGES, firsts):
-        assert edge <= first < 1.01 * edge, (edge, first)
+    assert len(oracle._RUNG_EDGES) == len(firsts) == len(oracle._TABLES)
+    for edge, first in zip(oracle._RUNG_EDGES, firsts):
+        assert first <= edge < 1.001 * first, (edge, first)
+        assert oracle._step(edge)[0] == oracle._step(first)[0], (edge, first)
     held = dict(oracle._TABLES)
 
     def sweep():
@@ -419,7 +428,12 @@ def test_node_tables_cover_the_band_and_never_change():
     assert oracle._TABLES.keys() == held.keys()
     assert all(oracle._TABLES[h] is nodes for h, nodes in held.items())
     rebuilt = []
-    assert _traced_bytes(lambda: rebuilt.append(oracle._band_tables())) < 1_000_000
+
+    def rebuild():
+        steps = map(oracle._step, oracle._RUNG_EDGES)
+        rebuilt.append({h: oracle._nodes(h, last) for h, last, _, _ in steps})
+
+    assert _traced_bytes(rebuild) < 1_000_000
     assert rebuilt == [held]
 
 
@@ -1232,12 +1246,14 @@ def _split_reference_near_w_minus_zero(p, x):
     return f_plus + w_minus * damp * j / (2 * mpmath.pi)
 
 
-def test_error_estimate_covers_the_minus_part_dropped_at_small_w_minus():
+def test_small_w_minus_keeps_full_accuracy_near_the_mirror_point():
     # below |w_minus| = 1e-13 the split drops F_minus, which nears
-    # E |w_minus| / pi at small z, and the estimate must cover it: seeded
-    # points at x = mu - beta delta / gamma, where w_minus = 0, and with
-    # |w_minus| log-uniform over [1e-16, 3e-13] on both sides; z runs from
-    # 3.8e-3 to 78, and F_minus up to 2.7e-14 within the band
+    # E |w_minus| / pi at small z, only where that costs no more than the
+    # kernel's own bound c_minus dK_minus; so the certified kernels keep it
+    # and stay within rounding of the reference.  Seeded points at
+    # x = mu - beta delta / gamma, where w_minus = 0, and with |w_minus|
+    # log-uniform over [1e-16, 3e-13] on both sides; z runs from 3.8e-3 to
+    # 78, and F_minus up to 2.7e-14 within the band
     rng = random.Random(2323)
     in_band = 0
     with mpmath.workdps(30):
@@ -1252,6 +1268,7 @@ def test_error_estimate_covers_the_minus_part_dropped_at_small_w_minus():
                 x += rng.choice((-2.0, 2.0)) * w * ((x - p.mu) ** 2 + delta**2) / delta
             r = cdf(p, x)
             ref = float(_split_reference_near_w_minus_zero(p, x))
-            assert abs(r.value - ref) <= r.error_estimate + 4.5e-16, (p, x, r)
+            assert abs(r.value - ref) <= 4.5e-16, (p, x, r)
+            assert abs(cdf_quad_split(p, x) - ref) <= 4.5e-16, (p, x)
             in_band += abs(geometry(p, x).w_minus) < 1e-13
     assert in_band >= 30
