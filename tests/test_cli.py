@@ -72,6 +72,65 @@ def test_eval_method_selection(capsys):
     assert out["method"] == "quad_split"
 
 
+def _eval_json(capsys, args):
+    assert main(["eval", *args.split(), "--format", "json"]) == 0
+    return json.loads(_lines(capsys)[0])
+
+
+# single eval points: the route label and kmax of the JSON record, a bound on
+# its error estimate, and F against the F of another --method at the same
+# point, or against a known value
+EVAL_POINTS = {
+    "trapezoid": ("--alpha 1 --beta 0.2 --mu 0 --delta 1 --x 0.5",
+                  "quad_split", 0, 5e-13, "quad-split", 1e-15),
+    # z = 0.1
+    "small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.1 --x 3",
+                "small_z_series", 9, 5e-13, "quad-split", 1e-15),
+    # right of the transition every band evaluates G first: z = 0.22 on the
+    # small-z series, z = 0.297, past its crossover, and z = 6.32 on the
+    # trapezoid, which also agrees with the direct oracle to its stopping
+    # tolerance (|nu - tau| = 1.05)
+    "small-z-right": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.1 --x 3.2",
+                      "small_z_series", 11, 5e-13, "quad-split", 1e-15),
+    "past-small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.1 --x 3.28",
+                     "quad_split", 0, 5e-13, "quad-split", 1e-15),
+    "trapezoid-right": ("--alpha 1 --beta 0.2 --mu 0 --delta 1 --x 3",
+                        "quad_split", 0, 5e-13, "quad-split", 1e-15),
+    "trapezoid-direct": ("--alpha 1 --beta 0.2 --mu 0 --delta 1 --x 3",
+                         "quad_split", 0, 5e-13, "quad-direct", 1e-12),
+    # zeta_minus = 44.3, erfcx's large-x series, with split weight near 1 (z = 2040)
+    "erfcx-series": ("--alpha 100 --beta 20 --mu 0 --delta 10 --x 2",
+                     "gauss_split", 3, 5e-13, "quad-split", 1e-15),
+    # the split weight underflows to 0
+    "weight-underflow": ("--alpha 8 --beta 2 --mu 3 --delta 2 --x 2000",
+                         "gauss_split", 2, 5e-13, 1.0, 0.0),
+    # z = 45 and w_minus < 0.05, where the Gauss rule keeps its bound
+    "gauss-small-w-minus": ("--alpha 8 --beta -4 --mu 3 --delta 2 --x 1",
+                            "gauss_split", 7, 1e-15, "quad-direct", 1e-13),
+    # x = -beta delta / gamma, w_minus = 7.5e-14: the minus part, 2.28e-14, is
+    # over the small-z kernel's bound (z = 0.023), so the route keeps it
+    "mirror-point": ("--alpha 0.01 --beta 0.005 --mu 0 --delta 1 --x -0.5773502691894258",
+                     "small_z_series", 6, 1e-15, "quad-direct", 1e-14),
+    # z near 6e-300, the longest trapezoid level, where NIG is Cauchy
+    "cauchy": ("--alpha 1e-300 --beta 0 --mu 0 --delta 1 --x 3 --method quad-split",
+               "quad_split", 0, 5e-13, 0.5 + math.atan(3.0) / math.pi, 1e-15),
+}
+
+
+@pytest.mark.parametrize(
+    "args,route,kmax,estimate,reference,tol", EVAL_POINTS.values(), ids=EVAL_POINTS
+)
+def test_eval_point_reports_its_route_estimate_and_value(
+    capsys, args, route, kmax, estimate, reference, tol
+):
+    record = _eval_json(capsys, args)
+    assert (record["method"], record["kmax"]) == (route, kmax), record
+    assert record["error_estimate"] <= estimate, record
+    if isinstance(reference, str):
+        reference = _eval_json(capsys, f"{args} --method {reference}")["F"]
+    assert abs(record["F"] - reference) <= tol, (record, reference)
+
+
 def test_eval_refuses_an_unknown_method():
     with pytest.raises(SystemExit) as exc:
         main(EVAL_BASE + ["--x", "5", "--method", "fastest"])

@@ -26,7 +26,7 @@ from nigcdf import (
 )
 from nigcdf import oracle
 from nigcdf.cli import _ROUTES
-from nigcdf.expansion import _BAND_EDGES, _BANDS, DEFAULT_KMAX, _series_kernel
+from nigcdf.expansion import DEFAULT_KMAX, _series_kernel
 from nigcdf.oracle import _GAUSS_RULES, _SMALL_Z_LIMIT, _kernel
 from nigcdf.params import _geometry
 from nigcdf.selftest import draw_point
@@ -41,11 +41,6 @@ ASYM_ERR_ALLOWANCE = {-4.0: 6.2e-8, 2.0: 3.4e-9, 7.5: 9.4e-10}
 
 def _bench(beta):
     return validate(ALPHA, beta, MU, DELTA)
-
-
-def _band_work(z):
-    """The order or node count that the z band of ``cdf`` holding z sums."""
-    return _BANDS[bisect_right(_BAND_EDGES, z)][2]
 
 
 def _parts(g, upper=False):
@@ -169,6 +164,14 @@ def test_cdf_asym_clamps_to_unit_interval():
     assert cdf_asym(p, -7.0).value >= 0.0
     assert cdf_asym(p, 23.0).value <= 1.0
     assert sf_asym(p, 23.0).value >= 0.0
+    # at z = 1.0 the series diverges, and the split leaves [0, 1] for F and
+    # for G; the estimate adds the distance clamped off to the kernel's
+    q = validate(0.5, 0.125, 3.0, 0.1)
+    for entry, upper, bound in ((cdf_asym, False, 0.0), (sf_asym, True, 1.0)):
+        plus, minus, error = oracle._split(geometry(q, 2.0), upper, _series_kernel(DEFAULT_KMAX))
+        raw = plus - minus if upper else plus + minus
+        r = entry(q, 2.0)
+        assert r.value == bound and r.error_estimate == error + abs(raw - bound), r
 
 
 EVAL_RESULT_FIELDS = ("value", "method", "kmax_used", "error_estimate", "complemented")
@@ -255,7 +258,7 @@ def test_policy_falls_back_to_quadrature_for_small_z():
     assert geometry(p, 3.0).z == pytest.approx(0.1)
     r = cdf(p, 3.0)
     assert r.method is Method.SMALL_Z_SERIES
-    assert r.kmax_used == _band_work(geometry(p, 3.0).z) == 9
+    assert r.kmax_used == 9
     for delta in (_SMALL_Z_LIMIT, 1.0, 10.0):
         p = validate(1.0, 0.25, 3.0, 0.5 * delta)
         assert _SMALL_Z_LIMIT <= geometry(p, 3.0).z == delta < _GAUSS_RULES[0][0]
@@ -286,7 +289,9 @@ def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     monkeypatch.undo()
     signs = set()
     for (p, x), r in zip(draws, results):
-        assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == _band_work(geometry(p, x).z)
+        # the order of the band of ``_SMALL_Z_EDGES`` that holds z
+        order = bisect_right(oracle._SMALL_Z_EDGES, geometry(p, x).z) + 1
+        assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == order
         assert 0.0 <= r.error_estimate <= 1e-15
         assert abs(r.value - cdf_quad_split(p, x)) <= 1e-13
         signs.add(geometry(p, x).w_minus > 0.0)
@@ -535,84 +540,6 @@ def test_cdf_routes_on_x_as_a_float():
         r = cdf(p, x)
         assert r.method is Method.GAUSS_SPLIT
         assert r.complemented == (float(x) > x0)
-
-
-def _layered(p, x, side, bands, edges):
-    """A split route as layers: the ``Geometry`` record, its band, ``oracle._split``, clamp, flip.
-
-    ``side`` as at ``oracle._evaluate``: False for F, True for G, None for
-    the policy of ``cdf``, which flips G to 1 - G right of x0.
-    """
-    g = geometry(p, x)
-    kernel, method, work = bands[bisect_right(edges, g.z)]
-    upper = g.zeta_plus < 0.0 if side is None else side
-    plus, minus, error = oracle._split(g, upper, kernel)
-    raw = plus - minus if upper else plus + minus
-    value = min(1.0, max(0.0, raw))
-    error += abs(raw - value)
-    flip = side is None and upper
-    return EvalResult(1.0 - value if flip else value, method, work, error, flip)
-
-
-def _layered_cdf(p, x):
-    """``cdf`` as layers: ``geometry``, ``_BANDS`` by z, ``oracle._split``, clamp and flip."""
-    return _layered(p, x, None, _BANDS, _BAND_EDGES)
-
-
-def _same_result(r, ref):
-    return (
-        type(r) is EvalResult
-        and r.value.hex() == ref.value.hex()
-        and r.method is ref.method
-        and r.kmax_used == ref.kmax_used
-        and r.error_estimate.hex() == ref.error_estimate.hex()
-        and r.complemented is ref.complemented
-    )
-
-
-def _points_on_every_band(rng, per_band=12):
-    """Seeded points with z log-uniform inside each band of ``cdf``, x on both sides of x0."""
-    points = []
-    for low, high in zip((1e-9, *_BAND_EDGES), (*_BAND_EDGES, 1e12)):
-        for _ in range(per_band):
-            z = math.exp(rng.uniform(math.log(low), math.log(high)))
-            delta = math.exp(rng.uniform(-2.0, 2.0))
-            xi = delta * rng.uniform(-5.0, 5.0)
-            alpha = z / (2.0 * math.hypot(xi, delta))
-            p = validate(alpha, alpha * rng.uniform(-0.9, 0.9), rng.uniform(-3.0, 3.0), delta)
-            points.append((p, p.mu + xi))
-    return points
-
-
-def test_every_split_route_equals_its_layered_form_field_for_field():
-    # the one evaluator gives, bit for bit, what the geometry record, the
-    # band table, the split, the clamp and the flip give as separate layers:
-    # on every band of cdf (small-z orders 1 to 11, the trapezoid, Gauss
-    # rules of 8 nodes down to 1), both sides of x0, a point with
-    # |w_minus| < 1e-13, where the split may drop the minus part, and one
-    # where exp(-z s_plus^2) underflows to 0
-    rng = random.Random(3131)
-    points = _points_on_every_band(rng)
-    tiny_w = validate(8.0, 2.0, 3.0, 2.0)
-    tiny_w_x = 3.0 - 2.0 * 2.0 / tiny_w.gamma  # nu + tau = pi
-    assert abs(geometry(tiny_w, tiny_w_x).w_minus) < 1e-13
-    far = validate(8.0, 2.0, 3.0, 2.0)
-    g_far = geometry(far, 2000.0)
-    assert math.exp(-g_far.z * (g_far.s_plus * g_far.s_plus)) == 0.0
-    points += [(tiny_w, tiny_w_x), (far, 2000.0)]
-    taken = set()
-    series = (_series_kernel(DEFAULT_KMAX), Method.UNIFORM_ASYM, DEFAULT_KMAX)
-    for p, x in points:
-        r = cdf(p, x)
-        assert _same_result(r, _layered_cdf(p, x)), (p, x)
-        taken.add((r.method, r.kmax_used, r.complemented))
-        assert _same_result(cdf_asym(p, x), _layered(p, x, False, (series,), ())), (p, x)
-        assert _same_result(sf_asym(p, x), _layered(p, x, True, (series,), ())), (p, x)
-        quad = _layered(p, x, False, oracle._TRAPEZOID, ())
-        assert cdf_quad_split(p, x).hex() == quad.value.hex(), (p, x)
-    bands = {(method, work) for _, method, work in _BANDS}
-    assert len(bands) == 20
-    assert taken == {(m, w, side) for m, w in bands for side in (False, True)}
 
 
 def test_geometry_keeps_its_record_and_its_errors():

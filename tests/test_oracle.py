@@ -1,18 +1,28 @@
-"""The two quadrature oracles, cross-checked and pinned to reference values.
+"""The two quadrature oracles and the kernels of the split, one judge per claim.
 
-The pinned CDF values below were generated outside this package with
-30-digit mpmath quadrature: the spot values from the same exact erfc
-split, the transition-point values from the NIG density itself.  The split
-oracle's trapezoid reproduces them to full double precision.  Its remainder
-kernel is checked on its own against mpmath, and the oracle against two
-reference kernels kept here, composite Gauss-Legendre and the earlier
-sigma-grid trapezoid, each plugged into one reference split.
+The split oracle's values: the pinned CDF values below, generated outside
+this package with 30-digit mpmath quadrature (the spot values from the same
+exact erfc split, the transition-point values from the NIG density
+itself), which its trapezoid reproduces to full double precision; and one
+reference split kept here, with a composite Gauss-Legendre kernel,
+in ``test_split_oracle_matches_the_legendre_reference_split`` and
+``test_split_route_reports_its_certified_error_bound``.  The two oracles'
+agreement on random draws and the reflection identity are criteria 07 and
+10 of ``test_acceptance.py``.
+
+The trapezoid kernel: its bound before rounding by the strip certificate
+(``test_trapezoid_error_is_within_the_strip_bound``) and its ladder step
+(``test_step_is_a_ladder_rung_that_keeps_the_certificate``); its value,
+rounding included, against mpmath for both outputs over z in
+[5e-324, 1e16] (``test_kernel_is_relatively_accurate_over_the_double_range``);
+its work (``test_kernel_node_counts_stay_within_the_documented_bounds``)
+and its import-time node tables
+(``test_node_tables_cover_the_band_and_never_change``).  The small-z series
+and the Gauss rules: each by its own bound before rounding and against
+mpmath.
 """
-
 import math
 import random
-import sys
-import threading
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -78,7 +88,7 @@ def test_split_oracle_symmetric_median():
     assert cdf_quad_split(p, 3.0) == pytest.approx(0.5, abs=1e-13)
 
 
-def test_split_oracle_rules_agree():
+def test_split_oracle_matches_the_legendre_reference_split():
     # the first 10 draws, and on until 10 draws with z <= 5 and |zeta_plus| in
     # [0.3, 1.5] (within 108): there the plus kernel's weight |c_plus| is
     # 0.019 to 0.066 rather than damped away, so a 1e-10 relative bias in
@@ -94,7 +104,7 @@ def test_split_oracle_rules_agree():
         elif drawn > 10:
             continue
         a = cdf_quad_split(p, x)
-        b = _reference_split_cdf(p, x, _legendre_kernel)
+        b = _reference_split_cdf(p, x)
         assert abs(a - b) <= 1e-12
 
 
@@ -158,18 +168,6 @@ def test_direct_oracle_step_halving_stability(monkeypatch):
     assert abs(coarse - fine) <= 1e-10
 
 
-def test_cross_oracle_agreement_on_random_draws():
-    rng = random.Random(11)
-    done = 0
-    while done < 25:
-        p, x = draw_point(rng)
-        g = geometry(p, x)
-        if abs(g.nu - p.tau) <= 0.05 or not 5.0 <= g.z <= 200.0:
-            continue
-        done += 1
-        assert abs(cdf_quad_split(p, x) - cdf_quad_direct(p, x)) <= 1e-10
-
-
 def test_reflect_frozen_example():
     p = validate(8.0, 2.0, 3.0, 2.0)
     rp, rx = reflect(p, 5.0)
@@ -183,14 +181,6 @@ def test_reflect_is_an_involution():
     rrp, rrx = reflect(rp, rx)
     assert (rrp.alpha, rrp.beta, rrp.mu, rrp.delta) == (p.alpha, p.beta, p.mu, p.delta)
     assert rrx == 2.5
-
-
-def test_reflection_identity_via_split_oracle():
-    rng = random.Random(5)
-    for _ in range(10):
-        p, x = draw_point(rng)
-        rp, rx = reflect(p, x)
-        assert cdf_quad_split(p, x) + cdf_quad_split(rp, rx) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_takes_the_most_nodes_at_the_smallest_double():
@@ -210,7 +200,7 @@ def test_kernel_takes_the_most_nodes_at_the_smallest_double():
 
 
 @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-12, 1e20, 1e300])
-def test_node_budget_covers_every_positive_z(z):
+def test_kernel_lies_between_zero_and_its_z_zero_value(z):
     k_plus, k_minus, _, _ = _kernel(z, 0.0, 1.0)
     # K(z, w) falls with z from K(0, 0) = pi and K(0, 1) = 2
     assert 0.0 < k_plus <= math.pi + 1e-13 and 0.0 < k_minus <= 2.0 + 1e-13
@@ -237,7 +227,9 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
     # the worst call per band of z over a seeded grid with one z per cell of
     # width 0.017 in ln z, fine enough to land in the narrow windows where a
     # band takes its most nodes; the step depends on z alone, so w does not
-    # move the count.  The oracle's docs and the README quote these numbers
+    # move the count.  The oracle's docs and the README quote these numbers.
+    # Every call sums every node ``_step`` certifies: one exp per node past
+    # t = 0, up to its last node index
     counting = _CountingMath()
     monkeypatch.setattr("nigcdf.oracle.math", counting)
     rng = random.Random(2026)
@@ -248,62 +240,14 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
     worst = {1.0: 0, 1e-2: 0, 1e-12: 0, 5e-324: 0}
     for z in zs:
         for w in ws:
+            last = oracle._step(z)[1]
             counting.calls = 0
             _kernel(z, 0.0, w)
+            assert counting.calls == last, (z, w)
             for band in worst:
                 if z >= band:
                     worst[band] = max(worst[band], counting.calls + 1)
     assert worst == {1.0: 21, 1e-2: 39, 1e-12: 131, 5e-324: 2998}
-
-
-def _sinh_loop_kernel(z, w_plus, w_minus):
-    """``_kernel`` by a plain node loop, one sinh, exp and sqrt per node; and its node count.
-
-    The loop that the node table of ``_kernel`` replaces: each node
-    t = k h takes sigma = sinh(t) and q = sqrt(1 + sigma^2) afresh, on the
-    same certified grid of ``oracle._step``; returns both kernels and
-    the nodes it evaluated, t = 0 included.  sigma is sinh(k h) of the exact
-    product, in 40-digit mpmath, rounded once: a double t = k h moves sigma
-    by about t units of rounding, and at tiny z, where t runs to a few
-    hundred, that left this reference up to 2.1e-15 of K off.  The node
-    terms are summed by ``math.fsum``: a plain sum of the 233 terms at
-    z = 7.3e-24, w = 0 is 7.1e-16 of K off the 40-digit value.
-    """
-    h, last, _, _ = oracle._step(z)
-    with mpmath.workdps(40):
-        step = mpmath.mpf(h)
-        sigmas = [float(mpmath.sinh(k * step)) for k in range(1, last + 1)]
-    terms_plus = [0.5 / (1.0 + w_plus)]
-    terms_minus = [0.5 / (1.0 + w_minus)]
-    for s in sigmas:
-        s2 = s * s
-        e = math.exp(-z * s2)
-        c = math.sqrt(1.0 + s2)
-        terms_plus.append(e / (c + w_plus))
-        terms_minus.append(e / (c + w_minus))
-    return 2.0 * h * math.fsum(terms_plus), 2.0 * h * math.fsum(terms_minus), last + 1
-
-
-def test_table_kernel_matches_the_sinh_loop(monkeypatch):
-    # z log-uniform over the whole positive double range the oracle meets,
-    # w both ends and log-uniform between; the kernel sums both parts on its
-    # one grid
-    counting = _CountingMath()
-    monkeypatch.setattr("nigcdf.oracle.math", counting)
-    rng = random.Random(1919)
-    log_z = (math.log(5e-324), math.log(1e16))
-    log_w = (math.log(1e-13), 0.0)
-    for i in range(600):
-        z = 5e-324 if i == 0 else math.exp(rng.uniform(*log_z))
-        w_plus = rng.choice((0.0, 1.0, math.exp(rng.uniform(*log_w))))
-        w_minus = rng.choice((0.0, 1.0, math.exp(rng.uniform(*log_w))))
-        args = (z, w_plus, w_minus)
-        *expected, nodes = _sinh_loop_kernel(z, w_plus, w_minus)
-        counting.calls = 0
-        got = _kernel(*args)
-        assert counting.calls + 1 == nodes, args
-        for k, ref in zip(got[:2], expected):
-            assert abs(k - ref) <= 2e-15 * ref, args
 
 
 # the truncation margin r = 2 z sinh T cosh T h that the docstring of
@@ -437,45 +381,6 @@ def test_node_tables_cover_the_band_and_never_change():
     assert rebuilt == [held]
 
 
-def test_node_tables_hold_under_threads():
-    # six threads on two cores, switching every microsecond, each on z below,
-    # inside and above the policy's trapezoid band: every result equals the
-    # same call made alone
-    rng = random.Random(7373)
-    log_z = (math.log(1e-300), math.log(1e-2))
-    zs = [
-        sorted((math.exp(rng.uniform(*log_z)) for _ in range(100)), reverse=True)
-        + [rng.uniform(_SMALL_Z_LIMIT, 30.0) for _ in range(100)]
-        + [math.exp(rng.uniform(math.log(30.0), math.log(1e300))) for _ in range(100)]
-        for _ in range(6)
-    ]
-    expected = [[_kernel(z, 0.3, 0.7) for z in part] for part in zs]
-    got = [None] * len(zs)
-    failures = []
-    start = threading.Barrier(len(zs))
-
-    def work(i):
-        try:
-            start.wait(timeout=60.0)
-            got[i] = [_kernel(z, 0.3, 0.7) for z in zs[i]]
-        except Exception as exc:  # reported by the assertion below
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(zs))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not failures
-    assert got == expected
-
-
 def _trapezoid_reference(z, w, h, digits):
     """The untruncated trapezoid sum h * sum over all k of f(k h), in ``digits``-digit mpmath.
 
@@ -549,43 +454,28 @@ def _kernel_reference(z: float, w: float):
     )
 
 
-@pytest.mark.parametrize("z", [1e-12, 1e-9, 1e-4, 0.5, 30.0, 5000.0])
-def test_kernel_matches_mpmath(z):
-    ws = (1e-12, 0.05, 0.7, 1.0)
-    with mpmath.workdps(30):
-        for w_plus, w_minus in zip(ws, reversed(ws)):
-            k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus)
-            assert abs(k_plus - float(_kernel_reference(z, w_plus))) <= 1e-14
-            assert abs(k_minus - float(_kernel_reference(z, w_minus))) <= 1e-14
-
-
-@pytest.mark.parametrize("z", [1e4, 1e8, 1e16])
-def test_kernel_is_relatively_accurate_at_large_z(z):
-    # K falls like sqrt(pi/z), to about 1.8e-8 at z = 1e16, where an absolute
-    # 1e-14 says nothing; the truncated tail and the step are judged relative to K
-    ws = (1e-12, 0.05, 0.7, 1.0)
-    with mpmath.workdps(30):
-        for w_plus, w_minus in zip(ws, reversed(ws)):
-            k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus)
-            for k, w in ((k_plus, w_plus), (k_minus, w_minus)):
-                ref = float(_kernel_reference(z, w))
-                assert abs(k - ref) <= 1e-14 * ref
+# fixed z of the kernel's value check, besides the seeded ones: 0.5 and 30.0
+# read the node tables; K falls like sqrt(pi/z), to about 1.8e-8 at 1e16
+KERNEL_ZS = (5e-324, 1e-12, 1e-9, 1e-4, 0.5, 30.0, 5000.0, 1e4, 1e8, 1e16)
 
 
 def test_kernel_is_relatively_accurate_over_the_double_range():
-    # z log-uniform from 1e-300 to 1e16, w at both ends and uniform between:
-    # the certified level is within 2^-53 of K before rounding, and the
-    # rounding of its sums stays below 1.1e-15 of K, where the step ladder
-    # it replaced reached 1.3e-15 on such a sample
+    # the fixed z and 30 z log-uniform from the smallest double to 1e16; at
+    # each, w_plus and w_minus two different values of 0, 1, a uniform and a
+    # log-uniform w in [1e-13, 1], so each output is judged on its own w.
+    # The certified level is within 2^-53 of K before rounding, and the
+    # rounding of its sums stays below 1.1e-15 of K
     rng = random.Random(4040)
-    log_z = (math.log(1e-300), math.log(1e16))
-    with mpmath.workdps(40):
-        for _ in range(60):
-            z = math.exp(rng.uniform(*log_z))
-            w = rng.choice((0.0, 1.0, rng.random()))
-            ref = _kernel_reference(z, w)
-            k = _kernel(z, w, w)[0]
-            assert abs(k - ref) <= 1.1e-15 * ref, (z, w)
+    log_z = (math.log(5e-324), math.log(1e16))
+    zs = [*KERNEL_ZS, *(math.exp(rng.uniform(*log_z)) for _ in range(30))]
+    with mpmath.workdps(30):
+        for z in zs:
+            ws = (0.0, 1.0, rng.random(), math.exp(rng.uniform(math.log(1e-13), 0.0)))
+            w_plus, w_minus = rng.sample(ws, 2)
+            k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus)
+            for k, w in ((k_plus, w_plus), (k_minus, w_minus)):
+                ref = _kernel_reference(z, w)
+                assert abs(k - ref) <= 1.1e-15 * ref, (z, w_plus, w_minus)
 
 
 # the w grid of the small-z kernel's checks: both ends, and both ends' neighbours
@@ -1010,35 +900,6 @@ def test_split_route_keeps_its_left_tail_relative_accuracy():
     assert worst <= 1e-10
 
 
-def _sigma_grid_kernel(z: float, w: float, tol: float) -> float:
-    """The split oracle's earlier kernel, kept as a reference.
-
-    Trapezoid in sigma over [0, 8/sqrt(z)], starting step min(0.5, S/8),
-    every node recomputed at each halving.
-    """
-    S = 8.0 / math.sqrt(z)
-
-    def level(h: float) -> float:
-        total = 0.5 / (1.0 + w)
-        k = 1
-        while k * h <= S:
-            sig = k * h
-            q = math.sqrt(1.0 + sig * sig)
-            total += math.exp(-z * sig * sig) / (q * (q + w))
-            k += 1
-        return 2.0 * h * total
-
-    h = min(0.5, S / 8.0)
-    prev = level(h)
-    for _ in range(12):
-        h *= 0.5
-        cur = level(h)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise AssertionError("sigma-grid reference did not converge")
-
-
 def _legendre_16() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes and weights of 16-point Gauss-Legendre on [-1, 1]."""
     n = 16
@@ -1100,55 +961,49 @@ def _legendre_kernel(z: float, w: float, tol: float) -> float:
     raise AssertionError("Gauss-Legendre reference did not converge")
 
 
-# the absolute accuracy asked of the reference splits below
+# the absolute accuracy asked of the reference split below
 _REF_TOL = 1e-12
 
 
-def _reference_split_cdf(p, x, kernel, tol: float = _REF_TOL) -> float:
-    """The split identity of ``cdf_quad_split`` with one reference ``kernel`` call per part.
+def _reference_split_cdf(p, x) -> float:
+    """The split identity of ``cdf_quad_split`` with one ``_legendre_kernel`` call per part.
 
-    ``kernel(z, w, tol)`` returns K(z, w) to within an absolute ``tol`` of
-    its own, min(0.1, tol/(4|coef|)) for each part, so that the two weighted
-    parts together stay within tol/2.  The oracle takes no such tolerance:
-    its trapezoid step is certified in advance to 2^-53 of K.
+    The kernel returns K(z, w) to within an absolute tolerance of its own,
+    min(0.1, _REF_TOL/(4|coef|)) for each part, so that the two weighted
+    parts together stay within _REF_TOL/2.  The oracle takes no such
+    tolerance: its trapezoid step is certified in advance to 2^-53 of K.
     """
     g = geometry(p, x)
     damp = math.exp(-g.z * g.s_plus**2)
     value = 0.5 * erfc(g.zeta_plus)
     coef_plus = -2.0 * g.s_plus * damp / (4.0 * math.pi)
     if coef_plus != 0.0:
-        tol_plus = min(0.1, tol / (4.0 * abs(coef_plus)))
-        value += coef_plus * kernel(g.z, g.w_plus, tol_plus)
+        tol_plus = min(0.1, _REF_TOL / (4.0 * abs(coef_plus)))
+        value += coef_plus * _legendre_kernel(g.z, g.w_plus, tol_plus)
     if abs(g.w_minus) >= 1e-13:
         sgn = 1.0 if g.w_minus > 0.0 else -1.0
         value += sgn * 0.5 * damp * erfcx(g.zeta_minus)
         coef_minus = -2.0 * g.s_minus * sgn * damp / (4.0 * math.pi)
         if coef_minus != 0.0:
-            tol_minus = min(0.1, tol / (4.0 * abs(coef_minus)))
-            value += coef_minus * kernel(g.z, abs(g.w_minus), tol_minus)
+            tol_minus = min(0.1, _REF_TOL / (4.0 * abs(coef_minus)))
+            value += coef_minus * _legendre_kernel(g.z, abs(g.w_minus), tol_minus)
     return min(1.0, max(0.0, value))
 
 
-def test_split_oracle_matches_sigma_grid_reference():
-    rng = random.Random(17)
-    for _ in range(40):
-        p, x = draw_point(rng)
-        ref = _reference_split_cdf(p, x, _sigma_grid_kernel)
-        assert abs(cdf_quad_split(p, x) - ref) <= 1e-12
-
-
-def test_split_route_reports_a_measured_error_estimate():
+def test_split_route_reports_its_certified_error_bound():
     # the estimate is |c_plus| eps + |c_minus| eps, eps = 2^-53 K_low the
     # bound the trapezoid step is certified to in advance; so it stays far
-    # within half the references' tolerance plus a clamping of rounding
-    # size, and the Gauss-Legendre reference judges it
+    # within half the reference's tolerance plus a clamping of rounding
+    # size.  The Gauss-Legendre reference split judges it, and the value to
+    # that reference's own 1e-12
     rng = random.Random(17)
     for _ in range(40):
         p, x = draw_point(rng)
         value, _, _, error, _ = oracle._evaluate(p, x, False, oracle._TRAPEZOID, ())
         assert 0.0 <= error <= 0.5 * _REF_TOL + 1e-15
-        gauss = _reference_split_cdf(p, x, _legendre_kernel)
+        gauss = _reference_split_cdf(p, x)
         assert abs(value - gauss) <= 100.0 * (error + 1e-15)
+        assert abs(value - gauss) <= _REF_TOL
 
 
 def test_direct_route_reports_a_measured_error_estimate():

@@ -3,11 +3,10 @@
 A seeded sweep with alpha and delta log-uniform over 1e-6..1e6, 1 - |beta|/alpha
 log-uniform over 1e-6..1 and |x - mu|/delta log-uniform over 1e-2..1e8, so z
 runs from about 1e-12 to 1e20.  The contract: every point gets a value in
-[0, 1] or a NigError refusal, and none is a ConvergenceError: no kernel of
-``cdf`` raises it, its trapezoid taking at most 2,998 nodes at any z, and
-only the direct oracle's halvings can.  For each distribution,
-F is also evaluated on a 7-point grid through mu and the drawn x, where it
-must not decrease and must satisfy the reflection identity.
+[0, 1], and none is refused; a NigError refusal is recorded, so the test of
+the values fails on it.  For each distribution, F is also evaluated on a
+7-point grid through mu and the drawn x, where it must not decrease and
+must satisfy the reflection identity.
 """
 
 import math
@@ -16,7 +15,6 @@ import random
 import pytest
 
 from nigcdf import (
-    ConvergenceError,
     DomainError,
     Method,
     NigError,
@@ -71,12 +69,8 @@ def test_sweep_reaches_the_small_z_corners(sweep):
 
 def test_values_lie_in_the_unit_interval(sweep):
     values = [r.value for _, _, r in sweep if not isinstance(r, NigError)]
-    assert len(values) >= N_POINTS // 2
+    assert len(values) == N_POINTS
     assert all(0.0 <= v <= 1.0 for v in values)
-
-
-def test_no_point_exhausts_the_node_budget(sweep):
-    assert [r for _, _, r in sweep if isinstance(r, ConvergenceError)] == []
 
 
 def test_reflection_identity_on_the_split_route(sweep):
