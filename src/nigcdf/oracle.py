@@ -228,6 +228,10 @@ _INV_SQRT_PI = 1.0 / _SQRT_PI
 _SQRT_R0 = math.sqrt(55.0 * math.log(2.0))
 _QUARTER_PI = 0.25 * math.pi
 _WIDE_STRIP_RATIO = 4.0 * math.sqrt(2.0) * math.pi / (_TARGET_REL * _SQRT_PI)
+# the names ``_split`` and ``_evaluate`` call, bound once: a module global is
+# one lookup a call, ``math.exp`` two; 2 pi is an exact doubling
+_TWO_PI = 2.0 * math.pi
+_exp, _erfc, _tuple_new = math.exp, math.erfc, tuple.__new__
 
 
 def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
@@ -562,17 +566,17 @@ def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, f
     Returns (F_plus, or G_plus when ``upper``; F_minus; the estimate).
     """
     _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus = g
-    damp = math.exp(-z * (s_plus * s_plus))
+    damp = _exp(-z * (s_plus * s_plus))
     w_minus = abs(signed_w_minus)
-    c_plus = s_plus * damp / (2.0 * math.pi)
-    c_minus = s_minus * damp / (2.0 * math.pi)
+    c_plus = s_plus * damp / _TWO_PI
+    c_minus = s_minus * damp / _TWO_PI
     k_plus = k_minus = dk_plus = dk_minus = 0.0
     if c_plus != 0.0 or c_minus != 0.0:
         k_plus, k_minus, dk_plus, dk_minus = kernel(z, w_plus, w_minus)
     if upper:
-        plus = 0.5 * math.erfc(-zeta_plus) + c_plus * k_plus
+        plus = 0.5 * _erfc(-zeta_plus) + c_plus * k_plus
     else:
-        plus = 0.5 * math.erfc(zeta_plus) - c_plus * k_plus
+        plus = 0.5 * _erfc(zeta_plus) - c_plus * k_plus
     error = abs(c_plus) * dk_plus
     # E w_minus / pi <= c_minus dK_minus: dropping F_minus costs no more than keeping it
     if damp == 0.0 or (w_minus < _W_MINUS_NEGLIGIBLE and 2.0 * w_minus <= s_minus * dk_minus):
@@ -610,11 +614,16 @@ def _evaluate(
         upper, flip = side, False
     plus, minus, error = _split(g, upper, kernel)
     raw = plus - minus if upper else plus + minus
-    value = min(1.0, max(0.0, raw))
-    error += abs(raw - value)
+    # clamp into [0, 1] by comparisons, cheaper than min and max and equal to
+    # min(1.0, max(0.0, raw)): -0.0 and NaN give 0.0
+    if 0.0 < raw <= 1.0:
+        value = raw
+    else:
+        value = 1.0 if raw > 1.0 else 0.0
+        error += abs(raw - value)
     if flip:
         value = 1.0 - value
-    return tuple.__new__(EvalResult, (value, method, work, error, flip))
+    return _tuple_new(EvalResult, (value, method, work, error, flip))
 
 
 def cdf_quad_direct(p: Parameters, x: float) -> float:
@@ -675,7 +684,9 @@ def _quad_direct(p: Parameters, g: Geometry) -> tuple[float, float]:
         change = abs(cur - prev)
         if change <= tol:
             raw = cur if gap > 0.0 else 1.0 + cur
-            value = min(1.0, max(0.0, raw))
+            if 0.0 < raw <= 1.0:  # the clamp of ``_evaluate``
+                return raw, change
+            value = 1.0 if raw > 1.0 else 0.0
             return value, change + abs(raw - value)
         prev = cur
         h *= 0.5

@@ -20,6 +20,11 @@ from .errors import DomainError
 
 __all__ = ["Parameters", "Geometry", "validate", "transition_point", "geometry"]
 
+# the math names of ``_geometry`` and ``validate``, bound once: a module
+# global is one lookup a call, ``math.sin`` two
+_INF = math.inf
+_hypot, _atan2, _sin, _cos, _sqrt = math.hypot, math.atan2, math.sin, math.cos, math.sqrt
+
 
 # the records are NamedTuples: one builds in a fraction of a frozen dataclass's
 # time, and without dataclasses the package's import loads neither
@@ -88,10 +93,16 @@ def validate(alpha: float, beta: float, mu: float, delta: float) -> Parameters:
     (strict), and raises DomainError otherwise.  Then ``gamma`` is
     positive and finite and ``0 < tau < pi`` for every valid input.
     """
-    alpha = _require_finite("alpha", alpha)
-    beta = _require_finite("beta", beta)
-    mu = _require_finite("mu", mu)
-    delta = _require_finite("delta", delta)
+    # four finite floats pass unchanged; anything else takes the one check, in order
+    if not (
+        alpha.__class__ is beta.__class__ is mu.__class__ is delta.__class__ is float
+        and -_INF < alpha < _INF and -_INF < beta < _INF
+        and -_INF < mu < _INF and -_INF < delta < _INF
+    ):
+        alpha = _require_finite("alpha", alpha)
+        beta = _require_finite("beta", beta)
+        mu = _require_finite("mu", mu)
+        delta = _require_finite("delta", delta)
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if delta <= 0.0:
@@ -134,25 +145,30 @@ def _geometry(p: Parameters, x: float) -> tuple[float, ...]:
 
     The package's one copy of the geometry arithmetic.  The split routes
     take this tuple rather than the record: CPython unpacks an exact tuple
-    on a specialised path, and a NamedTuple generically.
+    on a specialised path, and a NamedTuple generically.  A finite float x
+    passes an inline guard, ``x.__class__ is float and -inf < x < inf``,
+    which for a float is exactly ``isfinite``, as NaN fails it; any other
+    x, an int, a float subclass, a string, NaN or an infinity, takes
+    ``_require_finite``, so it gets the same value or the same DomainError.
     """
-    x = _require_finite("x", x)
+    if x.__class__ is not float or not -_INF < x < _INF:
+        x = _require_finite("x", x)
     alpha, _, mu, delta, _, tau = p
     xi = x - mu
-    omega = math.hypot(xi, delta)
-    nu = math.atan2(delta, xi)
+    omega = _hypot(xi, delta)
+    nu = _atan2(delta, xi)
     z = 2.0 * alpha * omega
     # every route divides by z or takes it into an erfc argument
-    if not 0.0 < z < math.inf:
+    if not 0.0 < z < _INF:
         raise DomainError(
             f"z = 2*alpha*omega = {z!r} leaves the positive double range "
             f"(alpha = {alpha!r}, omega = {omega!r})"
         )
     half_diff = 0.5 * (nu - tau)
     half_sum = 0.5 * (nu + tau)
-    s_plus = math.sin(half_diff)
-    w_plus = math.cos(half_diff)
-    s_minus = math.sin(half_sum)
-    w_minus = math.cos(half_sum)
-    sqrt_z = math.sqrt(z)
+    s_plus = _sin(half_diff)
+    w_plus = _cos(half_diff)
+    s_minus = _sin(half_sum)
+    w_minus = _cos(half_sum)
+    sqrt_z = _sqrt(z)
     return xi, omega, nu, z, s_plus, s_minus, w_plus, w_minus, s_plus * sqrt_z, s_minus * sqrt_z

@@ -7,8 +7,11 @@ expansions need, built on the C library's ``math.erfc``:
   ``params``; ``oracle._split``, whose arguments are finite by
   construction, calls ``math.erfc`` and ``_erfcx`` unchecked.
 * ``erfcx`` on ``0 <= x <= 26`` is ``e^{x^2} * math.erfc(x)``, with a
-  split-argument exponential so the rounding of ``x*x`` does not amplify;
-  both factors stay normal and finite there (erfc(26) is about 6e-296).
+  split-argument exponential so the rounding of ``x*x`` does not amplify:
+  the split point is 512 x rounded to an integer, by adding and subtracting
+  1.5 * 2^52, over 512.  Doubles near 1.5 * 2^52 are spaced by 1, so the sum
+  rounds half to even, as ``round`` does, and gives the same double.  Both
+  factors stay normal and finite there (erfc(26) is about 6e-296).
 * ``erfcx`` for ``x > 26`` is the first nine terms of the divergent
   large-x series (DLMF 7.12.1), one loop-free Horner polynomial in
   ``1/(2 x^2)``; the first dropped term is below 3e-21 relative.  The
@@ -27,6 +30,10 @@ from .params import _require_finite
 __all__ = ["erfc", "erfcx"]
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# 1.5 * 2^52: for 0 <= v < 2^51, v + _ROUND lies in [2^52, 2^53), where the
+# spacing of doubles is 1, so (v + _ROUND) - _ROUND is v rounded half to even
+_ROUND = 1.5 * 2.0**52
+_exp, _erfc = math.exp, math.erfc
 
 
 def erfc(x: float) -> float:
@@ -57,9 +64,14 @@ def _erfcx(x: float) -> float:
     / (x sqrt(pi)), t = 1/(2 x^2), by Horner.  Against 40-digit mpmath the
     worst relative error seen is 4.6e-16 on [0, 26] and 2.5e-16 on [26, 1e300].
     Once x*x overflows, t is 0 and the value is 1/(x sqrt(pi)).  The product
-    form takes e^{x^2} with the argument split: ``x_h = round(512 x)/512``
-    makes ``x_h^2`` exact in double precision for x <= 26, so the only
-    rounding left sits in a correction factor near one.
+    form takes e^{x^2} with the argument split: x_h, x rounded to a
+    multiple of 1/512, makes ``x_h^2`` exact in double precision for
+    x <= 26, so the only rounding left sits in a correction factor near one.
+    x_h is ``((512 x + _ROUND) - _ROUND) / 512``: 512 x <= 13,312 is exact,
+    and the sum lies in [2^52, 2^53), where the spacing of doubles is 1, so
+    it rounds 512 x to an integer half to even, as ``round`` does, and the
+    subtraction is exact; x_h is the double ``round(512 x) / 512`` gives,
+    without building an int.
     """
     if x > 26.0:
         t = 0.5 / (x * x)
@@ -67,6 +79,6 @@ def _erfcx(x: float) -> float:
             -945.0 + t * (10395.0 + t * (-135135.0 + t * 2027025.0)))))))
         # x * sqrt(pi) would overflow for x above DBL_MAX / sqrt(pi)
         return poly * _INV_SQRT_PI / x
-    xh = round(x * 512.0) / 512.0
+    xh = ((x * 512.0 + _ROUND) - _ROUND) / 512.0
     xl = x - xh
-    return math.exp(xh * xh) * math.exp(xl * (x + xh)) * math.erfc(x)
+    return _exp(xh * xh) * _exp(xl * (x + xh)) * _erfc(x)

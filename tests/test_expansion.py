@@ -578,6 +578,10 @@ def test_geometry_keeps_its_record_and_its_errors():
             assert str(info.value) == message, call
 
 
+class _Real(float):
+    """A float subclass, as numpy.float64 is."""
+
+
 def _package_calls(run):
     """The functions of ``src/nigcdf`` entered by Python-level calls while ``run()`` runs, in order."""
     root = os.path.dirname(oracle.__file__)
@@ -598,13 +602,21 @@ def _package_calls(run):
 def test_cdf_makes_the_pinned_python_calls_a_point():
     # the hot path's layers, as a cost: each Python-level call that one cdf
     # call makes in the package.  A layer added back fails here.  Every point
-    # takes cdf, the evaluator oracle._evaluate, params._geometry with its
-    # _require_finite, oracle._split, the band's kernel and the minus part's
-    # special._erfcx; the trapezoid's kernel calls oracle._step, and the
-    # small-z kernel _small_z_m and _small_z_one for each w
+    # takes cdf, the evaluator oracle._evaluate, params._geometry,
+    # oracle._split, the band's kernel and the minus part's special._erfcx;
+    # the trapezoid's kernel calls oracle._step, and the small-z kernel
+    # _small_z_m and _small_z_one for each w.  A finite float x passes
+    # _geometry's inline guard; an int or a float subclass, as
+    # numpy.float64 is, takes _require_finite once, and the same result
     p = validate(8.0, 2.0, 3.0, 2.0)
-    head = ["cdf", "_evaluate", "_geometry", "_require_finite", "_split"]
+    head = ["cdf", "_evaluate", "_geometry", "_split"]
     assert _package_calls(lambda: cdf(p, 5.0)) == head + ["kernel", "_erfcx"]
+    fields = [f.hex() if type(f) is float else f for f in cdf(p, 5.0)]
+    for x in (5, _Real(5.0)):
+        assert _package_calls(lambda: cdf(p, x)) == [
+            "cdf", "_evaluate", "_geometry", "_require_finite", "_split", "kernel", "_erfcx"
+        ]
+        assert [f.hex() if type(f) is float else f for f in cdf(p, x)] == fields
     trapezoid = validate(1.0, 0.2, 0.0, 1.0)
     assert cdf(trapezoid, 0.5).method is Method.QUAD_SPLIT
     assert _package_calls(lambda: cdf(trapezoid, 0.5)) == head + ["_kernel", "_step", "_erfcx"]

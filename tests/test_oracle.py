@@ -1076,6 +1076,52 @@ def test_split_skips_the_minus_part_where_its_weight_underflows(monkeypatch, ent
         assert taken == {(Method.GAUSS_SPLIT, True), (Method.GAUSS_SPLIT, False)}
 
 
+def _clamped_by_min_max(raw, error):
+    """(value, estimate) by the clamp min(1.0, max(0.0, raw)) and error + |raw - value|."""
+    value = min(1.0, max(0.0, raw))
+    return value, error + abs(raw - value)
+
+
+def test_evaluate_clamps_as_min_and_max_do(monkeypatch):
+    # ``_evaluate`` clamps by comparisons; its value and estimate must be the
+    # doubles that min and max give.  A one-band stub kernel with K = NaN or
+    # +-1e300 sends the split's raw to NaN and past both ends, on F, on G
+    # and on the policy's flip; no value may come back as -0.0
+    p = validate(ALPHA, 2.0, MU, DELTA)
+    seen = set()
+    for k in (math.nan, 1e300, -1e300):
+        def stub(z, w_plus, w_minus, k=k):
+            return k, k, 1e-17, 1e-17
+
+        band = ((stub, Method.QUAD_SPLIT, 0),)
+        for x in (-1.0, 3.5, 5.0, 12.0):
+            g = geometry(p, x)
+            for side in (False, True, None):
+                if side is None:
+                    upper = flip = g.zeta_plus < 0.0
+                else:
+                    upper, flip = side, False
+                plus, minus, error = oracle._split(g, upper, stub)
+                raw = plus - minus if upper else plus + minus
+                value, estimate = _clamped_by_min_max(raw, error)
+                if flip:
+                    value = 1.0 - value
+                r = oracle._evaluate(p, x, side, band, ())
+                assert (r.value.hex(), r.error_estimate.hex()) == (value.hex(), estimate.hex())
+                assert math.copysign(1.0, r.value) == 1.0, (k, x, side)
+                seen.add("nan" if raw != raw else "high" if raw > 1.0 else "low")
+    assert seen == {"nan", "high", "low"}
+    # the clamp's edges, raw given by a stub split: -0.0 maps to +0.0, NaN to
+    # 0.0 with a NaN estimate, 1.0 and the smallest subnormal stay
+    edges = (-0.0, 0.0, 5e-324, 0.5, 1.0, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan)
+    for raw in edges:
+        monkeypatch.setattr(oracle, "_split", lambda g, upper, kernel, raw=raw: (raw, -0.0, 0.25))
+        r = oracle._evaluate(p, 5.0, False, oracle._TRAPEZOID, ())
+        value, estimate = _clamped_by_min_max(raw, 0.25)
+        assert (r.value.hex(), r.error_estimate.hex()) == (value.hex(), estimate.hex()), raw
+        assert math.copysign(1.0, r.value) == 1.0, raw
+
+
 def _split_reference_near_w_minus_zero(p, x):
     """F at (p, x) by the split in mpmath, for |w_minus| below about 1e-12.
 

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nigcdf import DomainError, erfc, erfcx
+from nigcdf.special import _erfcx
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -122,6 +123,24 @@ def test_erfcx_asymptotic_branch_within_1e15_of_mpmath():
     for x in (1.7e308, sys.float_info.max):
         assert erfcx(x) > 0.0
         assert abs(erfcx(x) - float(_ref_erfcx_far(x))) <= 1e-323
+
+
+def _erfcx_rounded_by_round(x: float) -> float:
+    """The product form of ``_erfcx`` with x_h = round(512 x) / 512: the reference for its rounding."""
+    xh = round(x * 512.0) / 512.0
+    xl = x - xh
+    return math.exp(xh * xh) * math.exp(xl * (x + xh)) * math.erfc(x)
+
+
+def test_erfcx_rounds_its_split_point_as_round_does():
+    # ``_erfcx`` rounds 512 x to an integer by adding and subtracting
+    # 1.5 * 2^52; it must give the double that ``round`` gave, ties to even
+    # included: at every tie k/1024 on [0, 26] and at 10,000 seeded x there
+    rng = random.Random(1024)
+    xs = [k / 1024 for k in range(26 * 1024 + 1)]
+    xs += [rng.uniform(0.0, 26.0) for _ in range(10_000)]
+    differ = [x for x in xs if _erfcx(x).hex() != _erfcx_rounded_by_round(x).hex()]
+    assert differ == []
 
 
 def test_regime_boundaries_are_seamless():
