@@ -23,8 +23,10 @@ split with its own kernel, whatever w_minus, read from one table of bands
 by their lower z edges, built at import: below z = 0.25 a convergent
 series in z from ``oracle._small_z_kernel``, of order 1 to 11; from z = 30
 a Gauss rule from ``oracle._gauss_kernel``, of 8 nodes down to 1; between
-the two the trapezoid kernel of the quadrature oracle.  Each band's order
-or node count is the least that certifies 2^-53 K at its lower edge.  On
+the two the trapezoid of the quadrature oracle, one band per rung of its
+step's ladder, each with the kernel ``oracle._rung_kernel`` builds for it:
+28 bands in all, below and between 27 edges.  Each band's order or node
+count is the least that certifies 2^-53 K at its lower edge.  On
 every band the complement is evaluated first right of the transition
 point, where zeta_plus < 0, so the smaller of F and G is the one computed
 directly.
@@ -106,17 +108,25 @@ def sf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     return _evaluate(p, x, True, (band,), ())
 
 
-# the z bands of ``cdf``: band i holds the z from _BAND_EDGES[i - 1] (from 0
-# for i = 0) up to _BAND_EDGES[i], and _BANDS[i] is its (kernel, method,
-# work): the small-z series of order 1 to 11, the trapezoid from
-# oracle._SMALL_Z_LIMIT, then the Gauss rules of 8 nodes down to 1
-_BAND_EDGES = (*oracle._SMALL_Z_EDGES, oracle._SMALL_Z_LIMIT, *(edge for edge, _ in oracle._GAUSS_RULES))
+# the 28 z bands of ``cdf``: band i holds the z from _BAND_EDGES[i - 1] (from
+# 0 for i = 0) up to _BAND_EDGES[i], and _BANDS[i] is its (kernel, method,
+# work): the small-z series of order 1 to 11, the trapezoid on each of the 9
+# rungs of its ladder from oracle._SMALL_Z_LIMIT, each rung's band from its
+# first double, then the Gauss rules of 8 nodes down to 1
+_BAND_EDGES = (
+    *oracle._SMALL_Z_EDGES,
+    *oracle._RUNG_EDGES,
+    *(edge for edge, _ in oracle._GAUSS_RULES),
+)
 _BANDS = (
     *(
         (oracle._small_z_kernel(order), Method.SMALL_Z_SERIES, order)
         for order in range(1, len(oracle._SMALL_Z_EDGES) + 2)
     ),
-    *oracle._TRAPEZOID,
+    *(
+        (oracle._rung_kernel(h, nodes), Method.QUAD_SPLIT, 0)
+        for h, nodes in oracle._TABLES.items()
+    ),
     *(
         (oracle._gauss_kernel(rule), Method.GAUSS_SPLIT, len(rule))
         for _, rule in oracle._GAUSS_RULES
@@ -132,10 +142,10 @@ def cdf(p: Parameters, x: float) -> EvalResult:
     quadrature node, summed to the order its band needs; from z = 30 a
     Gauss rule (GAUSS_SPLIT) of the fewest nodes its band needs, 8 at
     z = 30 and 1 from z = 6.72e7; between the two the trapezoid
-    (QUAD_SPLIT).  All three take each K to within 2^-53 before rounding.
-    On every band the complement is evaluated and flipped when x lies
-    right of the transition point (zeta_plus < 0), so the smaller function
-    is the one computed.  Every split route calls its
+    (QUAD_SPLIT) at the step of z's rung.  All three take each K to within
+    2^-53 before rounding.  On every band the complement is evaluated and
+    flipped when x lies right of the transition point (zeta_plus < 0), so
+    the smaller function is the one computed.  Every split route calls its
     kernel as ``kernel(z, w_plus, |w_minus|)`` and reports the estimate
     described at ``EvalResult``.  One call to ``oracle._evaluate`` checks
     x, computes the geometry once and picks the band.  The other routes

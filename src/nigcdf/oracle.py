@@ -7,8 +7,9 @@ included.  It takes K from a kernel, called as
 ``cdf_asym`` and ``sf_asym``; a Gauss rule built by ``_gauss_kernel``,
 which the policy ``expansion.cdf`` takes from z = 30; a convergent series
 in z built by ``_small_z_kernel``, which that policy takes below z = 0.25;
-and the trapezoid ``_kernel``, for the policy between the two, and for
-the primary oracle ``cdf_quad_split`` at every z; the judge that shares
+and the trapezoid, for the policy between the two by one kernel per rung
+of its step's ladder, built by ``_rung_kernel``, and for the primary
+oracle ``cdf_quad_split`` at every z by ``_kernel``; the judge that shares
 no rule with any split route is the direct oracle ``cdf_quad_direct``.
 Below |w_minus| = 1e-13 the split drops the minus part where its bound
 E |w_minus| / pi is no more than the kernel's own bound on that part, as
@@ -45,11 +46,15 @@ advance from the Trefethen-Weideman bound on a strip, so that before
 rounding the sum is within eps = 2^-53 K_low of K, K_low a closed-form
 lower bound on K; that bound, not a measured change, is the error
 estimate the split reports.  The step is rounded down to a ladder of
-powers of 2^(-1/16); in the policy's band a node's sinh^2 t and cosh t
-come from a table built at import per rung, so it costs one exp and one
-division per integral.  A call takes at most 21 nodes for z >= 1, 39 for
-z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double,
-the most at any z.  This grid is the split oracle's only rule.
+powers of 2^(-1/16).  The policy's band 0.25 <= z < 30 spans 9 rungs, and
+the policy takes it as 9 bands, each from its rung's exact first double
+(``_RUNG_EDGES``), each with its own kernel, step and node table, built
+at import: a call there costs no ``_step``, only eps and the last node
+index from z, and a node's sinh^2 t and cosh t come from the table, so
+it costs one exp and one division per integral.  A call takes at most 21
+nodes for z >= 1, 39 for z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the
+smallest positive double, the most at any z.  This grid is the split
+oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
 directly with a nested trapezoid rule; it degenerates when the poles
@@ -232,6 +237,7 @@ _WIDE_STRIP_RATIO = 4.0 * math.sqrt(2.0) * math.pi / (_TARGET_REL * _SQRT_PI)
 # one lookup a call, ``math.exp`` two; 2 pi is an exact doubling
 _TWO_PI = 2.0 * math.pi
 _exp, _erfc, _tuple_new = math.exp, math.erfc, tuple.__new__
+_sqrt, _log, _asinh = math.sqrt, math.log, math.asinh
 
 
 def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
@@ -250,11 +256,13 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
     ``_split`` reports a bound that holds, not a measured change.  Both
     kernels share every node's exp.
 
-    In the policy's trapezoid band a node costs one exp and a division per
-    kernel: sinh^2 t and cosh t at t = k h are read from ``_TABLES``, built
-    at import; at other z the call computes them by ``_nodes`` and keeps
-    nothing.  The node terms fall with t, so they are summed from the last
-    node back, smallest first: summed from t = 0 on in blocks of 32, the
+    This is the trapezoid at any z, for ``cdf_quad_split``: it takes h from
+    ``_step``, the nodes (sinh^2 t, cosh t) at t = k h from ``_TABLES`` where
+    its rung has a table long enough, or else from ``_nodes``, keeping
+    nothing, and sums them by ``_rung_kernel(h, nodes)``.  The policy's
+    trapezoid band calls its rung's kernel directly and needs no ``_step``.
+    The node terms fall with t, so they are summed from the last node
+    back, smallest first: summed from t = 0 on in blocks of 32, the
     rounding reached 5.9e-16 of K on a seeded sample where this order stays
     within 3.0e-16.  Against 40-digit mpmath, K, rounding included, stayed
     within 3.2e-16 relative over 300 seeded calls, z log-uniform over
@@ -262,22 +270,46 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
     z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double,
     the most at any z, so it needs no budget and never raises.
     """
-    h, last, _, eps = _step(z)
+    h, last, _, _ = _step(z)
     nodes = _TABLES.get(h, ())
     if len(nodes) < last:
         nodes = _nodes(h, last)
-    exp = math.exp
-    neg_z = -z
-    # the node terms fall with t, so summed from t = last h down to t = h,
-    # smallest first; the t = 0 node, weighted 1/2, comes last
-    sum_plus = sum_minus = 0.0
-    for s2, c in reversed(nodes[:last]):
-        e = exp(neg_z * s2)
-        sum_plus += e / (c + w_plus)
-        sum_minus += e / (c + w_minus)
-    sum_plus += 0.5 / (1.0 + w_plus)
-    sum_minus += 0.5 / (1.0 + w_minus)
-    return 2.0 * h * sum_plus, 2.0 * h * sum_minus, eps, eps
+    return _rung_kernel(h, nodes)(z, w_plus, w_minus)
+
+
+def _rung_kernel(h: float, nodes: tuple[tuple[float, float], ...]) -> _Kernel:
+    """The trapezoid of ``_kernel`` at the step h, over ``nodes``: valid for every z on h's rung.
+
+    A call computes only what moves with z on a rung, by the expressions
+    of ``_step``: eps = 2^-53 K_low and the last node index, from
+    Lambda = ln(4 h / eps) + 0.01, at two sqrts, a log, a sqrt and an
+    asinh.  ``nodes`` must hold at least the last node of every z the
+    kernel is called at.  So at every z whose step ``_step`` puts on h's
+    rung the call sums the nodes and reports the eps that ``_step``
+    certifies, bit for bit.
+    """
+    two_h = 2.0 * h
+    four_h = 4.0 * h
+    eps_scale = _TARGET_REL * _SQRT_PI
+
+    def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+        root_z = _sqrt(z)
+        eps = eps_scale / (root_z + _sqrt(z + 2.0))
+        last = int(_asinh(_sqrt(_log(four_h / eps) + 0.01) / root_z) / h)
+        exp = math.exp
+        neg_z = -z
+        # the node terms fall with t, so summed from t = last h down to t = h,
+        # smallest first; the t = 0 node, weighted 1/2, comes last
+        sum_plus = sum_minus = 0.0
+        for s2, c in reversed(nodes[:last]):
+            e = exp(neg_z * s2)
+            sum_plus += e / (c + w_plus)
+            sum_minus += e / (c + w_minus)
+        sum_plus += 0.5 / (1.0 + w_plus)
+        sum_minus += 0.5 / (1.0 + w_minus)
+        return two_h * sum_plus, two_h * sum_minus, eps, eps
+
+    return kernel
 
 
 def _step(z: float) -> tuple[float, int, float, float]:
@@ -355,17 +387,29 @@ def _nodes(h: float, count: int) -> tuple[tuple[float, float], ...]:
     return tuple(nodes)
 
 
-# a z on each rung of ``_step``'s ladder in the policy's trapezoid band
-# 0.25 <= z < 30, by rising z: the band's lower edge, then the first doubles
-# of the rungs j = 50 .. 57, 1.93563, 4.87014, 8.22574, 11.8721, 15.7644,
-# 19.8855, 24.2297 and 28.7973, rounded up to four digits, so that each lies
-# on its own rung
-_RUNG_EDGES = (_SMALL_Z_LIMIT, 1.936, 4.871, 8.226, 11.88, 15.77, 19.89, 24.23, 28.8)
-# the trapezoid's node tables by step h, each sized by ``_step`` at its rung's
-# edge: on a rung the last node falls as z rises, and at each edge it is the
-# one at the rung's first double, so the table serves every z of the rung.
-# 132 nodes on the 9 rungs of the band, built once here and never written
-# after, so never locked
+# the first double z of each rung of ``_step``'s ladder in the policy's
+# trapezoid band 0.25 <= z < 30, by rising z: the band's lower edge, then
+# the rungs j = 50 .. 57, from z = 1.93563, 4.87014, 8.22574, 11.8721,
+# 15.7644, 19.8855, 24.2297 and 28.7973 on, found by bisecting ``_step`` to
+# adjacent doubles.  ``expansion._BAND_EDGES`` takes them as the lower edges
+# of the rung bands, so a bisect over them puts every z on the rung
+# ``_step`` gives it
+_RUNG_EDGES = (
+    _SMALL_Z_LIMIT,
+    float.fromhex("0x1.ef856a7a52de0p+0"),
+    float.fromhex("0x1.37b04d80a5dd8p+2"),
+    float.fromhex("0x1.07393f8fe1087p+3"),
+    float.fromhex("0x1.7be8633996ae4p+3"),
+    float.fromhex("0x1.f8763b32256dcp+3"),
+    float.fromhex("0x1.3e2b06405c507p+4"),
+    float.fromhex("0x1.83ad0422d994bp+4"),
+    float.fromhex("0x1.ccc1dbe2ca8dap+4"),
+)
+# the trapezoid's node tables by step h, by rising z, each sized by ``_step``
+# at its rung's edge: on a rung the last node falls as z rises, so the one
+# at the rung's first double serves every z of the rung.  132 nodes on the
+# 9 rungs of the band, built once here and never written after, so never
+# locked; ``expansion._BANDS`` holds one ``_rung_kernel`` per table
 _TABLES = {h: _nodes(h, last) for h, last, _, _ in map(_step, _RUNG_EDGES)}
 
 
@@ -522,9 +566,9 @@ def _gauss_kernel(rule: tuple[tuple[float, float], ...]) -> _Kernel:
     return kernel
 
 
-# the trapezoid as a one-band table of ``_evaluate``, for ``cdf_quad_split``
-# and ``eval --method quad-split``; ``expansion._BANDS`` takes it between the
-# small-z and Gauss bands
+# the trapezoid at any z as a one-band table of ``_evaluate``, for
+# ``cdf_quad_split`` and ``eval --method quad-split``; between the small-z
+# and Gauss bands ``expansion._BANDS`` takes a ``_rung_kernel`` per rung
 _TRAPEZOID = ((_kernel, Method.QUAD_SPLIT, 0),)
 
 

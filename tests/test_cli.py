@@ -131,6 +131,19 @@ def test_eval_point_reports_its_route_estimate_and_value(
     assert abs(record["F"] - reference) <= tol, (record, reference)
 
 
+# the policy's trapezoid bands and ``--method quad-split`` share one trapezoid
+# body, so on the band they print the same record, field for field: at the
+# CI smoke step's point x = 0.5 (z = 2.24), right of the transition, where
+# the policy evaluates G first, and at x = -3 (z = 6.32, another rung), left
+# of it
+@pytest.mark.parametrize("x", ["0.5", "-3"])
+def test_eval_prints_the_quad_split_record_on_the_trapezoid_band(capsys, x):
+    args = f"--alpha 1 --beta 0.2 --mu 0 --delta 1 --x {x}"
+    auto = _eval_json(capsys, args)
+    assert auto["method"] == "quad_split", auto
+    assert auto == _eval_json(capsys, f"{args} --method quad-split")
+
+
 def test_eval_refuses_an_unknown_method():
     with pytest.raises(SystemExit) as exc:
         main(EVAL_BASE + ["--x", "5", "--method", "fastest"])

@@ -24,7 +24,7 @@ from nigcdf import (
     transition_point,
     validate,
 )
-from nigcdf import oracle
+from nigcdf import expansion, oracle
 from nigcdf.cli import _ROUTES
 from nigcdf.expansion import DEFAULT_KMAX, _series_kernel
 from nigcdf.oracle import _GAUSS_RULES, _SMALL_Z_LIMIT, _kernel
@@ -269,8 +269,9 @@ def test_policy_falls_back_to_quadrature_for_small_z():
 
 def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     # seeded draws with z from 1e-12 up to the crossover, on both sides of
-    # w_minus = 0; the route takes no trapezoid node, so the trapezoid's step
-    # is swapped for one that fails, and the split oracle gets it back
+    # w_minus = 0; the route takes no trapezoid node, so the policy's
+    # trapezoid bands get a kernel that fails, and the split oracle gets its
+    # own trapezoid back
     rng = random.Random(1606)
     draws = []
     while len(draws) < 200:
@@ -284,7 +285,11 @@ def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     def no_trapezoid(*args):
         raise AssertionError("the small-z route took a trapezoid node")
 
-    monkeypatch.setattr(oracle, "_step", no_trapezoid)
+    bands = tuple(
+        (no_trapezoid if method is Method.QUAD_SPLIT else kernel, method, work)
+        for kernel, method, work in expansion._BANDS
+    )
+    monkeypatch.setattr(expansion, "_BANDS", bands)
     results = [cdf(p, x) for p, x in draws]
     monkeypatch.undo()
     signs = set()
@@ -604,10 +609,11 @@ def test_cdf_makes_the_pinned_python_calls_a_point():
     # call makes in the package.  A layer added back fails here.  Every point
     # takes cdf, the evaluator oracle._evaluate, params._geometry,
     # oracle._split, the band's kernel and the minus part's special._erfcx;
-    # the trapezoid's kernel calls oracle._step, and the small-z kernel
-    # _small_z_m and _small_z_one for each w.  A finite float x passes
-    # _geometry's inline guard; an int or a float subclass, as
-    # numpy.float64 is, takes _require_finite once, and the same result
+    # the trapezoid band's kernel, one per rung, holds its step and calls
+    # nothing, and the small-z kernel calls _small_z_m and _small_z_one for
+    # each w.  A finite float x passes _geometry's inline guard; an int or a
+    # float subclass, as numpy.float64 is, takes _require_finite once, and
+    # the same result
     p = validate(8.0, 2.0, 3.0, 2.0)
     head = ["cdf", "_evaluate", "_geometry", "_split"]
     assert _package_calls(lambda: cdf(p, 5.0)) == head + ["kernel", "_erfcx"]
@@ -619,7 +625,7 @@ def test_cdf_makes_the_pinned_python_calls_a_point():
         assert [f.hex() if type(f) is float else f for f in cdf(p, x)] == fields
     trapezoid = validate(1.0, 0.2, 0.0, 1.0)
     assert cdf(trapezoid, 0.5).method is Method.QUAD_SPLIT
-    assert _package_calls(lambda: cdf(trapezoid, 0.5)) == head + ["_kernel", "_step", "_erfcx"]
+    assert _package_calls(lambda: cdf(trapezoid, 0.5)) == head + ["kernel", "_erfcx"]
     small = validate(0.5, 0.125, 3.0, 0.1)
     assert cdf(small, 3.0).method is Method.SMALL_Z_SERIES
     assert _package_calls(lambda: cdf(small, 3.0)) == head + [

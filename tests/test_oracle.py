@@ -336,11 +336,11 @@ def test_node_tables_cover_the_band_and_never_change():
     # trapezoid band, each at least as long as any z of the band needs:
     # seeded z and the doubles either side of each rung edge.  No longer
     # than that either: in all no more nodes than the largest last node of
-    # each rung, summed (132).  Each rung's committed edge is its first
-    # double rounded up by under 0.1 %, and lies on that rung; the tables
-    # are those ``_step`` sizes at the edges.  Sweeps over every magnitude
-    # of z and over the band leave the same tables, the same objects, and
-    # the tables take under 1 MB
+    # each rung, summed (132).  Each rung's committed edge is exactly its
+    # first double, whose previous double ``_step`` puts on the rung before,
+    # and the tables, by rising z, are those ``_step`` sizes at the edges.
+    # Sweeps over every magnitude of z and over the band leave the same
+    # tables, the same objects, and the tables take under 1 MB
     low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
     rng = random.Random(6262)
     band = sorted([low, math.nextafter(high, 0.0)] + [rng.uniform(low, high) for _ in range(10_000)])
@@ -354,9 +354,11 @@ def test_node_tables_cover_the_band_and_never_change():
     assert sum(map(len, oracle._TABLES.values())) <= sum(needed.values())
     firsts = [low, *edges[1::2]]
     assert len(oracle._RUNG_EDGES) == len(firsts) == len(oracle._TABLES)
-    for edge, first in zip(oracle._RUNG_EDGES, firsts):
-        assert first <= edge < 1.001 * first, (edge, first)
-        assert oracle._step(edge)[0] == oracle._step(first)[0], (edge, first)
+    assert list(oracle._RUNG_EDGES) == firsts
+    steps = list(oracle._TABLES)
+    assert steps == [oracle._step(edge)[0] for edge in oracle._RUNG_EDGES]
+    for edge, step in zip(oracle._RUNG_EDGES[1:], steps):
+        assert oracle._step(math.nextafter(edge, 0.0))[0] == step, edge
     held = dict(oracle._TABLES)
 
     def sweep():
@@ -379,6 +381,53 @@ def test_node_tables_cover_the_band_and_never_change():
 
     assert _traced_bytes(rebuild) < 1_000_000
     assert rebuilt == [held]
+
+
+def test_band_kernels_are_the_trapezoid_of_step_bit_for_bit(monkeypatch):
+    # the policy's trapezoid band is one band per rung, each kernel holding
+    # its rung's step and table.  At 20,000 seeded z of the band, each rung
+    # edge and the two doubles either side of it, the kernel of z's band
+    # sums exactly the nodes ``_step`` certifies, one exp per node past
+    # t = 0, reports ``_step``'s eps, and returns what ``_kernel``, with the
+    # step and nodes that ``_step`` picks, returns, bit for bit, at w = 0,
+    # 1e-13, 0.5 and 1.  At 2,000 seeded points of the band ``cdf`` is the
+    # split oracle's trapezoid, evaluated as the policy evaluates it
+    low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
+    rng = random.Random(3535)
+    zs = [rng.uniform(low, high) for _ in range(20_000)]
+    for edge in oracle._RUNG_EDGES:
+        below = math.nextafter(edge, 0.0)
+        above = math.nextafter(edge, high)
+        zs += [math.nextafter(below, 0.0), below, edge, above, math.nextafter(above, high)]
+    zs = [z for z in zs if low <= z < high]
+    assert len(zs) == 20_000 + 5 * len(oracle._RUNG_EDGES) - 2
+    counting = _CountingMath()
+    monkeypatch.setattr("nigcdf.oracle.math", counting)
+    ours = []
+    for z in zs:
+        kernel, method, _ = _band(z)
+        assert method is Method.QUAD_SPLIT, z
+        counting.calls = 0
+        out = kernel(z, 0.0, 1e-13) + kernel(z, 0.5, 1.0)
+        _, last, _, eps = oracle._step(z)
+        assert counting.calls == 2 * last, z
+        assert {v.hex() for v in out[2::4] + out[3::4]} == {eps.hex()}, z
+        ours.append(out)
+    monkeypatch.undo()
+    for z, out in zip(zs, ours):
+        theirs = _kernel(z, 0.0, 1e-13) + _kernel(z, 0.5, 1.0)
+        assert [v.hex() for v in out] == [v.hex() for v in theirs], z
+    points = 0
+    while points < 2000:
+        p, x = draw_point(rng)
+        if not low <= geometry(p, x).z < high:
+            continue
+        ours = cdf(p, x)
+        theirs = oracle._evaluate(p, x, None, oracle._TRAPEZOID, ())
+        assert [v.hex() if type(v) is float else v for v in ours] == [
+            v.hex() if type(v) is float else v for v in theirs
+        ], (p, x)
+        points += 1
 
 
 def _trapezoid_reference(z, w, h, digits):
