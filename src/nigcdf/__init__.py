@@ -4,7 +4,7 @@ Evaluates F(x; alpha, beta, mu, delta) and its complement G = 1 - F by the
 exact erfc split of the uniform asymptotic expansion, whose minus part takes
 one signed form on both sides of w_minus = 0.  The automatic route, ``cdf``,
 sums the split's remainder integrals by rules certified to rounding, by z
-band: a small-z series below z = 0.25, a trapezoid to 30, Gauss rules of 8
+band: a small-z series below z = 0.07, a trapezoid to 30, Gauss rules of 8
 nodes at z = 30 down to 1 from z = 6.72e7.  The paper's series serve
 ``cdf_asym`` and ``sf_asym``; two quadrature oracles serve for validation.
 """

@@ -6,7 +6,7 @@ included.  It takes K from a kernel, called as
 ``kernel(z, w_plus, w_minus)``: the expansion's asymptotic series, for
 ``cdf_asym`` and ``sf_asym``; a Gauss rule built by ``_gauss_kernel``,
 which the policy ``expansion.cdf`` takes from z = 30; a convergent series
-in z built by ``_small_z_kernel``, which that policy takes below z = 0.25;
+in z built by ``_small_z_kernel``, which that policy takes below z = 0.07;
 and the trapezoid, for the policy between the two by one kernel per rung
 of its step's ladder, built by ``_rung_kernel``, and for the primary
 oracle ``cdf_quad_split`` at every z by ``_kernel``; the judge that shares
@@ -35,8 +35,8 @@ The small-z series is exact at infinite order: K(0, w) in closed form, an
 erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
 the ascending series of K_0 (DLMF 10.31-10.32) by one loop that steps its
 coefficients by their three-term recurrence.  A majorant of its terms
-bounds the tail; the order runs from 1 below z = 3.84e-6 to 11 from
-z = 0.215, and the tail stays within 2^-53 K below z = 0.25, the crossover.
+bounds the tail; the order runs from 1 below z = 3.84e-6 to 8 from
+z = 0.0578, and the tail stays within 2^-53 K below z = 0.07, the crossover.
 
 The trapezoid puts both integrals on one grid in ``t``, ``sigma = sinh(t)``:
 the map turns the algebraic ``1/sigma^2`` tail into a double-exponential
@@ -46,15 +46,16 @@ advance from the Trefethen-Weideman bound on a strip, so that before
 rounding the sum is within eps = 2^-53 K_low of K, K_low a closed-form
 lower bound on K; that bound, not a measured change, is the error
 estimate the split reports.  The step is rounded down to a ladder of
-powers of 2^(-1/16).  The policy's band 0.25 <= z < 30 spans 9 rungs, and
+powers of 2^(-1/16).  The policy's band 0.07 <= z < 30 spans 9 rungs, and
 the policy takes it as 9 bands, each from its rung's exact first double
 (``_RUNG_EDGES``), each with its own kernel, step and node table, built
 at import: a call there costs no ``_step``, only eps and the last node
 index from z, and a node's sinh^2 t and cosh t come from the table, so
-it costs one exp and one division per integral.  A call takes at most 21
-nodes for z >= 1, 39 for z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the
-smallest positive double, the most at any z.  This grid is the split
-oracle's only rule.
+it costs one exp and one division per integral.  ``_kernel`` calls the
+same kernels wherever a table holds the nodes its z needs.  A call takes
+at most 21 nodes for z >= 1, 32 for z >= 0.07, 39 for z >= 1e-2, 131 for
+z >= 1e-12 and 2,998 at the smallest positive double, the most at any z.
+This grid is the split oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
 directly with a nested trapezoid rule; it degenerates when the poles
@@ -126,7 +127,7 @@ class EvalResult(NamedTuple):
     halving, at most 1e-12.  Each includes the distance by which the value
     was clamped into [0, 1].
     ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
-    and the order its z band sums, 1 to 11, on SMALL_Z_SERIES; the node
+    and the order its z band sums, 1 to 8, on SMALL_Z_SERIES; the node
     count its z band sums, 8 down to 1, on GAUSS_SPLIT; 0 on the
     quadrature routes.
     ``complemented`` records that the value was produced as 1 minus the
@@ -141,21 +142,21 @@ class EvalResult(NamedTuple):
     complemented: bool = False
 
 
-# the lower z edges of the orders 2 .. 11 of ``_small_z_kernel``: order N
-# serves z from its edge to the next, order 1 below the first and order 11 up
-# to the crossover 0.25.  Each edge is the largest z at which order N - 1
+# the lower z edges of the orders 2 .. 8 of ``_small_z_kernel``: order N
+# serves z from its edge to the next, order 1 below the first and order 8 up
+# to the crossover 0.07.  Each edge is the largest z at which order N - 1
 # still certifies 2^-53 K_low, rounded down to three digits
-_SMALL_Z_EDGES = (3.84e-6, 1.31e-4, 1.11e-3, 4.79e-3, 0.0137, 0.0307, 0.0578, 0.0973, 0.149, 0.215)
-# below this z ``expansion.cdf`` takes ``_small_z_kernel`` (order 11 certifies
-# 2^-53 K to z = 0.295), from it the trapezoid, whose node tables start here.
-# On a shared 2-vCPU host (``timeit``, medians of 9, three runs) the trapezoid
-# read from a table took 1.47-1.54 times as long a call as the series at its
-# band's order at z = 0.0137, 1.09-1.48 at 0.03, 1.21-1.40 at 0.05, 0.93-1.10
-# at 0.0973, 0.84-0.89 at 0.15 and 0.78-0.80 at 0.24: the crossover lies near
-# z = 0.1, and moving the limit there is an open item of ROADMAP.md
-_SMALL_Z_LIMIT = 0.25
+_SMALL_Z_EDGES = (3.84e-6, 1.31e-4, 1.11e-3, 4.79e-3, 0.0137, 0.0307, 0.0578)
+# below this z ``expansion.cdf`` takes ``_small_z_kernel`` (order 8 certifies
+# 2^-53 K to z = 0.0973), from it the trapezoid, whose node tables start here.
+# On a shared 2-vCPU host (CPython 3.11, ``timeit``, min of 7, three rounds)
+# a rung kernel took 1.02-1.41 times as long a call as the series at its
+# band's order at z = 0.0307 and 0.045, 0.80-1.07 at 0.0578, 0.065, 0.07 and
+# 0.08, and 0.64-0.86 at 0.0973, 0.15 and 0.24 against the orders 9 to 11
+# that the series needs there: the crossover lies near z = 0.07
+_SMALL_Z_LIMIT = 0.07
 # (2n+1) / (n+1)^2, 1 / (n+1)^2, 2 / (n+1) and 1 / (n+2) for each step
-# n -> n + 1 of the recurrences of ``_small_z_kernel``, n = 1 .. 10; order N
+# n -> n + 1 of the recurrences of ``_small_z_kernel``, n = 1 .. 7; order N
 # takes the first N - 1
 _SMALL_Z_STEPS = tuple(
     ((2 * n + 1) / (n + 1) ** 2, 1 / (n + 1) ** 2, 2 / (n + 1), 1 / (n + 2))
@@ -257,24 +258,27 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, floa
     kernels share every node's exp.
 
     This is the trapezoid at any z, for ``cdf_quad_split``: it takes h from
-    ``_step``, the nodes (sinh^2 t, cosh t) at t = k h from ``_TABLES`` where
-    its rung has a table long enough, or else from ``_nodes``, keeping
-    nothing, and sums them by ``_rung_kernel(h, nodes)``.  The policy's
-    trapezoid band calls its rung's kernel directly and needs no ``_step``.
+    ``_step``.  Where its rung has a table in ``_TABLES`` that holds z's
+    last node, it calls that rung's kernel in ``_RUNG_KERNELS``, the one
+    the policy's band holds; elsewhere it computes the nodes
+    (sinh^2 t, cosh t) at t = k h by ``_nodes``, keeping nothing, and sums
+    them by a ``_rung_kernel(h, nodes)`` of its own.  Either way the sum
+    and eps are ``_step``'s, bit for bit.  The policy's trapezoid band calls
+    its rung's kernel directly and needs no ``_step``.
     The node terms fall with t, so they are summed from the last node
     back, smallest first: summed from t = 0 on in blocks of 32, the
     rounding reached 5.9e-16 of K on a seeded sample where this order stays
     within 3.0e-16.  Against 40-digit mpmath, K, rounding included, stayed
     within 3.2e-16 relative over 300 seeded calls, z log-uniform over
-    [1e-300, 1e16].  A call takes at most 21 nodes for z >= 1, 39 for
-    z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double,
-    the most at any z, so it needs no budget and never raises.
+    [1e-300, 1e16].  A call takes at most 21 nodes for z >= 1, 32 for
+    z >= 0.07, 39 for z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the
+    smallest positive double, the most at any z, so it needs no budget and
+    never raises.
     """
     h, last, _, _ = _step(z)
-    nodes = _TABLES.get(h, ())
-    if len(nodes) < last:
-        nodes = _nodes(h, last)
-    return _rung_kernel(h, nodes)(z, w_plus, w_minus)
+    if len(_TABLES.get(h, ())) >= last:
+        return _RUNG_KERNELS[h](z, w_plus, w_minus)
+    return _rung_kernel(h, _nodes(h, last))(z, w_plus, w_minus)
 
 
 def _rung_kernel(h: float, nodes: tuple[tuple[float, float], ...]) -> _Kernel:
@@ -388,7 +392,7 @@ def _nodes(h: float, count: int) -> tuple[tuple[float, float], ...]:
 
 
 # the first double z of each rung of ``_step``'s ladder in the policy's
-# trapezoid band 0.25 <= z < 30, by rising z: the band's lower edge, then
+# trapezoid band 0.07 <= z < 30, by rising z: the band's lower edge, then
 # the rungs j = 50 .. 57, from z = 1.93563, 4.87014, 8.22574, 11.8721,
 # 15.7644, 19.8855, 24.2297 and 28.7973 on, found by bisecting ``_step`` to
 # adjacent doubles.  ``expansion._BAND_EDGES`` takes them as the lower edges
@@ -407,10 +411,14 @@ _RUNG_EDGES = (
 )
 # the trapezoid's node tables by step h, by rising z, each sized by ``_step``
 # at its rung's edge: on a rung the last node falls as z rises, so the one
-# at the rung's first double serves every z of the rung.  132 nodes on the
+# at the rung's first double serves every z of the rung.  137 nodes on the
 # 9 rungs of the band, built once here and never written after, so never
-# locked; ``expansion._BANDS`` holds one ``_rung_kernel`` per table
+# locked
 _TABLES = {h: _nodes(h, last) for h, last, _, _ in map(_step, _RUNG_EDGES)}
+# one ``_rung_kernel`` per table, by step: ``expansion._BANDS`` holds them as
+# the policy's trapezoid bands, and ``_kernel`` calls the one of z's rung
+# wherever its table holds z's last node
+_RUNG_KERNELS = {h: _rung_kernel(h, nodes) for h, nodes in _TABLES.items()}
 
 
 def _small_z_kernel(order: int) -> _Kernel:

@@ -83,15 +83,15 @@ def _eval_json(capsys, args):
 EVAL_POINTS = {
     "trapezoid": ("--alpha 1 --beta 0.2 --mu 0 --delta 1 --x 0.5",
                   "quad_split", 0, 5e-13, "quad-split", 1e-15),
-    # z = 0.1
-    "small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.1 --x 3",
-                "small_z_series", 9, 5e-13, "quad-split", 1e-15),
-    # right of the transition every band evaluates G first: z = 0.22 on the
+    # z = 0.04
+    "small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.04 --x 3",
+                "small_z_series", 7, 5e-13, "quad-split", 1e-15),
+    # right of the transition every band evaluates G first: z = 0.067 on the
     # small-z series, z = 0.297, past its crossover, and z = 6.32 on the
     # trapezoid, which also agrees with the direct oracle to its stopping
     # tolerance (|nu - tau| = 1.05)
-    "small-z-right": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.1 --x 3.2",
-                      "small_z_series", 11, 5e-13, "quad-split", 1e-15),
+    "small-z-right": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.06 --x 3.03",
+                      "small_z_series", 8, 5e-13, "quad-split", 1e-15),
     "past-small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.1 --x 3.28",
                      "quad_split", 0, 5e-13, "quad-split", 1e-15),
     "trapezoid-right": ("--alpha 1 --beta 0.2 --mu 0 --delta 1 --x 3",

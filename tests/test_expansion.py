@@ -196,8 +196,8 @@ def test_every_route_returns_a_complete_eval_result():
     # routes of ``nigcdf eval --method`` include the two quadrature routes
     rng = random.Random(17)
     points = [draw_point(rng) for _ in range(300)]
-    # z < 0.5: the small-z series, left and right of the transition
-    points += [(validate(0.5, 0.125, 3.0, 0.1), x) for x in (3.0, 3.2)]
+    # z < 0.07: the small-z series, left and right of the transition
+    points += [(validate(0.5, 0.125, 3.0, 0.06), x) for x in (3.0, 3.03)]
     taken = set()
     for p, x in points:
         results = [cdf(p, x), cdf_asym(p, x), sf_asym(p, x)]
@@ -254,11 +254,11 @@ def test_policy_complements_right_of_transition():
 def test_policy_falls_back_to_quadrature_for_small_z():
     # z = 2 alpha delta at x = mu: below the crossover the small-z series,
     # from the crossover, inclusive, up to the Gauss rule's 30 the trapezoid
-    p = validate(0.5, 0.125, 3.0, 0.1)
-    assert geometry(p, 3.0).z == pytest.approx(0.1)
+    p = validate(0.5, 0.125, 3.0, 0.06)
+    assert geometry(p, 3.0).z == pytest.approx(0.06)
     r = cdf(p, 3.0)
     assert r.method is Method.SMALL_Z_SERIES
-    assert r.kmax_used == 9
+    assert r.kmax_used == 8
     for delta in (_SMALL_Z_LIMIT, 1.0, 10.0):
         p = validate(1.0, 0.25, 3.0, 0.5 * delta)
         assert _SMALL_Z_LIMIT <= geometry(p, 3.0).z == delta < _GAUSS_RULES[0][0]
@@ -340,9 +340,9 @@ def test_policy_routes_agree_with_each_other():
 # small-z band that reach the trapezoid (z = 0.5) at their ends, and one on
 # the trapezoid band that crosses into the Gauss band (z = 30) at x = 15
 MONOTONE_GRIDS = [((ALPHA, beta, MU, DELTA), (MU - 10.0, MU + 20.0), 400) for beta in BETAS] + [
-    ((0.5, 0.125, 3.0, 0.1), (2.5, 3.49), 2000),
+    ((0.5, 0.125, 3.0, 0.06), (2.5, 3.49), 2000),
     ((1.0, 0.2, 0.0, 1.0), (-12.0, 20.0), 2000),
-    ((0.05, 0.02, 0.0, 1.0), (-4.9, 4.9), 2000),
+    ((0.03, 0.012, 0.0, 1.0), (-8.2, 8.2), 2000),
 ]
 
 
@@ -360,8 +360,8 @@ def test_cdf_monotone_on_benchmark_grids():
 
 @pytest.mark.parametrize(
     "params,x,method",
-    [((0.5, 0.125, 3.0, 0.1), 2.9, Method.SMALL_Z_SERIES),
-     ((0.5, 0.125, 3.0, 0.1), 3.2, Method.SMALL_Z_SERIES),
+    [((0.5, 0.125, 3.0, 0.06), 2.98, Method.SMALL_Z_SERIES),
+     ((0.5, 0.125, 3.0, 0.06), 3.03, Method.SMALL_Z_SERIES),
      ((1.0, 0.2, 0.0, 1.0), -1.0, Method.QUAD_SPLIT),
      ((1.0, 0.2, 0.0, 1.0), 3.0, Method.QUAD_SPLIT),
      ((8.0, 2.0, 3.0, 2.0), 1.0, Method.GAUSS_SPLIT),
@@ -455,7 +455,7 @@ def test_cdf_checks_every_argument_on_every_route(method, x, bad):
 def test_cdf_checks_every_argument_on_the_other_auto_routes(bad):
     # ROUTES has no auto point below z = 30: here the trapezoid and the small-z series
     for params, x, method in (((1.0, 0.2, 0.0, 1.0), 0.5, Method.QUAD_SPLIT),
-                              ((0.5, 0.125, 3.0, 0.1), 3.0, Method.SMALL_Z_SERIES)):
+                              ((0.5, 0.125, 3.0, 0.06), 3.0, Method.SMALL_Z_SERIES)):
         p = validate(*params)
         assert cdf(p, x).method is method
         with pytest.raises(DomainError):
@@ -626,7 +626,7 @@ def test_cdf_makes_the_pinned_python_calls_a_point():
     trapezoid = validate(1.0, 0.2, 0.0, 1.0)
     assert cdf(trapezoid, 0.5).method is Method.QUAD_SPLIT
     assert _package_calls(lambda: cdf(trapezoid, 0.5)) == head + ["kernel", "_erfcx"]
-    small = validate(0.5, 0.125, 3.0, 0.1)
+    small = validate(0.5, 0.125, 3.0, 0.06)
     assert cdf(small, 3.0).method is Method.SMALL_Z_SERIES
     assert _package_calls(lambda: cdf(small, 3.0)) == head + [
         "kernel", "_small_z_m", "_small_z_one", "_small_z_one", "_erfcx"

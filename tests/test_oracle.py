@@ -227,17 +227,19 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
     # the worst call per band of z over a seeded grid with one z per cell of
     # width 0.017 in ln z, fine enough to land in the narrow windows where a
     # band takes its most nodes; the step depends on z alone, so w does not
-    # move the count.  The oracle's docs and the README quote these numbers.
-    # Every call sums every node ``_step`` certifies: one exp per node past
-    # t = 0, up to its last node index
+    # move the count.  The oracle's docs and the README quote these numbers;
+    # the row from _SMALL_Z_LIMIT is the policy's trapezoid band, whose first
+    # rung's table holds 31 nodes past t = 0.  Every call sums
+    # every node ``_step`` certifies: one exp per node past t = 0, up to its
+    # last node index
     counting = _CountingMath()
     monkeypatch.setattr("nigcdf.oracle.math", counting)
     rng = random.Random(2026)
     lo, hi = math.log(1e-12), math.log(1e3)
     zs = [math.exp(lo + (hi - lo) * (i + rng.random()) / 2000) for i in range(2000)]
-    zs += [1e-12, 1e-2, 1.0, 5e-324]
+    zs += [1e-12, 1e-2, _SMALL_Z_LIMIT, 1.0, 5e-324]
     ws = [0.0, 1.0, math.exp(rng.uniform(math.log(1e-13), 0.0))]
-    worst = {1.0: 0, 1e-2: 0, 1e-12: 0, 5e-324: 0}
+    worst = {1.0: 0, _SMALL_Z_LIMIT: 0, 1e-2: 0, 1e-12: 0, 5e-324: 0}
     for z in zs:
         for w in ws:
             last = oracle._step(z)[1]
@@ -247,7 +249,7 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
             for band in worst:
                 if z >= band:
                     worst[band] = max(worst[band], counting.calls + 1)
-    assert worst == {1.0: 21, 1e-2: 39, 1e-12: 131, 5e-324: 2998}
+    assert worst == {1.0: 21, _SMALL_Z_LIMIT: 32, 1e-2: 39, 1e-12: 131, 5e-324: 2998}
 
 
 # the truncation margin r = 2 z sinh T cosh T h that the docstring of
@@ -336,7 +338,7 @@ def test_node_tables_cover_the_band_and_never_change():
     # trapezoid band, each at least as long as any z of the band needs:
     # seeded z and the doubles either side of each rung edge.  No longer
     # than that either: in all no more nodes than the largest last node of
-    # each rung, summed (132).  Each rung's committed edge is exactly its
+    # each rung, summed (137).  Each rung's committed edge is exactly its
     # first double, whose previous double ``_step`` puts on the rung before,
     # and the tables, by rising z, are those ``_step`` sizes at the edges.
     # Sweeps over every magnitude of z and over the band leave the same
@@ -388,10 +390,11 @@ def test_band_kernels_are_the_trapezoid_of_step_bit_for_bit(monkeypatch):
     # its rung's step and table.  At 20,000 seeded z of the band, each rung
     # edge and the two doubles either side of it, the kernel of z's band
     # sums exactly the nodes ``_step`` certifies, one exp per node past
-    # t = 0, reports ``_step``'s eps, and returns what ``_kernel``, with the
-    # step and nodes that ``_step`` picks, returns, bit for bit, at w = 0,
-    # 1e-13, 0.5 and 1.  At 2,000 seeded points of the band ``cdf`` is the
-    # split oracle's trapezoid, evaluated as the policy evaluates it
+    # t = 0, reports ``_step``'s eps, and returns what a ``_rung_kernel``
+    # built afresh over the step and nodes that ``_step`` picks returns, bit
+    # for bit, at w = 0, 1e-13, 0.5 and 1.  At 2,000 seeded points of the
+    # band ``cdf`` is the split oracle's trapezoid, evaluated as the policy
+    # evaluates it
     low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
     rng = random.Random(3535)
     zs = [rng.uniform(low, high) for _ in range(20_000)]
@@ -415,7 +418,9 @@ def test_band_kernels_are_the_trapezoid_of_step_bit_for_bit(monkeypatch):
         ours.append(out)
     monkeypatch.undo()
     for z, out in zip(zs, ours):
-        theirs = _kernel(z, 0.0, 1e-13) + _kernel(z, 0.5, 1.0)
+        h, last, _, _ = oracle._step(z)
+        fresh = oracle._rung_kernel(h, oracle._nodes(h, last))
+        theirs = fresh(z, 0.0, 1e-13) + fresh(z, 0.5, 1.0)
         assert [v.hex() for v in out] == [v.hex() for v in theirs], z
     points = 0
     while points < 2000:
@@ -530,7 +535,7 @@ def test_kernel_is_relatively_accurate_over_the_double_range():
 # the w grid of the small-z kernel's checks: both ends, and both ends' neighbours
 SMALL_Z_WS = (0.0, 1e-12, 0.05, 0.3, 0.7, 0.99, 1.0 - 1e-9, 1.0)
 # from the smallest double up to the largest double below the crossover
-SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.1, 0.2, 0.24,
+SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.04, 0.06,
               math.nextafter(_SMALL_Z_LIMIT, 0.0))
 
 
@@ -568,10 +573,10 @@ def test_small_z_kernel_matches_mpmath(z):
                 assert 0.0 <= dk <= 1e-15 * ref
 
 
-@pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-4, 0.1, 0.2, math.nextafter(_SMALL_Z_LIMIT, 0.0)])
+@pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-4, 0.04, math.nextafter(_SMALL_Z_LIMIT, 0.0)])
 def test_small_z_rows_sum_m_to_mpmath(z):
     # M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2, alone,
-    # as the recurrences of ``_small_z_m`` sum it to the highest order, 11:
+    # as the recurrences of ``_small_z_m`` sum it to the highest order, 8:
     # at small z, M enters K at about z ln(1/z) and so is invisible in K.
     # The reference integrates over [0, 1] in u = t / z, where the
     # quadrature resolves the logarithmic singularity at 0 at every z
@@ -633,8 +638,8 @@ def test_small_z_coefficients_lie_under_their_majorants():
 def test_small_z_order_edges_follow_the_majorant():
     # each edge of oracle._SMALL_Z_EDGES is the largest z at which the order
     # below still certifies 2^-53 K_low, found here by bisection, rounded
-    # down by under 1 %; order 11 certifies up to the crossover; and the
-    # band table gives each order from its edge
+    # down by under 1 %; the highest order, 8, certifies up to the
+    # crossover; and the band table gives each order from its edge
     for order, edge in enumerate(oracle._SMALL_Z_EDGES, start=1):
         lo, hi = 1e-300, 1.0
         assert _small_z_certifies(order, lo) and not _small_z_certifies(order, hi)
@@ -672,18 +677,18 @@ def _small_z_series_mp(z: float, w: float, order: int) -> mpmath.mpf:
 
 
 def test_small_z_kernel_bounds_its_truncation():
-    # z seeded log-uniform over [1e-8, 0.25), plus the doubles either side of
-    # every order edge and the largest double below the crossover; w_plus at
-    # both ends and at w^2 = 1/2, where the odd terms of M vanish, w_minus
-    # uniform.  dK is the documented bound w e^{s^2 z} 2 t_{order+1}; the
-    # series to the band's order, summed in 40 digits, lies within it of K
-    # before rounding (up to the 1e-38 to which 40 digits resolve K, for
-    # w = 0, where dK = 0), and dK <= 2^-53 K
+    # z seeded log-uniform over [1e-8, _SMALL_Z_LIMIT), plus the doubles
+    # either side of every order edge and the largest double below the
+    # crossover; w_plus at both ends and at w^2 = 1/2, where the odd terms of
+    # M vanish, w_minus uniform.  dK is the documented bound
+    # w e^{s^2 z} 2 t_{order+1}; the series to the band's order, summed in
+    # 40 digits, lies within it of K before rounding (up to the 1e-38 to
+    # which 40 digits resolve K, for w = 0, where dK = 0), and dK <= 2^-53 K
     rng = random.Random(2929)
     zs = [math.nextafter(_SMALL_Z_LIMIT, 0.0)]
     for edge in oracle._SMALL_Z_EDGES:
         zs += [math.nextafter(edge, 0.0), edge]
-    zs += [math.exp(rng.uniform(math.log(1e-8), math.log(0.25))) for _ in range(8)]
+    zs += [math.exp(rng.uniform(math.log(1e-8), math.log(_SMALL_Z_LIMIT))) for _ in range(8)]
     with mpmath.workdps(40):
         for z in zs:
             kernel, method, order = _band(z)
@@ -897,8 +902,9 @@ def test_cdf_has_no_jump_where_z_crosses_30(beta):
 @pytest.mark.parametrize("tilt", [-0.8, -0.4, 0.0, 0.4, 0.8])
 def test_cdf_has_no_jump_where_z_crosses_the_small_z_limit(tilt):
     # the same at the small-z crossover: the series ends one double short of
-    # each x where z = _SMALL_Z_LIMIT, and the trapezoid starts there
-    for alpha in (0.05, 0.1):
+    # each x where z = _SMALL_Z_LIMIT, and the trapezoid starts there; with
+    # delta = 1, z = 2 alpha omega >= 2 alpha, so alpha < _SMALL_Z_LIMIT / 2
+    for alpha in (0.01, 0.03):
         p = validate(alpha, tilt * alpha, 3.0, 1.0)
         for side in (-1.0, 1.0):
             inner, outer = _either_side_of_z(p, _SMALL_Z_LIMIT, side)
