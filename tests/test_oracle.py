@@ -534,9 +534,13 @@ def test_kernel_is_relatively_accurate_over_the_double_range():
 
 # the w grid of the small-z kernel's checks: both ends, and both ends' neighbours
 SMALL_Z_WS = (0.0, 1e-12, 0.05, 0.3, 0.7, 0.99, 1.0 - 1e-9, 1.0)
-# from the smallest double up to the largest double below the crossover
+# from the smallest double up to the largest double below the crossover,
+# where the series serves, and on over the first trapezoid rung up to the
+# largest double below 1/4, so the kernel that ``cdf`` takes at small z is
+# judged the same way on both sides of the crossover
 SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.04, 0.06,
-              math.nextafter(_SMALL_Z_LIMIT, 0.0))
+              math.nextafter(_SMALL_Z_LIMIT, 0.0), 0.1, 0.2, 0.24,
+              math.nextafter(0.25, 0.0))
 
 
 def _band(z: float) -> tuple:
