@@ -22,8 +22,8 @@ import sys
 from . import selftest as selftest_mod
 from .errors import ConvergenceError, DomainError, NearTransitionError
 from .coeffs import _check_kmax
-from .expansion import DEFAULT_KMAX, EvalResult, Method, cdf, cdf_asym
-from .oracle import _TRAPEZOID, _evaluate, _kernel, _quad_direct, _split, cdf_quad_split
+from .expansion import DEFAULT_KMAX, cdf, cdf_asym
+from .oracle import _kernel, _split, cdf_quad_direct, cdf_quad_split
 from .params import geometry, transition_point, validate
 
 __all__ = ["main", "run"]
@@ -59,20 +59,14 @@ def _fmt(value, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _direct(p, g) -> EvalResult:
-    value, error = _quad_direct(p, g)
-    return EvalResult(value, Method.QUAD_DIRECT, 0, error)
-
-
-# eval --method: each choice and the route it names, called as
-# route(p, x, g, kmax), g the geometry that also gives the record its z.  The
-# split routes compute their own, in ``oracle._evaluate``; the direct oracle
-# takes g
+# eval --method: each choice and the public route it names, called as
+# route(p, x, kmax); each returns its own ``EvalResult``, and only ``asym``
+# reads kmax
 _ROUTES = {
-    "auto": lambda p, x, g, kmax: cdf(p, x),
-    "asym": lambda p, x, g, kmax: cdf_asym(p, x, kmax),
-    "quad-split": lambda p, x, g, kmax: _evaluate(p, x, False, _TRAPEZOID, ()),
-    "quad-direct": lambda p, x, g, kmax: _direct(p, g),
+    "auto": lambda p, x, kmax: cdf(p, x),
+    "asym": lambda p, x, kmax: cdf_asym(p, x, kmax),
+    "quad-split": lambda p, x, kmax: cdf_quad_split(p, x),
+    "quad-direct": lambda p, x, kmax: cdf_quad_direct(p, x),
 }
 
 
@@ -81,7 +75,7 @@ def _cmd_eval(args) -> int:
     # outside input, so refused on every method, not only on the one that reads it
     kmax = _check_kmax(args.kmax)
     g = geometry(p, args.x)
-    result = _ROUTES[args.method](p, args.x, g, kmax)
+    result = _ROUTES[args.method](p, args.x, kmax)
     record = {
         "x": args.x,
         "F": result.value,
@@ -112,7 +106,7 @@ def _cmd_table1(args) -> int:
         x0 = transition_point(p)
         g = geometry(p, x0)
         f_asym = cdf_asym(p, x0, kmax).value
-        f_oracle = cdf_quad_split(p, x0)
+        f_oracle = cdf_quad_split(p, x0).value
         row = (beta, x0, f_asym, f_oracle, g.z, abs(f_asym - f_oracle))
         print(",".join(f"{v:.17g}" for v in row))
     return 0

@@ -74,7 +74,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ConvergenceError, NearTransitionError
-from .params import Geometry, Parameters, _geometry, _require_finite, geometry, validate
+from .params import Parameters, _geometry, _require_finite, validate
 from .special import _erfcx
 
 __all__ = [
@@ -85,7 +85,7 @@ __all__ = [
 
 # the direct oracle stops once one step halving moves its integral by at most this
 _DIRECT_TOL = 1e-12
-_NEAR_TRANSITION_GAP = 0.02
+_NEAR_TRANSITION_S = math.sin(0.01)  # it refuses |s_plus| <= this, |nu - tau| <= 0.02
 # below this |w_minus| the two halves of the minus part cancel to within
 # E |w_minus| / pi; ``_split`` takes it as zero, and adds that to its
 # estimate, where that is at most the kernel's bound c_minus dK_minus
@@ -105,9 +105,9 @@ class Method(Enum):
 
 
 # a NamedTuple, not a frozen dataclass, for the reason given at params.Parameters;
-# defined here, where ``_evaluate`` builds it, and exported by ``expansion``
+# defined here, where both oracles build it, and exported by ``expansion``
 class EvalResult(NamedTuple):
-    """One evaluation: probability, route taken, and an error estimate.
+    """The record of every public route: probability, route taken, and an error estimate.
 
     ``error_estimate`` is, on the four split routes (UNIFORM_ASYM,
     GAUSS_SPLIT, SMALL_Z_SERIES and QUAD_SPLIT), |c_plus| dK_plus +
@@ -575,17 +575,18 @@ def _gauss_kernel(rule: tuple[tuple[float, float], ...]) -> _Kernel:
 
 
 # the trapezoid at any z as a one-band table of ``_evaluate``, for
-# ``cdf_quad_split`` and ``eval --method quad-split``; between the small-z
-# and Gauss bands ``expansion._BANDS`` takes a ``_rung_kernel`` per rung
+# ``cdf_quad_split``; between the small-z and Gauss bands ``expansion._BANDS``
+# takes a ``_rung_kernel`` per rung
 _TRAPEZOID = ((_kernel, Method.QUAD_SPLIT, 0),)
 
 
-def cdf_quad_split(p: Parameters, x: float) -> float:
+def cdf_quad_split(p: Parameters, x: float) -> EvalResult:
     """High-accuracy CDF by ``_split`` with the trapezoid ``_kernel``; valid for every z > 0.
 
-    The kernel's step is certified in advance to 2^-53 of K.
+    The kernel's step is certified in advance to 2^-53 of K, and the
+    record of ``_evaluate`` reports that bound as its estimate.
     """
-    return _evaluate(p, x, False, _TRAPEZOID, ())[0]
+    return _evaluate(p, x, False, _TRAPEZOID, ())
 
 
 def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, float, float]:
@@ -678,38 +679,38 @@ def _evaluate(
     return _tuple_new(EvalResult, (value, method, work, error, flip))
 
 
-def cdf_quad_direct(p: Parameters, x: float) -> float:
+def cdf_quad_direct(p: Parameters, x: float) -> EvalResult:
     """Independent CDF oracle: trapezoid on the steepest-descent integral.
 
-    Only defined away from the transition: |nu - tau| <= 0.02 raises
-    NearTransitionError because the integrand's poles pinch the contour
-    there.  The same integral I serves both sides: F = I for nu > tau, and
-    for nu < tau, where the contour has crossed the plus pole, F = 1 + I,
-    the 1 being that pole's residue.
+    Only defined away from the transition: |s_plus| <= sin 0.01, that is
+    |nu - tau| <= 0.02, raises NearTransitionError as the integrand's poles
+    pinch the contour there.  One integral I serves both sides: F = I for
+    s_plus > 0, and elsewhere, where the contour has crossed the plus pole,
+    F = 1 + I, the 1 being that pole's residue.
     """
-    return _quad_direct(p, geometry(p, x))[0]
+    return _quad_direct(p, x)
 
 
-def _quad_direct(p: Parameters, g: Geometry) -> tuple[float, float]:
-    """F at ``g`` by the direct integral of ``cdf_quad_direct``, and its error estimate.
+def _quad_direct(p: Parameters, x: float) -> EvalResult:
+    """F at x by the direct integral of ``cdf_quad_direct``, as a QUAD_DIRECT record.
 
     Halves the trapezoid step until one more halving changes the integral
     by at most ``_DIRECT_TOL``; the first level takes every node, each
     halving adds only the odd ones.  The estimate is that last change plus
-    the distance by which F was clamped into [0, 1].
+    the distance by which F was clamped into [0, 1]; the work is 0.
     """
-    gap = g.nu - p.tau
-    if abs(gap) <= _NEAR_TRANSITION_GAP:
+    xi, omega, _, _, s_plus, s_minus, _, _, _, _ = _geometry(p, x)
+    if abs(s_plus) <= _NEAR_TRANSITION_S:
         raise NearTransitionError(
-            f"|nu - tau| = {abs(gap):.4g} is within {_NEAR_TRANSITION_GAP}; "
+            f"|nu - tau| = {2.0 * math.asin(abs(s_plus)):.4g} is within 0.02; "
             "the split oracle handles the transition region"
         )
-    aw = p.alpha * g.omega
-    big_a = p.delta * p.gamma + p.beta * g.xi  # equals aw - z s_plus^2 <= aw
-    sp2 = g.s_plus * g.s_plus
-    sm2 = g.s_minus * g.s_minus
-    sin_nu = p.delta / g.omega
-    cos_nu = g.xi / g.omega
+    aw = p.alpha * omega
+    big_a = p.delta * p.gamma + p.beta * xi  # equals aw - z s_plus^2 <= aw
+    sp2 = s_plus * s_plus
+    sm2 = s_minus * s_minus
+    sin_nu = p.delta / omega
+    cos_nu = xi / omega
     cos_tau = p.beta / p.alpha
 
     def f(s: float) -> float:
@@ -735,11 +736,11 @@ def _quad_direct(p: Parameters, g: Geometry) -> tuple[float, float]:
         cur = h * total / math.pi  # 2 for evenness, over 2 pi
         change = abs(cur - prev)
         if change <= tol:
-            raw = cur if gap > 0.0 else 1.0 + cur
-            if 0.0 < raw <= 1.0:  # the clamp of ``_evaluate``
-                return raw, change
-            value = 1.0 if raw > 1.0 else 0.0
-            return value, change + abs(raw - value)
+            raw = cur if s_plus > 0.0 else 1.0 + cur
+            # the clamp of ``_evaluate``; an unclamped raw adds 0.0 to the change
+            value = raw if 0.0 < raw <= 1.0 else (1.0 if raw > 1.0 else 0.0)
+            error = change + abs(raw - value)
+            return _tuple_new(EvalResult, (value, Method.QUAD_DIRECT, 0, error, False))
         prev = cur
         h *= 0.5
         stride = 2

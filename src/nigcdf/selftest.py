@@ -143,8 +143,8 @@ def oracle_suite(seed: int = DEFAULT_SEED):
         if abs(g.nu - p.tau) <= 0.05 or not 5.0 <= g.z <= 200.0:
             continue
         done += 1
-        split = cdf_quad_split(p, x)
-        direct = cdf_quad_direct(p, x)
+        split = cdf_quad_split(p, x).value
+        direct = cdf_quad_direct(p, x).value
         if abs(split - direct) <= 1e-10:
             passed += 1
         else:
@@ -152,12 +152,12 @@ def oracle_suite(seed: int = DEFAULT_SEED):
     for _ in range(8):
         p, x = draw_point(rng)
         rp, rx = reflect(p, x)
-        if abs(cdf_quad_split(p, x) + cdf_quad_split(rp, rx) - 1.0) <= 1e-10:
+        if abs(cdf_quad_split(p, x).value + cdf_quad_split(rp, rx).value - 1.0) <= 1e-10:
             passed += 1
         else:
             failed += 1
     mid = validate(8.0, 0.0, 3.0, 2.0)
-    if abs(cdf_quad_split(mid, 3.0) - 0.5) <= 1e-12:
+    if abs(cdf_quad_split(mid, 3.0).value - 0.5) <= 1e-12:
         passed += 1
     else:
         failed += 1

@@ -81,7 +81,7 @@ def test_criterion_02_large_parameter_values():
 def test_criterion_03_table_function_values():
     rows = []
     for p, f_pub, f_ind in zip(_bench(), F_PUBLISHED, F_INDEPENDENT):
-        f = cdf_quad_split(p, transition_point(p))
+        f = cdf_quad_split(p, transition_point(p)).value
         rows.append((p.beta, f, f_ind, f_pub, abs(f - f_ind)))
     report = "\n".join(
         f"  beta={beta:5}: oracle={f:.17g}  independent={f_ind:.17g}  "
@@ -98,7 +98,7 @@ def test_criterion_04_asymptotic_errors():
     for p, err_ref in zip(_bench(), ERR_PUBLISHED):
         x0 = transition_point(p)
         asym = cdf_asym(p, x0, kmax=5).value
-        quad = cdf_quad_split(p, x0)
+        quad = cdf_quad_split(p, x0).value
         assert abs(asym - quad) <= 2.0 * err_ref
 
 
@@ -123,7 +123,7 @@ def test_criterion_07_cross_oracle():
         if abs(g.nu - p.tau) <= 0.05 or not 5.0 <= g.z <= 200.0:
             continue
         done += 1
-        assert abs(cdf_quad_split(p, x) - cdf_quad_direct(p, x)) <= 1e-10
+        assert abs(cdf_quad_split(p, x).value - cdf_quad_direct(p, x).value) <= 1e-10
 
 
 def test_criterion_08_global_behavior():
@@ -139,14 +139,14 @@ def test_criterion_08_global_behavior():
             g = sf_asym(p, x).value
             assert abs(f + g - 1.0) <= 1e-12
             if geometry(p, x).z >= 30.0:
-                assert abs(f - cdf_quad_split(p, x)) <= 1e-7
+                assert abs(f - cdf_quad_split(p, x).value) <= 1e-7
 
 
 def test_criterion_09_symmetric_median():
     p = validate(ALPHA, 0.0, MU, DELTA)
     assert abs(cdf(p, MU).value - 0.5) <= 1e-10
     assert abs(cdf_asym(p, MU).value - 0.5) <= 1e-10
-    assert abs(cdf_quad_split(p, MU) - 0.5) <= 1e-10
+    assert abs(cdf_quad_split(p, MU).value - 0.5) <= 1e-10
     # the direct oracle excludes nu = tau by design; it must refuse, not
     # return a wrong number
     with pytest.raises(NearTransitionError):
@@ -162,7 +162,7 @@ def test_criterion_10_reflection():
         draws += 1
         saw_negative_xi = saw_negative_xi or x < p.mu
         rp, rx = reflect(p, x)
-        total = cdf_quad_split(p, x) + cdf_quad_split(rp, rx)
+        total = cdf_quad_split(p, x).value + cdf_quad_split(rp, rx).value
         assert abs(total - 1.0) <= 1e-10
     assert saw_negative_xi
 

@@ -7,6 +7,7 @@ from bisect import bisect_right
 
 import pytest
 
+from nigcdf import cdf, cdf_asym, cdf_quad_direct, cdf_quad_split
 from nigcdf.cli import main, run
 from nigcdf.expansion import _BAND_EDGES, _BANDS, Method
 from nigcdf.oracle import _split
@@ -117,6 +118,11 @@ EVAL_POINTS = {
 }
 
 
+# each --method and the library function that serves it
+LIBRARY_ROUTES = {"auto": cdf, "asym": cdf_asym, "quad-split": cdf_quad_split,
+                  "quad-direct": cdf_quad_direct}
+
+
 @pytest.mark.parametrize(
     "args,route,kmax,estimate,reference,tol", EVAL_POINTS.values(), ids=EVAL_POINTS
 )
@@ -126,6 +132,14 @@ def test_eval_point_reports_its_route_estimate_and_value(
     record = _eval_json(capsys, args)
     assert (record["method"], record["kmax"]) == (route, kmax), record
     assert record["error_estimate"] <= estimate, record
+    # the CLI prints the record of the library's route, exactly: JSON
+    # round-trips a double
+    options = dict(zip(args.split()[::2], args.split()[1::2]))
+    p = validate(*(float(options[f"--{k}"]) for k in ("alpha", "beta", "mu", "delta")))
+    r = LIBRARY_ROUTES[options.get("--method", "auto")](p, float(options["--x"]))
+    assert [record[k] for k in ("F", "method", "kmax", "error_estimate")] == [
+        r.value, r.method.value, r.kmax_used, r.error_estimate
+    ], (record, r)
     if isinstance(reference, str):
         reference = _eval_json(capsys, f"{args} --method {reference}")["F"]
     assert abs(record["F"] - reference) <= tol, (record, reference)
@@ -298,9 +312,8 @@ def test_figure1_minus_column_is_the_minus_part_of_the_split(capsys):
 def _count_geometry_calls(monkeypatch):
     """The x of each ``Geometry`` record built, and of each geometry a split route computes.
 
-    Every split route computes its own geometry, by ``params._geometry``
-    inside ``oracle._evaluate``; the CLI builds the record for what it
-    prints and for the routes that take one.
+    Every route computes its own geometry, by ``params._geometry`` inside
+    ``oracle``; the CLI builds the record for what it prints.
     """
     records, routes = [], []
 
@@ -312,8 +325,7 @@ def _count_geometry_calls(monkeypatch):
         routes.append(x)
         return _geometry(p, x)
 
-    for module in ("cli", "oracle"):
-        monkeypatch.setattr(f"nigcdf.{module}.geometry", record)
+    monkeypatch.setattr("nigcdf.cli.geometry", record)
     monkeypatch.setattr("nigcdf.oracle._geometry", route)
     return records, routes
 
@@ -322,11 +334,10 @@ def _count_geometry_calls(monkeypatch):
 @pytest.mark.parametrize("x", ["5", "1"])
 def test_eval_computes_the_geometry_once(monkeypatch, capsys, method, x):
     # both points take the Gauss route under auto, x = 1 at w_minus < 0: one
-    # record, and one geometry in the split route if the method takes one
+    # record, and one geometry in the route, whichever the method
     records, routes = _count_geometry_calls(monkeypatch)
     assert main(EVAL_BASE + ["--x", x, "--method", method]) == 0
-    assert records == [float(x)]
-    assert routes == ([] if method == "quad-direct" else [float(x)])
+    assert records == routes == [float(x)]
 
 
 @pytest.mark.parametrize("n", [2, 7])

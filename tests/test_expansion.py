@@ -61,13 +61,13 @@ def test_f_plus_matches_oracle_remainder():
     # F - F_minus computed by quadrature isolates the plus part
     p = _bench(-4.0)
     f_plus, f_minus = _parts(geometry(p, 6.0))
-    assert abs(f_plus - (cdf_quad_split(p, 6.0) - f_minus)) <= 1e-8
+    assert abs(f_plus - (cdf_quad_split(p, 6.0).value - f_minus)) <= 1e-8
 
 
 def test_g_plus_matches_oracle_remainder():
     p = _bench(7.5)
     g_plus, f_minus = _parts(geometry(p, 15.0), upper=True)
-    oracle_g = 1.0 - cdf_quad_split(p, 15.0)
+    oracle_g = 1.0 - cdf_quad_split(p, 15.0).value
     assert abs((g_plus - f_minus) - oracle_g) <= 1e-9
 
 
@@ -94,7 +94,7 @@ def test_forced_asym_is_accurate_where_w_minus_is_small():
             points.append((p, x))
     assert len(points) >= 1000
     for p, x in points:
-        ref = cdf_quad_split(p, x)
+        ref = cdf_quad_split(p, x).value
         assert abs(cdf_asym(p, x).value - ref) <= 1e-7
         assert abs(1.0 - sf_asym(p, x).value - ref) <= 1e-7
 
@@ -110,7 +110,7 @@ def test_f_minus_vanishes_where_w_minus_changes_sign():
         f_minus = _parts(g)[1]
         assert f_minus * g.w_minus > 0.0
         assert abs(f_minus) <= 1e-11
-        assert abs(cdf_asym(p, x_w0 + dx).value - cdf_quad_split(p, x_w0 + dx)) <= 1e-11
+        assert abs(cdf_asym(p, x_w0 + dx).value - cdf_quad_split(p, x_w0 + dx).value) <= 1e-11
 
 
 def test_cdf_asym_at_transition_matches_oracle():
@@ -118,7 +118,7 @@ def test_cdf_asym_at_transition_matches_oracle():
         p = _bench(beta)
         x0 = transition_point(p)
         asym = cdf_asym(p, x0, kmax=5).value
-        quad = cdf_quad_split(p, x0)
+        quad = cdf_quad_split(p, x0).value
         assert abs(asym - quad) <= ASYM_ERR_ALLOWANCE[beta]
 
 
@@ -131,7 +131,7 @@ def test_cdf_asym_truncation_error_shrinks_with_kmax():
     for beta in BETAS:
         p = _bench(beta)
         x0 = transition_point(p)
-        ref = cdf_quad_split(p, x0)
+        ref = cdf_quad_split(p, x0).value
         errs = [abs(cdf_asym(p, x0, kmax=k).value - ref) for k in range(6)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
@@ -203,7 +203,7 @@ def test_every_route_returns_a_complete_eval_result():
         results = [cdf(p, x), cdf_asym(p, x), sf_asym(p, x)]
         for route in _ROUTES.values():
             try:
-                results.append(route(p, x, geometry(p, x), DEFAULT_KMAX))
+                results.append(route(p, x, DEFAULT_KMAX))
             except NigError:
                 pass
         for r in results:
@@ -228,7 +228,7 @@ def test_error_estimate_tracks_actual_error():
         p = _bench(beta)
         x0 = transition_point(p)
         r = cdf_asym(p, x0, kmax=5)
-        actual = abs(r.value - cdf_quad_split(p, x0))
+        actual = abs(r.value - cdf_quad_split(p, x0).value)
         assert actual <= 100.0 * (r.error_estimate + 1e-15)
 
 
@@ -248,7 +248,7 @@ def test_policy_complements_right_of_transition():
     assert r.complemented
     assert r.method is Method.GAUSS_SPLIT
     assert 0.0 <= r.value <= 1.0
-    assert abs(r.value - cdf_quad_split(p, 20.0)) <= 1e-9
+    assert abs(r.value - cdf_quad_split(p, 20.0).value) <= 1e-9
 
 
 def test_policy_falls_back_to_quadrature_for_small_z():
@@ -298,7 +298,7 @@ def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
         order = bisect_right(oracle._SMALL_Z_EDGES, geometry(p, x).z) + 1
         assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == order
         assert 0.0 <= r.error_estimate <= 1e-15
-        assert abs(r.value - cdf_quad_split(p, x)) <= 1e-13
+        assert abs(r.value - cdf_quad_split(p, x).value) <= 1e-13
         signs.add(geometry(p, x).w_minus > 0.0)
     assert signs == {False, True}
 
@@ -321,8 +321,7 @@ def test_policy_forced_methods():
     with pytest.raises(TypeError):
         cdf(p, 5.0, kmax=DEFAULT_KMAX)
     assert cdf_asym(p, 5.0).method is Method.UNIFORM_ASYM
-    g = geometry(p, 5.0)
-    taken = {m: _ROUTES[m](p, 5.0, g, DEFAULT_KMAX).method for m in _ROUTES}
+    taken = {m: _ROUTES[m](p, 5.0, DEFAULT_KMAX).method for m in _ROUTES}
     assert taken == {"auto": Method.GAUSS_SPLIT, "asym": Method.UNIFORM_ASYM,
                      "quad-split": Method.QUAD_SPLIT, "quad-direct": Method.QUAD_DIRECT}
 
@@ -330,9 +329,9 @@ def test_policy_forced_methods():
 def test_policy_routes_agree_with_each_other():
     p = _bench(2.0)
     for x in (1.0, 5.0, 8.0):
-        ref = cdf_quad_split(p, x)
+        ref = cdf_quad_split(p, x).value
         assert abs(cdf(p, x).value - ref) <= 1e-7
-        assert abs(cdf_quad_direct(p, x) - ref) <= 1e-10
+        assert abs(cdf_quad_direct(p, x).value - ref) <= 1e-10
 
 
 # (parameters, x range, points): the benchmark rows, all on the Gauss band,
@@ -375,7 +374,7 @@ def test_cdf_complements_right_of_the_transition_on_every_band(params, x, method
     r = cdf(p, x)
     assert r.method is method
     assert r.complemented == (geometry(p, x).zeta_plus < 0.0) == (x > transition_point(p))
-    assert abs(r.value - cdf_quad_split(p, x)) <= 1e-15
+    assert abs(r.value - cdf_quad_split(p, x).value) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -488,8 +487,8 @@ def test_auto_routes_take_the_routes_they_name():
 def test_cdf_computes_the_geometry_once(monkeypatch, entry, x):
     # cdf: a complemented Gauss point, and two Gauss points, one at w_minus < 0;
     # cdf_quad_direct on both sides of the transition, nu < tau at x = 20, and
-    # without validating the parameters again.  cdf computes its geometry in
-    # oracle._evaluate, as a plain tuple; cdf_quad_direct takes the record
+    # without validating the parameters again.  Both compute the geometry
+    # inside oracle, as the plain tuple of params._geometry
     calls = []
 
     def counted(build):
@@ -503,7 +502,6 @@ def test_cdf_computes_the_geometry_once(monkeypatch, entry, x):
         raise AssertionError("validate called inside cdf")
 
     monkeypatch.setattr("nigcdf.oracle._geometry", counted(_geometry))
-    monkeypatch.setattr("nigcdf.oracle.geometry", counted(geometry))
     monkeypatch.setattr("nigcdf.oracle.validate", refused)
     entry(_bench(2.0), x)
     assert calls == [x]

@@ -1,7 +1,7 @@
-"""Every exported name resolves, and every imported name is used.
+"""Exported names resolve, imported names are used, and the README's library quick start runs.
 
 A deletion can leave a stale export behind, and a rewired import a stale
-name; both are caught here.
+name; both are caught here, and so is an API change the README missed.
 """
 
 import ast
@@ -71,6 +71,14 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_readme_library_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    quick_start = readme.split("## Quick start: library", 1)[1]
+    block = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", block], env=env, check=True, timeout=60)
 
 
 def _code_runners(tree: ast.Module) -> list[str]:

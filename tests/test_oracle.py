@@ -74,18 +74,18 @@ F_SPOT = (
 def test_split_oracle_at_transition_points(beta):
     p = validate(ALPHA, beta, MU, DELTA)
     x0 = transition_point(p)
-    assert cdf_quad_split(p, x0) == pytest.approx(F_AT_X0[beta], abs=1e-12)
+    assert cdf_quad_split(p, x0).value == pytest.approx(F_AT_X0[beta], abs=1e-12)
 
 
 @pytest.mark.parametrize("beta,x,ref", F_SPOT)
 def test_split_oracle_spot_values(beta, x, ref):
     p = validate(ALPHA, beta, MU, DELTA)
-    assert cdf_quad_split(p, x) == pytest.approx(ref, abs=1e-12)
+    assert cdf_quad_split(p, x).value == pytest.approx(ref, abs=1e-12)
 
 
 def test_split_oracle_symmetric_median():
     p = validate(8.0, 0.0, 3.0, 2.0)
-    assert cdf_quad_split(p, 3.0) == pytest.approx(0.5, abs=1e-13)
+    assert cdf_quad_split(p, 3.0).value == pytest.approx(0.5, abs=1e-13)
 
 
 def test_split_oracle_matches_the_legendre_reference_split():
@@ -103,14 +103,14 @@ def test_split_oracle_matches_the_legendre_reference_split():
             near += 1
         elif drawn > 10:
             continue
-        a = cdf_quad_split(p, x)
+        a = cdf_quad_split(p, x).value
         b = _reference_split_cdf(p, x)
         assert abs(a - b) <= 1e-12
 
 
 def test_split_oracle_bounds_and_monotone():
     p = validate(ALPHA, -4.0, MU, DELTA)
-    grid = [cdf_quad_split(p, -7.0 + 30.0 * i / 99.0) for i in range(100)]
+    grid = [cdf_quad_split(p, -7.0 + 30.0 * i / 99.0).value for i in range(100)]
     assert all(0.0 <= v <= 1.0 for v in grid)
     assert all(a <= b for a, b in zip(grid, grid[1:]))
 
@@ -120,21 +120,21 @@ def test_split_oracle_continuity_at_transition():
     for beta in sorted(F_AT_X0):
         p = validate(ALPHA, beta, MU, DELTA)
         x0 = transition_point(p)
-        lo = cdf_quad_split(p, x0 - 1e-6)
-        mid = cdf_quad_split(p, x0)
-        hi = cdf_quad_split(p, x0 + 1e-6)
+        lo = cdf_quad_split(p, x0 - 1e-6).value
+        mid = cdf_quad_split(p, x0).value
+        hi = cdf_quad_split(p, x0 + 1e-6).value
         assert lo < mid < hi
 
 
 def test_direct_oracle_agrees_left_of_transition():
     # nu > tau: F is the direct integral itself, no pole residue added
     p = validate(ALPHA, -4.0, MU, DELTA)
-    assert abs(cdf_quad_direct(p, 0.5) - cdf_quad_split(p, 0.5)) <= 1e-11
+    assert abs(cdf_quad_direct(p, 0.5).value - cdf_quad_split(p, 0.5).value) <= 1e-11
 
 
 def test_direct_oracle_reflects_right_of_transition():
     p = validate(ALPHA, 2.0, MU, DELTA)
-    assert abs(cdf_quad_direct(p, 10.0) - cdf_quad_split(p, 10.0)) <= 1e-11
+    assert abs(cdf_quad_direct(p, 10.0).value - cdf_quad_split(p, 10.0).value) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -146,9 +146,8 @@ def test_direct_oracle_where_alpha_omega_nears_the_smallest_double(params, x):
     # reach / (alpha omega) overflows to inf here; the truncation point must
     # stay finite, so the result is a value and not a raw OverflowError
     p = validate(*params)
-    value, _ = oracle._quad_direct(p, geometry(p, x))
-    assert value == cdf_quad_direct(p, x)
-    assert abs(value - cdf_quad_split(p, x)) <= 1e-12
+    value = cdf_quad_direct(p, x).value
+    assert abs(value - cdf_quad_split(p, x).value) <= 1e-12
 
 
 def test_direct_oracle_refuses_transition_band():
@@ -157,14 +156,32 @@ def test_direct_oracle_refuses_transition_band():
     p = validate(ALPHA, 2.0, MU, DELTA)
     with pytest.raises(NearTransitionError):
         cdf_quad_direct(p, transition_point(p))
+    # the band's edge: over draw_point's parameter ranges, at nu = tau +-
+    # (0.02 + d), the oracle refuses exactly where |nu - tau| <= 0.02, the
+    # test on s_plus it makes, and elsewhere agrees with the split oracle
+    rng = random.Random(6203)
+    refused = 0
+    for _ in range(375):
+        p, _ = draw_point(rng)
+        for d in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-3):
+            nu = p.tau + rng.choice((-1.0, 1.0)) * (0.02 + d)
+            x = p.mu + p.delta * math.cos(nu) / math.sin(nu)
+            if abs(geometry(p, x).nu - p.tau) <= 0.02:
+                refused += 1
+                with pytest.raises(NearTransitionError):
+                    cdf_quad_direct(p, x)
+            else:
+                gap = abs(cdf_quad_direct(p, x).value - cdf_quad_split(p, x).value)
+                assert gap <= 1e-12, (p, x)
+    assert 0 < refused < 3000
 
 
 def test_direct_oracle_step_halving_stability(monkeypatch):
     # a stopping change two orders coarser must not move the value beyond it
     p = validate(ALPHA, -4.0, MU, DELTA)
-    fine = cdf_quad_direct(p, 0.5)
+    fine = cdf_quad_direct(p, 0.5).value
     monkeypatch.setattr(oracle, "_DIRECT_TOL", 1e-10)
-    coarse = cdf_quad_direct(p, 0.5)
+    coarse = cdf_quad_direct(p, 0.5).value
     assert abs(coarse - fine) <= 1e-10
 
 
@@ -866,7 +883,7 @@ def test_gauss_route_agrees_with_the_trapezoid_at_every_w_minus():
             assert (r.method, r.kmax_used) == _band(geometry(p, x).z)[1:]
             assert r.method is Method.GAUSS_SPLIT
             assert 0.0 <= r.error_estimate <= 1e-16
-            assert abs(r.value - cdf_quad_split(p, x)) <= 4.5e-16, (p, x)
+            assert abs(r.value - cdf_quad_split(p, x).value) <= 4.5e-16, (p, x)
             complemented.add(r.complemented)
     assert complemented == {False, True}
 
@@ -954,7 +971,7 @@ def test_split_route_keeps_its_left_tail_relative_accuracy():
             and 0.0 < r.value < 1e-6
             and abs(geometry(p, x).nu - p.tau) > 0.05
         ):
-            worst = max(worst, abs(r.value - cdf_quad_direct(p, x)) / r.value)
+            worst = max(worst, abs(r.value - cdf_quad_direct(p, x).value) / r.value)
             checked += 1
     assert worst <= 1e-10
 
@@ -1076,10 +1093,10 @@ def test_direct_route_reports_a_measured_error_estimate():
         g = geometry(p, x)
         if abs(g.nu - p.tau) <= 0.05 or not 5.0 <= g.z <= 200.0:
             continue
-        value, error = oracle._quad_direct(p, g)
-        assert value == cdf_quad_direct(p, x)
+        value, method, work, error, complemented = cdf_quad_direct(p, x)
+        assert (method, work, complemented) == (Method.QUAD_DIRECT, 0, False)
         assert 0.0 <= error < oracle._DIRECT_TOL
-        assert abs(value - cdf_quad_split(p, x)) <= 100.0 * (error + 1e-15)
+        assert abs(value - cdf_quad_split(p, x).value) <= 100.0 * (error + 1e-15)
         estimates.append(error)
     assert max(estimates) > 0.0
 
@@ -1123,9 +1140,6 @@ def test_split_skips_the_minus_part_where_its_weight_underflows(monkeypatch, ent
         minus_parts.clear()
         r = entry(p, x)
         assert minus_parts == [0.0]
-        if entry is cdf_quad_split:  # a bare float, F
-            assert r == 0.5 * math.erfc(g.zeta_plus)
-            continue
         taken.add((r.method, r.complemented))
         if r.complemented:
             assert r.value == 1.0 - 0.5 * math.erfc(-g.zeta_plus)
@@ -1229,6 +1243,6 @@ def test_small_w_minus_keeps_full_accuracy_near_the_mirror_point():
             r = cdf(p, x)
             ref = float(_split_reference_near_w_minus_zero(p, x))
             assert abs(r.value - ref) <= 4.5e-16, (p, x, r)
-            assert abs(cdf_quad_split(p, x) - ref) <= 4.5e-16, (p, x)
+            assert abs(cdf_quad_split(p, x).value - ref) <= 4.5e-16, (p, x)
             in_band += abs(geometry(p, x).w_minus) < 1e-13
     assert in_band >= 30
