@@ -10,7 +10,7 @@ nodes at z = 30 down to 1 from z = 6.72e7.  The paper's series serve
 """
 
 from .coeffs import d_closed_form, d_coefficients
-from .errors import ConvergenceError, DomainError, NearTransitionError, NigError
+from .errors import DomainError, NearTransitionError, NigError
 from .expansion import (
     DEFAULT_KMAX,
     EvalResult,
@@ -26,7 +26,6 @@ from .special import erfc, erfcx
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "DEFAULT_KMAX",
     "DomainError",
     "EvalResult",

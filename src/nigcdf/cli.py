@@ -9,8 +9,8 @@ Subcommands:
   x in [0, 20] for the three benchmark parameter sets.
 * ``selftest``: the built-in invariant suites.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 convergence or
-near-transition failure, 4 selftest failure.
+Exit codes: 0 success, 1 usage error, 2 domain error, 3 near-transition
+refusal of ``--method quad-direct``, 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import selftest as selftest_mod
-from .errors import ConvergenceError, DomainError, NearTransitionError
+from .errors import DomainError, NearTransitionError
 from .coeffs import _check_kmax
 from .expansion import DEFAULT_KMAX, cdf, cdf_asym
 from .oracle import _kernel, _split, cdf_quad_direct, cdf_quad_split
@@ -179,8 +179,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NearTransitionError) as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
+    except NearTransitionError as exc:
+        print(f"near-transition error: {exc}", file=sys.stderr)
         return 3
 
 

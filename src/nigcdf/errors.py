@@ -9,10 +9,6 @@ class DomainError(NigError, ValueError):
     """An input falls outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(NigError, RuntimeError):
-    """The direct oracle's trapezoid failed to stabilize within its step halvings."""
-
-
 class NearTransitionError(NigError):
     """The direct quadrature was asked to evaluate too close to nu = tau.
 

@@ -58,11 +58,12 @@ z >= 1e-12 and 2,998 at the smallest positive double, the most at any z.
 This grid is the split oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
-directly with a nested trapezoid rule; it degenerates when the poles
-approach the saddle, so it refuses a band around the transition.  One
-integral I serves both sides of that band: F = I for nu > tau, and
-F = 1 + I for nu < tau, where the contour has crossed the plus pole,
-whose residue is 1.
+directly, by one trapezoid level whose step and last node it fixes in
+advance from a strip bound of its own, as the split's trapezoid does; it
+degenerates when the poles approach the saddle, so it refuses a band
+around the transition.  One integral I serves both sides of that band:
+F = I for nu > tau, and F = 1 + I for nu < tau, where the contour has
+crossed the plus pole, whose residue is 1.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ConvergenceError, NearTransitionError
+from .errors import NearTransitionError
 from .params import Parameters, _geometry, _require_finite, validate
 from .special import _erfcx
 
@@ -83,9 +84,13 @@ __all__ = [
     "reflect",
 ]
 
-# the direct oracle stops once one step halving moves its integral by at most this
-_DIRECT_TOL = 1e-12
-_NEAR_TRANSITION_S = math.sin(0.01)  # it refuses |s_plus| <= this, |nu - tau| <= 0.02
+# the direct oracle refuses |s_plus| <= this, that is |nu - tau| <= 0.02
+_NEAR_TRANSITION_S = math.sin(0.01)
+# ln 2^55: the direct oracle's ln(4 / 2^-53), the most its strip's growth may
+# take, and the exponent its truncation needs
+_DIRECT_LOG = 55.0 * math.log(2.0)
+# the direct oracle's reach where alpha omega is tiny
+_DIRECT_REACH = _DIRECT_LOG + math.log(8.0 / math.pi) + 0.01
 # below this |w_minus| the two halves of the minus part cancel to within
 # E |w_minus| / pi; ``_split`` takes it as zero, and adds that to its
 # estimate, where that is at most the kernel's bound c_minus dK_minus
@@ -123,13 +128,13 @@ class EvalResult(NamedTuple):
     reports E |w_minus| / pi in place of |c_minus| dK_minus.  The bounded
     kernels' dK, near 2^-53 K, allows that only below |w_minus| of about
     1e-16.
-    On QUAD_DIRECT it is the change of the integral in the last step
-    halving, at most 1e-12.  Each includes the distance by which the value
-    was clamped into [0, 1].
+    On QUAD_DIRECT it is 2^-53 times a bound on the integral of |f| over
+    2 pi, f the direct integrand, also a bound before rounding.  Each
+    includes the distance by which the value was clamped into [0, 1].
     ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
     and the order its z band sums, 1 to 8, on SMALL_Z_SERIES; the node
-    count its z band sums, 8 down to 1, on GAUSS_SPLIT; 0 on the
-    quadrature routes.
+    count its z band sums, 8 down to 1, on GAUSS_SPLIT; the node count,
+    t = 0 included, on QUAD_DIRECT; 0 on QUAD_SPLIT.
     ``complemented`` records that the value was produced as 1 minus the
     directly computed complement: on ``cdf``, at every point with
     zeta_plus < 0, right of the transition point.
@@ -680,24 +685,56 @@ def _evaluate(
 
 
 def cdf_quad_direct(p: Parameters, x: float) -> EvalResult:
-    """Independent CDF oracle: trapezoid on the steepest-descent integral.
+    """Independent CDF oracle: one certified trapezoid level on the steepest-descent integral.
 
     Only defined away from the transition: |s_plus| <= sin 0.01, that is
     |nu - tau| <= 0.02, raises NearTransitionError as the integrand's poles
-    pinch the contour there.  One integral I serves both sides: F = I for
-    s_plus > 0, and elsewhere, where the contour has crossed the plus pole,
-    F = 1 + I, the 1 being that pole's residue.
-    """
-    return _quad_direct(p, x)
+    pinch the contour there.  One integral I = (1/2 pi) int f over the real
+    line serves both sides: F = I for s_plus > 0, and elsewhere, where the
+    contour has crossed the plus pole, F = 1 + I, the 1 being that pole's
+    residue.  f is even, so the rule sums the nodes t = k h, k = 0 .. last,
+    from the last one back, and the record's work is that node count,
+    last + 1, known before summing.
 
+    The step: with theta = 2 asin |s_plus| >= 0.02, the distance from the
+    real line to the nearest pole, f is analytic on |Im s| <= y < theta.
+    There, with u = sinh(x/2), Re sinh^2((x + ib)/2) = u^2 cos b -
+    sin^2(b/2), so each factor of the denominator is at least
+    c u^2 + d_pm, c = cos y, d_pm = s_pm^2 - sin^2(y/2) > 0; |cosh s| <=
+    1 + 2 u^2, and |e^{A - alpha omega cosh s}| <= e^{A - alpha omega c}.
+    With dx <= 2 du two rational integrals bound every line integral of |f|
+    by
 
-def _quad_direct(p: Parameters, x: float) -> EvalResult:
-    """F at x by the direct integral of ``cdf_quad_direct``, as a QUAD_DIRECT record.
+        M(y) = e^{A - alpha omega c} sin nu pi Q(y) / 2,
+        Q(y) = ((a + b) / sqrt(d_+ d_-) + 2 a / c) / (sqrt(c) (sqrt(d_+) + sqrt(d_-))),
 
-    Halves the trapezoid step until one more halving changes the integral
-    by at most ``_DIRECT_TOL``; the first level takes every node, each
-    halving adds only the odd ones.  The estimate is that last change plus
-    the distance by which F was clamped into [0, 1]; the work is 0.
+    a = |cos tau|, b = |cos nu|.  The target eps = 2^-53 M(0) / (2 pi)
+    scales with the integrand's own size, so it is relative wherever f
+    keeps one sign.  By Trefethen & Weideman (SIAM Rev. 56, 2014, Thm 5.1)
+    the untruncated sum is within 2 M(y) / (2 pi (e^{2 pi y / h} - 1)) of
+    I, so h = 2 pi y / ln(4 M(y) / (2^-53 M(0))) keeps it within eps/2; the
+    ratio is formed in logs, as ln 2^55 + 2 alpha omega sin^2(y/2) +
+    ln(Q(y) / Q(0)).  y = min(sqrt(2 ln 2^55 / (alpha omega)), 0.85 theta,
+    1.5), so the strip's growth e^{alpha omega (1 - cos y)} stays within
+    2^55.
+
+    The truncation: on x >= 0 the majorant g = e^{A - alpha omega cosh x}
+    R(x), R = sin nu (a cosh x + b) / ((v + 2 s_+^2)(v + 2 s_-^2)) the
+    rational factor above on the real line, v = cosh x - 1, does not rise:
+    R falls with v, as s_pm^2 <= 1.  So the nodes past S sum to at most
+    the integral of g past S, and each side drops at most (1/2 pi) of
+    that.  Both bounds below keep it within 2^-55 M(0), so the two sides
+    within eps/2.  As the integral of R over
+    the line is at most M(0) e^{alpha omega - A}, the tail is at most
+    e^{-alpha omega (cosh S - 1)} M(0) / 2, which S = acosh(1 + ln 2^55 /
+    (alpha omega)) makes small enough.  Where alpha omega is tiny R's own
+    decay serves: for x >= S, R <= 2 sin nu (a + b) e^{-x} / kappa^2,
+    kappa = 1 - 1/cosh S, while M(0) >= e^{A - alpha omega} sin nu (a + b)
+    pi / 4, so S = ln 2^55 + ln(8 / pi) + 0.01 does.  The rule takes the
+    smaller S, and last = ceil(S / h).
+
+    The estimate is eps, a bound that holds before rounding, plus the
+    distance by which F was clamped into [0, 1].
     """
     xi, omega, _, _, s_plus, s_minus, _, _, _, _ = _geometry(p, x)
     if abs(s_plus) <= _NEAR_TRANSITION_S:
@@ -721,32 +758,29 @@ def _quad_direct(p: Parameters, x: float) -> EvalResult:
         den = 4.0 * (sh2 + sp2) * (sh2 + sm2)
         return math.exp(big_a - aw * ch) * sin_nu * (cos_tau * ch - cos_nu) / den
 
-    tol = _DIRECT_TOL
-    reach = math.log(10.0 / tol) + 10.0
-    # |f(s)| <= (cosh s + 1)/(cosh s - 1)^2 ~ 2 e^{-s} whatever alpha omega, so past
-    # s = reach the tail is below tol e^{-10}, even where reach / aw overflows
-    S = min(reach, math.acosh(1.0 + reach / aw))
-    h = min(0.25, 0.5 / math.sqrt(aw))
-    total = 0.5 * f(0.0)
-    stride = 1
-    prev = math.nan
-    for _ in range(15):  # the first level, then at most 14 halvings
-        for k in range(1, int(S / h) + 1, stride):
-            total += f(k * h)
-        cur = h * total / math.pi  # 2 for evenness, over 2 pi
-        change = abs(cur - prev)
-        if change <= tol:
-            raw = cur if s_plus > 0.0 else 1.0 + cur
-            # the clamp of ``_evaluate``; an unclamped raw adds 0.0 to the change
-            value = raw if 0.0 < raw <= 1.0 else (1.0 if raw > 1.0 else 0.0)
-            error = change + abs(raw - value)
-            return _tuple_new(EvalResult, (value, Method.QUAD_DIRECT, 0, error, False))
-        prev = cur
-        h *= 0.5
-        stride = 2
-    raise ConvergenceError(
-        f"direct-integral trapezoid did not stabilize to {tol:g} within 14 halvings"
-    )
+    def q(c: float, half: float) -> float:
+        # Q at cos y = c and sin^2(y/2) = half
+        root_p, root_m = math.sqrt(sp2 - half), math.sqrt(sm2 - half)
+        rational = (abs(cos_tau) + abs(cos_nu)) / (root_p * root_m) + 2.0 * abs(cos_tau) / c
+        return rational / (math.sqrt(c) * (root_p + root_m))
+
+    # 1.7 asin |s_plus| is 0.85 theta
+    y = min(math.sqrt(2.0 * _DIRECT_LOG / aw), 1.7 * math.asin(abs(s_plus)), 1.5)
+    half = math.sin(0.5 * y) ** 2
+    q0 = q(1.0, 0.0)
+    # aw (2 half), not 2 aw half: 2 aw overflows for aw past half the largest double
+    h = _TWO_PI * y / (_DIRECT_LOG + aw * (2.0 * half) + math.log(q(math.cos(y), half) / q0))
+    last = math.ceil(min(_DIRECT_REACH, math.acosh(1.0 + _DIRECT_LOG / aw)) / h)
+    total = 0.0
+    for k in range(last, 0, -1):  # smallest terms first
+        total += f(k * h)
+    cur = h * (total + 0.5 * f(0.0)) / math.pi  # 2 for evenness, over 2 pi
+    eps = 2.0**-55 * sin_nu * q0 * math.exp(big_a - aw)
+    raw = cur if s_plus > 0.0 else 1.0 + cur
+    # the clamp of ``_evaluate``; an unclamped raw adds 0.0 to eps
+    value = raw if 0.0 < raw <= 1.0 else (1.0 if raw > 1.0 else 0.0)
+    error = eps + abs(raw - value)
+    return _tuple_new(EvalResult, (value, Method.QUAD_DIRECT, last + 1, error, False))
 
 
 def reflect(p: Parameters, x: float) -> tuple[Parameters, float]:

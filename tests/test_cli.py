@@ -89,8 +89,7 @@ EVAL_POINTS = {
                 "small_z_series", 7, 5e-13, "quad-split", 1e-15),
     # right of the transition every band evaluates G first: z = 0.067 on the
     # small-z series, z = 0.297, past its crossover, and z = 6.32 on the
-    # trapezoid, which also agrees with the direct oracle to its stopping
-    # tolerance (|nu - tau| = 1.05)
+    # trapezoid, which also agrees with the direct oracle (|nu - tau| = 1.05)
     "small-z-right": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.06 --x 3.03",
                       "small_z_series", 8, 5e-13, "quad-split", 1e-15),
     "past-small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.1 --x 3.28",
@@ -200,7 +199,7 @@ def test_eval_takes_no_tol_option():
 def test_eval_near_transition_exits_3(capsys):
     assert main(["eval", "--alpha", "8", "--beta", "0", "--mu", "3",
                  "--delta", "2", "--x", "3", "--method", "quad-direct"]) == 3
-    assert "convergence error" in capsys.readouterr().err
+    assert "near-transition error" in capsys.readouterr().err
 
 
 def test_usage_error_exits_1():

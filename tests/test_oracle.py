@@ -8,7 +8,10 @@ reference split kept here, with a composite Gauss-Legendre kernel,
 in ``test_split_oracle_matches_the_legendre_reference_split`` and
 ``test_split_route_reports_its_certified_error_bound``.  The two oracles'
 agreement on random draws and the reflection identity are criteria 07 and
-10 of ``test_acceptance.py``.
+10 of ``test_acceptance.py``.  The direct oracle: its bound before
+rounding, in 50-digit mpmath
+(``test_direct_oracle_certificate_holds_before_rounding``), and its work
+(``test_direct_oracle_reports_the_nodes_it_sums``).
 
 The trapezoid kernel: its bound before rounding by the strip certificate
 (``test_trapezoid_error_is_within_the_strip_bound``) and its ladder step
@@ -45,6 +48,7 @@ from nigcdf import (
 from nigcdf import oracle
 from nigcdf.expansion import _BAND_EDGES, _BANDS, _series_kernel
 from nigcdf.oracle import _SMALL_Z_LIMIT, _kernel, _small_z_m
+from nigcdf.params import _geometry
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfc, erfcx
 
@@ -176,13 +180,132 @@ def test_direct_oracle_refuses_transition_band():
     assert 0 < refused < 3000
 
 
-def test_direct_oracle_step_halving_stability(monkeypatch):
-    # a stopping change two orders coarser must not move the value beyond it
-    p = validate(ALPHA, -4.0, MU, DELTA)
-    fine = cdf_quad_direct(p, 0.5).value
-    monkeypatch.setattr(oracle, "_DIRECT_TOL", 1e-10)
-    coarse = cdf_quad_direct(p, 0.5).value
-    assert abs(coarse - fine) <= 1e-10
+class _CountingMath:
+    """Stands in for ``math`` in the oracle: counts exp calls and records cosh arguments.
+
+    The trapezoid kernels call exp once per node past t = 0; the direct
+    oracle's integrand calls cosh once per node, t = 0 included.
+    """
+
+    def __init__(self):
+        self.calls = 0
+        self.cosh_args = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.calls += 1
+        return math.exp(x)
+
+    def cosh(self, x):
+        self.cosh_args.append(x)
+        return math.cosh(x)
+
+
+def _direct_rule(monkeypatch, p, x):
+    """``cdf_quad_direct(p, x)`` with the step h and the nodes its integrand was called at."""
+    counting = _CountingMath()
+    monkeypatch.setattr("nigcdf.oracle.math", counting)
+    result = cdf_quad_direct(p, x)
+    monkeypatch.undo()
+    nodes = counting.cosh_args
+    return result, min((t for t in nodes if t > 0.0), default=0.0), nodes
+
+
+def test_direct_oracle_reports_the_nodes_it_sums(monkeypatch):
+    # one cosh per node of the direct integrand, t = 0 included: the nodes
+    # are k h, k = 0 .. last, each once, and the record's work is their
+    # count, known before summing.  The CI smoke step's point, |nu - tau| =
+    # 0.0201, just outside the refused band, sums 676
+    rng = random.Random(5150)
+    points = [draw_point(rng) for _ in range(300)]
+    points.append((validate(8.0, 2.0, 3.0, 2.0), 3.47373))
+    counts = []
+    for p, x in points:
+        if abs(geometry(p, x).nu - p.tau) <= 0.02:
+            continue
+        result, h, nodes = _direct_rule(monkeypatch, p, x)
+        assert result.kmax_used == len(nodes) > 1, (p, x)
+        assert sorted(nodes) == [k * h for k in range(len(nodes))], (p, x)
+        counts.append(result.kmax_used)
+    assert counts[-1] == 676
+
+
+def _direct_sums(p, x, h, count):
+    """The direct oracle's rule before rounding, in 50-digit mpmath, on its own double constants.
+
+    Returns I, which is F, or F - 1 where s_plus < 0, three ways: the
+    oracle's sum of ``count`` nodes at the step h, and the same rule
+    untruncated at h/8 and at h/16; then the integral of |f| / (2 pi) by
+    the h/16 rule.  The untruncated rules run on
+    until the integrand's non-rising majorant falls below 1e-50 of its value
+    at t = 0.
+    """
+    xi, omega, _, _, s_plus, s_minus, _, _, _, _ = _geometry(p, x)
+    with mpmath.workdps(50):
+        aw = mpmath.mpf(p.alpha * omega)
+        big_a = mpmath.mpf(p.delta * p.gamma + p.beta * xi)
+        sp2, sm2 = mpmath.mpf(s_plus * s_plus), mpmath.mpf(s_minus * s_minus)
+        sin_nu, cos_nu = mpmath.mpf(p.delta / omega), mpmath.mpf(xi / omega)
+        cos_tau = mpmath.mpf(p.beta / p.alpha)
+        step = mpmath.mpf(h) / 16
+        own = coarse = fine = size = 0
+        k = 0
+        while True:
+            sh2 = mpmath.sinh(k * step / 2) ** 2
+            ch = 1 + 2 * sh2
+            scale = mpmath.exp(big_a - aw * ch) * sin_nu / (4 * (sh2 + sp2) * (sh2 + sm2))
+            major = scale * (abs(cos_tau) * ch + abs(cos_nu))
+            term = scale * (cos_tau * ch - cos_nu)
+            if k == 0:
+                top, term = major, term / 2
+            fine += term
+            size += abs(term)
+            if k % 2 == 0:
+                coarse += term
+            if k % 16 == 0 and k < 16 * count:
+                own += term
+            if k >= 16 * count and major <= top * mpmath.mpf(10) ** -50:
+                break
+            k += 1
+        unit = mpmath.mpf(h) / mpmath.pi
+        return own * unit, coarse * unit / 8, fine * unit / 16, size * unit / 16
+
+
+# (alpha, beta, mu, delta, x) where the direct oracle is judged besides the
+# draws: the band's edge, |nu - tau| = 0.0201, 0.0250 and 0.0300, on both
+# sides; left tails at F = 1e-30, 1e-150 and 1e-300, beta < 0 among them,
+# and a right tail at G = 4.4e-20
+_DIRECT_CERTIFICATE_POINTS = (
+    (8.0, 2.0, 3.0, 2.0, 3.47373),
+    (30.0, -12.0, 0.0, 4.0, -1.628),
+    (30.0, 12.0, 0.0, 4.0, 1.6047),
+    (0.5, -0.4, 0.0, 3.0, -624.325),
+    (3.0, 2.0, 1.0, 0.5, -66.501),
+    (10.0, -5.0, 0.0, 2.0, -139.971),
+    (8.0, 2.0, 3.0, 2.0, 12.0),
+)
+
+
+def test_direct_oracle_certificate_holds_before_rounding(monkeypatch):
+    # the reported bound eps, judged in 50-digit mpmath on the oracle's own
+    # double constants: its sum at its step and node count lies within eps
+    # of the same rule untruncated at h/8, itself within 1e-40 of the rule
+    # at h/16 relative to the integral of |f|.  The step doubled, or the
+    # strip bound M(y) without its growth e^{alpha omega (1 - cos y)}, fails
+    # this.  Where e^{A - alpha omega} underflows, eps rounds to 0 with the
+    # integrand, so the least subnormal is allowed
+    rng = random.Random(8086)
+    points = [draw_point(rng) for _ in range(12)]
+    points += [(validate(*args[:4]), args[4]) for args in _DIRECT_CERTIFICATE_POINTS]
+    for p, x in points:
+        if abs(geometry(p, x).nu - p.tau) <= 0.02:
+            continue
+        result, h, nodes = _direct_rule(monkeypatch, p, x)
+        own, coarse, fine, size = _direct_sums(p, x, h, len(nodes))
+        assert abs(coarse - fine) <= 1e-40 * size, (p, x)
+        assert abs(own - coarse) <= result.error_estimate + 2.0**-1074, (p, x, result)
 
 
 def test_reflect_frozen_example():
@@ -224,20 +347,6 @@ def test_kernel_lies_between_zero_and_its_z_zero_value(z):
     if z < 1e-200:
         assert k_plus == pytest.approx(math.pi, abs=1e-13)
         assert k_minus == pytest.approx(2.0, abs=1e-13)
-
-
-class _CountingMath:
-    """Stands in for ``math`` in the oracle: counts exp calls, one per node past t = 0."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(math, name)
-
-    def exp(self, x):
-        self.calls += 1
-        return math.exp(x)
 
 
 def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
@@ -1082,10 +1191,10 @@ def test_split_route_reports_its_certified_error_bound():
         assert abs(value - gauss) <= _REF_TOL
 
 
-def test_direct_route_reports_a_measured_error_estimate():
-    # on the criterion-07 points the estimate is the change of the direct
-    # integral in its last halving, below the oracle's stopping change rather
-    # than equal to it, and the split oracle judges it
+def test_direct_route_reports_its_bound_and_node_count():
+    # on the criterion-07 points the record carries the nodes summed and the
+    # bound eps = 2^-53 M(0) / (2 pi); M(0) bounds the integral of |f|, so
+    # eps is at least 2^-53 |I|, and the split oracle judges it
     rng = random.Random(17)
     estimates = []
     while len(estimates) < 50:
@@ -1094,8 +1203,9 @@ def test_direct_route_reports_a_measured_error_estimate():
         if abs(g.nu - p.tau) <= 0.05 or not 5.0 <= g.z <= 200.0:
             continue
         value, method, work, error, complemented = cdf_quad_direct(p, x)
-        assert (method, work, complemented) == (Method.QUAD_DIRECT, 0, False)
-        assert 0.0 <= error < oracle._DIRECT_TOL
+        assert (method, complemented) == (Method.QUAD_DIRECT, False) and work > 1
+        integral = value if g.s_plus > 0.0 else value - 1.0
+        assert 2.0**-53 * abs(integral) <= error <= 1e-15
         assert abs(value - cdf_quad_split(p, x).value) <= 100.0 * (error + 1e-15)
         estimates.append(error)
     assert max(estimates) > 0.0
