@@ -1,15 +1,12 @@
 """The two quadrature oracles and the kernels of the split, one judge per claim.
 
-The split oracle's values: the pinned CDF values below, generated outside
-this package with 30-digit mpmath quadrature (the spot values from the same
-exact erfc split, the transition-point values from the NIG density
-itself), which its trapezoid reproduces to full double precision; and one
-reference split kept here, with a composite Gauss-Legendre kernel,
-in ``test_split_oracle_matches_the_legendre_reference_split`` and
-``test_split_route_reports_its_certified_error_bound``.  The two oracles'
-agreement on random draws and the reflection identity are criteria 07 and
-10 of ``test_acceptance.py``.  The direct oracle: its bound before
-rounding, in 50-digit mpmath
+The values every route returns, the oracles' included, are judged by
+``test_reference.py`` on the committed 34-digit reference set; here the
+split oracle's reported bound is held against that set's true error
+(``test_split_route_reports_its_certified_error_bound``).  The two
+oracles' agreement on random draws and the reflection identity are
+criteria 07 and 10 of ``test_acceptance.py``.  The direct oracle: its
+bound before rounding, in 50-digit mpmath
 (``test_direct_oracle_certificate_holds_before_rounding``), and its work
 (``test_direct_oracle_reports_the_nodes_it_sums``).
 
@@ -21,8 +18,8 @@ rounding included, against mpmath for both outputs over z in
 its work (``test_kernel_node_counts_stay_within_the_documented_bounds``)
 and its import-time node tables
 (``test_node_tables_cover_the_band_and_never_change``).  The small-z series
-and the Gauss rules: each by its own bound before rounding and against
-mpmath.
+and the Gauss rules: each by its own bound before rounding; the series'
+M, which F cannot see at small z, and the rules' literals against mpmath.
 """
 import math
 import random
@@ -36,6 +33,7 @@ import pytest
 from nigcdf import (
     Method,
     NearTransitionError,
+    NigError,
     cdf,
     cdf_asym,
     cdf_quad_direct,
@@ -50,66 +48,16 @@ from nigcdf.expansion import _BAND_EDGES, _BANDS, _series_kernel
 from nigcdf.oracle import _SMALL_Z_LIMIT, _kernel, _small_z_m
 from nigcdf.params import _geometry
 from nigcdf.selftest import draw_point
-from nigcdf.special import erfc, erfcx
+from nigcdf.special import erfcx
+
+from make_reference import read_values
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
-
-# F(x0) at the three benchmark transition points: an mpmath ``quad`` of the
-# NIG density (Bessel K1 form) at ``mp.dps = 30``, split at the exact
-# x0 = mu + beta*delta/gamma (rounding x0 to a double moves F by about
-# 2e-16).  That run takes about 3 minutes, so the digits are stored here
-# rather than recomputed in the test suite.
-F_AT_X0 = {
-    -4.0: float("0.4738335709383809728755968"),
-    2.0: float("0.5123857672640343651812192"),
-    7.5: float("0.5759005025289265393683381"),
-}
-
-# spot values away from the transition, 30-digit mpmath erfc split
-F_SPOT = (
-    (-4.0, 6.0, 0.99999999999994257),
-    (2.0, 1.0, 8.5865493935831666e-7),
-    (2.0, 5.0, 0.99512722743310920),
-    (7.5, 15.0, 0.98235374905062289),
-)
-
-
-@pytest.mark.parametrize("beta", sorted(F_AT_X0))
-def test_split_oracle_at_transition_points(beta):
-    p = validate(ALPHA, beta, MU, DELTA)
-    x0 = transition_point(p)
-    assert cdf_quad_split(p, x0).value == pytest.approx(F_AT_X0[beta], abs=1e-12)
-
-
-@pytest.mark.parametrize("beta,x,ref", F_SPOT)
-def test_split_oracle_spot_values(beta, x, ref):
-    p = validate(ALPHA, beta, MU, DELTA)
-    assert cdf_quad_split(p, x).value == pytest.approx(ref, abs=1e-12)
 
 
 def test_split_oracle_symmetric_median():
     p = validate(8.0, 0.0, 3.0, 2.0)
     assert cdf_quad_split(p, 3.0).value == pytest.approx(0.5, abs=1e-13)
-
-
-def test_split_oracle_matches_the_legendre_reference_split():
-    # the first 10 draws, and on until 10 draws with z <= 5 and |zeta_plus| in
-    # [0.3, 1.5] (within 108): there the plus kernel's weight |c_plus| is
-    # 0.019 to 0.066 rather than damped away, so a 1e-10 relative bias in
-    # that kernel moves F past the bound
-    rng = random.Random(3)
-    drawn = near = 0
-    while drawn < 10 or near < 10:
-        p, x = draw_point(rng)
-        g = geometry(p, x)
-        drawn += 1
-        if g.z <= 5.0 and 0.3 <= abs(g.zeta_plus) <= 1.5:
-            near += 1
-        elif drawn > 10:
-            continue
-        a = cdf_quad_split(p, x).value
-        b = _reference_split_cdf(p, x)
-        assert abs(a - b) <= 1e-12
 
 
 def test_split_oracle_bounds_and_monotone():
@@ -121,24 +69,13 @@ def test_split_oracle_bounds_and_monotone():
 
 def test_split_oracle_continuity_at_transition():
     # x0 is a removable point of the split; values must bracket smoothly
-    for beta in sorted(F_AT_X0):
+    for beta in (-4.0, 2.0, 7.5):
         p = validate(ALPHA, beta, MU, DELTA)
         x0 = transition_point(p)
         lo = cdf_quad_split(p, x0 - 1e-6).value
         mid = cdf_quad_split(p, x0).value
         hi = cdf_quad_split(p, x0 + 1e-6).value
         assert lo < mid < hi
-
-
-def test_direct_oracle_agrees_left_of_transition():
-    # nu > tau: F is the direct integral itself, no pole residue added
-    p = validate(ALPHA, -4.0, MU, DELTA)
-    assert abs(cdf_quad_direct(p, 0.5).value - cdf_quad_split(p, 0.5).value) <= 1e-11
-
-
-def test_direct_oracle_reflects_right_of_transition():
-    p = validate(ALPHA, 2.0, MU, DELTA)
-    assert abs(cdf_quad_direct(p, 10.0).value - cdf_quad_split(p, 10.0).value) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -692,17 +629,6 @@ def test_small_z_kernel_at_w_zero_is_pi_erfcx(z):
     assert abs(_small_z(z, 0.0) - ref) <= 1e-15 * ref
 
 
-@pytest.mark.parametrize("z", SMALL_Z_ZS)
-def test_small_z_kernel_matches_mpmath(z):
-    with mpmath.workdps(30):
-        for w_plus, w_minus in zip(SMALL_Z_WS, reversed(SMALL_Z_WS)):
-            k_plus, k_minus, dk_plus, dk_minus = _band(z)[0](z, w_plus, w_minus)
-            for k, dk, w in ((k_plus, dk_plus, w_plus), (k_minus, dk_minus, w_minus)):
-                ref = float(_kernel_reference(z, w))
-                assert abs(k - ref) <= 2e-15 * ref
-                assert 0.0 <= dk <= 1e-15 * ref
-
-
 @pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-4, 0.04, math.nextafter(_SMALL_Z_LIMIT, 0.0)])
 def test_small_z_rows_sum_m_to_mpmath(z):
     # M = integral over [0, z] of e^{a t} K_0(t/2) dt, a = w^2 - 1/2, alone,
@@ -1065,130 +991,25 @@ def test_cdf_has_no_jump_at_a_band_edge(edge, tilt):
         assert abs(above.value - value) <= 4.5e-16, (side, above, value)
 
 
-def test_split_route_keeps_its_left_tail_relative_accuracy():
-    # where F is small the tolerance is loose against F, so the auto route's
-    # quad-split values are judged relative to F by the direct oracle, which
-    # shares neither the split nor its kernel; |nu - tau| > 0.05 keeps the
-    # points clear of the band the direct oracle refuses
-    rng = random.Random(2027)
-    worst, checked = 0.0, 0
-    while checked < 300:
-        p, x = draw_point(rng)
-        r = cdf(p, x)
-        if (
-            r.method is Method.QUAD_SPLIT
-            and 0.0 < r.value < 1e-6
-            and abs(geometry(p, x).nu - p.tau) > 0.05
-        ):
-            worst = max(worst, abs(r.value - cdf_quad_direct(p, x).value) / r.value)
-            checked += 1
-    assert worst <= 1e-10
-
-
-def _legendre_16() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of 16-point Gauss-Legendre on [-1, 1]."""
-    n = 16
-    half_nodes = []
-    half_weights = []
-    for i in range(n // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        dp = 0.0
-        for _ in range(100):
-            p0, p1 = 1.0, x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        half_nodes.append(x)
-        half_weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    nodes = tuple(half_nodes + [-v for v in half_nodes])
-    weights = tuple(half_weights + half_weights)
-    return nodes, weights
-
-
-_GL_NODES, _GL_WEIGHTS = _legendre_16()
-
-
-def _legendre_kernel(z: float, w: float, tol: float) -> float:
-    """K(z, w) by composite 16-point Gauss-Legendre in sigma, kept as a reference.
-
-    Integrates over [0, S], S = 8/sqrt(z), from 2 panels; each level
-    doubles the panel count and is compared with the previous until the
-    change drops below ``tol`` (absolute).
-    """
-
-    def f(sig: float) -> float:
-        q = math.sqrt(1.0 + sig * sig)
-        return math.exp(-z * sig * sig) / (q * (q + w))
-
-    S = 8.0 / math.sqrt(z)
-
-    def composite(panels: int) -> float:
-        width = S / panels
-        total = 0.0
-        for i in range(panels):
-            center = (i + 0.5) * width
-            for t, wt in zip(_GL_NODES, _GL_WEIGHTS):
-                total += wt * f(center + 0.5 * width * t)
-        return width * total  # one factor 1/2 from the jacobian, times 2 for evenness
-
-    panels = 2
-    prev = composite(panels)
-    for _ in range(12):
-        panels *= 2
-        cur = composite(panels)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise AssertionError("Gauss-Legendre reference did not converge")
-
-
-# the absolute accuracy asked of the reference split below
-_REF_TOL = 1e-12
-
-
-def _reference_split_cdf(p, x) -> float:
-    """The split identity of ``cdf_quad_split`` with one ``_legendre_kernel`` call per part.
-
-    The kernel returns K(z, w) to within an absolute tolerance of its own,
-    min(0.1, _REF_TOL/(4|coef|)) for each part, so that the two weighted
-    parts together stay within _REF_TOL/2.  The oracle takes no such
-    tolerance: its trapezoid step is certified in advance to 2^-53 of K.
-    """
-    g = geometry(p, x)
-    damp = math.exp(-g.z * g.s_plus**2)
-    value = 0.5 * erfc(g.zeta_plus)
-    coef_plus = -2.0 * g.s_plus * damp / (4.0 * math.pi)
-    if coef_plus != 0.0:
-        tol_plus = min(0.1, _REF_TOL / (4.0 * abs(coef_plus)))
-        value += coef_plus * _legendre_kernel(g.z, g.w_plus, tol_plus)
-    if abs(g.w_minus) >= 1e-13:
-        sgn = 1.0 if g.w_minus > 0.0 else -1.0
-        value += sgn * 0.5 * damp * erfcx(g.zeta_minus)
-        coef_minus = -2.0 * g.s_minus * sgn * damp / (4.0 * math.pi)
-        if coef_minus != 0.0:
-            tol_minus = min(0.1, _REF_TOL / (4.0 * abs(coef_minus)))
-            value += coef_minus * _legendre_kernel(g.z, abs(g.w_minus), tol_minus)
-    return min(1.0, max(0.0, value))
-
-
 def test_split_route_reports_its_certified_error_bound():
     # the estimate is |c_plus| eps + |c_minus| eps, eps = 2^-53 K_low the
     # bound the trapezoid step is certified to in advance; so it stays far
-    # within half the reference's tolerance plus a clamping of rounding
-    # size.  The Gauss-Legendre reference split judges it, and the value to
-    # that reference's own 1e-12
-    rng = random.Random(17)
-    for _ in range(40):
-        p, x = draw_point(rng)
-        value, _, _, error, _ = oracle._evaluate(p, x, False, oracle._TRAPEZOID, ())
-        assert 0.0 <= error <= 0.5 * _REF_TOL + 1e-15
-        gauss = _reference_split_cdf(p, x)
-        assert abs(value - gauss) <= 100.0 * (error + 1e-15)
-        assert abs(value - gauss) <= _REF_TOL
+    # within 0.5e-12 plus a clamping of rounding size, and bounds the true
+    # error up to rounding, judged on the reference set's rows that ``cdf``
+    # sends to the trapezoid
+    rows = 0
+    for row in read_values():
+        p = validate(*row[1:5])
+        try:
+            if cdf(p, row.x).method is not Method.QUAD_SPLIT:
+                continue
+        except NigError:  # z leaves the double range
+            continue
+        value, _, _, error, _ = oracle._evaluate(p, row.x, False, oracle._TRAPEZOID, ())
+        assert 0.0 <= error <= 0.5e-12 + 1e-15
+        assert abs(value - float(row.F)) <= 100.0 * (error + 1e-15), row
+        rows += 1
+    assert rows >= 300
 
 
 def test_direct_route_reports_its_bound_and_node_count():
@@ -1303,56 +1124,3 @@ def test_evaluate_clamps_as_min_and_max_do(monkeypatch):
         value, estimate = _clamped_by_min_max(raw, 0.25)
         assert (r.value.hex(), r.error_estimate.hex()) == (value.hex(), estimate.hex()), raw
         assert math.copysign(1.0, r.value) == 1.0, raw
-
-
-def _split_reference_near_w_minus_zero(p, x):
-    """F at (p, x) by the split in mpmath, for |w_minus| below about 1e-12.
-
-    At the current precision, the geometry comes from the exact double
-    inputs, and K(z, w_plus) from ``_kernel_reference``.  F_minus is taken
-    to first order in w_minus: it vanishes at w_minus = 0, s_minus moves
-    only at second order, and -dK/dw(z, 0) = J, the integral of
-    e^{-z sinh^2 t} / cosh^2 t over the real line, is sqrt(pi) U(1/2, 0, z)
-    = sqrt(pi) z U(3/2, 2, z) (Tricomi U), so F_minus = w_minus E J / (2 pi)
-    + O(w_minus^2).
-    """
-    a, b, mu, d, xm = map(mpmath.mpf, (p.alpha, p.beta, p.mu, p.delta, x))
-    tau = mpmath.atan2(mpmath.sqrt(a * a - b * b), b)
-    nu = mpmath.atan2(d, xm - mu)
-    z = 2 * a * mpmath.hypot(xm - mu, d)
-    s_plus, w_plus = mpmath.sin((nu - tau) / 2), mpmath.cos((nu - tau) / 2)
-    w_minus = mpmath.cos((nu + tau) / 2)
-    damp = mpmath.exp(-z * s_plus**2)
-    f_plus = mpmath.erfc(s_plus * mpmath.sqrt(z)) / 2 - s_plus * damp / (2 * mpmath.pi) * (
-        _kernel_reference(z, w_plus)
-    )
-    j = mpmath.sqrt(mpmath.pi) * z * mpmath.hyperu(1.5, 2, z)
-    return f_plus + w_minus * damp * j / (2 * mpmath.pi)
-
-
-def test_small_w_minus_keeps_full_accuracy_near_the_mirror_point():
-    # below |w_minus| = 1e-13 the split drops F_minus, which nears
-    # E |w_minus| / pi at small z, only where that costs no more than the
-    # kernel's own bound c_minus dK_minus; so the certified kernels keep it
-    # and stay within rounding of the reference.  Seeded points at
-    # x = mu - beta delta / gamma, where w_minus = 0, and with |w_minus|
-    # log-uniform over [1e-16, 3e-13] on both sides; z runs from 3.8e-3 to
-    # 78, and F_minus up to 2.7e-14 within the band
-    rng = random.Random(2323)
-    in_band = 0
-    with mpmath.workdps(30):
-        for i in range(40):
-            alpha = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
-            delta = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
-            p = validate(alpha, alpha * rng.uniform(-0.95, 0.95), rng.uniform(-2.0, 2.0), delta)
-            x = p.mu - p.beta * p.delta / p.gamma
-            if i % 4:
-                # d w_minus / dx = delta / (2 omega^2)
-                w = math.exp(rng.uniform(math.log(1e-16), math.log(3e-13)))
-                x += rng.choice((-2.0, 2.0)) * w * ((x - p.mu) ** 2 + delta**2) / delta
-            r = cdf(p, x)
-            ref = float(_split_reference_near_w_minus_zero(p, x))
-            assert abs(r.value - ref) <= 4.5e-16, (p, x, r)
-            assert abs(cdf_quad_split(p, x).value - ref) <= 4.5e-16, (p, x)
-            in_band += abs(geometry(p, x).w_minus) < 1e-13
-    assert in_band >= 30
