@@ -10,9 +10,9 @@ evaluates each by Horner on w, which on (0, 1] cannot cancel, so the d_k
 match the closed forms to about 5e-16 relative from w = 1 down to
 w = 1e-13, below which the split may drop the minus part.  The closed forms
 for k <= 4 serve as independent cross-checks in the tests and the selftest.
-The module holds nothing else: the convergent small-z series, whose
-kernels ``oracle._small_z_kernel`` builds, steps its own coefficients by a
-recurrence.
+The module holds nothing else: the convergent small-z series of
+``oracle._small_z_kernel``, summed to order 8, steps its own coefficients
+by a recurrence.
 """
 
 from __future__ import annotations

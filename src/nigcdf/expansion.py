@@ -20,12 +20,12 @@ builds the geometry from (p, x), reads (kernel, method, work) from
 band, the series kernel at their kmax.  ``cdf(p, x)`` is the
 evaluation policy and takes no other argument: it gives each z band the
 split with its own kernel, whatever w_minus, read from one table of bands
-by their lower z edges, built at import: below z = 0.07 a convergent
-series in z from ``oracle._small_z_kernel``, of order 1 to 8; from z = 30
-a Gauss rule from ``oracle._gauss_kernel``, of 8 nodes down to 1; between
+by their lower z edges, built at import: below z = 0.07 the convergent
+series in z of ``oracle._small_z_kernel``, of order 8; from z = 30 a
+Gauss rule from ``oracle._gauss_kernel``, of 8 nodes down to 1; between
 the two the trapezoid of the quadrature oracle, one band per rung of its
 step's ladder, each with its rung's kernel of ``oracle._RUNG_KERNELS``:
-25 bands in all, below and between 24 edges.  Each band's order or node
+18 bands in all, below and between 17 edges.  Each Gauss band's node
 count is the least that certifies 2^-53 K at its lower edge.  On
 every band the complement is evaluated first right of the transition
 point, where zeta_plus < 0, so the smaller of F and G is the one computed
@@ -108,21 +108,14 @@ def sf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     return _evaluate(p, x, True, (band,), ())
 
 
-# the 25 z bands of ``cdf``: band i holds the z from _BAND_EDGES[i - 1] (from
+# the 18 z bands of ``cdf``: band i holds the z from _BAND_EDGES[i - 1] (from
 # 0 for i = 0) up to _BAND_EDGES[i], and _BANDS[i] is its (kernel, method,
-# work): the small-z series of order 1 to 8, the trapezoid on each of the 9
-# rungs of its ladder from oracle._SMALL_Z_LIMIT, each rung's band from its
-# first double, then the Gauss rules of 8 nodes down to 1
-_BAND_EDGES = (
-    *oracle._SMALL_Z_EDGES,
-    *oracle._RUNG_EDGES,
-    *(edge for edge, _ in oracle._GAUSS_RULES),
-)
+# work): the small-z series of order 8, the trapezoid on each of the 9 rungs
+# of its ladder from oracle._SMALL_Z_LIMIT, each rung's band from its first
+# double, then the Gauss rules of 8 nodes down to 1
+_BAND_EDGES = (*oracle._RUNG_EDGES, *(edge for edge, _ in oracle._GAUSS_RULES))
 _BANDS = (
-    *(
-        (oracle._small_z_kernel(order), Method.SMALL_Z_SERIES, order)
-        for order in range(1, len(oracle._SMALL_Z_EDGES) + 2)
-    ),
+    (oracle._small_z_kernel, Method.SMALL_Z_SERIES, 8),
     *((kernel, Method.QUAD_SPLIT, 0) for kernel in oracle._RUNG_KERNELS.values()),
     *(
         (oracle._gauss_kernel(rule), Method.GAUSS_SPLIT, len(rule))
@@ -136,10 +129,10 @@ def cdf(p: Parameters, x: float) -> EvalResult:
 
     The split, whatever w_minus, with the kernel of its z band: below
     z = 0.07 the convergent small-z series (SMALL_Z_SERIES), which needs no
-    quadrature node, summed to the order its band needs; from z = 30 a
-    Gauss rule (GAUSS_SPLIT) of the fewest nodes its band needs, 8 at
-    z = 30 and 1 from z = 6.72e7; between the two the trapezoid
-    (QUAD_SPLIT) at the step of z's rung.  All three take each K to within
+    quadrature node, summed to order 8; from z = 30 a Gauss rule
+    (GAUSS_SPLIT) of the fewest nodes its band needs, 8 at z = 30 and 1
+    from z = 6.72e7; between the two the trapezoid (QUAD_SPLIT) at the
+    step of z's rung.  All three take each K to within
     2^-53 before rounding.  On every band the complement is evaluated and
     flipped when x lies right of the transition point (zeta_plus < 0), so
     the smaller function is the one computed.  Every split route calls its

@@ -5,8 +5,8 @@ remainder integrals K(z, w), valid for every point, the transition point
 included.  It takes K from a kernel, called as
 ``kernel(z, w_plus, w_minus)``: the expansion's asymptotic series, for
 ``cdf_asym`` and ``sf_asym``; a Gauss rule built by ``_gauss_kernel``,
-which the policy ``expansion.cdf`` takes from z = 30; a convergent series
-in z built by ``_small_z_kernel``, which that policy takes below z = 0.07;
+which the policy ``expansion.cdf`` takes from z = 30; the convergent
+series in z of ``_small_z_kernel``, which that policy takes below z = 0.07;
 and the trapezoid, for the policy between the two by one kernel per rung
 of its step's ladder, built by ``_rung_kernel``, and for the primary
 oracle ``cdf_quad_split`` at every z by ``_kernel``; the judge that shares
@@ -22,21 +22,21 @@ the kernel of x's z band from a table of bands, clamps the value into
 A forced route passes a table of one band, ``_TRAPEZOID`` for
 ``cdf_quad_split``.
 
-Each of the policy's kernels does the least work that its z band needs:
-the bands' lower edges in ``_GAUSS_RULES`` and ``_SMALL_Z_EDGES`` are
-where a rule with fewer nodes, or a series of lower order, certifies
-2^-53 K.  The Gauss rules are the ones for the weight u^{-1/2} e^{-z u},
-u = sigma^2: the N-node rule's nodes are the squared positive nodes of
-the order-2N Gauss-Hermite rule over z.  Before rounding each
-underestimates K, by at most 2^-53 K from its band's edge on: 8 nodes from
-z = 30 down to 1 node from z = 6.72e7, so its error bound needs no table.
+Each of the policy's Gauss kernels does the least work that its z band
+needs: the bands' lower edges in ``_GAUSS_RULES`` are where a rule with
+fewer nodes certifies 2^-53 K.  The Gauss rules are the ones for the
+weight u^{-1/2} e^{-z u}, u = sigma^2: the N-node rule's nodes are the
+squared positive nodes of the order-2N Gauss-Hermite rule over z.  Before
+rounding each underestimates K, by at most 2^-53 K from its band's edge
+on: 8 nodes from z = 30 down to 1 node from z = 6.72e7, so its error
+bound needs no table.
 
 The small-z series is exact at infinite order: K(0, w) in closed form, an
 erf term, and the integral M of e^{a t} K_0(t/2) over [0, z], summed from
 the ascending series of K_0 (DLMF 10.31-10.32) by one loop that steps its
 coefficients by their three-term recurrence.  A majorant of its terms
-bounds the tail; the order runs from 1 below z = 3.84e-6 to 8 from
-z = 0.0578, and the tail stays within 2^-53 K below z = 0.07, the crossover.
+bounds the tail; summed to order 8 at every z, the tail stays within
+2^-53 K below z = 0.07, the crossover.
 
 The trapezoid puts both integrals on one grid in ``t``, ``sigma = sinh(t)``:
 the map turns the algebraic ``1/sigma^2`` tail into a double-exponential
@@ -132,9 +132,9 @@ class EvalResult(NamedTuple):
     2 pi, f the direct integrand, also a bound before rounding.  Each
     includes the distance by which the value was clamped into [0, 1].
     ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
-    and the order its z band sums, 1 to 8, on SMALL_Z_SERIES; the node
-    count its z band sums, 8 down to 1, on GAUSS_SPLIT; the node count,
-    t = 0 included, on QUAD_DIRECT; 0 on QUAD_SPLIT.
+    and 8 on SMALL_Z_SERIES; the node count its z band sums, 8 down to 1,
+    on GAUSS_SPLIT; the node count, t = 0 included, on QUAD_DIRECT; 0 on
+    QUAD_SPLIT.
     ``complemented`` records that the value was produced as 1 minus the
     directly computed complement: on ``cdf``, at every point with
     zeta_plus < 0, right of the transition point.
@@ -147,26 +147,24 @@ class EvalResult(NamedTuple):
     complemented: bool = False
 
 
-# the lower z edges of the orders 2 .. 8 of ``_small_z_kernel``: order N
-# serves z from its edge to the next, order 1 below the first and order 8 up
-# to the crossover 0.07.  Each edge is the largest z at which order N - 1
-# still certifies 2^-53 K_low, rounded down to three digits
-_SMALL_Z_EDGES = (3.84e-6, 1.31e-4, 1.11e-3, 4.79e-3, 0.0137, 0.0307, 0.0578)
 # below this z ``expansion.cdf`` takes ``_small_z_kernel`` (order 8 certifies
 # 2^-53 K to z = 0.0973), from it the trapezoid, whose node tables start here.
 # On a shared 2-vCPU host (CPython 3.11, ``timeit``, min of 7, three rounds)
-# a rung kernel took 1.02-1.41 times as long a call as the series at its
-# band's order at z = 0.0307 and 0.045, 0.80-1.07 at 0.0578, 0.065, 0.07 and
-# 0.08, and 0.64-0.86 at 0.0973, 0.15 and 0.24 against the orders 9 to 11
-# that the series needs there: the crossover lies near z = 0.07
+# a rung kernel took 0.80-1.07 times as long a call as the order-8 series at
+# 0.0578, 0.065, 0.07 and 0.08, and 0.64-0.86 at 0.0973, 0.15 and 0.24
+# against the orders 9 to 11 that the series needs there: the crossover lies
+# near z = 0.07
 _SMALL_Z_LIMIT = 0.07
 # (2n+1) / (n+1)^2, 1 / (n+1)^2, 2 / (n+1) and 1 / (n+2) for each step
-# n -> n + 1 of the recurrences of ``_small_z_kernel``, n = 1 .. 7; order N
-# takes the first N - 1
+# n -> n + 1 of the recurrences of ``_small_z_m``, n = 1 .. 7, to order 8
 _SMALL_Z_STEPS = tuple(
     ((2 * n + 1) / (n + 1) ** 2, 1 / (n + 1) ** 2, 2 / (n + 1), 1 / (n + 2))
-    for n in range(1, len(_SMALL_Z_EDGES) + 1)
+    for n in range(1, 8)
 )
+# the bound 2 t_9 of ``_small_z_kernel`` on the terms of M past order 8 is
+# z^10 (H_4 + 1/10 - Lambda) / 10!: this offset and scale
+_SMALL_Z_TAIL_OFFSET = sum(1.0 / k for k in range(1, 5)) + 1.0 / 10
+_SMALL_Z_TAIL_SCALE = 1.0 / math.factorial(10)
 # (lower z edge, rule) of each rule of ``_gauss_kernel``, by rising z: the rule
 # of N nodes, N = 8 down to 1, holds (x_i^2, 2 W_i) over the N positive nodes
 # x_i of the order-2N Gauss-Hermite rule, smallest weight first: 50-digit
@@ -426,14 +424,13 @@ _TABLES = {h: _nodes(h, last) for h, last, _, _ in map(_step, _RUNG_EDGES)}
 _RUNG_KERNELS = {h: _rung_kernel(h, nodes) for h, nodes in _TABLES.items()}
 
 
-def _small_z_kernel(order: int) -> _Kernel:
-    """The kernel that sums K(z, w_plus) and K(z, w_minus) by their small-z series to ``order``.
+def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+    """K(z, w_plus) and K(z, w_minus) by their small-z series to order 8, and their bounds.
 
     The same kernels as ``_kernel``, exact for every z > 0 at infinite
     order; the auto route of ``expansion.cdf`` takes them below a measured
-    crossover in z, at the order ``_SMALL_Z_EDGES`` gives each z.  With
-    s^2 = (1 - w)(1 + w) and the integral e^{z/2} K_0(z/2) of
-    e^{-z sigma^2} / q (DLMF 10.32), K solves
+    crossover in z.  With s^2 = (1 - w)(1 + w) and the integral
+    e^{z/2} K_0(z/2) of e^{-z sigma^2} / q (DLMF 10.32), K solves
     dK/dz = s^2 K - sqrt(pi/z) + w e^{z/2} K_0(z/2) from
     K(0, w) = 2 atan2(s, w) / s, so
 
@@ -451,7 +448,7 @@ def _small_z_kernel(order: int) -> _Kernel:
 
     from B_0 = B_1 = 0.  One loop steps alpha_n = A_n z^n and
     beta_n = B_n z^n for both w at once, and sums
-    M = z sum_{n=0..order} (beta_n + alpha_n (1/(n+1) - Lambda)) / (n+1),
+    M = z sum_{n=0..8} (beta_n + alpha_n (1/(n+1) - Lambda)) / (n+1),
     Lambda = Lambda(z), never formed as ln(z/4), which underflows at the
     smallest double.  Both factors stay smooth as s -> 0: atan2(s, w) / s
     tends to 1/w, and erf(y) / y is taken by its Taylor series below
@@ -464,37 +461,26 @@ def _small_z_kernel(order: int) -> _Kernel:
     |B_n| <= H_{floor(n/2)} / (2 n!) the same way.  Below z = 1/4,
     Lambda < -2.19, so term n of M is at most t_n =
     z^{n+1} (H_{floor(n/2)} + 1/(n+1) - Lambda) / (2 (n+1)!), each t_n
-    under half the one before, and the terms past ``order`` sum to at most
-    2 t_{order+1}.  M enters K times w e^{s^2 z}, so dK = w e^{s^2 z}
-    2 t_{order+1}; below about z = 3e-103, where z^{order+2} leaves the
-    normal range, dK is under 1e-300 K and only as exact as that power.
-    As w e^{(1 - w^2) z} rises with w for z <= 1/2, it is at most 1, and
-    dK <= 2^-53 K_low <= 2^-53 K (K_low of ``_step``) wherever
-    2 t_{order+1} <= 2^-53 K_low; each edge of ``_SMALL_Z_EDGES`` is where
-    that stops holding for the order below, rounded down.
+    under half the one before, and the terms past order 8 sum to at most
+    2 t_9 = z^10 (H_4 + 1/10 - Lambda) / 10!.  M enters K times
+    w e^{s^2 z}, so dK = w e^{s^2 z} 2 t_9; below about z = 1.7e-31, where
+    z^10 leaves the normal range, dK is under 1e-300 K and only as exact as
+    that power.  As w e^{(1 - w^2) z} rises with w for z <= 1/2, it is at
+    most 1, and dK <= 2^-53 K_low <= 2^-53 K (K_low of ``_step``) wherever
+    2 t_9 <= 2^-53 K_low: up to z = 0.0973, past the crossover, while
+    order 7 stops short of it.
     """
-    steps = _SMALL_Z_STEPS[: order - 1]
-    # 2 t_{order+1} = z^power (offset - Lambda) / (order + 2)!
-    power = order + 2
-    offset = sum(1.0 / k for k in range(1, (order + 1) // 2 + 1)) + 1.0 / (order + 2)
-    scale = 1.0 / math.factorial(order + 2)
-
-    def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
-        lam = math.log(z) - _LOG_4_MINUS_GAMMA
-        m_plus, m_minus = _small_z_m(z, lam, w_plus, w_minus, steps)
-        tail = z**power * (offset - lam) * scale
-        root_z = math.sqrt(z)
-        k_plus, dk_plus = _small_z_one(z, root_z, w_plus, m_plus, tail)
-        k_minus, dk_minus = _small_z_one(z, root_z, w_minus, m_minus, tail)
-        return k_plus, k_minus, dk_plus, dk_minus
-
-    return kernel
+    lam = math.log(z) - _LOG_4_MINUS_GAMMA
+    m_plus, m_minus = _small_z_m(z, lam, w_plus, w_minus)
+    tail = z**10 * (_SMALL_Z_TAIL_OFFSET - lam) * _SMALL_Z_TAIL_SCALE
+    root_z = math.sqrt(z)
+    k_plus, dk_plus = _small_z_one(z, root_z, w_plus, m_plus, tail)
+    k_minus, dk_minus = _small_z_one(z, root_z, w_minus, m_minus, tail)
+    return k_plus, k_minus, dk_plus, dk_minus
 
 
-def _small_z_m(
-    z: float, lam: float, w_plus: float, w_minus: float, steps: tuple[tuple[float, ...], ...]
-) -> tuple[float, float]:
-    """M of ``_small_z_kernel`` at w_plus and w_minus, given Lambda(z), to the order of ``steps``.
+def _small_z_m(z: float, lam: float, w_plus: float, w_minus: float) -> tuple[float, float]:
+    """M of ``_small_z_kernel`` at w_plus and w_minus to order 8, given Lambda(z).
 
     One loop steps both pairs (alpha_n, beta_n) by their recurrences, one
     step of ``_SMALL_Z_STEPS`` per order past 1.
@@ -512,7 +498,7 @@ def _small_z_m(
     be_plus = be_minus = be0_plus = be0_minus = 0.0
     m_plus = 1.0 - lam + 0.5 * az_plus * (0.5 - lam)
     m_minus = 1.0 - lam + 0.5 * az_minus * (0.5 - lam)
-    for p, q, r, inv in steps:
+    for p, q, r, inv in _SMALL_Z_STEPS:
         x_plus = az_plus * al_plus
         x_minus = az_minus * al_minus
         al0_plus, al_plus = al_plus, p * x_plus + q * (c_plus * al0_plus)

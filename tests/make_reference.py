@@ -90,6 +90,18 @@ TAIL = mpf("1e-3")
 TINY = mpf(2) ** -1022
 FLOORS = {"body": mpf(2) ** -53, "left": mpf(2) ** -51, "right": mpf(2) ** -53, "underflow": mpf(0)}
 
+# the 24 lower z edges of the bands of ``cdf`` when the set landed, which the
+# ``bands`` rows were drawn at: the small-z series' order edges, the
+# trapezoid's rung edges from 0.07, and the Gauss rules' edges from 30.
+# Frozen, so that ``rows`` rebuilds the committed inputs whatever the live
+# bands; ``_check_coverage`` judges the set against the live ones
+LANDING_EDGES = (
+    3.84e-06, 0.000131, 0.00111, 0.00479, 0.0137, 0.0307, 0.0578,
+    0.07, 1.9356295155183645, 4.870135665543295, 8.225738316549053, 11.872117626645782,
+    15.764432523671921, 19.885504008682826, 24.229740272648353, 28.797328840163438,
+    30.0, 35.0, 51.0, 84.0, 182.0, 680.0, 10780.0, 67200000.0,
+)
+
 PAPER = (8.0, 3.0, 2.0)  # alpha, mu, delta of the paper's three distributions
 PAPER_BETAS = (-4.0, 2.0, 7.5)
 
@@ -282,11 +294,11 @@ def _at_z(z: float, beta_ratio: float, left: bool) -> Row:
 
 
 def _band_rows() -> list[Row]:
-    """Every band of ``expansion._BANDS`` on both sides of x0: inside it, at its edge and below."""
+    """Every band of ``LANDING_EDGES`` on both sides of x0: inside it, at its edge and below."""
     inner = [1e-300, 1e-9]
-    inner += [math.sqrt(lo * hi) for lo, hi in zip(_BAND_EDGES, _BAND_EDGES[1:])]
+    inner += [math.sqrt(lo * hi) for lo, hi in zip(LANDING_EDGES, LANDING_EDGES[1:])]
     inner += [1e9, 1e15]
-    edges = [z for edge in _BAND_EDGES for z in (edge, math.nextafter(edge, 0.0))]
+    edges = [z for edge in LANDING_EDGES for z in (edge, math.nextafter(edge, 0.0))]
     return [
         _at_z(z, (0.5, -0.5)[i % 2], left)
         for i, z in enumerate(inner + edges)

@@ -86,7 +86,7 @@ EVAL_POINTS = {
                   "quad_split", 0, 5e-13, "quad-split", 1e-15),
     # z = 0.04
     "small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.04 --x 3",
-                "small_z_series", 7, 5e-13, "quad-split", 1e-15),
+                "small_z_series", 8, 5e-13, "quad-split", 1e-15),
     # right of the transition every band evaluates G first: z = 0.067 on the
     # small-z series, z = 0.297, past its crossover, and z = 6.32 on the
     # trapezoid, which also agrees with the direct oracle (|nu - tau| = 1.05)
@@ -110,7 +110,7 @@ EVAL_POINTS = {
     # x = -beta delta / gamma, w_minus = 7.5e-14: the minus part, 2.28e-14, is
     # over the small-z kernel's bound (z = 0.023), so the route keeps it
     "mirror-point": ("--alpha 0.01 --beta 0.005 --mu 0 --delta 1 --x -0.5773502691894258",
-                     "small_z_series", 6, 1e-15, "quad-direct", 1e-14),
+                     "small_z_series", 8, 1e-15, "quad-direct", 1e-14),
     # z near 6e-300, the longest trapezoid level, where NIG is Cauchy
     "cauchy": ("--alpha 1e-300 --beta 0 --mu 0 --delta 1 --x 3 --method quad-split",
                "quad_split", 0, 5e-13, 0.5 + math.atan(3.0) / math.pi, 1e-15),

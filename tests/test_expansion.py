@@ -4,7 +4,6 @@ import math
 import os
 import random
 import sys
-from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -294,9 +293,7 @@ def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
     monkeypatch.undo()
     signs = set()
     for (p, x), r in zip(draws, results):
-        # the order of the band of ``_SMALL_Z_EDGES`` that holds z
-        order = bisect_right(oracle._SMALL_Z_EDGES, geometry(p, x).z) + 1
-        assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == order
+        assert r.method is Method.SMALL_Z_SERIES and r.kmax_used == 8
         assert 0.0 <= r.error_estimate <= 1e-15
         assert abs(r.value - cdf_quad_split(p, x).value) <= 1e-13
         signs.add(geometry(p, x).w_minus > 0.0)
@@ -618,5 +615,5 @@ def test_cdf_makes_the_pinned_python_calls_a_point():
     small = validate(0.5, 0.125, 3.0, 0.06)
     assert cdf(small, 3.0).method is Method.SMALL_Z_SERIES
     assert _package_calls(lambda: cdf(small, 3.0)) == head + [
-        "kernel", "_small_z_m", "_small_z_one", "_small_z_one", "_erfcx"
+        "_small_z_kernel", "_small_z_m", "_small_z_one", "_small_z_one", "_erfcx"
     ]

@@ -643,7 +643,7 @@ def test_small_z_rows_sum_m_to_mpmath(z):
             ref = z * mpmath.quad(
                 lambda u: mpmath.exp(a * z * u) * mpmath.besselk(0, z * u / 2), [0, 1]
             )
-            m = _small_z_m(z, lam, w, w, oracle._SMALL_Z_STEPS)[0]
+            m = _small_z_m(z, lam, w, w)[0]
             assert abs(m - float(ref)) <= 1e-15 * float(ref)
 
 
@@ -692,25 +692,17 @@ def test_small_z_coefficients_lie_under_their_majorants():
 
 
 def test_small_z_order_edges_follow_the_majorant():
-    # each edge of oracle._SMALL_Z_EDGES is the largest z at which the order
-    # below still certifies 2^-53 K_low, found here by bisection, rounded
-    # down by under 1 %; the highest order, 8, certifies up to the
-    # crossover; and the band table gives each order from its edge
-    for order, edge in enumerate(oracle._SMALL_Z_EDGES, start=1):
-        lo, hi = 1e-300, 1.0
-        assert _small_z_certifies(order, lo) and not _small_z_certifies(order, hi)
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if _small_z_certifies(order, mid):
-                lo = mid
-            else:
-                hi = mid
-        assert 0.99 * lo < edge <= lo, (order, edge, lo)
-        assert _band(math.nextafter(edge, 0.0))[1:] == (Method.SMALL_Z_SERIES, order)
-        assert _band(edge)[1:] == (Method.SMALL_Z_SERIES, order + 1)
-    last = len(oracle._SMALL_Z_EDGES) + 1
-    assert _small_z_certifies(last, _SMALL_Z_LIMIT)
-    assert _band(math.nextafter(_SMALL_Z_LIMIT, 0.0))[1:] == (Method.SMALL_Z_SERIES, last)
+    # order 8 is the least order that certifies 2^-53 K_low at every z below
+    # the crossover: it does at the largest double below it, where order 7
+    # does not, and the tail bound over K_low rises with z.  The band table
+    # gives it the one band below the crossover, and its edges strictly
+    # increase from there
+    below = math.nextafter(_SMALL_Z_LIMIT, 0.0)
+    assert _small_z_certifies(8, below) and not _small_z_certifies(7, below)
+    assert _band(below)[1:] == (Method.SMALL_Z_SERIES, 8)
+    assert _BAND_EDGES[0] == _SMALL_Z_LIMIT
+    assert all(lo < hi for lo, hi in zip(_BAND_EDGES, _BAND_EDGES[1:]))
+    assert len(_BANDS) == len(_BAND_EDGES) + 1 == 18
 
 
 def _small_z_series_mp(z: float, w: float, order: int) -> mpmath.mpf:
@@ -733,17 +725,14 @@ def _small_z_series_mp(z: float, w: float, order: int) -> mpmath.mpf:
 
 
 def test_small_z_kernel_bounds_its_truncation():
-    # z seeded log-uniform over [1e-8, _SMALL_Z_LIMIT), plus the doubles
-    # either side of every order edge and the largest double below the
-    # crossover; w_plus at both ends and at w^2 = 1/2, where the odd terms of
-    # M vanish, w_minus uniform.  dK is the documented bound
-    # w e^{s^2 z} 2 t_{order+1}; the series to the band's order, summed in
+    # z seeded log-uniform over [1e-8, _SMALL_Z_LIMIT), plus the largest
+    # double below the crossover; w_plus at both ends and at w^2 = 1/2,
+    # where the odd terms of M vanish, w_minus uniform.  dK is the
+    # documented bound w e^{s^2 z} 2 t_9; the series to order 8, summed in
     # 40 digits, lies within it of K before rounding (up to the 1e-38 to
     # which 40 digits resolve K, for w = 0, where dK = 0), and dK <= 2^-53 K
     rng = random.Random(2929)
     zs = [math.nextafter(_SMALL_Z_LIMIT, 0.0)]
-    for edge in oracle._SMALL_Z_EDGES:
-        zs += [math.nextafter(edge, 0.0), edge]
     zs += [math.exp(rng.uniform(math.log(1e-8), math.log(_SMALL_Z_LIMIT))) for _ in range(8)]
     with mpmath.workdps(40):
         for z in zs:

@@ -9,7 +9,7 @@ on every row, the floor about one ulp, and must refuse exactly where its
 gate says so.
 """
 
-from make_reference import errors, read_gates, read_values, reference, within
+from make_reference import errors, read_gates, read_values, reference, rows, within
 
 
 def test_every_route_stays_within_its_gate_on_every_row():
@@ -36,3 +36,10 @@ def test_rows_of_each_error_class_regenerate_to_their_stored_digits():
         row = values[line - 2]
         assert gates[line - 2]["class"] == kind, row
         assert reference(row) == (row.F, row.G), row
+
+
+def test_generator_rebuilds_the_committed_inputs():
+    # the generator's rows, in file order, are the committed rows' sources
+    # and exact inputs: the band rows come from the frozen landing edges,
+    # not from the live band table
+    assert [r[:6] for r in rows()] == [r[:6] for r in read_values()]
