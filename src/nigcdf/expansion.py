@@ -15,10 +15,10 @@ and kmax.
 
 The public functions are thin callers: each checks its own arguments and
 makes one call to ``oracle._evaluate(p, x, side, bands, edges)``, which
-builds the geometry from (p, x), reads (kernel, method, work) from
-``bands`` by z and calls the split; ``cdf_asym`` and ``sf_asym`` pass one
-band, the series kernel at their kmax.  ``cdf(p, x)`` is the
-evaluation policy and takes no other argument: it gives each z band the
+builds the geometry from (p, x), reads (kernel, method) from ``bands`` by
+z and calls the split, whose kernel reports the work; ``cdf_asym`` and
+``sf_asym`` pass one band, the series kernel at their kmax.  ``cdf(p, x)``
+is the evaluation policy and takes no other argument: it gives each z band the
 split with its own kernel, whatever w_minus, read from one table of bands
 by their lower z edges, built at import: below z = 0.07 the convergent
 series in z of ``oracle._small_z_kernel``, of order 8; from z = 30 a
@@ -64,15 +64,15 @@ def _series_kernel(kmax: int) -> oracle._Kernel:
     d_k(w) = P_k(w) / (1 + w)^k the sum is sum_k P_k(w) y^k,
     y = 1 / ((1 + w) z), summed by Horner in y over the row values
     ``coeffs._row_values(w, kmax)`` from P_kmax down; each dK is the last
-    term, sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax.  One sqrt(pi/z) serves
-    both series.  The kernel raises DomainError when a series or its last
-    term leaves the double range, which needs z far below 1: z below about
-    2e-56 at kmax = 5, or 7e-12 at kmax = 25, whatever w.  ``kmax`` must
-    already be checked, as the rows past ``coeffs._KMAX_LIMIT`` are not
-    finite.
+    term, sqrt(pi/z) / (1 + w) * P_kmax(w) * y^kmax, and the work is kmax.
+    One sqrt(pi/z) serves both series.  The kernel raises DomainError when
+    a series or its last term leaves the double range, which needs z far
+    below 1: z below about 2e-56 at kmax = 5, or 7e-12 at kmax = 25,
+    whatever w.  ``kmax`` must already be checked, as the rows past
+    ``coeffs._KMAX_LIMIT`` are not finite.
     """
 
-    def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+    def kernel(z: float, w_plus: float, w_minus: float) -> oracle._Sums:
         root = math.sqrt(math.pi / z)
         parts = []
         for w in (w_plus, w_minus):
@@ -91,36 +91,33 @@ def _series_kernel(kmax: int) -> oracle._Kernel:
             raise DomainError(
                 f"the expansion of order kmax={kmax} leaves the double range at z={z!r}"
             )
-        return k_plus, k_minus, last_plus, last_minus
+        return k_plus, k_minus, last_plus, last_minus, kmax
 
     return kernel
 
 
 def cdf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     """F by the asymptotic expansions alone, clamped to [0, 1]."""
-    band = (_series_kernel(_check_kmax(kmax)), Method.UNIFORM_ASYM, kmax)
+    band = (_series_kernel(_check_kmax(kmax)), Method.UNIFORM_ASYM)
     return _evaluate(p, x, False, (band,), ())
 
 
 def sf_asym(p: Parameters, x: float, kmax: int = DEFAULT_KMAX) -> EvalResult:
     """G = 1 - F by the asymptotic expansions alone, clamped to [0, 1]."""
-    band = (_series_kernel(_check_kmax(kmax)), Method.UNIFORM_ASYM, kmax)
+    band = (_series_kernel(_check_kmax(kmax)), Method.UNIFORM_ASYM)
     return _evaluate(p, x, True, (band,), ())
 
 
 # the 18 z bands of ``cdf``: band i holds the z from _BAND_EDGES[i - 1] (from
-# 0 for i = 0) up to _BAND_EDGES[i], and _BANDS[i] is its (kernel, method,
-# work): the small-z series of order 8, the trapezoid on each of the 9 rungs
+# 0 for i = 0) up to _BAND_EDGES[i], and _BANDS[i] is its (kernel, method):
+# the small-z series of order 8, the trapezoid on each of the 9 rungs
 # of its ladder from oracle._SMALL_Z_LIMIT, each rung's band from its first
 # double, then the Gauss rules of 8 nodes down to 1
 _BAND_EDGES = (*oracle._RUNG_EDGES, *(edge for edge, _ in oracle._GAUSS_RULES))
 _BANDS = (
-    (oracle._small_z_kernel, Method.SMALL_Z_SERIES, 8),
-    *((kernel, Method.QUAD_SPLIT, 0) for kernel in oracle._RUNG_KERNELS.values()),
-    *(
-        (oracle._gauss_kernel(rule), Method.GAUSS_SPLIT, len(rule))
-        for _, rule in oracle._GAUSS_RULES
-    ),
+    (oracle._small_z_kernel, Method.SMALL_Z_SERIES),
+    *((kernel, Method.QUAD_SPLIT) for kernel in oracle._RUNG_KERNELS.values()),
+    *((oracle._gauss_kernel(rule), Method.GAUSS_SPLIT) for _, rule in oracle._GAUSS_RULES),
 )
 
 
@@ -136,8 +133,8 @@ def cdf(p: Parameters, x: float) -> EvalResult:
     2^-53 before rounding.  On every band the complement is evaluated and
     flipped when x lies right of the transition point (zeta_plus < 0), so
     the smaller function is the one computed.  Every split route calls its
-    kernel as ``kernel(z, w_plus, |w_minus|)`` and reports the estimate
-    described at ``EvalResult``.  One call to ``oracle._evaluate`` checks
+    kernel as ``kernel(z, w_plus, |w_minus|)`` and reports the estimate and
+    work described at ``EvalResult``.  One call to ``oracle._evaluate`` checks
     x, computes the geometry once and picks the band.  The other routes
     have their own functions: the paper's series to a chosen order in
     ``cdf_asym`` and ``sf_asym``, the quadrature oracles in

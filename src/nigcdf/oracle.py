@@ -2,7 +2,7 @@
 
 ``_split`` splits the CDF exactly into erfc terms plus two pole-free
 remainder integrals K(z, w), valid for every point, the transition point
-included.  It takes K from a kernel, called as
+included.  It takes K, and the work done, from a kernel, called as
 ``kernel(z, w_plus, w_minus)``: the expansion's asymptotic series, for
 ``cdf_asym`` and ``sf_asym``; a Gauss rule built by ``_gauss_kernel``,
 which the policy ``expansion.cdf`` takes from z = 30; the convergent
@@ -17,10 +17,10 @@ the asymptotic series' often is, and its error estimate then takes
 E |w_minus| / pi for what it dropped; elsewhere it keeps it.  Every split
 route reaches ``_split`` through one evaluator, ``_evaluate(p, x, side,
 bands, edges)``: it computes the geometry by ``params._geometry``, takes
-the kernel of x's z band from a table of bands, clamps the value into
-[0, 1] and, for the policy, returns 1 - G right of the transition point.
-A forced route passes a table of one band, ``_TRAPEZOID`` for
-``cdf_quad_split``.
+x's z band, a (kernel, method) pair, from a table of bands, clamps the
+value into [0, 1] and, for the policy, returns 1 - G right of the
+transition point; its record's work is the kernel's.  A forced route
+passes a table of one band, ``_TRAPEZOID`` for ``cdf_quad_split``.
 
 Each of the policy's Gauss kernels does the least work that its z band
 needs: the bands' lower edges in ``_GAUSS_RULES`` are where a rule with
@@ -97,8 +97,9 @@ _DIRECT_REACH = _DIRECT_LOG + math.log(8.0 / math.pi) + 0.01
 _W_MINUS_NEGLIGIBLE = 1e-13
 # the trapezoid kernel's error bound, relative to a lower bound on K
 _TARGET_REL = 2.0**-53
-# kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus)
-_Kernel = Callable[[float, float, float], tuple[float, float, float, float]]
+# kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus, work)
+_Sums = tuple[float, float, float, float, int]
+_Kernel = Callable[[float, float, float], _Sums]
 
 
 class Method(Enum):
@@ -131,10 +132,9 @@ class EvalResult(NamedTuple):
     On QUAD_DIRECT it is 2^-53 times a bound on the integral of |f| over
     2 pi, f the direct integrand, also a bound before rounding.  Each
     includes the distance by which the value was clamped into [0, 1].
-    ``kmax_used`` is the work done: the series order, kmax on UNIFORM_ASYM
-    and 8 on SMALL_Z_SERIES; the node count its z band sums, 8 down to 1,
-    on GAUSS_SPLIT; the node count, t = 0 included, on QUAD_DIRECT; 0 on
-    QUAD_SPLIT.
+    ``kmax_used`` is the work the route reports: what it summed, its nodes,
+    t = 0 included, or its series order; on a split route the kernel's, and
+    0 where E underflows and the split calls no kernel.
     ``complemented`` records that the value was produced as 1 minus the
     directly computed complement: on ``cdf``, at every point with
     zeta_plus < 0, right of the transition point.
@@ -155,11 +155,12 @@ class EvalResult(NamedTuple):
 # against the orders 9 to 11 that the series needs there: the crossover lies
 # near z = 0.07
 _SMALL_Z_LIMIT = 0.07
+_SMALL_Z_ORDER = 8  # the order of ``_small_z_kernel``'s series, its work
 # (2n+1) / (n+1)^2, 1 / (n+1)^2, 2 / (n+1) and 1 / (n+2) for each step
 # n -> n + 1 of the recurrences of ``_small_z_m``, n = 1 .. 7, to order 8
 _SMALL_Z_STEPS = tuple(
     ((2 * n + 1) / (n + 1) ** 2, 1 / (n + 1) ** 2, 2 / (n + 1), 1 / (n + 2))
-    for n in range(1, 8)
+    for n in range(1, _SMALL_Z_ORDER)
 )
 # the bound 2 t_9 of ``_small_z_kernel`` on the terms of M past order 8 is
 # z^10 (H_4 + 1/10 - Lambda) / 10!: this offset and scale
@@ -244,7 +245,7 @@ _exp, _erfc, _tuple_new = math.exp, math.erfc, tuple.__new__
 _sqrt, _log, _asinh = math.sqrt, math.log, math.asinh
 
 
-def _kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+def _kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
     """K(z, w_plus) and K(z, w_minus) on one certified trapezoid level, and their error bound.
 
     K(z, w) is the integral of e^{-z sigma^2} / (q (q + w)) over the real
@@ -293,13 +294,13 @@ def _rung_kernel(h: float, nodes: tuple[tuple[float, float], ...]) -> _Kernel:
     asinh.  ``nodes`` must hold at least the last node of every z the
     kernel is called at.  So at every z whose step ``_step`` puts on h's
     rung the call sums the nodes and reports the eps that ``_step``
-    certifies, bit for bit.
+    certifies, bit for bit, and as its work the node count last + 1.
     """
     two_h = 2.0 * h
     four_h = 4.0 * h
     eps_scale = _TARGET_REL * _SQRT_PI
 
-    def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+    def kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
         root_z = _sqrt(z)
         eps = eps_scale / (root_z + _sqrt(z + 2.0))
         last = int(_asinh(_sqrt(_log(four_h / eps) + 0.01) / root_z) / h)
@@ -314,7 +315,7 @@ def _rung_kernel(h: float, nodes: tuple[tuple[float, float], ...]) -> _Kernel:
             sum_minus += e / (c + w_minus)
         sum_plus += 0.5 / (1.0 + w_plus)
         sum_minus += 0.5 / (1.0 + w_minus)
-        return two_h * sum_plus, two_h * sum_minus, eps, eps
+        return two_h * sum_plus, two_h * sum_minus, eps, eps, last + 1
 
     return kernel
 
@@ -424,7 +425,7 @@ _TABLES = {h: _nodes(h, last) for h, last, _, _ in map(_step, _RUNG_EDGES)}
 _RUNG_KERNELS = {h: _rung_kernel(h, nodes) for h, nodes in _TABLES.items()}
 
 
-def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
     """K(z, w_plus) and K(z, w_minus) by their small-z series to order 8, and their bounds.
 
     The same kernels as ``_kernel``, exact for every z > 0 at infinite
@@ -476,7 +477,7 @@ def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, flo
     root_z = math.sqrt(z)
     k_plus, dk_plus = _small_z_one(z, root_z, w_plus, m_plus, tail)
     k_minus, dk_minus = _small_z_one(z, root_z, w_minus, m_minus, tail)
-    return k_plus, k_minus, dk_plus, dk_minus
+    return k_plus, k_minus, dk_plus, dk_minus, _SMALL_Z_ORDER
 
 
 def _small_z_m(z: float, lam: float, w_plus: float, w_minus: float) -> tuple[float, float]:
@@ -549,8 +550,9 @@ def _gauss_kernel(rule: tuple[tuple[float, float], ...]) -> _Kernel:
     taking it).  So each dK is 2^-53 K, one bound for every w, as on the
     trapezoid.  Both sums share each sqrt, and no node calls exp.
     """
+    nodes = len(rule)
 
-    def kernel(z: float, w_plus: float, w_minus: float) -> tuple[float, float, float, float]:
+    def kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
         sqrt = math.sqrt
         sum_plus = sum_minus = 0.0
         for node, weight in rule:
@@ -560,7 +562,7 @@ def _gauss_kernel(rule: tuple[tuple[float, float], ...]) -> _Kernel:
         root = sqrt(z)
         k_plus = sum_plus / root
         k_minus = sum_minus / root
-        return k_plus, k_minus, _TARGET_REL * k_plus, _TARGET_REL * k_minus
+        return k_plus, k_minus, _TARGET_REL * k_plus, _TARGET_REL * k_minus, nodes
 
     return kernel
 
@@ -568,7 +570,7 @@ def _gauss_kernel(rule: tuple[tuple[float, float], ...]) -> _Kernel:
 # the trapezoid at any z as a one-band table of ``_evaluate``, for
 # ``cdf_quad_split``; between the small-z and Gauss bands ``expansion._BANDS``
 # takes a ``_rung_kernel`` per rung
-_TRAPEZOID = ((_kernel, Method.QUAD_SPLIT, 0),)
+_TRAPEZOID = ((_kernel, Method.QUAD_SPLIT),)
 
 
 def cdf_quad_split(p: Parameters, x: float) -> EvalResult:
@@ -580,7 +582,7 @@ def cdf_quad_split(p: Parameters, x: float) -> EvalResult:
     return _evaluate(p, x, False, _TRAPEZOID, ())
 
 
-def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, float, float]:
+def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, float, float, int]:
     """The exact erfc split at one geometry, each remainder K(z, w) taken from ``kernel``.
 
     ``g`` holds the fields of ``Geometry`` in order: the plain tuple of
@@ -596,18 +598,18 @@ def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, f
     so F = F_plus + F_minus and G = G_plus - F_minus; the erfcx form keeps
     both factors of (1/2) e^{2 gamma delta} erfc(zeta_minus) at or below
     one.  ``kernel(z, w_plus, |w_minus|)`` returns (K_plus, K_minus,
-    dK_plus, dK_minus), dK its error measure; it is not called when both
-    weights are 0, that is where E underflows to 0, which makes both terms
-    of F_minus exactly 0.  The estimate is |c_plus| dK_plus + |c_minus|
+    dK_plus, dK_minus, work), dK its error measure; where E underflows to 0,
+    which makes both weights and both terms of F_minus exactly 0, it is not
+    called and the work is 0.  The estimate is |c_plus| dK_plus + |c_minus|
     dK_minus.  Below ``_W_MINUS_NEGLIGIBLE`` F_minus is at most
     E |w_minus| / pi + O(w_minus^2): it vanishes at w_minus = 0, s_minus
-    moves only at second order in w_minus, and dK/dw(z, 0), the integral
-    of -e^{-z sinh^2 t} / cosh^2 t, lies in [-2, 0).  Where that bound is
-    also at most c_minus dK_minus, as it often is for the asymptotic
-    series, which cannot resolve F_minus near 0, F_minus is dropped and the
-    bound replaces c_minus dK_minus in the estimate; a bounded kernel's
-    dK_minus, near 2^-53 K, keeps F_minus down to |w_minus| of about 1e-16.
-    Returns (F_plus, or G_plus when ``upper``; F_minus; the estimate).
+    moves only at second order in w_minus, and dK/dw(z, 0), the integral of
+    -e^{-z sinh^2 t} / cosh^2 t, lies in [-2, 0).  Where that bound is also
+    at most c_minus dK_minus, as it often is for the asymptotic series,
+    which cannot resolve F_minus near 0, F_minus is dropped and the bound
+    replaces c_minus dK_minus in the estimate; a bounded kernel's dK_minus,
+    near 2^-53 K, keeps F_minus down to |w_minus| of about 1e-16.  Returns
+    (F_plus, or G_plus when ``upper``; F_minus; the estimate; the work).
     """
     _, _, _, z, s_plus, s_minus, w_plus, signed_w_minus, zeta_plus, zeta_minus = g
     damp = _exp(-z * (s_plus * s_plus))
@@ -615,8 +617,9 @@ def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, f
     c_plus = s_plus * damp / _TWO_PI
     c_minus = s_minus * damp / _TWO_PI
     k_plus = k_minus = dk_plus = dk_minus = 0.0
+    work = 0
     if c_plus != 0.0 or c_minus != 0.0:
-        k_plus, k_minus, dk_plus, dk_minus = kernel(z, w_plus, w_minus)
+        k_plus, k_minus, dk_plus, dk_minus, work = kernel(z, w_plus, w_minus)
     if upper:
         plus = 0.5 * _erfc(-zeta_plus) + c_plus * k_plus
     else:
@@ -624,39 +627,39 @@ def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, f
     error = abs(c_plus) * dk_plus
     # E w_minus / pi <= c_minus dK_minus: dropping F_minus costs no more than keeping it
     if damp == 0.0 or (w_minus < _W_MINUS_NEGLIGIBLE and 2.0 * w_minus <= s_minus * dk_minus):
-        return plus, 0.0, error + damp * w_minus / math.pi
+        return plus, 0.0, error + damp * w_minus / math.pi, work
     minus = 0.5 * damp * _erfcx(zeta_minus) - c_minus * k_minus
     if signed_w_minus < 0.0:
         minus = -minus
-    return plus, minus, error + c_minus * dk_minus
+    return plus, minus, error + c_minus * dk_minus, work
 
 
 def _evaluate(
     p: Parameters,
     x: float,
     side: bool | None,
-    bands: tuple[tuple[_Kernel, Method, int], ...],
+    bands: tuple[tuple[_Kernel, Method], ...],
     edges: tuple[float, ...],
 ) -> EvalResult:
     """The one evaluator of every split route: F or G at x by ``_split``, clamped to [0, 1].
 
     Checks x and computes the geometry once, by ``params._geometry``, then
-    takes (kernel, method, work) = ``bands[bisect_right(edges, z)]``: the
-    bands by their lower z edges, ``edges = ()`` for a one-band table.
+    takes (kernel, method) = ``bands[bisect_right(edges, z)]``: the bands
+    by their lower z edges, ``edges = ()`` for a one-band table.
     ``side`` False gives F and True gives G; ``side`` None is the policy of
     ``expansion.cdf``, which computes G and returns 1 - G where
     zeta_plus < 0, right of the transition point, and F elsewhere, and
     reports that flip as ``complemented``.  The estimate is the weighted
     kernel error of ``_split`` plus the distance by which the value was
-    clamped.
+    clamped, and the work is the one ``_split`` passes on from the kernel.
     """
     g = _geometry(p, x)
-    kernel, method, work = bands[bisect_right(edges, g[3])]  # z
+    kernel, method = bands[bisect_right(edges, g[3])]  # z
     if side is None:
         upper = flip = g[8] < 0.0  # zeta_plus
     else:
         upper, flip = side, False
-    plus, minus, error = _split(g, upper, kernel)
+    plus, minus, error, work = _split(g, upper, kernel)
     raw = plus - minus if upper else plus + minus
     # clamp into [0, 1] by comparisons, cheaper than min and max and equal to
     # min(1.0, max(0.0, raw)): -0.0 and NaN give 0.0

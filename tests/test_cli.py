@@ -67,12 +67,6 @@ def test_eval_csv_is_bit_stable(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_eval_method_selection(capsys):
-    assert main(EVAL_BASE + ["--x", "5", "--method", "quad-split"]) == 0
-    out = dict(line.split("=", 1) for line in _lines(capsys))
-    assert out["method"] == "quad_split"
-
-
 def _eval_json(capsys, args):
     assert main(["eval", *args.split(), "--format", "json"]) == 0
     return json.loads(_lines(capsys)[0])
@@ -80,10 +74,11 @@ def _eval_json(capsys, args):
 
 # single eval points: the route label and kmax of the JSON record, a bound on
 # its error estimate, and F against the F of another --method at the same
-# point, or against a known value
+# point, or against a known value.  kmax is the work the kernel reports: on
+# the trapezoid its nodes, t = 0 included, and 0 where no kernel is called
 EVAL_POINTS = {
     "trapezoid": ("--alpha 1 --beta 0.2 --mu 0 --delta 1 --x 0.5",
-                  "quad_split", 0, 5e-13, "quad-split", 1e-15),
+                  "quad_split", 19, 5e-13, "quad-split", 1e-15),
     # z = 0.04
     "small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.04 --x 3",
                 "small_z_series", 8, 5e-13, "quad-split", 1e-15),
@@ -93,17 +88,17 @@ EVAL_POINTS = {
     "small-z-right": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.06 --x 3.03",
                       "small_z_series", 8, 5e-13, "quad-split", 1e-15),
     "past-small-z": ("--alpha 0.5 --beta 0.125 --mu 3 --delta 0.1 --x 3.28",
-                     "quad_split", 0, 5e-13, "quad-split", 1e-15),
+                     "quad_split", 26, 5e-13, "quad-split", 1e-15),
     "trapezoid-right": ("--alpha 1 --beta 0.2 --mu 0 --delta 1 --x 3",
-                        "quad_split", 0, 5e-13, "quad-split", 1e-15),
+                        "quad_split", 15, 5e-13, "quad-split", 1e-15),
     "trapezoid-direct": ("--alpha 1 --beta 0.2 --mu 0 --delta 1 --x 3",
-                         "quad_split", 0, 5e-13, "quad-direct", 1e-12),
+                         "quad_split", 15, 5e-13, "quad-direct", 1e-12),
     # zeta_minus = 44.3, erfcx's large-x series, with split weight near 1 (z = 2040)
     "erfcx-series": ("--alpha 100 --beta 20 --mu 0 --delta 10 --x 2",
                      "gauss_split", 3, 5e-13, "quad-split", 1e-15),
-    # the split weight underflows to 0
+    # the split weight underflows to 0, so the split calls no kernel
     "weight-underflow": ("--alpha 8 --beta 2 --mu 3 --delta 2 --x 2000",
-                         "gauss_split", 2, 5e-13, 1.0, 0.0),
+                         "gauss_split", 0, 5e-13, 1.0, 0.0),
     # z = 45 and w_minus < 0.05, where the Gauss rule keeps its bound
     "gauss-small-w-minus": ("--alpha 8 --beta -4 --mu 3 --delta 2 --x 1",
                             "gauss_split", 7, 1e-15, "quad-direct", 1e-13),
@@ -113,7 +108,7 @@ EVAL_POINTS = {
                      "small_z_series", 8, 1e-15, "quad-direct", 1e-14),
     # z near 6e-300, the longest trapezoid level, where NIG is Cauchy
     "cauchy": ("--alpha 1e-300 --beta 0 --mu 0 --delta 1 --x 3 --method quad-split",
-               "quad_split", 0, 5e-13, 0.5 + math.atan(3.0) / math.pi, 1e-15),
+               "quad_split", 2776, 5e-13, 0.5 + math.atan(3.0) / math.pi, 1e-15),
 }
 
 
@@ -302,7 +297,7 @@ def test_figure1_minus_column_is_the_minus_part_of_the_split(capsys):
     for row in rows:
         for p, fminus in zip(params, row[4:]):
             g = geometry(p, row[0])
-            kernel, method, _ = _BANDS[bisect_right(_BAND_EDGES, g.z)]
+            kernel, method = _BANDS[bisect_right(_BAND_EDGES, g.z)]
             assert method is Method.GAUSS_SPLIT
             expected = _split(g, False, kernel)[1]
             assert abs(fminus - expected) <= 1e-15, row

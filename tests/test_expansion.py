@@ -44,7 +44,7 @@ def _bench(beta):
 
 def _parts(g, upper=False):
     """(F_plus, or G_plus when ``upper``; F_minus) of the split with the kmax = 5 series."""
-    plus, minus, _ = oracle._split(g, upper, _series_kernel(5))
+    plus, minus, _, _ = oracle._split(g, upper, _series_kernel(5))
     return plus, minus
 
 
@@ -121,11 +121,6 @@ def test_cdf_asym_at_transition_matches_oracle():
         assert abs(asym - quad) <= ASYM_ERR_ALLOWANCE[beta]
 
 
-def test_cdf_asym_symmetric_median():
-    p = validate(8.0, 0.0, 3.0, 2.0)
-    assert cdf_asym(p, 3.0).value == pytest.approx(0.5, abs=1e-10)
-
-
 def test_cdf_asym_truncation_error_shrinks_with_kmax():
     for beta in BETAS:
         p = _bench(beta)
@@ -167,7 +162,7 @@ def test_cdf_asym_clamps_to_unit_interval():
     # for G; the estimate adds the distance clamped off to the kernel's
     q = validate(0.5, 0.125, 3.0, 0.1)
     for entry, upper, bound in ((cdf_asym, False, 0.0), (sf_asym, True, 1.0)):
-        plus, minus, error = oracle._split(geometry(q, 2.0), upper, _series_kernel(DEFAULT_KMAX))
+        plus, minus, error, _ = oracle._split(geometry(q, 2.0), upper, _series_kernel(DEFAULT_KMAX))
         raw = plus - minus if upper else plus + minus
         r = entry(q, 2.0)
         assert r.value == bound and r.error_estimate == error + abs(raw - bound), r
@@ -263,7 +258,7 @@ def test_policy_falls_back_to_quadrature_for_small_z():
         assert _SMALL_Z_LIMIT <= geometry(p, 3.0).z == delta < _GAUSS_RULES[0][0]
         r = cdf(p, 3.0)
         assert r.method is Method.QUAD_SPLIT
-        assert r.kmax_used == 0
+        assert r.kmax_used == oracle._step(delta)[1] + 1
 
 
 def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
@@ -285,8 +280,8 @@ def test_small_z_route_agrees_with_forced_quad_split(monkeypatch):
         raise AssertionError("the small-z route took a trapezoid node")
 
     bands = tuple(
-        (no_trapezoid if method is Method.QUAD_SPLIT else kernel, method, work)
-        for kernel, method, work in expansion._BANDS
+        (no_trapezoid if method is Method.QUAD_SPLIT else kernel, method)
+        for kernel, method in expansion._BANDS
     )
     monkeypatch.setattr(expansion, "_BANDS", bands)
     results = [cdf(p, x) for p, x in draws]
@@ -363,17 +358,6 @@ def test_cdf_complements_right_of_the_transition_on_every_band(params, x, method
     r = cdf(p, x)
     assert r.method is method
     assert r.complemented == (geometry(p, x).zeta_plus < 0.0) == (x > transition_point(p))
-
-
-@pytest.mark.parametrize(
-    "route", [cdf, cdf_asym, cdf_quad_split], ids=["auto", "asym", "quad-split"]
-)
-@pytest.mark.parametrize("params", [(1e-300, 0.0, 0.0, 1e-300), (1e300, 0.0, 0.0, 1e10)])
-def test_cdf_refuses_z_outside_the_double_range(route, params):
-    # valid parameters whose z = 2 alpha omega underflows to 0 or overflows to inf
-    p = validate(*params)
-    with pytest.raises(DomainError, match="z = 2"):
-        route(p, 0.0)
 
 
 FORCED_EXPANSIONS = [cdf_asym, sf_asym]
@@ -505,8 +489,8 @@ def test_series_kernel_is_the_asymptotic_series_of_the_trapezoid_kernel():
         z = math.exp(rng.uniform(math.log(30.0), math.log(1e4)))
         w = math.exp(rng.uniform(math.log(1e-13), 0.0))
         kmax = rng.choice((5, 10))
-        k_series, _, _, _ = _series_kernel(kmax)(z, w, w)
-        k_trap, _, _, _ = _kernel(z, w, w)
+        k_series = _series_kernel(kmax)(z, w, w)[0]
+        k_trap = _kernel(z, w, w)[0]
         omitted = _series_kernel(kmax + 1)(z, w, w)[2]
         assert abs(k_series - k_trap) <= 10.0 * omitted + 1e-15 * k_trap
 

@@ -278,7 +278,7 @@ def test_kernel_takes_the_most_nodes_at_the_smallest_double():
 
 @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-12, 1e20, 1e300])
 def test_kernel_lies_between_zero_and_its_z_zero_value(z):
-    k_plus, k_minus, _, _ = _kernel(z, 0.0, 1.0)
+    k_plus, k_minus, _, _, _ = _kernel(z, 0.0, 1.0)
     # K(z, w) falls with z from K(0, 0) = pi and K(0, 1) = 2
     assert 0.0 < k_plus <= math.pi + 1e-13 and 0.0 < k_minus <= 2.0 + 1e-13
     if z < 1e-200:
@@ -294,7 +294,7 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
     # the row from _SMALL_Z_LIMIT is the policy's trapezoid band, whose first
     # rung's table holds 31 nodes past t = 0.  Every call sums
     # every node ``_step`` certifies: one exp per node past t = 0, up to its
-    # last node index
+    # last node index, and reports those nodes and t = 0 as its work
     counting = _CountingMath()
     monkeypatch.setattr("nigcdf.oracle.math", counting)
     rng = random.Random(2026)
@@ -307,8 +307,8 @@ def test_kernel_node_counts_stay_within_the_documented_bounds(monkeypatch):
         for w in ws:
             last = oracle._step(z)[1]
             counting.calls = 0
-            _kernel(z, 0.0, w)
-            assert counting.calls == last, (z, w)
+            work = _kernel(z, 0.0, w)[4]
+            assert counting.calls == last == work - 1, (z, w)
             for band in worst:
                 if z >= band:
                     worst[band] = max(worst[band], counting.calls + 1)
@@ -448,16 +448,21 @@ def test_node_tables_cover_the_band_and_never_change():
     assert rebuilt == [held]
 
 
+def _hexes(values) -> list:
+    """``values`` with each float as its float.hex, so that two lists compare bit for bit."""
+    return [v.hex() if type(v) is float else v for v in values]
+
+
 def test_band_kernels_are_the_trapezoid_of_step_bit_for_bit(monkeypatch):
     # the policy's trapezoid band is one band per rung, each kernel holding
     # its rung's step and table.  At 20,000 seeded z of the band, each rung
     # edge and the two doubles either side of it, the kernel of z's band
     # sums exactly the nodes ``_step`` certifies, one exp per node past
-    # t = 0, reports ``_step``'s eps, and returns what a ``_rung_kernel``
-    # built afresh over the step and nodes that ``_step`` picks returns, bit
-    # for bit, at w = 0, 1e-13, 0.5 and 1.  At 2,000 seeded points of the
-    # band ``cdf`` is the split oracle's trapezoid, evaluated as the policy
-    # evaluates it
+    # t = 0, reports ``_step``'s eps, and those nodes and t = 0 as its work,
+    # and returns what a ``_rung_kernel`` built afresh over the step and
+    # nodes that ``_step`` picks returns, bit for bit, at w = 0, 1e-13, 0.5
+    # and 1.  At 2,000 seeded points of the band ``cdf`` is the split
+    # oracle's trapezoid, evaluated as the policy evaluates it
     low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
     rng = random.Random(3535)
     zs = [rng.uniform(low, high) for _ in range(20_000)]
@@ -471,20 +476,21 @@ def test_band_kernels_are_the_trapezoid_of_step_bit_for_bit(monkeypatch):
     monkeypatch.setattr("nigcdf.oracle.math", counting)
     ours = []
     for z in zs:
-        kernel, method, _ = _band(z)
+        kernel, method = _band(z)
         assert method is Method.QUAD_SPLIT, z
         counting.calls = 0
         out = kernel(z, 0.0, 1e-13) + kernel(z, 0.5, 1.0)
         _, last, _, eps = oracle._step(z)
         assert counting.calls == 2 * last, z
-        assert {v.hex() for v in out[2::4] + out[3::4]} == {eps.hex()}, z
+        assert {v.hex() for v in out[2::5] + out[3::5]} == {eps.hex()}, z
+        assert out[4::5] == (last + 1, last + 1), z
         ours.append(out)
     monkeypatch.undo()
     for z, out in zip(zs, ours):
         h, last, _, _ = oracle._step(z)
         fresh = oracle._rung_kernel(h, oracle._nodes(h, last))
         theirs = fresh(z, 0.0, 1e-13) + fresh(z, 0.5, 1.0)
-        assert [v.hex() for v in out] == [v.hex() for v in theirs], z
+        assert _hexes(out) == _hexes(theirs), z
     points = 0
     while points < 2000:
         p, x = draw_point(rng)
@@ -492,9 +498,7 @@ def test_band_kernels_are_the_trapezoid_of_step_bit_for_bit(monkeypatch):
             continue
         ours = cdf(p, x)
         theirs = oracle._evaluate(p, x, None, oracle._TRAPEZOID, ())
-        assert [v.hex() if type(v) is float else v for v in ours] == [
-            v.hex() if type(v) is float else v for v in theirs
-        ], (p, x)
+        assert _hexes(ours) == _hexes(theirs), (p, x)
         points += 1
 
 
@@ -589,7 +593,7 @@ def test_kernel_is_relatively_accurate_over_the_double_range():
         for z in zs:
             ws = (0.0, 1.0, rng.random(), math.exp(rng.uniform(math.log(1e-13), 0.0)))
             w_plus, w_minus = rng.sample(ws, 2)
-            k_plus, k_minus, _, _ = _kernel(z, w_plus, w_minus)
+            k_plus, k_minus, _, _, _ = _kernel(z, w_plus, w_minus)
             for k, w in ((k_plus, w_plus), (k_minus, w_minus)):
                 ref = _kernel_reference(z, w)
                 assert abs(k - ref) <= 1.1e-15 * ref, (z, w_plus, w_minus)
@@ -607,8 +611,13 @@ SMALL_Z_ZS = (5e-324, 1e-300, 1e-100, 1e-12, 1e-4, 0.01, 0.04, 0.06,
 
 
 def _band(z: float) -> tuple:
-    """(kernel, method, work) of the z band of ``cdf`` that holds z."""
+    """(kernel, method) of the z band of ``cdf`` that holds z."""
     return _BANDS[bisect_right(_BAND_EDGES, z)]
+
+
+def _work(kernel, p, x) -> int:
+    """The work the split with ``kernel`` reports at (p, x): the kernel's, or 0 if it calls none."""
+    return oracle._split(_geometry(p, x), False, kernel)[3]
 
 
 def _small_z(z: float, w: float) -> float:
@@ -699,7 +708,8 @@ def test_small_z_order_edges_follow_the_majorant():
     # increase from there
     below = math.nextafter(_SMALL_Z_LIMIT, 0.0)
     assert _small_z_certifies(8, below) and not _small_z_certifies(7, below)
-    assert _band(below)[1:] == (Method.SMALL_Z_SERIES, 8)
+    kernel, method = _band(below)
+    assert method is Method.SMALL_Z_SERIES and kernel(below, 0.5, 0.5)[4] == 8
     assert _BAND_EDGES[0] == _SMALL_Z_LIMIT
     assert all(lo < hi for lo, hi in zip(_BAND_EDGES, _BAND_EDGES[1:]))
     assert len(_BANDS) == len(_BAND_EDGES) + 1 == 18
@@ -736,10 +746,10 @@ def test_small_z_kernel_bounds_its_truncation():
     zs += [math.exp(rng.uniform(math.log(1e-8), math.log(_SMALL_Z_LIMIT))) for _ in range(8)]
     with mpmath.workdps(40):
         for z in zs:
-            kernel, method, order = _band(z)
+            kernel, method = _band(z)
             assert method is Method.SMALL_Z_SERIES
             w_plus, w_minus = rng.choice((0.0, 1.0, math.sqrt(0.5))), rng.random()
-            _, _, dk_plus, dk_minus = kernel(z, w_plus, w_minus)
+            _, _, dk_plus, dk_minus, order = kernel(z, w_plus, w_minus)
             for w, dk in ((w_plus, dk_plus), (w_minus, dk_minus)):
                 growth = math.exp((1.0 - w) * (1.0 + w) * z)
                 bound = w * growth * _small_z_tail(order + 1, z)
@@ -817,9 +827,10 @@ def test_gauss_rule_underestimates_k_by_at_most_its_bound():
     # included, the kernel is within 8e-16 of K
     rng = random.Random(2201)
     with mpmath.workdps(40):
-        for lo, hi in GAUSS_BANDS:
-            kernel, method, nodes = _band(lo)
+        for (lo, hi), (_, rule) in zip(GAUSS_BANDS, oracle._GAUSS_RULES):
+            kernel, method = _band(lo)
             assert method is Method.GAUSS_SPLIT
+            nodes = len(rule)
             mp_rule = _hermite_rule(2 * nodes)
             log_z = (math.log(lo), math.log(hi))
             for i in range(6):
@@ -829,7 +840,8 @@ def test_gauss_rule_underestimates_k_by_at_most_its_bound():
                 ref = _kernel_reference(z, w)
                 rel = (ref - _gauss_rule_mp(z, w, mp_rule)) / ref
                 assert 0.0 < rel <= 2.0**-53, (z, w)
-                k_plus, k_minus, dk_plus, dk_minus = kernel(z, w, 1.0 - w)
+                k_plus, k_minus, dk_plus, dk_minus, work = kernel(z, w, 1.0 - w)
+                assert work == nodes
                 assert abs(k_plus - ref) <= 8e-16 * ref, (z, w)
                 assert dk_plus == 2.0**-53 * k_plus and dk_minus == 2.0**-53 * k_minus
 
@@ -847,7 +859,7 @@ def test_gauss_rule_error_at_w_zero_falls_with_z():
     with mpmath.workdps(40):
         rules = {n: _hermite_rule(2 * n) for n in range(1, 9)}
         for (lo, hi), certified in zip(GAUSS_BANDS, GAUSS_CERTIFIED_FROM):
-            nodes = _band(lo)[2]
+            nodes = _band(lo)[0](lo, 0.0, 0.0)[4]
             rule = rules[nodes]
             assert error(0.999 * certified, rule) > 2.0**-53 >= error(1.001 * certified, rule)
             errors = [error(lo * (hi / lo) ** (k / 6), rule) for k in range(7)]
@@ -904,7 +916,8 @@ def test_gauss_route_agrees_with_the_trapezoid_at_every_w_minus():
     for points in bands.values():
         for p, x in points:
             r = cdf(p, x)
-            assert (r.method, r.kmax_used) == _band(geometry(p, x).z)[1:]
+            kernel, method = _band(geometry(p, x).z)
+            assert (r.method, r.kmax_used) == (method, _work(kernel, p, x))
             assert r.method is Method.GAUSS_SPLIT
             assert 0.0 <= r.error_estimate <= 1e-16
             assert abs(r.value - cdf_quad_split(p, x).value) <= 4.5e-16, (p, x)
@@ -972,8 +985,9 @@ def test_cdf_has_no_jump_at_a_band_edge(edge, tilt):
     for side in (-1.0, 1.0):
         inner, outer = _either_side_of_z(p, edge, side)
         below, above = cdf(p, inner), cdf(p, outer)
-        assert (below.method, below.kmax_used) == _BANDS[band][1:]
-        assert (above.method, above.kmax_used) == _BANDS[band + 1][1:]
+        (kernel_below, method_below), (kernel_above, method_above) = _BANDS[band : band + 2]
+        assert (below.method, below.kmax_used) == (method_below, _work(kernel_below, p, inner))
+        assert (above.method, above.kmax_used) == (method_above, _work(kernel_above, p, outer))
         value = oracle._evaluate(p, outer, above.complemented, _BANDS[band : band + 1], ()).value
         if above.complemented:
             value = 1.0 - value
@@ -1041,7 +1055,8 @@ def _points_where_the_split_weight_underflows(count: int) -> list:
 )
 def test_split_skips_the_minus_part_where_its_weight_underflows(monkeypatch, entry):
     # with E = 0 both minus-part terms are exactly 0, so _split neither
-    # evaluates erfcx nor changes F: F is the bare erfc term of the plus part
+    # evaluates erfcx nor changes F: F is the bare erfc term of the plus part,
+    # and as it calls no kernel the record reports no work
     minus_parts = []
     split = oracle._split
 
@@ -1060,6 +1075,7 @@ def test_split_skips_the_minus_part_where_its_weight_underflows(monkeypatch, ent
         minus_parts.clear()
         r = entry(p, x)
         assert minus_parts == [0.0]
+        assert r.kmax_used == 0
         taken.add((r.method, r.complemented))
         if r.complemented:
             assert r.value == 1.0 - 0.5 * math.erfc(-g.zeta_plus)
@@ -1079,14 +1095,15 @@ def test_evaluate_clamps_as_min_and_max_do(monkeypatch):
     # ``_evaluate`` clamps by comparisons; its value and estimate must be the
     # doubles that min and max give.  A one-band stub kernel with K = NaN or
     # +-1e300 sends the split's raw to NaN and past both ends, on F, on G
-    # and on the policy's flip; no value may come back as -0.0
+    # and on the policy's flip; no value may come back as -0.0, and the
+    # record's work is the stub's
     p = validate(ALPHA, 2.0, MU, DELTA)
     seen = set()
     for k in (math.nan, 1e300, -1e300):
         def stub(z, w_plus, w_minus, k=k):
-            return k, k, 1e-17, 1e-17
+            return k, k, 1e-17, 1e-17, 7
 
-        band = ((stub, Method.QUAD_SPLIT, 0),)
+        band = ((stub, Method.QUAD_SPLIT),)
         for x in (-1.0, 3.5, 5.0, 12.0):
             g = geometry(p, x)
             for side in (False, True, None):
@@ -1094,7 +1111,7 @@ def test_evaluate_clamps_as_min_and_max_do(monkeypatch):
                     upper = flip = g.zeta_plus < 0.0
                 else:
                     upper, flip = side, False
-                plus, minus, error = oracle._split(g, upper, stub)
+                plus, minus, error, _ = oracle._split(g, upper, stub)
                 raw = plus - minus if upper else plus + minus
                 value, estimate = _clamped_by_min_max(raw, error)
                 if flip:
@@ -1102,13 +1119,16 @@ def test_evaluate_clamps_as_min_and_max_do(monkeypatch):
                 r = oracle._evaluate(p, x, side, band, ())
                 assert (r.value.hex(), r.error_estimate.hex()) == (value.hex(), estimate.hex())
                 assert math.copysign(1.0, r.value) == 1.0, (k, x, side)
+                assert r.kmax_used == 7
                 seen.add("nan" if raw != raw else "high" if raw > 1.0 else "low")
     assert seen == {"nan", "high", "low"}
     # the clamp's edges, raw given by a stub split: -0.0 maps to +0.0, NaN to
     # 0.0 with a NaN estimate, 1.0 and the smallest subnormal stay
     edges = (-0.0, 0.0, 5e-324, 0.5, 1.0, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan)
     for raw in edges:
-        monkeypatch.setattr(oracle, "_split", lambda g, upper, kernel, raw=raw: (raw, -0.0, 0.25))
+        monkeypatch.setattr(
+            oracle, "_split", lambda g, upper, kernel, raw=raw: (raw, -0.0, 0.25, 0)
+        )
         r = oracle._evaluate(p, 5.0, False, oracle._TRAPEZOID, ())
         value, estimate = _clamped_by_min_max(raw, 0.25)
         assert (r.value.hex(), r.error_estimate.hex()) == (value.hex(), estimate.hex()), raw
