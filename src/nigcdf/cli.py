@@ -13,8 +13,6 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 near-transition
 refusal of ``--method quad-direct``, 4 selftest failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

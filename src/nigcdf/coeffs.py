@@ -15,8 +15,6 @@ The module holds nothing else: the convergent small-z series of
 by a recurrence.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from .errors import DomainError

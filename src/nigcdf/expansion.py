@@ -35,8 +35,6 @@ The paper's series, at the order asked for, serves only ``cdf_asym`` and
 ``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.
 """
 
-from __future__ import annotations
-
 import math
 
 from .coeffs import _check_kmax, _row_values

@@ -66,8 +66,6 @@ F = I for nu > tau, and F = 1 + I for nu < tau, where the contour has
 crossed the plus pole, whose residue is 1.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from collections.abc import Callable
@@ -162,10 +160,14 @@ _SMALL_Z_STEPS = tuple(
     ((2 * n + 1) / (n + 1) ** 2, 1 / (n + 1) ** 2, 2 / (n + 1), 1 / (n + 2))
     for n in range(1, _SMALL_Z_ORDER)
 )
-# the bound 2 t_9 of ``_small_z_kernel`` on the terms of M past order 8 is
-# z^10 (H_4 + 1/10 - Lambda) / 10!: this offset and scale
-_SMALL_Z_TAIL_OFFSET = sum(1.0 / k for k in range(1, 5)) + 1.0 / 10
-_SMALL_Z_TAIL_SCALE = 1.0 / math.factorial(10)
+# the bound 2 t_{N+1} of ``_small_z_kernel`` on the terms of M past order
+# N = _SMALL_Z_ORDER is z^(N+2) (H_floor((N+1)/2) + 1/(N+2) - Lambda) / (N+2)!:
+# this power, offset and scale; at N = 8, z^10 (H_4 + 1/10 - Lambda) / 10!
+_SMALL_Z_TAIL_POWER = _SMALL_Z_ORDER + 2
+_SMALL_Z_TAIL_OFFSET = (
+    sum(1.0 / k for k in range(1, (_SMALL_Z_ORDER + 1) // 2 + 1)) + 1.0 / _SMALL_Z_TAIL_POWER
+)
+_SMALL_Z_TAIL_SCALE = 1.0 / math.factorial(_SMALL_Z_TAIL_POWER)
 # (lower z edge, rule) of each rule of ``_gauss_kernel``, by rising z: the rule
 # of N nodes, N = 8 down to 1, holds (x_i^2, 2 W_i) over the N positive nodes
 # x_i of the order-2N Gauss-Hermite rule, smallest weight first: 50-digit
@@ -473,7 +475,7 @@ def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
     """
     lam = math.log(z) - _LOG_4_MINUS_GAMMA
     m_plus, m_minus = _small_z_m(z, lam, w_plus, w_minus)
-    tail = z**10 * (_SMALL_Z_TAIL_OFFSET - lam) * _SMALL_Z_TAIL_SCALE
+    tail = z**_SMALL_Z_TAIL_POWER * (_SMALL_Z_TAIL_OFFSET - lam) * _SMALL_Z_TAIL_SCALE
     root_z = math.sqrt(z)
     k_plus, dk_plus = _small_z_one(z, root_z, w_plus, m_plus, tail)
     k_minus, dk_minus = _small_z_one(z, root_z, w_minus, m_minus, tail)

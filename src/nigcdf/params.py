@@ -11,8 +11,6 @@ plain tuple, which the split's evaluator ``oracle._evaluate`` takes; the
 public ``geometry`` wraps the same tuple in the ``Geometry`` record.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -20,15 +18,20 @@ from .errors import DomainError
 
 __all__ = ["Parameters", "Geometry", "validate", "transition_point", "geometry"]
 
-# the math names of ``_geometry`` and ``validate``, bound once: a module
-# global is one lookup a call, ``math.sin`` two
+# the math names and ``tuple.__new__`` that ``validate``, ``geometry`` and
+# ``_geometry`` call, bound once: a module global is one lookup a call,
+# ``math.sin`` two
 _INF = math.inf
 _hypot, _atan2, _sin, _cos, _sqrt = math.hypot, math.atan2, math.sin, math.cos, math.sqrt
+_frexp, _ldexp, _tuple_new = math.frexp, math.ldexp, tuple.__new__
 
 
 # the records are NamedTuples: one builds in a fraction of a frozen dataclass's
 # time, and without dataclasses the package's import loads neither
-# ``dataclasses`` nor ``inspect``.  Inside the package each is built by
+# ``dataclasses`` nor ``inspect``.  Their field annotations are types,
+# evaluated when the class is defined: deferred as strings, each field would
+# cost ``typing`` a ForwardRef to compile, and the import would load
+# ``__future__``.  Inside the package each is built by
 # ``tuple.__new__(Cls, (...))`` with every field given, defaults included
 class Parameters(NamedTuple):
     """Validated distribution parameters plus derived constants.
@@ -112,12 +115,12 @@ def validate(alpha: float, beta: float, mu: float, delta: float) -> Parameters:
     # factored form avoids cancellation when |beta| approaches alpha; alpha
     # and beta are first scaled by one power of two, which is exact, so the
     # product can neither underflow to 0 nor overflow to inf
-    e = math.frexp(alpha)[1]
-    a, b = math.ldexp(alpha, -e), math.ldexp(beta, -e)
-    gamma = math.ldexp(math.sqrt((a - b) * (a + b)), e)
+    e = _frexp(alpha)[1]
+    a, b = _ldexp(alpha, -e), _ldexp(beta, -e)
+    gamma = _ldexp(_sqrt((a - b) * (a + b)), e)
     # atan2 stays accurate where acos(beta/alpha) loses digits, same angle
-    tau = math.atan2(gamma, beta)
-    return tuple.__new__(Parameters, (alpha, beta, mu, delta, gamma, tau))
+    tau = _atan2(gamma, beta)
+    return _tuple_new(Parameters, (alpha, beta, mu, delta, gamma, tau))
 
 
 def transition_point(p: Parameters) -> float:
@@ -137,7 +140,7 @@ def geometry(p: Parameters, x: float) -> Geometry:
     x is not finite, or when ``z = 2*alpha*omega`` underflows to 0 or
     overflows to inf for valid parameters.  The record of ``_geometry``.
     """
-    return tuple.__new__(Geometry, _geometry(p, x))
+    return _tuple_new(Geometry, _geometry(p, x))
 
 
 def _geometry(p: Parameters, x: float) -> tuple[float, ...]:

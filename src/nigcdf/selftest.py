@@ -4,8 +4,6 @@ Each suite draws random valid parameters, checks a family of exact
 identities or cross-checks, and reports pass/fail counts.
 """
 
-from __future__ import annotations
-
 import math
 import random
 

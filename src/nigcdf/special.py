@@ -20,8 +20,6 @@ expansions need, built on the C library's ``math.erfc``:
 * ``erfcx`` refuses ``x < 0``: the split's zeta_minus is never negative.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import DomainError

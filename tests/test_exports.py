@@ -60,11 +60,14 @@ def test_no_unused_module_level_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_dataclasses_inspect_threading_or_future():
     # every process pays for what ``import nigcdf`` loads; the records are
-    # NamedTuples, so neither module is needed, and the oracle's node tables
-    # are never written after import, so no lock is.  -S keeps site hooks out.
-    code = "import sys, nigcdf; print(sorted({'dataclasses', 'inspect', 'threading'} & set(sys.modules)))"
+    # NamedTuples, so neither ``dataclasses`` nor ``inspect`` is needed, the
+    # oracle's node tables are never written after import, so no lock is, and
+    # every annotation is evaluated when it is defined, so no module needs
+    # ``__future__``.  -S keeps site hooks out.
+    forbidden = "{'dataclasses', 'inspect', 'threading', '__future__'}"
+    code = f"import sys, nigcdf; print(sorted({forbidden} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nigcdf.__file__).parent.parent)}
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],
