@@ -15,17 +15,18 @@ and kmax.
 
 The public functions are thin callers: each checks its own arguments and
 makes one call to ``oracle._evaluate(p, x, side, bands, edges)``, which
-builds the geometry from (p, x), reads (kernel, method) from ``bands`` by
-z and calls the split, whose kernel reports the work; ``cdf_asym`` and
-``sf_asym`` pass one band, the series kernel at their kmax.  ``cdf(p, x)``
-is the evaluation policy and takes no other argument: it gives each z band the
-split with its own kernel, whatever w_minus, read from one table of bands
-by their lower z edges, built at import: below z = 0.07 the convergent
-series in z of ``oracle._small_z_kernel``, of order 8; from z = 30 a
-Gauss rule from ``oracle._gauss_kernel``, of 8 nodes down to 1; between
-the two the trapezoid of the quadrature oracle, one band per rung of its
-step's ladder, each with its rung's kernel of ``oracle._RUNG_KERNELS``:
-18 bands in all, below and between 17 edges.  Each Gauss band's node
+computes the geometry from (p, x), reads (kernel, method) from ``bands`` by
+z and splits, all in its own frame, and calls only the band's kernel, which
+reports the work, and ``special._erfcx``; ``cdf_asym`` and ``sf_asym`` pass
+one band, the series kernel at their kmax, built once per kmax and cached.
+``cdf(p, x)`` is the evaluation policy and takes no other argument: it
+gives each z band the split with its own kernel, whatever w_minus, read
+from one table of bands by their lower z edges, built at import: below
+z = 0.07 the convergent series in z of ``oracle._small_z_kernel``, of
+order 8; from z = 30 a Gauss rule from ``oracle._gauss_kernel``, of 8
+nodes down to 1; between the two the trapezoid of the quadrature oracle,
+one band per rung of its step's ladder, each with its rung's kernel of
+``oracle._RUNG_KERNELS``: 18 bands in all, below and between 17 edges.  Each Gauss band's node
 count is the least that certifies 2^-53 K at its lower edge.  On
 every band the complement is evaluated first right of the transition
 point, where zeta_plus < 0, so the smaller of F and G is the one computed
@@ -36,6 +37,7 @@ The paper's series, at the order asked for, serves only ``cdf_asym`` and
 """
 
 import math
+from functools import cache
 
 from .coeffs import _check_kmax, _row_values
 from .errors import DomainError
@@ -55,6 +57,7 @@ __all__ = [
 DEFAULT_KMAX = 5
 
 
+@cache
 def _series_kernel(kmax: int) -> oracle._Kernel:
     """The kernel of ``oracle._split`` that sums both remainders by their series to ``kmax``.
 
@@ -67,7 +70,8 @@ def _series_kernel(kmax: int) -> oracle._Kernel:
     a series or its last term leaves the double range, which needs z far
     below 1: z below about 2e-56 at kmax = 5, or 7e-12 at kmax = 25,
     whatever w.  ``kmax`` must already be checked, as the rows past
-    ``coeffs._KMAX_LIMIT`` are not finite.
+    ``coeffs._KMAX_LIMIT`` are not finite; each checked kmax builds its
+    kernel once, on first use, as ``coeffs._rows`` builds its rows.
     """
 
     def kernel(z: float, w_plus: float, w_minus: float) -> oracle._Sums:
@@ -133,9 +137,9 @@ def cdf(p: Parameters, x: float) -> EvalResult:
     the smaller function is the one computed.  Every split route calls its
     kernel as ``kernel(z, w_plus, |w_minus|)`` and reports the estimate and
     work described at ``EvalResult``.  One call to ``oracle._evaluate`` checks
-    x, computes the geometry once and picks the band.  The other routes
-    have their own functions: the paper's series to a chosen order in
-    ``cdf_asym`` and ``sf_asym``, the quadrature oracles in
+    x, computes the geometry once, picks the band and splits, in one frame.
+    The other routes have their own functions: the paper's series to a
+    chosen order in ``cdf_asym`` and ``sf_asym``, the quadrature oracles in
     ``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.
     """
     return _evaluate(p, x, None, _BANDS, _BAND_EDGES)

@@ -15,12 +15,16 @@ Below |w_minus| = 1e-13 the split drops the minus part where its bound
 E |w_minus| / pi is no more than the kernel's own bound on that part, as
 the asymptotic series' often is, and its error estimate then takes
 E |w_minus| / pi for what it dropped; elsewhere it keeps it.  Every split
-route reaches ``_split`` through one evaluator, ``_evaluate(p, x, side,
-bands, edges)``: it computes the geometry by ``params._geometry``, takes
-x's z band, a (kernel, method) pair, from a table of bands, clamps the
+route is one call to one evaluator, ``_evaluate(p, x, side, bands,
+edges)``, which runs the statements of ``params._geometry`` and of
+``_split`` inline in one Python frame: it computes the geometry, takes x's
+z band, a (kernel, method) pair, from a table of bands, splits, clamps the
 value into [0, 1] and, for the policy, returns 1 - G right of the
 transition point; its record's work is the kernel's.  A forced route
 passes a table of one band, ``_TRAPEZOID`` for ``cdf_quad_split``.
+``_geometry`` and ``_split`` stay as the reference forms, which the tests
+hold the evaluator to bit for bit; ``_split`` serves the minus column of
+the CLI's ``figure1`` and the tests.
 
 Each of the policy's Gauss kernels does the least work that its z band
 needs: the bands' lower edges in ``_GAUSS_RULES`` are where a rule with
@@ -73,7 +77,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NearTransitionError
-from .params import Parameters, _geometry, _require_finite, validate
+from .params import Parameters, _geometry, _require_finite, _z_range_error, validate
 from .special import _erfcx
 
 __all__ = [
@@ -243,8 +247,10 @@ _WIDE_STRIP_RATIO = 4.0 * math.sqrt(2.0) * math.pi / (_TARGET_REL * _SQRT_PI)
 # the names ``_split`` and ``_evaluate`` call, bound once: a module global is
 # one lookup a call, ``math.exp`` two; 2 pi is an exact doubling
 _TWO_PI = 2.0 * math.pi
+_PI, _INF = math.pi, math.inf
 _exp, _erfc, _tuple_new = math.exp, math.erfc, tuple.__new__
 _sqrt, _log, _asinh = math.sqrt, math.log, math.asinh
+_hypot, _atan2, _sin, _cos = math.hypot, math.atan2, math.sin, math.cos
 
 
 def _kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
@@ -588,7 +594,11 @@ def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, f
     """The exact erfc split at one geometry, each remainder K(z, w) taken from ``kernel``.
 
     ``g`` holds the fields of ``Geometry`` in order: the plain tuple of
-    ``params._geometry`` or the record itself.
+    ``params._geometry`` or the record itself.  The reference form of the
+    split: ``_evaluate`` runs these statements inline, and the tests hold
+    it to ``_split(_geometry(p, x), upper, kernel)`` bit for bit, so an
+    edit here must be made there too.  The CLI's ``figure1`` takes its
+    minus column from here.
 
     With E = e^{z sigma_plus^2} <= 1, weights c = s E / (2 pi) for each part
     and sgn = sign(w_minus):
@@ -643,26 +653,83 @@ def _evaluate(
     bands: tuple[tuple[_Kernel, Method], ...],
     edges: tuple[float, ...],
 ) -> EvalResult:
-    """The one evaluator of every split route: F or G at x by ``_split``, clamped to [0, 1].
+    """The one evaluator of every split route: F or G at x by the split, clamped to [0, 1].
 
-    Checks x and computes the geometry once, by ``params._geometry``, then
-    takes (kernel, method) = ``bands[bisect_right(edges, z)]``: the bands
-    by their lower z edges, ``edges = ()`` for a one-band table.
-    ``side`` False gives F and True gives G; ``side`` None is the policy of
-    ``expansion.cdf``, which computes G and returns 1 - G where
-    zeta_plus < 0, right of the transition point, and F elsewhere, and
-    reports that flip as ``complemented``.  The estimate is the weighted
-    kernel error of ``_split`` plus the distance by which the value was
-    clamped, and the work is the one ``_split`` passes on from the kernel.
+    One Python frame does a point's arithmetic: the statements of
+    ``params._geometry`` and of ``_split``, run inline, the same
+    expressions on the same module-bound names, so a point builds neither
+    tuple and every value is the reference form's bit for bit:
+    ``_split(_geometry(p, x), upper, kernel)``, then the clamp and the flip
+    below.  Only the branch where E underflows comes before the cosines
+    and s_minus, which it does not need, and zeta_minus is formed only
+    where ``_erfcx`` takes it.  It checks x and raises the z-range DomainError as
+    ``_geometry`` does, then takes (kernel, method) =
+    ``bands[bisect_right(edges, z)]``: the bands by their lower z edges,
+    ``edges = ()`` for a one-band table.  ``side`` False gives F and True
+    gives G; ``side`` None is the policy of ``expansion.cdf``, which
+    computes G and returns 1 - G where zeta_plus < 0, right of the
+    transition point, and F elsewhere, and reports that flip as
+    ``complemented``.  Where E underflows the value is the bare erfc term,
+    with no kernel called, no work and a zero estimate, as ``_split`` gives;
+    elsewhere the estimate is the weighted kernel error of ``_split`` plus
+    the distance by which the value was clamped, and the work is the
+    kernel's.  The calls a point makes are the kernel's and, for the minus
+    part, ``_erfcx``'s, which ``tests/test_expansion.py`` pins.
     """
-    g = _geometry(p, x)
-    kernel, method = bands[bisect_right(edges, g[3])]  # z
+    # the statements of params._geometry
+    if x.__class__ is not float or not -_INF < x < _INF:
+        x = _require_finite("x", x)
+    alpha, _, mu, delta, _, tau = p
+    xi = x - mu
+    omega = _hypot(xi, delta)
+    nu = _atan2(delta, xi)
+    z = 2.0 * alpha * omega
+    if not 0.0 < z < _INF:
+        raise _z_range_error(z, alpha, omega)
+    half_diff = 0.5 * (nu - tau)
+    s_plus = _sin(half_diff)
+    sqrt_z = _sqrt(z)
+    zeta_plus = s_plus * sqrt_z
+    kernel, method = bands[bisect_right(edges, z)]
     if side is None:
-        upper = flip = g[8] < 0.0  # zeta_plus
+        upper = flip = zeta_plus < 0.0
     else:
         upper, flip = side, False
-    plus, minus, error, work = _split(g, upper, kernel)
-    raw = plus - minus if upper else plus + minus
+    # the statements of _split
+    damp = _exp(-z * (s_plus * s_plus))
+    if damp == 0.0:
+        # both weights and both terms of F_minus are exactly 0, so no kernel
+        # runs, and the erfc term in [0, 1] needs no clamp
+        value = 0.5 * _erfc(-zeta_plus) if upper else 0.5 * _erfc(zeta_plus)
+        if flip:
+            value = 1.0 - value
+        return _tuple_new(EvalResult, (value, method, 0, 0.0, flip))
+    half_sum = 0.5 * (nu + tau)
+    w_plus = _cos(half_diff)
+    s_minus = _sin(half_sum)
+    signed_w_minus = _cos(half_sum)
+    w_minus = abs(signed_w_minus)
+    c_plus = s_plus * damp / _TWO_PI
+    c_minus = s_minus * damp / _TWO_PI
+    k_plus = k_minus = dk_plus = dk_minus = 0.0
+    work = 0
+    if c_plus != 0.0 or c_minus != 0.0:
+        k_plus, k_minus, dk_plus, dk_minus, work = kernel(z, w_plus, w_minus)
+    if upper:
+        plus = 0.5 * _erfc(-zeta_plus) + c_plus * k_plus
+    else:
+        plus = 0.5 * _erfc(zeta_plus) - c_plus * k_plus
+    error = abs(c_plus) * dk_plus
+    if w_minus < _W_MINUS_NEGLIGIBLE and 2.0 * w_minus <= s_minus * dk_minus:
+        # F_minus dropped: plus -+ 0.0 clamps to the value and estimate of plus
+        raw = plus
+        error += damp * w_minus / _PI
+    else:
+        minus = 0.5 * damp * _erfcx(s_minus * sqrt_z) - c_minus * k_minus
+        if signed_w_minus < 0.0:
+            minus = -minus
+        raw = plus - minus if upper else plus + minus
+        error += c_minus * dk_minus
     # clamp into [0, 1] by comparisons, cheaper than min and max and equal to
     # min(1.0, max(0.0, raw)): -0.0 and NaN give 0.0
     if 0.0 < raw <= 1.0:

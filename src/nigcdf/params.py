@@ -7,8 +7,12 @@ from the point ``x``: a radius ``omega``, two angles ``nu`` and ``tau``, and
 the large parameter ``z = 2*alpha*omega``.  This module validates parameters
 and computes those quantities once, so the expansion and quadrature code can
 stay purely algebraic.  ``_geometry`` holds that arithmetic and returns a
-plain tuple, which the split's evaluator ``oracle._evaluate`` takes; the
-public ``geometry`` wraps the same tuple in the ``Geometry`` record.
+plain tuple: the reference form of the geometry, which the public
+``geometry`` wraps in the ``Geometry`` record and the direct oracle
+``oracle.cdf_quad_direct`` unpacks.  The split's evaluator
+``oracle._evaluate`` runs the same statements inline, with the same x
+check and the same z-range error from ``_z_range_error``, and the tests
+hold it to ``_geometry`` bit for bit.
 """
 
 import math
@@ -89,12 +93,24 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _z_range_error(z: float, alpha: float, omega: float) -> DomainError:
+    """The DomainError for a z = 2*alpha*omega outside (0, inf), one message for every route."""
+    return DomainError(
+        f"z = 2*alpha*omega = {z!r} leaves the positive double range "
+        f"(alpha = {alpha!r}, omega = {omega!r})"
+    )
+
+
 def validate(alpha: float, beta: float, mu: float, delta: float) -> Parameters:
     """Check the parameter domain and derive gamma and tau.
 
     Requires ``alpha > 0``, ``delta > 0``, and ``-alpha < beta < alpha``
     (strict), and raises DomainError otherwise.  Then ``gamma`` is
     positive and finite and ``0 < tau < pi`` for every valid input.
+    ``gamma`` is sqrt((alpha - beta)(alpha + beta)), formed unscaled for
+    1e-100 < alpha < 1e100 and with alpha and beta first scaled by one
+    power of two outside that range; the two forms give the same double
+    wherever the unscaled one stays in the normal range.
     """
     # four finite floats pass unchanged; anything else takes the one check, in order
     if not (
@@ -112,12 +128,22 @@ def validate(alpha: float, beta: float, mu: float, delta: float) -> Parameters:
         raise DomainError(f"delta must be positive, got {delta}")
     if abs(beta) >= alpha:
         raise DomainError(f"need -alpha < beta < alpha, got beta={beta}, alpha={alpha}")
-    # factored form avoids cancellation when |beta| approaches alpha; alpha
-    # and beta are first scaled by one power of two, which is exact, so the
-    # product can neither underflow to 0 nor overflow to inf
-    e = _frexp(alpha)[1]
-    a, b = _ldexp(alpha, -e), _ldexp(beta, -e)
-    gamma = _ldexp(_sqrt((a - b) * (a + b)), e)
+    # factored form avoids cancellation when |beta| approaches alpha.  For
+    # |beta| < alpha the smaller factor is exact and at least an ulp of alpha,
+    # so the product lies between about alpha^2 2^-53 and 2 alpha^2: inside
+    # 1e-100 < alpha < 1e100 it and both factors stay normal.  There scaling
+    # alpha and beta by 2^-e, e = frexp(alpha)[1], changes no rounding: each
+    # step rounds the same significand, and sqrt halves the even exponent 2e
+    # exactly; a beta that the scaling would push below the normal range
+    # lies far under half an ulp of alpha, so alpha -+ beta rounds to alpha
+    # in both forms.  Outside that range the scaling, which is exact, keeps
+    # the product from underflowing to 0 or overflowing to inf
+    if 1e-100 < alpha < 1e100:
+        gamma = _sqrt((alpha - beta) * (alpha + beta))
+    else:
+        e = _frexp(alpha)[1]
+        a, b = _ldexp(alpha, -e), _ldexp(beta, -e)
+        gamma = _ldexp(_sqrt((a - b) * (a + b)), e)
     # atan2 stays accurate where acos(beta/alpha) loses digits, same angle
     tau = _atan2(gamma, beta)
     return _tuple_new(Parameters, (alpha, beta, mu, delta, gamma, tau))
@@ -146,13 +172,18 @@ def geometry(p: Parameters, x: float) -> Geometry:
 def _geometry(p: Parameters, x: float) -> tuple[float, ...]:
     """The fields of ``geometry(p, x)`` in order, as a plain tuple; the same checks.
 
-    The package's one copy of the geometry arithmetic.  The split routes
-    take this tuple rather than the record: CPython unpacks an exact tuple
-    on a specialised path, and a NamedTuple generically.  A finite float x
-    passes an inline guard, ``x.__class__ is float and -inf < x < inf``,
-    which for a float is exactly ``isfinite``, as NaN fails it; any other
-    x, an int, a float subclass, a string, NaN or an infinity, takes
-    ``_require_finite``, so it gets the same value or the same DomainError.
+    The reference form of the geometry arithmetic.  ``geometry`` wraps it
+    in the record, the direct oracle ``oracle.cdf_quad_direct`` unpacks it
+    (CPython unpacks an exact tuple on a specialised path, and a NamedTuple
+    generically), and the tests build the reference form of the split
+    routes from it.  ``oracle._evaluate`` runs these statements inline, so
+    a point of a split route builds no tuple; an edit here must be made
+    there too, and ``tests/test_oracle.py`` holds the two bit for bit.  A
+    finite float x passes an inline guard, ``x.__class__ is float and
+    -inf < x < inf``, which for a float is exactly ``isfinite``, as NaN
+    fails it; any other x, an int, a float subclass, a string, NaN or an
+    infinity, takes ``_require_finite``, so it gets the same value or the
+    same DomainError.
     """
     if x.__class__ is not float or not -_INF < x < _INF:
         x = _require_finite("x", x)
@@ -163,10 +194,7 @@ def _geometry(p: Parameters, x: float) -> tuple[float, ...]:
     z = 2.0 * alpha * omega
     # every route divides by z or takes it into an erfc argument
     if not 0.0 < z < _INF:
-        raise DomainError(
-            f"z = 2*alpha*omega = {z!r} leaves the positive double range "
-            f"(alpha = {alpha!r}, omega = {omega!r})"
-        )
+        raise _z_range_error(z, alpha, omega)
     half_diff = 0.5 * (nu - tau)
     half_sum = 0.5 * (nu + tau)
     s_plus = _sin(half_diff)
@@ -175,3 +203,4 @@ def _geometry(p: Parameters, x: float) -> tuple[float, ...]:
     w_minus = _cos(half_sum)
     sqrt_z = _sqrt(z)
     return xi, omega, nu, z, s_plus, s_minus, w_plus, w_minus, s_plus * sqrt_z, s_minus * sqrt_z
+

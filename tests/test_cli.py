@@ -11,8 +11,10 @@ from nigcdf import cdf, cdf_asym, cdf_quad_direct, cdf_quad_split
 from nigcdf.cli import main, run
 from nigcdf.expansion import _BAND_EDGES, _BANDS, Method
 from nigcdf.oracle import _split
-from nigcdf.params import _geometry, geometry, validate
+from nigcdf.params import geometry, validate
 from nigcdf.selftest import run_all
+
+from test_expansion import _package_calls
 
 EVAL_BASE = ["eval", "--alpha", "8", "--beta", "2", "--mu", "3", "--delta", "2"]
 
@@ -303,51 +305,63 @@ def test_figure1_minus_column_is_the_minus_part_of_the_split(capsys):
             assert abs(fminus - expected) <= 1e-15, row
 
 
-def _count_geometry_calls(monkeypatch):
-    """The x of each ``Geometry`` record built, and of each geometry a split route computes.
+def _count_geometries(monkeypatch, run):
+    """(the x of each ``Geometry`` record built, the geometries the routes compute, the frames).
 
-    Every route computes its own geometry, by ``params._geometry`` inside
-    ``oracle``; the CLI builds the record for what it prints.
+    A split route computes its geometry inline, in the one frame of
+    ``oracle._evaluate``; the direct oracle calls ``params._geometry``; the
+    CLI builds the record for what it prints by ``geometry``, which calls
+    ``_geometry`` too.  So the routes compute one geometry per
+    ``_evaluate`` frame and one per ``_geometry`` frame that no
+    ``geometry`` frame accounts for.  The frames are the package's Python
+    calls, in order.
     """
-    records, routes = [], []
+    records = []
 
     def record(p, x):
         records.append(x)
         return geometry(p, x)
 
-    def route(p, x):
-        routes.append(x)
-        return _geometry(p, x)
-
     monkeypatch.setattr("nigcdf.cli.geometry", record)
-    monkeypatch.setattr("nigcdf.oracle._geometry", route)
-    return records, routes
+    frames = _package_calls(run)
+    routes = frames.count("_evaluate") + frames.count("_geometry") - frames.count("geometry")
+    return records, routes, frames
 
 
 @pytest.mark.parametrize("method", ["auto", "asym", "quad-split", "quad-direct"])
 @pytest.mark.parametrize("x", ["5", "1"])
 def test_eval_computes_the_geometry_once(monkeypatch, capsys, method, x):
     # both points take the Gauss route under auto, x = 1 at w_minus < 0: one
-    # record, and one geometry in the route, whichever the method
-    records, routes = _count_geometry_calls(monkeypatch)
-    assert main(EVAL_BASE + ["--x", x, "--method", method]) == 0
-    assert records == routes == [float(x)]
+    # record, and one geometry in the route, whichever the method; a split
+    # route computes it in its one _evaluate frame, with no _geometry or
+    # _split frame of its own
+    records, routes, frames = _count_geometries(
+        monkeypatch, lambda: main(EVAL_BASE + ["--x", x, "--method", method])
+    )
+    assert records == [float(x)] and routes == 1
+    if method == "quad-direct":
+        assert frames.count("_geometry") == 2 and "_evaluate" not in frames
+    else:
+        assert frames.count("_evaluate") == 1 and frames.count("_geometry") == 1
+        assert "_split" not in frames
 
 
 @pytest.mark.parametrize("n", [2, 7])
 def test_figure1_computes_one_geometry_per_curve_point(monkeypatch, capsys, n):
-    # a record for the minus column, and one geometry in the policy's route
-    records, routes = _count_geometry_calls(monkeypatch)
-    assert main(["figure1", "--points", str(n)]) == 0
-    assert len(records) == len(routes) == 3 * n
+    # a record for the minus column, which takes the reference _split, and
+    # one geometry in the policy's route, its _evaluate frame
+    records, routes, frames = _count_geometries(
+        monkeypatch, lambda: main(["figure1", "--points", str(n)])
+    )
+    assert len(records) == routes == 3 * n
+    assert frames.count("_evaluate") == frames.count("_split") == 3 * n
 
 
 def test_table1_computes_one_geometry_per_row(monkeypatch, capsys):
     # a record for z, and one geometry in each of the two split routes
-    records, routes = _count_geometry_calls(monkeypatch)
-    assert main(["table1"]) == 0
+    records, routes, frames = _count_geometries(monkeypatch, lambda: main(["table1"]))
     assert len(records) == 3
-    assert len(routes) == 6
+    assert routes == frames.count("_evaluate") == 6
 
 
 def test_selftest_passes_with_default_seed(capsys):

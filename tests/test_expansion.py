@@ -451,6 +451,25 @@ def test_auto_routes_take_the_routes_they_name():
     assert geometry(p, 1.0).w_minus < 0.0
 
 
+def test_series_kernel_is_built_once_per_kmax():
+    # cdf_asym and sf_asym take their kernel from a cache keyed by the
+    # checked kmax (test_asym_expansions_check_kmax refuses kmax True, which
+    # would otherwise find the kernel of 1); each record is the one a kernel
+    # built afresh gives, float.hex for float.hex, at kmax 0 to 30
+    assert _series_kernel(5) is _series_kernel(5)
+    assert _series_kernel(5) is not _series_kernel(6)
+    rng = random.Random(515)
+    points = [(_bench(beta), x) for beta in BETAS for x in (1.0, 3.5, 5.0, 12.0)]
+    points += [draw_point(rng) for _ in range(20)]
+    for kmax in range(31):
+        fresh = ((_series_kernel.__wrapped__(kmax), Method.UNIFORM_ASYM),)
+        for p, x in points:
+            for entry, side in ((cdf_asym, False), (sf_asym, True)):
+                got = [f.hex() if type(f) is float else f for f in entry(p, x, kmax)]
+                want = oracle._evaluate(p, x, side, fresh, ())
+                assert got == [f.hex() if type(f) is float else f for f in want], (kmax, p, x)
+
+
 @pytest.mark.parametrize(
     "entry,x",
     [pytest.param(cdf, x, id=str(x)) for x in (20.0, 3.0, 1.0)]
@@ -459,24 +478,19 @@ def test_auto_routes_take_the_routes_they_name():
 def test_cdf_computes_the_geometry_once(monkeypatch, entry, x):
     # cdf: a complemented Gauss point, and two Gauss points, one at w_minus < 0;
     # cdf_quad_direct on both sides of the transition, nu < tau at x = 20, and
-    # without validating the parameters again.  Both compute the geometry
-    # inside oracle, as the plain tuple of params._geometry
-    calls = []
-
-    def counted(build):
-        def wrapper(p, x):
-            calls.append(x)
-            return build(p, x)
-
-        return wrapper
-
+    # without validating the parameters again.  cdf computes it inline, in
+    # its one oracle._evaluate frame, with no _geometry or _split frame;
+    # cdf_quad_direct takes the plain tuple of params._geometry
     def refused(*args):
         raise AssertionError("validate called inside cdf")
 
-    monkeypatch.setattr("nigcdf.oracle._geometry", counted(_geometry))
+    p = _bench(2.0)
     monkeypatch.setattr("nigcdf.oracle.validate", refused)
-    entry(_bench(2.0), x)
-    assert calls == [x]
+    frames = _package_calls(lambda: entry(p, x))
+    assert frames.count("_evaluate") + frames.count("_geometry") == 1
+    assert "_split" not in frames
+    if entry is cdf:
+        assert frames.count("_evaluate") == 1
 
 
 def test_series_kernel_is_the_asymptotic_series_of_the_trapezoid_kernel():
@@ -577,20 +591,21 @@ def _package_calls(run):
 def test_cdf_makes_the_pinned_python_calls_a_point():
     # the hot path's layers, as a cost: each Python-level call that one cdf
     # call makes in the package.  A layer added back fails here.  Every point
-    # takes cdf, the evaluator oracle._evaluate, params._geometry,
-    # oracle._split, the band's kernel and the minus part's special._erfcx;
-    # the trapezoid band's kernel, one per rung, holds its step and calls
-    # nothing, and the small-z kernel calls _small_z_m and _small_z_one for
-    # each w.  A finite float x passes _geometry's inline guard; an int or a
-    # float subclass, as numpy.float64 is, takes _require_finite once, and
-    # the same result
+    # takes cdf and the evaluator oracle._evaluate, which runs the geometry
+    # and the split inline; it calls the band's kernel and the minus part's
+    # special._erfcx, and neither where E underflows.  The trapezoid band's
+    # kernel, one per rung, holds its step and calls nothing, and the
+    # small-z kernel calls _small_z_m and _small_z_one for each w.  A finite
+    # float x passes the evaluator's inline guard; an int or a float
+    # subclass, as numpy.float64 is, takes _require_finite once, and the
+    # same result
     p = validate(8.0, 2.0, 3.0, 2.0)
-    head = ["cdf", "_evaluate", "_geometry", "_split"]
+    head = ["cdf", "_evaluate"]
     assert _package_calls(lambda: cdf(p, 5.0)) == head + ["kernel", "_erfcx"]
     fields = [f.hex() if type(f) is float else f for f in cdf(p, 5.0)]
     for x in (5, _Real(5.0)):
         assert _package_calls(lambda: cdf(p, x)) == [
-            "cdf", "_evaluate", "_geometry", "_require_finite", "_split", "kernel", "_erfcx"
+            "cdf", "_evaluate", "_require_finite", "kernel", "_erfcx"
         ]
         assert [f.hex() if type(f) is float else f for f in cdf(p, x)] == fields
     trapezoid = validate(1.0, 0.2, 0.0, 1.0)
@@ -601,3 +616,5 @@ def test_cdf_makes_the_pinned_python_calls_a_point():
     assert _package_calls(lambda: cdf(small, 3.0)) == head + [
         "_small_z_kernel", "_small_z_m", "_small_z_one", "_small_z_one", "_erfcx"
     ]
+    assert cdf(p, 1e4).kmax_used == 0  # E underflows
+    assert _package_calls(lambda: cdf(p, 1e4)) == head

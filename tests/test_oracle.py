@@ -51,6 +51,7 @@ from nigcdf.selftest import draw_point
 from nigcdf.special import erfcx
 
 from make_reference import read_values
+from test_expansion import _Real, _package_calls
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
 
@@ -1054,27 +1055,21 @@ def _points_where_the_split_weight_underflows(count: int) -> list:
     "entry", [cdf, cdf_asym, cdf_quad_split], ids=["auto", "asym", "quad-split"]
 )
 def test_split_skips_the_minus_part_where_its_weight_underflows(monkeypatch, entry):
-    # with E = 0 both minus-part terms are exactly 0, so _split neither
+    # with E = 0 both minus-part terms are exactly 0, so the split neither
     # evaluates erfcx nor changes F: F is the bare erfc term of the plus part,
-    # and as it calls no kernel the record reports no work
-    minus_parts = []
-    split = oracle._split
+    # and as it calls no kernel the record reports no work.  The evaluator
+    # makes no Python call past its own frame, and the reference _split's
+    # minus part is 0.0
+    def refused(*args):
+        raise AssertionError("erfcx or a kernel evaluated for a minus part of weight 0")
 
-    def recorded(*args):
-        parts = split(*args)
-        minus_parts.append(parts[1])
-        return parts
-
-    def refused(x):
-        raise AssertionError("erfcx evaluated for a minus part of weight 0")
-
-    monkeypatch.setattr(oracle, "_split", recorded)
     monkeypatch.setattr(oracle, "_erfcx", refused)
     taken = set()
     for p, x, g in _points_where_the_split_weight_underflows(60):
-        minus_parts.clear()
+        frames = _package_calls(lambda: entry(p, x))
+        assert frames[frames.index("_evaluate") + 1:] == []
         r = entry(p, x)
-        assert minus_parts == [0.0]
+        assert oracle._split(_geometry(p, x), r.complemented, refused)[1] == 0.0
         assert r.kmax_used == 0
         taken.add((r.method, r.complemented))
         if r.complemented:
@@ -1122,14 +1117,123 @@ def test_evaluate_clamps_as_min_and_max_do(monkeypatch):
                 assert r.kmax_used == 7
                 seen.add("nan" if raw != raw else "high" if raw > 1.0 else "low")
     assert seen == {"nan", "high", "low"}
-    # the clamp's edges, raw given by a stub split: -0.0 maps to +0.0, NaN to
-    # 0.0 with a NaN estimate, 1.0 and the smallest subnormal stay
+    # the clamp's edges: with the module-bound erfc giving 2 raw, erfcx 0
+    # and a kernel of K = 0, the split's raw is the edge itself, on G and on
+    # the policy's flip (x = 5 lies right of the transition).  -0.0 maps to
+    # +0.0, NaN to 0.0 with a NaN estimate, 1.0 and the smallest subnormal stay
+    def zero(z, w_plus, w_minus):
+        return 0.0, 0.0, 0.25, 0.25, 3
+
+    band = ((zero, Method.QUAD_SPLIT),)
+    g = geometry(p, 5.0)
+    monkeypatch.setattr(oracle, "_erfcx", lambda v: 0.0)
     edges = (-0.0, 0.0, 5e-324, 0.5, 1.0, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan)
-    for raw in edges:
-        monkeypatch.setattr(
-            oracle, "_split", lambda g, upper, kernel, raw=raw: (raw, -0.0, 0.25, 0)
-        )
-        r = oracle._evaluate(p, 5.0, False, oracle._TRAPEZOID, ())
-        value, estimate = _clamped_by_min_max(raw, 0.25)
-        assert (r.value.hex(), r.error_estimate.hex()) == (value.hex(), estimate.hex()), raw
-        assert math.copysign(1.0, r.value) == 1.0, raw
+    for edge in edges:
+        monkeypatch.setattr(oracle, "_erfc", lambda v, edge=edge: 2.0 * edge)
+        plus, minus, error, _ = oracle._split(g, True, zero)
+        raw = plus - minus
+        assert raw.hex() == edge.hex() or (raw != raw and edge != edge), (edge, raw)
+        for side in (True, None):
+            value, estimate = _clamped_by_min_max(raw, error)
+            if side is None:
+                value = 1.0 - value
+            r = oracle._evaluate(p, 5.0, side, band, ())
+            assert (r.value.hex(), r.error_estimate.hex()) == (value.hex(), estimate.hex()), edge
+            assert math.copysign(1.0, r.value) == 1.0, edge
+            assert (r.kmax_used, r.complemented) == (3, side is None)
+
+
+def _outcome(call, *args):
+    """``call(*args)`` as comparable fields, floats by ``float.hex``, or its NigError."""
+    try:
+        record = call(*args)
+    except NigError as exc:
+        return type(exc), str(exc)
+    return tuple(f.hex() if type(f) is float else f for f in record)
+
+
+def _reference_evaluate(p, x, side, bands, edges):
+    """(the record of ``oracle._evaluate`` by its reference form, the unclamped value).
+
+    ``_split(_geometry(p, x), upper, kernel)``, then the documented clamp,
+    min(1, max(0, raw)) with the distance clamped added to the estimate, and
+    the policy's flip.
+    """
+    g = _geometry(p, x)
+    kernel, method = bands[bisect_right(edges, g[3])]
+    if side is None:
+        upper = flip = g[8] < 0.0
+    else:
+        upper, flip = side, False
+    plus, minus, error, work = oracle._split(g, upper, kernel)
+    raw = plus - minus if upper else plus + minus
+    value, error = _clamped_by_min_max(raw, error)
+    if flip:
+        value = 1.0 - value
+    return (value, method, work, error, flip), raw
+
+
+def _reference_record(p, x, side, bands, edges):
+    return _reference_evaluate(p, x, side, bands, edges)[0]
+
+
+def _draws_in_every_band(rng, per_band):
+    """Seeded (p, x) with z log-uniform across each band of ``expansion._BANDS``."""
+    bounds = (1e-6, *_BAND_EDGES, 1e12)
+    points = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        for _ in range(per_band):
+            z = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            alpha = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+            omega = 0.5 * z / alpha
+            nu = rng.uniform(1e-3, math.pi - 1e-3)
+            mu = rng.uniform(-5.0, 5.0)
+            p = validate(alpha, alpha * rng.uniform(-0.99, 0.99), mu, omega * math.sin(nu))
+            points.append((p, mu + omega * math.cos(nu)))
+    return points
+
+
+def test_evaluate_is_its_reference_form_bit_for_bit():
+    # the evaluator runs the geometry and the split inline; every record
+    # field must be the reference form's, _split(_geometry(p, x), upper,
+    # kernel) then the clamp and the flip, and every refusal the same
+    # error: on every band of the policy's table, the trapezoid and the
+    # kmax-5 series, for F, G and the policy, at the reference set's inputs
+    # and seeded draws, with x also as an int and as a float subclass
+    series = ((_series_kernel(5), Method.UNIFORM_ASYM),)
+    tables = ((_BANDS, _BAND_EDGES), (oracle._TRAPEZOID, ()), (series, ()))
+    rng = random.Random(9090)
+    draws = [draw_point(rng) for _ in range(300)]
+    points = [(validate(*row[1:5]), row.x) for row in read_values()] + draws
+    points += [(p, round(x)) for p, x in draws[:60]] + [(p, _Real(x)) for p, x in draws[:60]]
+    points += _draws_in_every_band(rng, 20)
+    # z = 1, where the kmax-5 series leaves [0, 1] and is clamped
+    for _ in range(40):
+        nu = rng.uniform(0.05, math.pi - 0.05)
+        p = validate(1.0, rng.uniform(-0.9, 0.9), 0.0, 0.5 * math.sin(nu))
+        points.append((p, 0.5 * math.cos(nu)))
+    kernels, branches = set(), set()
+    for p, x in points:
+        for bands, edges in tables:
+            for side in (False, True, None):
+                got = _outcome(oracle._evaluate, p, x, side, bands, edges)
+                assert got == _outcome(_reference_record, p, x, side, bands, edges), (p, x, side)
+                if type(got[0]) is not str:  # a refusal
+                    continue
+                g = _geometry(p, x)
+                _, _, _, z, s_plus, _, _, w_minus, _, _ = g
+                kernel = bands[bisect_right(edges, z)][0]
+                kernels.add(kernel)
+                if math.exp(-z * (s_plus * s_plus)) == 0.0:
+                    branches.add("E underflows")
+                elif abs(w_minus) < oracle._W_MINUS_NEGLIGIBLE and (
+                    oracle._split(g, False, kernel)[1] == 0.0
+                ):
+                    branches.add("minus dropped")
+                elif w_minus < 0.0:
+                    branches.add("w_minus < 0")
+                raw = _reference_evaluate(p, x, side, bands, edges)[1]
+                if not 0.0 < raw <= 1.0:
+                    branches.add("clamped")
+    assert kernels == {kernel for table, _ in tables for kernel, _ in table}
+    assert branches == {"E underflows", "minus dropped", "w_minus < 0", "clamped"}

@@ -99,6 +99,46 @@ def test_gamma_and_tau_where_the_product_leaves_the_double_range(alpha, beta):
     assert p.tau == pytest.approx(float(tau), rel=1e-15)
 
 
+def _scaled_gamma(alpha, beta):
+    """gamma from alpha and beta scaled by 2^-frexp(alpha)[1]: ``validate``'s form past 1e+-100."""
+    e = math.frexp(alpha)[1]
+    a, b = math.ldexp(alpha, -e), math.ldexp(beta, -e)
+    return math.ldexp(math.sqrt((a - b) * (a + b)), e)
+
+
+def _gamma_alphas(rng):
+    """The unscaled range's edges and neighbours, the double range's ends, seeded alphas."""
+    edges = [1e-100, 1e100]
+    alphas = [math.nextafter(edge, toward) for edge in edges for toward in (0.0, math.inf)]
+    alphas += edges + [1e-300, 1e-308, 5e-324, 1e300, 1.7e308, math.nextafter(math.inf, 0.0)]
+    for lo, hi, n in ((1e-160, 1e-90, 3000), (1e90, 1e160, 1000), (1e-300, 1e300, 2000)):
+        alphas += [math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(n)]
+    return alphas
+
+
+def test_gamma_takes_the_scaled_form_bit_for_bit_on_both_sides_of_the_switch():
+    # inside 1e-100 < alpha < 1e100 validate forms (alpha - beta)(alpha + beta)
+    # unscaled; gamma must be the scaled form's double there too, and tau
+    # the atan2 of it.  beta next to -+alpha makes the product smallest,
+    # about alpha^2 2^-53, which a wider switch would let go subnormal
+    rng = random.Random(1010)
+    checked = 0
+    for alpha in _gamma_alphas(rng):
+        near = math.nextafter(alpha, 0.0)
+        betas = [near, -near, 0.0, 5e-324, -5e-324]
+        betas += [alpha * rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0))]
+        for beta in betas:
+            if not abs(beta) < alpha:  # the subnormal alphas' own neighbours
+                continue
+            p = validate(alpha, beta, 0.0, 1.0)
+            gamma = _scaled_gamma(alpha, beta)
+            assert (p.gamma.hex(), p.tau.hex()) == (gamma.hex(), math.atan2(gamma, beta).hex()), (
+                alpha, beta
+            )
+            checked += 1
+    assert checked > 35000
+
+
 def test_parameters_are_frozen():
     p = validate(8.0, 2.0, 3.0, 2.0)
     with pytest.raises(AttributeError):
