@@ -53,13 +53,15 @@ estimate the split reports.  The step is rounded down to a ladder of
 powers of 2^(-1/16).  The policy's band 0.07 <= z < 30 spans 9 rungs, and
 the policy takes it as 9 bands, each from its rung's exact first double
 (``_RUNG_EDGES``), each with its own kernel, step and node table, built
-at import: a call there costs no ``_step``, only eps and the last node
-index from z, and a node's sinh^2 t and cosh t come from the table, so
-it costs one exp and one division per integral.  ``_kernel`` calls the
-same kernels wherever a table holds the nodes its z needs.  A call takes
-at most 21 nodes for z >= 1, 32 for z >= 0.07, 39 for z >= 1e-2, 131 for
-z >= 1e-12 and 2,998 at the smallest positive double, the most at any z.
-This grid is the split oracle's only rule.
+at import.  On a rung the last node index is a step function of z, so
+each kernel also holds the exact z edges where it drops
+(``_COUNT_EDGES``): a call there costs no ``_step``, only eps from z and
+one bisect for its nodes, and a node's sinh^2 t and cosh t come from the
+table, so it costs one exp and one division per integral.  ``_kernel``
+calls the same kernels wherever a table holds the nodes its z needs.  A
+call takes at most 21 nodes for z >= 1, 32 for z >= 0.07, 39 for
+z >= 1e-2, 131 for z >= 1e-12 and 2,998 at the smallest positive double,
+the most at any z.  This grid is the split oracle's only rule.
 
 The secondary oracle integrates the steepest-descent representation
 directly, by one trapezoid level whose step and last node it fixes in
@@ -249,7 +251,7 @@ _WIDE_STRIP_RATIO = 4.0 * math.sqrt(2.0) * math.pi / (_TARGET_REL * _SQRT_PI)
 _TWO_PI = 2.0 * math.pi
 _PI, _INF = math.pi, math.inf
 _exp, _erfc, _tuple_new = math.exp, math.erfc, tuple.__new__
-_sqrt, _log, _asinh = math.sqrt, math.log, math.asinh
+_sqrt = math.sqrt
 _hypot, _atan2, _sin, _cos = math.hypot, math.atan2, math.sin, math.cos
 
 
@@ -269,14 +271,15 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
     ``_split`` reports a bound that holds, not a measured change.  Both
     kernels share every node's exp.
 
-    This is the trapezoid at any z, for ``cdf_quad_split``: it takes h from
-    ``_step``.  Where its rung has a table in ``_TABLES`` that holds z's
-    last node, it calls that rung's kernel in ``_RUNG_KERNELS``, the one
-    the policy's band holds; elsewhere it computes the nodes
+    This is the trapezoid at any z, for ``cdf_quad_split``: it takes h and
+    the last node from ``_step``.  Where its rung has a table in ``_TABLES``
+    that holds z's last node, it calls that rung's kernel in
+    ``_RUNG_KERNELS``, the one the policy's band holds, which finds the same
+    last node from its count edges; elsewhere it computes the nodes
     (sinh^2 t, cosh t) at t = k h by ``_nodes``, keeping nothing, and sums
-    them by a ``_rung_kernel(h, nodes)`` of its own.  Either way the sum
-    and eps are ``_step``'s, bit for bit.  The policy's trapezoid band calls
-    its rung's kernel directly and needs no ``_step``.
+    all of them by a ``_rung_kernel(h, nodes)`` of its own.  Either way the
+    sum and eps are ``_step``'s, bit for bit.  The policy's trapezoid band
+    calls its rung's kernel directly and needs no ``_step``.
     The node terms fall with t, so they are summed from the last node
     back, smallest first: summed from t = 0 on in blocks of 32, the
     rounding reached 5.9e-16 of K on a seeded sample where this order stays
@@ -293,37 +296,45 @@ def _kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
     return _rung_kernel(h, _nodes(h, last))(z, w_plus, w_minus)
 
 
-def _rung_kernel(h: float, nodes: tuple[tuple[float, float], ...]) -> _Kernel:
+def _rung_kernel(
+    h: float, nodes: tuple[tuple[float, float], ...], edges: tuple[float, ...] = ()
+) -> _Kernel:
     """The trapezoid of ``_kernel`` at the step h, over ``nodes``: valid for every z on h's rung.
 
-    A call computes only what moves with z on a rung, by the expressions
-    of ``_step``: eps = 2^-53 K_low and the last node index, from
-    Lambda = ln(4 h / eps) + 0.01, at two sqrts, a log, a sqrt and an
-    asinh.  ``nodes`` must hold at least the last node of every z the
-    kernel is called at.  So at every z whose step ``_step`` puts on h's
-    rung the call sums the nodes and reports the eps that ``_step``
-    certifies, bit for bit, and as its work the node count last + 1.
+    ``edges`` are the doubles z, by rising z, from which the last node
+    index of ``_step`` at h is one less than below them: z sums all of
+    ``nodes`` below the first edge and one node fewer past each edge, so a
+    kernel built with no edges sums all of them.  The kernel keeps, per
+    interval between edges, its nodes from the last back and its node
+    count, so a call computes only eps = 2^-53 K_low, by the expressions of
+    ``_step`` at two sqrts, and one ``bisect_right`` over ``edges``.  So at
+    every z whose step ``_step`` puts on h's rung, and whose last node
+    ``nodes`` holds, the call sums the nodes and reports the eps that
+    ``_step`` certifies, bit for bit, and as its work the node count
+    last + 1, t = 0 included.
     """
     two_h = 2.0 * h
-    four_h = 4.0 * h
     eps_scale = _TARGET_REL * _SQRT_PI
+    # (nodes t = last h down to t = h, last + 1) per interval between edges:
+    # past edge i the reversed table less its first i nodes
+    backward = nodes[::-1]
+    plans = tuple((backward[i:], len(nodes) - i + 1) for i in range(len(edges) + 1))
 
     def kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
-        root_z = _sqrt(z)
-        eps = eps_scale / (root_z + _sqrt(z + 2.0))
-        last = int(_asinh(_sqrt(_log(four_h / eps) + 0.01) / root_z) / h)
+        eps = eps_scale / (_sqrt(z) + _sqrt(z + 2.0))
+        terms, work = plans[bisect_right(edges, z)]
         exp = math.exp
         neg_z = -z
         # the node terms fall with t, so summed from t = last h down to t = h,
         # smallest first; the t = 0 node, weighted 1/2, comes last
         sum_plus = sum_minus = 0.0
-        for s2, c in reversed(nodes[:last]):
+        for s2, c in terms:
             e = exp(neg_z * s2)
             sum_plus += e / (c + w_plus)
             sum_minus += e / (c + w_minus)
         sum_plus += 0.5 / (1.0 + w_plus)
         sum_minus += 0.5 / (1.0 + w_minus)
-        return two_h * sum_plus, two_h * sum_minus, eps, eps, last + 1
+        return two_h * sum_plus, two_h * sum_minus, eps, eps, work
 
     return kernel
 
@@ -427,10 +438,50 @@ _RUNG_EDGES = (
 # 9 rungs of the band, built once here and never written after, so never
 # locked
 _TABLES = {h: _nodes(h, last) for h, last, _, _ in map(_step, _RUNG_EDGES)}
+# the edges of each rung's ``_rung_kernel``, for the rungs j = 49 .. 57 of
+# ``_TABLES`` in order: the first doubles z from which ``_step``'s last node
+# index on the rung is one less than just below, found by bisecting it to
+# adjacent doubles.  23 lie in the policy's band, and one on rung 57 past
+# it, at z = 32.6989, since ``_kernel`` calls rung 57's kernel up to
+# z = 33.5918, where ``_step`` leaves the rung.  Below its first edge a
+# kernel sums its whole table, as rung 49's does for ``_kernel`` from
+# z = 0.0678151 up to 0.07
+_COUNT_EDGES = (
+    (
+        float.fromhex("0x1.6138852756082p-4"),
+        float.fromhex("0x1.c13b2847aaf39p-4"),
+        float.fromhex("0x1.1db81124c1df4p-3"),
+        float.fromhex("0x1.6b852c490c3e2p-3"),
+        float.fromhex("0x1.ce9efa82ac1abp-3"),
+        float.fromhex("0x1.2674c1148f1cap-2"),
+        float.fromhex("0x1.76f8fe447a59cp-2"),
+        float.fromhex("0x1.ddb5966066cd2p-2"),
+        float.fromhex("0x1.30742533937e2p-1"),
+        float.fromhex("0x1.844f893e09ed5p-1"),
+        float.fromhex("0x1.efa3e943d7573p-1"),
+        float.fromhex("0x1.3c9c7288b77fep+0"),
+        float.fromhex("0x1.94f549c27354fp+0"),
+    ),
+    (
+        float.fromhex("0x1.39407e8ffec2dp+1"),
+        float.fromhex("0x1.8e4e1e25ee0e2p+1"),
+        float.fromhex("0x1.fba7b288d2e98p+1"),
+    ),
+    (float.fromhex("0x1.7b96e459ef671p+2"), float.fromhex("0x1.e33cf52fdd3c0p+2")),
+    (float.fromhex("0x1.1729373f41dc3p+3"), float.fromhex("0x1.62a7d81de3313p+3")),
+    (float.fromhex("0x1.9551404a99822p+3"),),
+    (float.fromhex("0x1.23997aaaae9e8p+4"),),
+    (float.fromhex("0x1.492db10fceef1p+4"),),
+    (),
+    (float.fromhex("0x1.0597453e00f9fp+5"),),
+)
 # one ``_rung_kernel`` per table, by step: ``expansion._BANDS`` holds them as
 # the policy's trapezoid bands, and ``_kernel`` calls the one of z's rung
 # wherever its table holds z's last node
-_RUNG_KERNELS = {h: _rung_kernel(h, nodes) for h, nodes in _TABLES.items()}
+_RUNG_KERNELS = {
+    h: _rung_kernel(h, nodes, edges)
+    for (h, nodes), edges in zip(_TABLES.items(), _COUNT_EDGES)
+}
 
 
 def _small_z_kernel(z: float, w_plus: float, w_minus: float) -> _Sums:
@@ -822,13 +873,17 @@ def cdf_quad_direct(p: Parameters, x: float) -> EvalResult:
         rational = (abs(cos_tau) + abs(cos_nu)) / (root_p * root_m) + 2.0 * abs(cos_tau) / c
         return rational / (math.sqrt(c) * (root_p + root_m))
 
+    # ln 2^55 / (alpha omega); where alpha omega rounds to 0, as it can where z
+    # is the smallest double, its limit inf leaves y to the strip and the
+    # truncation point to _DIRECT_REACH
+    ratio = _DIRECT_LOG / aw if aw > 0.0 else _INF
     # 1.7 asin |s_plus| is 0.85 theta
-    y = min(math.sqrt(2.0 * _DIRECT_LOG / aw), 1.7 * math.asin(abs(s_plus)), 1.5)
+    y = min(math.sqrt(2.0 * ratio), 1.7 * math.asin(abs(s_plus)), 1.5)
     half = math.sin(0.5 * y) ** 2
     q0 = q(1.0, 0.0)
     # aw (2 half), not 2 aw half: 2 aw overflows for aw past half the largest double
     h = _TWO_PI * y / (_DIRECT_LOG + aw * (2.0 * half) + math.log(q(math.cos(y), half) / q0))
-    last = math.ceil(min(_DIRECT_REACH, math.acosh(1.0 + _DIRECT_LOG / aw)) / h)
+    last = math.ceil(min(_DIRECT_REACH, math.acosh(1.0 + ratio)) / h)
     total = 0.0
     for k in range(last, 0, -1):  # smallest terms first
         total += f(k * h)

@@ -16,8 +16,9 @@ The trapezoid kernel: its bound before rounding by the strip certificate
 rounding included, against mpmath for both outputs over z in
 [5e-324, 1e16] (``test_kernel_is_relatively_accurate_over_the_double_range``);
 its work (``test_kernel_node_counts_stay_within_the_documented_bounds``)
-and its import-time node tables
-(``test_node_tables_cover_the_band_and_never_change``).  The small-z series
+its import-time node tables
+(``test_node_tables_cover_the_band_and_never_change``) and count edges
+(``test_rung_kernels_take_their_node_counts_from_exact_z_edges``).  The small-z series
 and the Gauss rules: each by its own bound before rounding; the series'
 M, which F cannot see at small z, and the rules' literals against mpmath.
 """
@@ -82,11 +83,16 @@ def test_split_oracle_continuity_at_transition():
 @pytest.mark.parametrize(
     "params,x",
     [((1e-308, 0.0, 0.0, 1.0), 5.0), ((1e-320, 0.0, 0.0, 1.0), 5.0),
-     ((1.0, 0.5, 0.0, 1e-308), 1e-309)],
+     ((1.0, 0.5, 0.0, 1e-308), 1e-309),
+     ((3.431132238205635e-142, -3.430328320389974e-142, -1.0226974585144256e-41,
+       4.5917469743377834e-183), -1.0226974585144256e-41)],
 )
 def test_direct_oracle_where_alpha_omega_nears_the_smallest_double(params, x):
     # reach / (alpha omega) overflows to inf here; the truncation point must
-    # stay finite, so the result is a value and not a raw OverflowError
+    # stay finite, so the result is a value and not a raw OverflowError.  At
+    # the last point z = 2 alpha omega is the smallest double and alpha omega
+    # rounds to 0, where the oracle takes the limits alpha omega -> 0 rather
+    # than divide by it
     p = validate(*params)
     value = cdf_quad_direct(p, x).value
     assert abs(value - cdf_quad_split(p, x).value) <= 1e-12
@@ -449,6 +455,83 @@ def test_node_tables_cover_the_band_and_never_change():
     assert rebuilt == [held]
 
 
+def _count_edges(zs):
+    """The first doubles of each drop by one of ``oracle._step``'s last node index, by rung.
+
+    Over the sorted ``zs``, where ``oracle._kernel`` calls a rung's kernel:
+    z's rung has a table, and the table holds z's last node.  One edge per
+    pair of consecutive points of such a rung whose last node indices
+    differ, found by bisection in z down to adjacent doubles.
+    """
+
+    def tabled(z):
+        h, last, _, _ = oracle._step(z)
+        return h, last, last <= len(oracle._TABLES.get(h, ()))
+
+    edges = {h: [] for h in oracle._TABLES}
+    for lo, hi in zip(zs, zs[1:]):
+        (h, last, held), (h_hi, last_hi, held_hi) = tabled(lo), tabled(hi)
+        if h != h_hi or not (held and held_hi) or last == last_hi:
+            continue
+        assert last == last_hi + 1, (lo, hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                mid = math.nextafter(lo, hi)
+            assert oracle._step(mid)[0] == h, mid
+            if oracle._step(mid)[1] == last:
+                lo = mid
+            else:
+                hi = mid
+        edges[h].append(hi)
+    return edges
+
+
+def test_rung_kernels_take_their_node_counts_from_exact_z_edges():
+    # on a rung the last node index of ``_step`` is a step function of z,
+    # and each rung's kernel picks its nodes by a bisect over the doubles
+    # where it drops.  Bisecting ``_step`` to adjacent doubles between the
+    # points of a grid of step 1/256 over [0.05, 40) re-derives them, where
+    # ``_kernel`` calls a rung's kernel: the policy's band, rung 49 just
+    # below 0.07 and rung 57 past 30 up to 33.59, where ``_step`` leaves it.
+    # The edges are exactly ``_COUNT_EDGES``, 23 in the band and one past
+    # it, and within 256 doubles of each the index never rises with z.  At
+    # each grid point, each edge and the doubles either side of it,
+    # ``cdf_quad_split`` and, in the band, ``cdf`` report as their work the
+    # nodes ``_step`` certifies, t = 0 included
+    low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
+    zs = [0.05 + i / 256 for i in range(int((40.0 - 0.05) * 256))]
+    derived = _count_edges(zs)
+    assert list(derived.values()) == [list(edges) for edges in oracle._COUNT_EDGES]
+    flat = [edge for edges in oracle._COUNT_EDGES for edge in edges]
+    assert len(flat) == 24 and sum(low <= edge < high for edge in flat) == 23
+    first, last_rung = list(oracle._TABLES)[0], list(oracle._TABLES)[-1]
+    below_band = oracle._step(math.nextafter(low, 0.0))
+    assert below_band[0] == first and below_band[1] == len(oracle._TABLES[first])
+    assert max(z for z in zs if oracle._step(z)[0] == last_rung) > 33.5
+    checked = list(zs)
+    for edge in flat:
+        z = edge
+        for _ in range(256):
+            z = math.nextafter(z, 0.0)
+        lasts = []
+        for _ in range(513):
+            lasts.append(oracle._step(z)[1])
+            z = math.nextafter(z, math.inf)
+        assert all(a >= b for a, b in zip(lasts, lasts[1:])), edge
+        checked += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    checked.append(math.nextafter(low, 0.0))
+    for z in checked:
+        # z = 2 alpha omega, omega = delta at x = mu
+        p = validate(0.5, 0.2, 0.0, z)
+        assert geometry(p, 0.0).z == z
+        work = oracle._step(z)[1] + 1
+        assert cdf_quad_split(p, 0.0).kmax_used == work, z
+        if low <= z < high:
+            record = cdf(p, 0.0)
+            assert record.method is Method.QUAD_SPLIT and record.kmax_used == work, z
+
+
 def _hexes(values) -> list:
     """``values`` with each float as its float.hex, so that two lists compare bit for bit."""
     return [v.hex() if type(v) is float else v for v in values]
@@ -456,23 +539,26 @@ def _hexes(values) -> list:
 
 def test_band_kernels_are_the_trapezoid_of_step_bit_for_bit(monkeypatch):
     # the policy's trapezoid band is one band per rung, each kernel holding
-    # its rung's step and table.  At 20,000 seeded z of the band, each rung
-    # edge and the two doubles either side of it, the kernel of z's band
-    # sums exactly the nodes ``_step`` certifies, one exp per node past
-    # t = 0, reports ``_step``'s eps, and those nodes and t = 0 as its work,
-    # and returns what a ``_rung_kernel`` built afresh over the step and
-    # nodes that ``_step`` picks returns, bit for bit, at w = 0, 1e-13, 0.5
-    # and 1.  At 2,000 seeded points of the band ``cdf`` is the split
+    # its rung's step, table and count edges.  At 20,000 seeded z of the
+    # band, each rung edge and count edge and the two doubles either side
+    # of it, the kernel of z's band sums exactly the nodes ``_step``
+    # certifies, one exp per node past t = 0, reports ``_step``'s eps, and
+    # those nodes and t = 0 as its work, and returns what a ``_rung_kernel``
+    # built afresh over the step and nodes that ``_step`` picks returns, bit
+    # for bit, at w = 0, 1e-13, 0.5 and 1.  At 2,000 seeded points of the band ``cdf`` is the split
     # oracle's trapezoid, evaluated as the policy evaluates it
     low, high = _SMALL_Z_LIMIT, oracle._GAUSS_RULES[0][0]
     rng = random.Random(3535)
     zs = [rng.uniform(low, high) for _ in range(20_000)]
-    for edge in oracle._RUNG_EDGES:
+    count_edges = [edge for edges in oracle._COUNT_EDGES for edge in edges]
+    for edge in [*oracle._RUNG_EDGES, *count_edges]:
         below = math.nextafter(edge, 0.0)
         above = math.nextafter(edge, high)
         zs += [math.nextafter(below, 0.0), below, edge, above, math.nextafter(above, high)]
     zs = [z for z in zs if low <= z < high]
-    assert len(zs) == 20_000 + 5 * len(oracle._RUNG_EDGES) - 2
+    # the two doubles below 0.07 and the five at rung 57's count edge, past
+    # 30, lie outside the band
+    assert len(zs) == 20_000 + 5 * (len(oracle._RUNG_EDGES) + len(count_edges) - 1) - 2
     counting = _CountingMath()
     monkeypatch.setattr("nigcdf.oracle.math", counting)
     ours = []
