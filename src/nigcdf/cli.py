@@ -16,12 +16,13 @@ refusal of ``--method quad-direct``, 4 selftest failure.
 import argparse
 import json
 import sys
+from bisect import bisect_right
 
 from . import selftest as selftest_mod
 from .errors import DomainError, NearTransitionError
 from .coeffs import _check_kmax
-from .expansion import DEFAULT_KMAX, cdf, cdf_asym
-from .oracle import _kernel, _split, cdf_quad_direct, cdf_quad_split
+from .expansion import _BAND_EDGES, _BANDS, DEFAULT_KMAX, cdf, cdf_asym
+from .oracle import _split, cdf_quad_direct, cdf_quad_split
 from .params import geometry, transition_point, validate
 
 __all__ = ["main", "run"]
@@ -123,8 +124,12 @@ def _cmd_figure1(args) -> int:
         # the policy computes the smaller of F and G first on every z band,
         # which keeps the emitted curve monotone through the saturated tails
         fs = [cdf(p, x).value for p in params]
-        # the minus part of the primary oracle's split, certified at every z
-        fminus = [_split(geometry(p, x), False, _kernel)[1] for p in params]
+        # the minus part of the split with the kernel of the policy's z band,
+        # certified on every band
+        fminus = []
+        for p in params:
+            g = geometry(p, x)
+            fminus.append(_split(g, False, _BANDS[bisect_right(_BAND_EDGES, g.z)][0])[1])
         print(",".join(f"{v:.17g}" for v in [x, *fs, *fminus]))
     return 0
 

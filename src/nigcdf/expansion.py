@@ -134,10 +134,13 @@ def cdf(p: Parameters, x: float) -> EvalResult:
     step of z's rung.  All three take each K to within
     2^-53 before rounding.  On every band the complement is evaluated and
     flipped when x lies right of the transition point (zeta_plus < 0), so
-    the smaller function is the one computed.  Every split route calls its
-    kernel as ``kernel(z, w_plus, |w_minus|)`` and reports the estimate and
-    work described at ``EvalResult``.  One call to ``oracle._evaluate`` checks
-    x, computes the geometry once, picks the band and splits, in one frame.
+    the smaller function is the one computed; there G <= E =
+    e^{-zeta_plus^2}, so where E < 2^-55, and 1 - G must round to 1, the
+    value is 1.0 with no split, no work and E as its estimate.  Every
+    split route calls its kernel as ``kernel(z, w_plus, |w_minus|)`` and
+    reports the estimate and work described at ``EvalResult``.  One call
+    to ``oracle._evaluate`` checks x, computes the geometry once, picks the
+    band and splits, in one frame.
     The other routes have their own functions: the paper's series to a
     chosen order in ``cdf_asym`` and ``sf_asym``, the quadrature oracles in
     ``oracle.cdf_quad_split`` and ``oracle.cdf_quad_direct``.

@@ -20,8 +20,11 @@ edges)``, which runs the statements of ``params._geometry`` and of
 ``_split`` inline in one Python frame: it computes the geometry, takes x's
 z band, a (kernel, method) pair, from a table of bands, splits, clamps the
 value into [0, 1] and, for the policy, returns 1 - G right of the
-transition point; its record's work is the kernel's.  A forced route
-passes a table of one band, ``_TRAPEZOID`` for ``cdf_quad_split``.
+transition point; its record's work is the kernel's.  There the split
+bounds G by E, so where E < 2^-55, and 1 - G must round to 1, the policy
+returns 1.0 without splitting, with no work and E as its estimate.  A
+forced route passes a table of one band, ``_TRAPEZOID`` for
+``cdf_quad_split``.
 ``_geometry`` and ``_split`` stay as the reference forms, which the tests
 hold the evaluator to bit for bit; ``_split`` serves the minus column of
 the CLI's ``figure1`` and the tests.
@@ -101,6 +104,13 @@ _DIRECT_REACH = _DIRECT_LOG + math.log(8.0 / math.pi) + 0.01
 _W_MINUS_NEGLIGIBLE = 1e-13
 # the trapezoid kernel's error bound, relative to a lower bound on K
 _TARGET_REL = 2.0**-53
+# right of the transition point the policy returns F = 1 - G, and the split
+# bounds G by E = e^{-zeta_plus^2}: G_plus <= (1/2) E erfcx(|zeta_plus|) <=
+# E / 2, and |F_minus| = E (s_minus |w_minus| / pi) J <= (1/2) E
+# erfcx(zeta_minus) <= E / 2, so 0 <= G <= E.  fl(1 - g) = 1.0 for every
+# g <= 2^-54 (ties to even), so below E = 2^-55, a factor 2 inside that,
+# ``_evaluate`` returns 1.0 without splitting
+_ROUNDS_TO_ONE = 2.0**-55
 # kernel(z, w_plus, w_minus) -> (K_plus, K_minus, dK_plus, dK_minus, work)
 _Sums = tuple[float, float, float, float, int]
 _Kernel = Callable[[float, float, float], _Sums]
@@ -136,9 +146,13 @@ class EvalResult(NamedTuple):
     On QUAD_DIRECT it is 2^-53 times a bound on the integral of |f| over
     2 pi, f the direct integrand, also a bound before rounding.  Each
     includes the distance by which the value was clamped into [0, 1].
+    On ``cdf`` right of the transition point, where E < 2^-55, the value is
+    1.0 without a split, since 0 <= G <= E and 1 - G rounds to 1, and the
+    estimate is E, which bounds |F - 1| = G.
     ``kmax_used`` is the work the route reports: what it summed, its nodes,
     t = 0 included, or its series order; on a split route the kernel's, and
-    0 where E underflows and the split calls no kernel.
+    0 where no kernel runs: where E underflows and the split calls none,
+    and where ``cdf`` returns 1.0 without a split.
     ``complemented`` records that the value was produced as 1 minus the
     directly computed complement: on ``cdf``, at every point with
     zeta_plus < 0, right of the transition point.
@@ -648,8 +662,9 @@ def _split(g: tuple[float, ...], upper: bool, kernel: _Kernel) -> tuple[float, f
     ``params._geometry`` or the record itself.  The reference form of the
     split: ``_evaluate`` runs these statements inline, and the tests hold
     it to ``_split(_geometry(p, x), upper, kernel)`` bit for bit, so an
-    edit here must be made there too.  The CLI's ``figure1`` takes its
-    minus column from here.
+    edit here must be made there too; only where the policy's value must
+    round to 1 does it skip them, and the tests hold this split to 1.0
+    there.  The CLI's ``figure1`` takes its minus column from here.
 
     With E = e^{z sigma_plus^2} <= 1, weights c = s E / (2 pi) for each part
     and sgn = sign(w_minus):
@@ -711,21 +726,26 @@ def _evaluate(
     expressions on the same module-bound names, so a point builds neither
     tuple and every value is the reference form's bit for bit:
     ``_split(_geometry(p, x), upper, kernel)``, then the clamp and the flip
-    below.  Only the branch where E underflows comes before the cosines
-    and s_minus, which it does not need, and zeta_minus is formed only
-    where ``_erfcx`` takes it.  It checks x and raises the z-range DomainError as
+    below, but where the policy's value must round to 1.  Only the branches
+    that need no split, that one and the one where E underflows, come
+    before the cosines and s_minus, and zeta_minus is formed only where
+    ``_erfcx`` takes it.  It checks x and raises the z-range DomainError as
     ``_geometry`` does, then takes (kernel, method) =
     ``bands[bisect_right(edges, z)]``: the bands by their lower z edges,
     ``edges = ()`` for a one-band table.  ``side`` False gives F and True
     gives G; ``side`` None is the policy of ``expansion.cdf``, which
     computes G and returns 1 - G where zeta_plus < 0, right of the
     transition point, and F elsewhere, and reports that flip as
-    ``complemented``.  Where E underflows the value is the bare erfc term,
-    with no kernel called, no work and a zero estimate, as ``_split`` gives;
-    elsewhere the estimate is the weighted kernel error of ``_split`` plus
-    the distance by which the value was clamped, and the work is the
-    kernel's.  The calls a point makes are the kernel's and, for the minus
-    part, ``_erfcx``'s, which ``tests/test_expansion.py`` pins.
+    ``complemented``.  On that flip, where E < ``_ROUNDS_TO_ONE`` (2^-55),
+    0 <= G <= E, so the split's 1 - G, clamped, is exactly 1.0: the value
+    is 1.0 with no kernel called, no work and E, which bounds |F - 1|, as
+    the estimate; the tests hold the full split to that 1.0.  Elsewhere,
+    where E underflows, the value is the bare erfc term, with no kernel
+    called, no work and a zero estimate, as ``_split`` gives; everywhere
+    else the estimate is the weighted kernel error of ``_split`` plus the
+    distance by which the value was clamped, and the work is the kernel's.
+    The calls a point makes are the kernel's and, for the minus part,
+    ``_erfcx``'s, which ``tests/test_expansion.py`` pins.
     """
     # the statements of params._geometry
     if x.__class__ is not float or not -_INF < x < _INF:
@@ -748,13 +768,15 @@ def _evaluate(
         upper, flip = side, False
     # the statements of _split
     damp = _exp(-z * (s_plus * s_plus))
+    if flip and damp < _ROUNDS_TO_ONE:
+        # 0 <= G <= E < 2^-55, so 1 - G rounds to 1.0 whatever the split
+        # gives; E bounds |F - 1|
+        return _tuple_new(EvalResult, (1.0, method, 0, damp, True))
     if damp == 0.0:
         # both weights and both terms of F_minus are exactly 0, so no kernel
         # runs, and the erfc term in [0, 1] needs no clamp
         value = 0.5 * _erfc(-zeta_plus) if upper else 0.5 * _erfc(zeta_plus)
-        if flip:
-            value = 1.0 - value
-        return _tuple_new(EvalResult, (value, method, 0, 0.0, flip))
+        return _tuple_new(EvalResult, (value, method, 0, 0.0, False))
     half_sum = 0.5 * (nu + tau)
     w_plus = _cos(half_diff)
     s_minus = _sin(half_sum)

@@ -101,6 +101,10 @@ EVAL_POINTS = {
     # the split weight underflows to 0, so the split calls no kernel
     "weight-underflow": ("--alpha 8 --beta 2 --mu 3 --delta 2 --x 2000",
                          "gauss_split", 0, 5e-13, 1.0, 0.0),
+    # right of x0 with E = 8.0e-58 < 2^-55: G <= E, so 1 - G rounds to one,
+    # and the policy returns 1.0 with E as its estimate and runs no kernel
+    "rounds-to-one": ("--alpha 8 --beta -4 --mu 3 --delta 2 --x 15",
+                      "gauss_split", 0, 1e-56, "quad-direct", 0.0),
     # z = 45 and w_minus < 0.05, where the Gauss rule keeps its bound
     "gauss-small-w-minus": ("--alpha 8 --beta -4 --mu 3 --delta 2 --x 1",
                             "gauss_split", 7, 1e-15, "quad-direct", 1e-13),
@@ -291,8 +295,9 @@ def test_table1_refuses_kmax_before_printing(capsys):
 
 
 def test_figure1_minus_column_is_the_minus_part_of_the_split(capsys):
-    # every default cell has z >= 32, where a Gauss rule is certified, so
-    # the minus part with the kernel of the cell's z band judges the trapezoid's
+    # the column is the minus part of the split with the kernel of the
+    # cell's z band, printed to 17 digits, which round-trip the double;
+    # every default cell has z >= 32, on a Gauss band
     assert main(["figure1"]) == 0
     rows = [list(map(float, line.split(","))) for line in _lines(capsys)[1:]]
     params = [validate(8.0, beta, 3.0, 2.0) for beta in (-4.0, 2.0, 7.5)]
@@ -301,8 +306,7 @@ def test_figure1_minus_column_is_the_minus_part_of_the_split(capsys):
             g = geometry(p, row[0])
             kernel, method = _BANDS[bisect_right(_BAND_EDGES, g.z)]
             assert method is Method.GAUSS_SPLIT
-            expected = _split(g, False, kernel)[1]
-            assert abs(fminus - expected) <= 1e-15, row
+            assert fminus == _split(g, False, kernel)[1], row
 
 
 def _count_geometries(monkeypatch, run):

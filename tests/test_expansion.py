@@ -593,7 +593,8 @@ def test_cdf_makes_the_pinned_python_calls_a_point():
     # call makes in the package.  A layer added back fails here.  Every point
     # takes cdf and the evaluator oracle._evaluate, which runs the geometry
     # and the split inline; it calls the band's kernel and the minus part's
-    # special._erfcx, and neither where E underflows.  The trapezoid band's
+    # special._erfcx, and neither where E underflows or, right of the
+    # transition point, where 1 - G must round to one.  The trapezoid band's
     # kernel, one per rung, holds its step and calls nothing, and the
     # small-z kernel calls _small_z_m and _small_z_one for each w.  A finite
     # float x passes the evaluator's inline guard; an int or a float
@@ -618,3 +619,8 @@ def test_cdf_makes_the_pinned_python_calls_a_point():
     ]
     assert cdf(p, 1e4).kmax_used == 0  # E underflows
     assert _package_calls(lambda: cdf(p, 1e4)) == head
+    # right of x0 with E = 8.0e-58 < 2^-55, 1 - G rounds to one: no kernel
+    # and no _erfcx
+    right = validate(8.0, -4.0, 3.0, 2.0)
+    assert tuple(cdf(right, 15.0))[::2] == (1.0, 0, True)
+    assert _package_calls(lambda: cdf(right, 15.0)) == head

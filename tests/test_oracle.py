@@ -51,7 +51,7 @@ from nigcdf.params import _geometry
 from nigcdf.selftest import draw_point
 from nigcdf.special import erfcx
 
-from make_reference import read_values
+from make_reference import error_class, read_values
 from test_expansion import _Real, _package_calls
 
 ALPHA, MU, DELTA = 8.0, 3.0, 2.0
@@ -702,9 +702,16 @@ def _band(z: float) -> tuple:
     return _BANDS[bisect_right(_BAND_EDGES, z)]
 
 
+def _rounds_to_one(g) -> bool:
+    """Whether ``cdf`` returns 1.0 at geometry ``g`` without a split: right of x0, E < 2^-55."""
+    _, _, _, z, s_plus, _, _, _, zeta_plus, _ = g
+    return zeta_plus < 0.0 and math.exp(-z * (s_plus * s_plus)) < oracle._ROUNDS_TO_ONE
+
+
 def _work(kernel, p, x) -> int:
-    """The work the split with ``kernel`` reports at (p, x): the kernel's, or 0 if it calls none."""
-    return oracle._split(_geometry(p, x), False, kernel)[3]
+    """The work ``cdf`` reports at (p, x) with ``kernel``: the split's, or 0 where it calls none."""
+    g = _geometry(p, x)
+    return 0 if _rounds_to_one(g) else oracle._split(g, False, kernel)[3]
 
 
 def _small_z(z: float, w: float) -> float:
@@ -1198,6 +1205,12 @@ def test_evaluate_clamps_as_min_and_max_do(monkeypatch):
                 if flip:
                     value = 1.0 - value
                 r = oracle._evaluate(p, x, side, band, ())
+                if flip and _rounds_to_one(g):
+                    # 1 - G rounds to one, so the stub goes uncalled: no
+                    # work, and E, which bounds G, as the estimate
+                    damp = math.exp(-g.z * (g.s_plus * g.s_plus))
+                    assert tuple(r) == (1.0, Method.QUAD_SPLIT, 0, damp, True), (k, x)
+                    continue
                 assert (r.value.hex(), r.error_estimate.hex()) == (value.hex(), estimate.hex())
                 assert math.copysign(1.0, r.value) == 1.0, (k, x, side)
                 assert r.kmax_used == 7
@@ -1256,6 +1269,12 @@ def _reference_evaluate(p, x, side, bands, edges):
     value, error = _clamped_by_min_max(raw, error)
     if flip:
         value = 1.0 - value
+        if _rounds_to_one(g):
+            # the evaluator returns 1.0 without splitting, with no work and
+            # E, which bounds G, as its estimate: only where the full split
+            # gives exactly 1.0 too
+            assert value.hex() == (1.0).hex(), (p, x, method)
+            work, error = 0, math.exp(-g[3] * (g[4] * g[4]))
     return (value, method, work, error, flip), raw
 
 
@@ -1310,7 +1329,9 @@ def test_evaluate_is_its_reference_form_bit_for_bit():
                 _, _, _, z, s_plus, _, _, w_minus, _, _ = g
                 kernel = bands[bisect_right(edges, z)][0]
                 kernels.add(kernel)
-                if math.exp(-z * (s_plus * s_plus)) == 0.0:
+                if side is None and _rounds_to_one(g):
+                    branches.add("rounds to one")
+                elif math.exp(-z * (s_plus * s_plus)) == 0.0:
                     branches.add("E underflows")
                 elif abs(w_minus) < oracle._W_MINUS_NEGLIGIBLE and (
                     oracle._split(g, False, kernel)[1] == 0.0
@@ -1322,4 +1343,86 @@ def test_evaluate_is_its_reference_form_bit_for_bit():
                 if not 0.0 < raw <= 1.0:
                     branches.add("clamped")
     assert kernels == {kernel for table, _ in tables for kernel, _ in table}
-    assert branches == {"E underflows", "minus dropped", "w_minus < 0", "clamped"}
+    assert branches == {
+        "rounds to one", "E underflows", "minus dropped", "w_minus < 0", "clamped"
+    }
+
+
+def test_rounding_to_one_never_moves_a_value():
+    # right of x0 the split bounds G by E = e^{-zeta_plus^2}, so where
+    # E < 2^-55 ``cdf`` returns 1.0 without splitting.  Seeded points right
+    # of x0 in every Gauss band, E log-spread over [2^-70, 2^-45], with
+    # beta near alpha, near -alpha (where w_minus < 0) and between: the
+    # value must be 1 - clamp(G) of the full split, double for double; the
+    # rule must fire exactly where E < 2^-55, with no work and E as the
+    # estimate; and the split's G must lie within E
+    rng = random.Random(5511)
+    gauss = [i for i, (_, method) in enumerate(_BANDS) if method is Method.GAUSS_SPLIT]
+    bounds = (*_BAND_EDGES, 1e12)
+    seen = set()
+    for band in gauss:
+        lo, hi = bounds[band - 1], bounds[band]
+        drawn = 0
+        while drawn < 250:
+            z = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            zeta2 = rng.uniform(45.0, 70.0) * math.log(2.0)
+            if zeta2 >= z:
+                continue
+            gap = 2.0 * math.asin(math.sqrt(zeta2 / z))  # tau - nu
+            kind = rng.randrange(3)
+            if kind == 0:  # beta near alpha: tau as small as nu > 0 allows
+                tau = gap + 10.0 ** rng.uniform(-6.0, -1.0)
+            elif kind == 1:  # beta near -alpha
+                tau = math.pi - 10.0 ** rng.uniform(-6.0, -1.0)
+            else:
+                tau = rng.uniform(gap, math.pi)
+            nu = tau - gap
+            if not 0.0 < nu < math.pi:
+                continue
+            alpha = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+            omega = 0.5 * z / alpha
+            mu = rng.uniform(-5.0, 5.0)
+            p = validate(alpha, alpha * math.cos(tau), mu, omega * math.sin(nu))
+            x = mu + omega * math.cos(nu)
+            g = _geometry(p, x)
+            _, _, _, z, s_plus, _, _, w_minus, zeta_plus, _ = g
+            kernel, method = _band(z)
+            if method is not Method.GAUSS_SPLIT or zeta_plus >= 0.0:
+                continue
+            drawn += 1
+            damp = math.exp(-z * (s_plus * s_plus))
+            plus, minus, _, _ = oracle._split(g, True, kernel)
+            split = plus - minus
+            r = cdf(p, x)
+            assert r.value.hex() == (1.0 - min(1.0, max(0.0, split))).hex(), (p, x)
+            assert split <= damp, (p, x, split, damp)
+            fired = damp < 2.0**-55
+            assert (r.kmax_used == 0) == fired, (p, x, damp)
+            if fired:
+                assert tuple(r) == (1.0, method, 0, damp, True), (p, x)
+            seen.add((band, fired))
+            seen.add(("w_minus < 0", w_minus < 0.0))
+    # zeta_plus^2 <= z, so the rule fires only from z = 55 ln 2 = 38.1 on:
+    # on every Gauss band but the first, z < 35
+    reach = {band for band in gauss if bounds[band] > 55.0 * math.log(2.0)}
+    assert seen >= {(band, True) for band in reach} | {("w_minus < 0", True)}
+    assert {(band, False) for band in gauss} <= seen
+
+
+def test_rounding_to_one_reports_an_estimate_that_covers_g():
+    # where the rule fires, |F - 1| = G: on the reference set's right-tail
+    # rows, each row's 34-digit G lies within the reported estimate E
+    rows = 0
+    for row in read_values():
+        p = validate(*row[1:5])
+        try:
+            g = _geometry(p, row.x)
+        except NigError:  # z leaves the double range
+            continue
+        if not _rounds_to_one(g) or error_class(mpmath.mpf(row.F), mpmath.mpf(row.G)) != "right":
+            continue
+        r = cdf(p, row.x)
+        assert (r.value, r.kmax_used) == (1.0, 0), row
+        assert mpmath.mpf(row.G) <= r.error_estimate, row
+        rows += 1
+    assert rows >= 100
